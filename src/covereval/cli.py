@@ -60,8 +60,13 @@ def cmd_props(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    values = [float(tok) for tok in Path(args.samples).read_text().split()]
-    report = best_fit(EmpiricalDistribution.from_values(values))
+    tokens = Path(args.samples).read_text().split()
+    try:
+        data = EmpiricalDistribution.from_values(float(tok) for tok in tokens)
+    except ValueError as exc:  # a non-numeric token, no samples, NaN or inf
+        print(f"error: {args.samples}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    report = best_fit(data)
     print("family,params,ks")
     for fit in report.fits:
         if isinstance(fit, InapplicableFit):

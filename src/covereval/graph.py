@@ -38,6 +38,9 @@ class EmpiricalDistribution:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical distribution needs at least one sample")
+        bad = [v for v in self.samples if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"empirical distribution needs finite samples, got {bad[0]}")
         if any(self.samples[i] > self.samples[i + 1] for i in range(len(self.samples) - 1)):
             object.__setattr__(self, "samples", tuple(sorted(self.samples)))
 

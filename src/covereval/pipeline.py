@@ -7,11 +7,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from . import clustering as cl
 from .cover import Cover, CommunityGraph, build_community_graph, load_cover, mesoscopic_profile

@@ -4,7 +4,7 @@ TOPSIS, and Spearman rank-correlation matrices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 

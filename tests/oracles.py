@@ -7,6 +7,9 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 
+import numpy as np
+from scipy import stats
+
 
 # ---------------------------------------------------------------- graphs
 
@@ -235,6 +238,72 @@ def brute_ks(cdf, samples: list[float]) -> float:
         f = float(cdf(x))
         best = max(best, abs(at - f), abs(f - below))
     return best
+
+
+# The ten families' log-likelihood sums and CDFs in the form the fitting
+# code had when it called the scipy.stats distributions directly (power law
+# and uniform were numpy closed forms then too). `params` and `rescale`
+# follow covereval.distfit.FittedDistribution; beta's rescale is the raw
+# (min, max) and BETA_EPS pads it.
+
+BETA_EPS = 1e-9
+
+
+def scipy_log_likelihood(family: str, params, x, rescale=None) -> float:
+    x = np.asarray(x, dtype=float)
+    p = params
+    if family == "PL":
+        alpha, xmin = p
+        return float(np.sum(np.log((alpha - 1) / xmin) - alpha * np.log(x / xmin)))
+    if family == "BE":
+        lo, hi = rescale
+        span = hi - lo + 2 * BETA_EPS
+        y = (x - lo + BETA_EPS) / span
+        return float(np.sum(stats.beta.logpdf(y, p[0], p[1]) - math.log(span)))
+    if family == "U":
+        lo, hi = p
+        if hi == lo:
+            return math.inf if np.all(x == lo) else -math.inf
+        inside = np.all((x >= lo) & (x <= hi))
+        return -len(x) * math.log(hi - lo) if inside else -math.inf
+    return float(np.sum(_scipy_dist(family, p).logpdf(x)))
+
+
+def scipy_cdf(family: str, params, x, rescale=None) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    p = params
+    if family == "PL":
+        alpha, xmin = p
+        return np.where(x < xmin, 0.0, 1.0 - (np.maximum(x, xmin) / xmin) ** (1.0 - alpha))
+    if family == "BE":
+        lo, hi = rescale
+        y = (x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
+        return stats.beta.cdf(np.clip(y, 0.0, 1.0), p[0], p[1])
+    if family == "U":
+        lo, hi = p
+        if hi == lo:
+            return (x >= lo).astype(float)
+        return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    return _scipy_dist(family, p).cdf(x)
+
+
+def _scipy_dist(family: str, p):
+    """The frozen scipy.stats distribution of a family with loc/scale."""
+    if family == "CA":
+        return stats.cauchy(loc=p[0], scale=p[1])
+    if family == "E":
+        return stats.expon(scale=1.0 / p[0])
+    if family == "GM":
+        return stats.gamma(p[0], scale=p[1])
+    if family == "LO":
+        return stats.logistic(loc=p[0], scale=p[1])
+    if family == "LN":
+        return stats.lognorm(p[1], scale=math.exp(p[0]))
+    if family == "N":
+        return stats.norm(loc=p[0], scale=p[1])
+    if family == "WB":
+        return stats.weibull_min(p[0], scale=p[1])
+    raise ValueError(f"no scipy.stats form for {family!r}")
 
 
 # ---------------------------------------------------------------- MCDM

@@ -1,20 +1,82 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covereval
 from covereval.distfit import (
-    FAMILY_ORDER, Family, FitError, FittedDistribution, InapplicableFit,
-    best_fit, fit_mle, ks_statistic,
+    FAMILY_ORDER, POSITIVE_SUPPORT, Family, FitError, FittedDistribution,
+    InapplicableFit, best_fit, fit_mle, ks_statistic,
 )
 from covereval.graph import EmpiricalDistribution
 
-from oracles import brute_ks
+from oracles import brute_ks, scipy_cdf, scipy_log_likelihood
 
 
 def dist(values):
     return EmpiricalDistribution.from_values(values)
+
+
+# Two fixed samples and every family's fitted params and KS on them, as
+# fit_mle gave them when it evaluated the families with scipy.stats
+# (scipy 1.17.1, numpy 2.4.6). In TIES one value holds more than half the
+# samples: the Cauchy likelihood has no maximum there, and its search runs
+# to the evaluation cap.
+TIES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 7]
+REAL = [0.42, 0.57, 0.61, 0.83, 0.9, 1.07, 1.18, 1.3, 1.46, 1.52, 1.77, 1.9,
+        2.14, 2.38, 2.6, 2.95, 3.3, 3.71, 4.4, 5.25, 6.8, 9.1]
+RECORDED = {
+    "TIES": {
+        "PL": ((3.1695954208616266, 1.0), 0.6),
+        "BE": ((0.05629865917195645, 0.18909452003411567), 0.37981494877294264),
+        "CA": ((1.0, 3.337610787761259e-308), 0.5),
+        "E": ((0.5,), 0.3934693402873666),
+        "GM": ((2.3059322533193702, 0.8673281653515829), 0.3618586336128143),
+        "LO": ((1.6776733541239586, 0.7943233628939302), 0.3012265535346454),
+        "LN": ((0.460915427081268, 0.6286917011858486), 0.36826172782725897),
+        "N": ((2.0, 1.61245154965971), 0.33242827380112466),
+        "U": ((1.0, 7.0), 0.6),
+        "WB": ((1.4212725933635904, 2.228780113255258), 0.3260679060994749),
+    },
+    "REAL": {
+        "PL": ((1.6705245997844758, 0.42), 0.23856054212483527),
+        "BE": ((0.2488118857959532, 0.3737609784816639), 0.27630878497834377),
+        "CA": ((1.6103439528363939, 0.8500952685904049), 0.19740490842501252),
+        "E": ((0.39173789173789175,), 0.154663083477864),
+        "GM": ((1.7440533520857728, 1.463674978019075), 0.09754482822907734),
+        "LO": ((2.19574427752175, 1.0926173550512845), 0.1644861379385239),
+        "LN": ((0.6238690260751718, 0.7979385524004876), 0.0559988689324849),
+        "N": ((2.5527272727272727, 2.1400556106159776), 0.17300646873148562),
+        "U": ((0.42, 9.1), 0.4409300377042312),
+        "WB": ((1.3051167363926681, 2.787735838203406), 0.09080957578323567),
+    },
+}
+
+
+def random_params(family, x, rng):
+    """Parameters on the scale of x, valid for the family."""
+    def pos():
+        return float(np.exp(rng.normal(0.0, 1.0)))
+
+    if family is Family.POWER_LAW:
+        return (1.0 + pos(), float(x.min()))
+    if family is Family.EXPONENTIAL:
+        return (pos() / float(x.mean()),)
+    if family is Family.UNIFORM:
+        pad = pos() * float(rng.integers(0, 2))  # the sample range or wider
+        return (float(x.min()) - pad, float(x.max()) + pad)
+    if family is Family.LOG_NORMAL:
+        return (float(rng.normal(np.log(x.mean()), 1.0)), pos())
+    if family is Family.BETA:
+        return (pos(), pos())
+    if family in (Family.GAMMA, Family.WEIBULL):
+        return (pos(), pos() * float(x.mean()))
+    return (float(rng.normal(x.mean(), x.std() + 1.0)), pos() * (float(x.std()) + 0.1))
 
 
 class TestFitMle:
@@ -155,3 +217,62 @@ class TestBestFit:
         a = best_fit(dist(x))
         b = best_fit(dist(x))
         assert a.best.family is b.best.family and a.best.params == b.best.params
+
+
+class TestScipyIdentity:
+    """The log-likelihoods and CDFs equal the scipy.stats forms bit for bit,
+    so the simplex searches take the same path and the fits do not move."""
+
+    @pytest.mark.parametrize("family", FAMILY_ORDER, ids=lambda f: f.value)
+    def test_log_likelihood_and_cdf_exact(self, family):
+        rng = np.random.default_rng(211)
+        for trial in range(60):
+            n = int(rng.integers(5, 60))
+            if trial % 3 == 0:      # integer-valued, with ties
+                x = rng.integers(1, 12, n).astype(float)
+            elif trial % 3 == 1:
+                x = rng.lognormal(0.5, 1.0, n)
+            else:
+                x = rng.normal(0.0, 3.0, n)
+                if family in POSITIVE_SUPPORT:
+                    x = np.abs(x) + 0.01
+            x = np.sort(x)
+            if x.min() == x.max():
+                x[-1] += 1.0
+            params = random_params(family, x, rng)
+            rescale = (float(x.min()), float(x.max()))
+            fit = FittedDistribution(family, params, ks=0.0, n=n, rescale=rescale)
+            want_ll = scipy_log_likelihood(family.value, params, x, rescale)
+            assert fit.log_likelihood(x) == want_ll
+            want_cdf = scipy_cdf(family.value, params, x, rescale)
+            assert np.array_equal(fit.cdf(x), want_cdf)
+
+    @pytest.mark.parametrize("shape", [2.0, 0.5, 1.0])
+    def test_weibull_round_shapes_exact(self, shape):
+        # numpy's pow takes a shortcut for a scalar exponent of 2 or 0.5
+        # that differs from pow over a full exponent array for ~5 % of the
+        # points; a point outside the support makes scipy switch layouts
+        x = np.sort(np.random.default_rng(223).lognormal(0.0, 1.0, 200))
+        for sample in (x, np.concatenate(([-1.0], x))):
+            fit = FittedDistribution(Family.WEIBULL, (shape, 1.5), ks=0.0, n=len(sample))
+            want_ll = scipy_log_likelihood("WB", fit.params, sample)
+            assert fit.log_likelihood(sample) == want_ll
+            assert np.array_equal(fit.cdf(sample), scipy_cdf("WB", fit.params, sample))
+
+    @pytest.mark.parametrize("name, samples", [("TIES", TIES), ("REAL", REAL)])
+    def test_fits_equal_recorded(self, name, samples):
+        data = dist(samples)
+        for family in FAMILY_ORDER:
+            fit = fit_mle(family, data)
+            assert (fit.params, fit.ks) == RECORDED[name][family.value], family
+
+
+def test_import_leaves_scipy_stats_out():
+    """scipy.stats costs ~0.35 s to import; the CLI must not pull it in."""
+    src = str(Path(covereval.__file__).parents[1])
+    code = "import sys, covereval.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -252,3 +252,8 @@ class TestEmpiricalDistribution:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution(())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalDistribution.from_values([1.0, 2.0, bad, 4.0, 5.0])
