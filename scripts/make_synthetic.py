@@ -6,7 +6,8 @@ Writes into --out:
   ground_truth.txt   the planted cover
   cand_exact.txt     a copy of the ground truth, entered as a candidate
   cand_p<NN>.txt     covers with NN% of node-community incidences reassigned
-  config.json        a pipeline config listing all candidates
+  config.json        a pipeline config listing all candidates, with paths
+                     relative to --out (as covereval reads them)
 """
 
 from __future__ import annotations
@@ -40,19 +41,18 @@ def main() -> None:
     write_cover(cover, out / "ground_truth.txt")
     write_cover(cover, out / "cand_exact.txt")
 
-    candidates = [{"name": "exact", "cover_path": str(out / "cand_exact.txt")}]
+    candidates = [{"name": "exact", "cover_path": "cand_exact.txt"}]
     for frac in args.fractions:
         name = f"p{int(round(100 * frac)):02d}"
-        path = out / f"cand_{name}.txt"
-        write_cover(perturb_cover(cover, frac, seed=args.seed + 1), path)
-        candidates.append({"name": name, "cover_path": str(path)})
+        write_cover(perturb_cover(cover, frac, seed=args.seed + 1), out / f"cand_{name}.txt")
+        candidates.append({"name": name, "cover_path": f"cand_{name}.txt"})
 
     config = {
-        "network_path": str(out / "network.txt"),
-        "ground_truth_path": str(out / "ground_truth.txt"),
+        "network_path": "network.txt",
+        "ground_truth_path": "ground_truth.txt",
         "candidates": candidates,
         "seed": 1,
-        "output_dir": str(out / "results"),
+        "output_dir": "results",
     }
     (out / "config.json").write_text(json.dumps(config, indent=2) + "\n")
     print(f"wrote {out}/network.txt ({graph.n} nodes, {graph.edge_count} edges)")

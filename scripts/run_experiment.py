@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Run the full evaluation pipeline on a config and print a compact summary.
 
-For each property group this prints the per-candidate rank vector, the Kemeny
-consensus order, and the TOPSIS closeness ranking. Full reports (JSON, rank
-tables, Spearman matrices, fitted distributions) are written to the config's
-output directory.
+For each property group this prints the per-candidate rank vector and, when
+the config's `mcdm` lists them, the Kemeny consensus order and the TOPSIS
+closeness ranking. Full reports (JSON, rank tables, Spearman matrices, fitted
+distributions) are written to the config's output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
-from covereval.pipeline import RunConfig, emit_reports, run
+from covereval.pipeline import PipelineError, RunConfig, emit_reports, run
 
 
 def main() -> None:
@@ -22,20 +23,25 @@ def main() -> None:
     ap.add_argument("--output", help="override the output directory")
     args = ap.parse_args()
 
-    cfg = RunConfig.from_json(args.config, seed=args.seed, output_dir=args.output)
-    report = run(cfg)
-    written = emit_reports(report, cfg.output_dir)
+    try:
+        cfg = RunConfig.from_json(args.config, seed=args.seed, output_dir=args.output)
+        report = run(cfg)
+        written = emit_reports(report, cfg.output_dir)
+    except (OSError, PipelineError) as exc:
+        sys.exit(f"error: {exc}")
 
     for tname, entry in report.data["tables"].items():
         print(f"\n=== {tname} ({len(entry['criteria'])} criteria) ===")
         width = max(len(n) for n in entry["ranks"])
         for name, row in entry["ranks"].items():
             print(f"  {name:<{width}}  ranks={row}")
-        print(f"  Kemeny consensus: {' > '.join(entry['kemeny']['order'])}"
-              f" (score={entry['kemeny']['score']}, exact={entry['kemeny']['exact']})")
-        topsis = sorted(entry["topsis"]["ranks"].items(), key=lambda kv: kv[1])
-        print("  TOPSIS ranking:   "
-              + ", ".join(f"{name}#{rank}" for name, rank in topsis))
+        if "kemeny" in entry:
+            print(f"  Kemeny consensus: {' > '.join(entry['kemeny']['order'])}"
+                  f" (score={entry['kemeny']['score']}, exact={entry['kemeny']['exact']})")
+        if "topsis" in entry:
+            topsis = sorted(entry["topsis"]["ranks"].items(), key=lambda kv: kv[1])
+            print("  TOPSIS ranking:   "
+                  + ", ".join(f"{name}#{rank}" for name, rank in topsis))
 
     print(f"\nwrote {len(written)} files to {cfg.output_dir}")
 

@@ -101,21 +101,18 @@ def cmd_clustering(args) -> int:
 
 def cmd_rank(args) -> int:
     lines = [ln for ln in Path(args.table).read_text().splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    criteria = header[1:]
-    alternatives = []
-    columns: dict[str, list[int]] = {c: [] for c in criteria}
-    for line in lines[1:]:
-        cells = line.split(",")
-        alternatives.append(cells[0])
-        for c, cell in zip(criteria, cells[1:]):
-            columns[c].append(int(cell))
-    rt = RankingTable.from_columns(alternatives, columns)
-    out = {"kemeny": None, "topsis": None}
+    try:
+        (_, *criteria), *rows = (ln.split(",") for ln in lines)
+        columns = {c: [int(cells[j]) for cells in rows]
+                   for j, c in enumerate(criteria, start=1)}
+    except (ValueError, IndexError) as exc:  # no header, a short row, a non-integer
+        print(f"error: {args.table}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    rt = RankingTable.from_columns([cells[0] for cells in rows], columns)
     kc = kemeny_consensus(rt)
-    out["kemeny"] = {"order": list(kc.order), "score": kc.score, "exact": kc.exact}
     ts = topsis(DecisionMatrix.from_ranks(rt))
-    out["topsis"] = {"closeness": ts.closeness, "ranks": ts.ranks}
+    out = {"kemeny": {"order": list(kc.order), "score": kc.score, "exact": kc.exact},
+           "topsis": {"closeness": ts.closeness, "ranks": ts.ranks}}
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

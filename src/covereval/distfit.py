@@ -214,13 +214,6 @@ class FittedDistribution:
             return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         return _cdf(f, x, p)
 
-    def cdf_left(self, x: np.ndarray) -> np.ndarray:
-        """Left limit of the CDF; differs from cdf() only where the fitted
-        distribution has a point mass (degenerate uniform)."""
-        if self.family is Family.UNIFORM and self.params[0] == self.params[1]:
-            return (np.asarray(x, dtype=float) > self.params[0]).astype(float)
-        return self.cdf(x)
-
     def log_likelihood(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         f = self.family
@@ -380,7 +373,9 @@ def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:
     cum = np.cumsum(counts) / n       # ECDF at each value (right limit)
     prev = np.concatenate(([0.0], cum[:-1]))  # ECDF just below each value
     f = fit.cdf(values)
-    f_left = fit.cdf_left(values)
+    f_left = f  # the CDF's left limit, which differs only at a point mass
+    if fit.family is Family.UNIFORM and fit.params[0] == fit.params[1]:
+        f_left = (values > fit.params[0]).astype(float)
     d = float(np.max(np.maximum(np.abs(cum - f), np.abs(f_left - prev))))
     return min(max(d, 0.0), 1.0)
 

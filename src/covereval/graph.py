@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -84,7 +83,8 @@ class HopSummary:
 @dataclass(frozen=True)
 class BasicProperties:
     """The nine global graph properties: V, E, density, diameter,
-    average shortest path, mean/max degree, assortativity, transitivity."""
+    average shortest path, mean/max degree, assortativity, transitivity.
+    `hops` is the hop distribution that d and l_G were computed from."""
 
     v: int
     e: int
@@ -95,7 +95,7 @@ class BasicProperties:
     max_deg: int
     tau: float
     c: float
-    paths_sampled: bool = False
+    hops: HopSummary
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -148,17 +148,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adj]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for u, nbrs in enumerate(self.adj):
@@ -348,9 +337,6 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
             raise GraphError("sampled hop mode requires a seed")
         if sources < 1:
             raise GraphError("sources must be >= 1")
-        if sources > gc.n:
-            warnings.warn("sources exceeds node count; clamping")
-            sources = gc.n
         rng = random.Random(seed)
         roots = sorted(rng.sample(range(gc.n), sources))
         in_roots = [False] * gc.n
@@ -402,5 +388,5 @@ def basic_properties(g: Graph, exact_paths: bool = True,
         max_deg=max(degs),
         tau=degree_assortativity(g),
         c=transitivity(g),
-        paths_sampled=hops.sampled,
+        hops=hops,
     )

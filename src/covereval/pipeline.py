@@ -7,21 +7,22 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+
+import numpy as np
 
 from . import clustering as cl
 from .cover import Cover, CommunityGraph, build_community_graph, load_cover, mesoscopic_profile
 from .distfit import FitError
 from .graph import (
     EmpiricalDistribution, Graph, GraphError, basic_properties,
-    clustering_by_degree, degree_distribution, hop_distribution, load_edge_list,
+    clustering_by_degree, degree_distribution, load_edge_list,
 )
 from .quality import quality_report
 from .ranking import (
     DecisionMatrix, RankingTable, competition_ranks, kemeny_consensus,
-    rank_distribution, spearman_matrix, topsis,
+    rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
 BASIC_PROPS = ("V", "E", "rho", "d", "l_G", "avg_deg", "max_deg", "tau", "C")
@@ -31,6 +32,7 @@ QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
 CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
 
 ALL_GROUPS = ("basic", "microscopic", "mesoscopic", "quality", "clustering")
+MCDM_METHODS = ("kemeny", "topsis")
 
 
 class PipelineError(RuntimeError):
@@ -46,7 +48,7 @@ class RunConfig:
     hop_mode: str = "exact"                  # "exact" | "sampled"
     sources: int = 1000
     seed: int | None = None
-    mcdm: tuple[str, ...] = ("kemeny", "topsis")
+    mcdm: tuple[str, ...] = MCDM_METHODS
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -62,20 +64,37 @@ class RunConfig:
         unknown = set(self.property_groups) - set(ALL_GROUPS)
         if unknown:
             raise PipelineError(f"unknown property groups: {sorted(unknown)}")
+        unknown = set(self.mcdm) - set(MCDM_METHODS)
+        if unknown:
+            raise PipelineError(f"unknown mcdm methods: {sorted(unknown)}")
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "RunConfig":
+        """Read a config file. Relative paths in the file are taken relative
+        to the file's directory; `overrides` (None = keep the file's value)
+        are used as given, so a relative `output_dir` override stays relative
+        to the current directory."""
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise PipelineError(f"{path}: a config must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        base = Path(path).parent
+        for key in ("network_path", "ground_truth_path", "output_dir"):
+            if key in doc:
+                doc[key] = str(base / doc[key])
         doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(
             network_path=doc["network_path"],
             ground_truth_path=doc["ground_truth_path"],
-            candidates=tuple((c["name"], c["cover_path"]) for c in doc["candidates"]),
+            candidates=tuple((c["name"], str(base / c["cover_path"]))
+                             for c in doc["candidates"]),
             property_groups=tuple(doc.get("property_groups", ALL_GROUPS)),
             hop_mode=doc.get("hop_mode", "exact"),
             sources=int(doc.get("sources", 1000)),
             seed=doc.get("seed"),
-            mcdm=tuple(doc.get("mcdm", ("kemeny", "topsis"))),
+            mcdm=tuple(doc.get("mcdm", MCDM_METHODS)),
             output_dir=doc.get("output_dir", "out"),
         )
 
@@ -83,9 +102,12 @@ class RunConfig:
 @dataclass(frozen=True)
 class EvaluationReport:
     """JSON-serializable result bundle; bit-for-bit reproducible for a
-    fixed config + seed."""
+    fixed config + seed. `samples` holds the sample dumps per cover and
+    property, which emit_reports writes and the JSON leaves out."""
 
     data: dict
+    samples: dict[str, dict[str, EmpiricalDistribution]] = field(
+        default_factory=dict, compare=False)
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -110,7 +132,7 @@ class _CoverEval:
     basic: dict[str, float | None]
     micro: dict[str, EmpiricalDistribution | None]
     meso: dict[str, EmpiricalDistribution | None]
-    quality: dict[str, float]
+    quality: dict[str, float | None]
 
 
 def _evaluate_cover(name: str, cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
@@ -126,8 +148,7 @@ def _evaluate_cover(name: str, cover: Cover, network: Graph, cfg: RunConfig) -> 
         if g.n >= 3:
             curve = [v for _, v in clustering_by_degree(g) if v > 0]
             micro["Av"] = EmpiricalDistribution.from_values(curve) if curve else None
-        micro["HD"] = hop_distribution(g, exact=(cfg.hop_mode == "exact"),
-                                       sources=cfg.sources, seed=cfg.seed).distribution
+        micro["HD"] = props.hops.distribution
     profile = mesoscopic_profile(cover)
     meso: dict[str, EmpiricalDistribution | None] = {
         "CS": profile.community_sizes,
@@ -135,14 +156,8 @@ def _evaluate_cover(name: str, cover: Cover, network: Graph, cfg: RunConfig) -> 
         "OS": profile.overlap_sizes,
     }
     qr = quality_report(network, cover)
-    return _CoverEval(cover=cover, cgraph=cg, basic=basic, micro=micro,
-                      meso=meso, quality=qr.as_dict())
-
-
-def _rank_with_failures(ref: float, values: Mapping[str, float | None]) -> list[int]:
-    """Ascending |ref - value| competition ranks; missing values rank last."""
-    dists = [abs(ref - v) if v is not None else math.inf for v in values.values()]
-    return competition_ranks(dists, ascending=True)
+    return _CoverEval(cover=cover, cgraph=cg, basic=basic, micro=micro, meso=meso,
+                      quality={k: _safe_float(v) for k, v in qr.as_dict().items()})
 
 
 def run(cfg: RunConfig) -> EvaluationReport:
@@ -162,6 +177,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
         truth_eval = _evaluate_cover("ground_truth", truth, network, cfg)
         evals = {name: _evaluate_cover(name, covers[name], network, cfg)
                  for name in names}
+        all_evals = {"ground_truth": truth_eval, **evals}
 
         columns: dict[str, list[int]] = {}
         fit_meta: dict[str, dict] = {}
@@ -170,14 +186,12 @@ def run(cfg: RunConfig) -> EvaluationReport:
         groups = set(cfg.property_groups)
         if "basic" in groups:
             for prop in BASIC_PROPS:
-                ref = truth_eval.basic[prop]
-                if ref is None:
+                if truth_eval.basic[prop] is None:
                     raise PipelineError(f"ground truth failed basic property {prop!r}")
-                vals = {n: evals[n].basic[prop] for n in names}
-                for n, v in vals.items():
-                    if v is None:
-                        notes.append(f"{n} failed {prop}; ranked last")
-                columns[prop] = _rank_with_failures(ref, vals)
+                notes.extend(f"{n} failed {prop}; ranked last"
+                             for n in names if evals[n].basic[prop] is None)
+            rt = rank_scalar(truth_eval.basic, {n: evals[n].basic for n in names})
+            columns.update((prop, rt.column(prop)) for prop in BASIC_PROPS)
 
         for group, props, source in (("microscopic", MICRO_PROPS, "micro"),
                                      ("mesoscopic", MESO_PROPS, "meso")):
@@ -211,10 +225,8 @@ def run(cfg: RunConfig) -> EvaluationReport:
                 }
 
         if "quality" in groups:
-            for prop in QUALITY_PROPS:
-                ref = truth_eval.quality[prop]
-                vals = {n: _safe_float(evals[n].quality[prop]) for n in names}
-                columns[prop] = _rank_with_failures(ref, vals)
+            rt = rank_scalar(truth_eval.quality, {n: evals[n].quality for n in names})
+            columns.update((prop, rt.column(prop)) for prop in QUALITY_PROPS)
 
         clustering_values: dict[str, dict[str, float]] = {}
         if "clustering" in groups:
@@ -283,34 +295,20 @@ def run(cfg: RunConfig) -> EvaluationReport:
             n: {
                 "n_communities": ev.cgraph.n_communities,
                 "degenerate": ev.cgraph.degenerate,
-                "basic": {k: _safe_float(v) for k, v in ev.basic.items()},
+                "basic": ev.basic,
             }
-            for n, ev in {"ground_truth": truth_eval, **evals}.items()
+            for n, ev in all_evals.items()
         },
-        "quality": {n: {k: _safe_float(v) for k, v in ev.quality.items()}
-                    for n, ev in {"ground_truth": truth_eval, **evals}.items()},
+        "quality": {n: ev.quality for n, ev in all_evals.items()},
         "clustering": {n: {k: _safe_float(v) for k, v in vals.items()}
                        for n, vals in clustering_values.items()},
         "distribution_fits": fit_meta,
         "tables": tables,
         "notes": sorted(set(notes)),
     }
-    report = EvaluationReport(data=data)
-    # stash sample dumps for emit_reports without baking them into the JSON
-    object.__setattr__(report, "_samples", _collect_samples(truth_eval, evals))
-    return report
-
-
-def _collect_samples(truth_eval: _CoverEval, evals: Mapping[str, _CoverEval]
-                     ) -> dict[str, dict[str, EmpiricalDistribution]]:
-    out: dict[str, dict[str, EmpiricalDistribution]] = {}
-    for name, ev in {"ground_truth": truth_eval, **evals}.items():
-        dists: dict[str, EmpiricalDistribution] = {}
-        for prop, samples in {**ev.micro, **ev.meso}.items():
-            if samples is not None:
-                dists[prop] = samples
-        out[name] = dists
-    return out
+    samples = {n: {p: s for p, s in {**ev.micro, **ev.meso}.items() if s is not None}
+               for n, ev in all_evals.items()}
+    return EvaluationReport(data=data, samples=samples)
 
 
 def _fmt(x) -> str:
@@ -331,73 +329,41 @@ def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
         raise PipelineError(f"cannot create output dir {out}: {exc}") from exc
     written: list[Path] = []
 
-    bundle = out / "report.json"
-    bundle.write_text(report.to_json())
-    written.append(bundle)
+    def write(name: str, text: str) -> None:
+        path = out / name
+        path.write_text(text)
+        written.append(path)
 
+    def write_csv(name: str, rows) -> None:
+        write(name, "".join(",".join(_fmt(cell) for cell in row) + "\n" for row in rows))
+
+    write("report.json", report.to_json())
     data = report.data
     for table_name, entry in sorted(data["tables"].items()):
-        path = out / f"ranking_{table_name}.csv"
         crits = entry["criteria"]
-        header = ["algorithm"] + crits
-        has_k = "kemeny" in entry
-        has_t = "topsis" in entry
-        if has_k:
-            header.append("Kconsensus")
-        if has_t:
-            header.append("TOPSIS")
-        lines = [",".join(header)]
-        for alg, row in entry["ranks"].items():
-            cells = [alg] + [str(r) for r in row]
-            if has_k:
-                cells.append(str(entry["kemeny"]["ranks"][alg]))
-            if has_t:
-                cells.append(str(entry["topsis"]["ranks"][alg]))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        consensus = [(label, entry[key]["ranks"])
+                     for key, label in (("kemeny", "Kconsensus"), ("topsis", "TOPSIS"))
+                     if key in entry]
+        write_csv(f"ranking_{table_name}.csv",
+                  [["algorithm", *crits, *(label for label, _ in consensus)]]
+                  + [[alg, *row, *(ranks[alg] for _, ranks in consensus)]
+                     for alg, row in entry["ranks"].items()])
         if "spearman" in entry:
-            spath = out / f"spearman_{table_name}.csv"
-            slines = [",".join([""] + crits)]
-            for crit, row in zip(crits, entry["spearman"]):
-                slines.append(",".join([crit] + [_fmt(v) for v in row]))
-            spath.write_text("\n".join(slines) + "\n")
-            written.append(spath)
+            write_csv(f"spearman_{table_name}.csv",
+                      [["", *crits]] + [[c, *row] for c, row in zip(crits, entry["spearman"])])
 
-    qpath = out / "quality.csv"
-    qlines = [",".join(["name"] + list(QUALITY_PROPS))]
-    for name, vals in data["quality"].items():
-        qlines.append(",".join([name] + [_fmt(vals[p]) for p in QUALITY_PROPS]))
-    qpath.write_text("\n".join(qlines) + "\n")
-    written.append(qpath)
-
+    write_csv("quality.csv", [["name", *QUALITY_PROPS]]
+              + [[n, *(vals[p] for p in QUALITY_PROPS)] for n, vals in data["quality"].items()])
     if data["clustering"]:
-        cpath = out / "clustering.csv"
-        clines = [",".join(["name"] + list(CLUSTERING_PROPS))]
-        for name, vals in data["clustering"].items():
-            clines.append(",".join([name] + [_fmt(vals[p]) for p in CLUSTERING_PROPS]))
-        cpath.write_text("\n".join(clines) + "\n")
-        written.append(cpath)
+        write_csv("clustering.csv", [["name", *CLUSTERING_PROPS]]
+                  + [[n, *(vals[p] for p in CLUSTERING_PROPS)]
+                     for n, vals in data["clustering"].items()])
 
-    samples = getattr(report, "_samples", {})
-    for name, dists in sorted(samples.items()):
+    for name, dists in sorted(report.samples.items()):
         for prop, dist in sorted(dists.items()):
-            dpath = out / f"dist_{name}_{prop}.csv"
-            dlines = ["value,ecdf"]
-            n = dist.n
             # one row per distinct value with the right-continuous ECDF
-            vals: list[float] = []
-            counts: list[int] = []
-            for v in dist.samples:
-                if vals and vals[-1] == v:
-                    counts[-1] += 1
-                else:
-                    vals.append(v)
-                    counts.append(1)
-            cum = 0
-            for v, c in zip(vals, counts):
-                cum += c
-                dlines.append(f"{_fmt(v)},{_fmt(cum / n)}")
-            dpath.write_text("\n".join(dlines) + "\n")
-            written.append(dpath)
+            values, counts = np.unique(dist.samples, return_counts=True)
+            ecdf = np.cumsum(counts) / dist.n
+            write_csv(f"dist_{name}_{prop}.csv",
+                      [["value", "ecdf"], *zip(values.tolist(), ecdf.tolist())])
     return written

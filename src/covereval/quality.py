@@ -95,17 +95,19 @@ def flake_odf_score(cs: CommunityStats) -> float:
     return bad / cs.n_s
 
 
+def _modularity(m: int, stats: list[CommunityStats]) -> float:
+    if m < 1:
+        raise GraphError("modularity undefined on an edgeless graph")
+    total = 0.0
+    for cs in stats:
+        total += cs.e_in / m - ((2 * cs.e_in + cs.e_out) / (2 * m)) ** 2
+    return total
+
+
 def overlapping_modularity(g: Graph, c: Cover) -> float:
     """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2.
     Overlapping nodes contribute to every community containing them."""
-    if g.edge_count < 1:
-        raise GraphError("modularity undefined on an edgeless graph")
-    m = g.edge_count
-    total = 0.0
-    for comm in c.communities:
-        cs = community_stats(g, comm)
-        total += cs.e_in / m - ((2 * cs.e_in + cs.e_out) / (2 * m)) ** 2
-    return total
+    return _modularity(g.edge_count, [community_stats(g, comm) for comm in c.communities])
 
 
 def quality_report(g: Graph, c: Cover) -> QualityReport:
@@ -119,5 +121,5 @@ def quality_report(g: Graph, c: Cover) -> QualityReport:
         flake_odf=sum(flake_odf_score(s) for s in stats) / k,
         internal_density=sum(internal_density_score(s) for s in stats) / k,
         max_odf=sum(max_odf_score(s) for s in stats) / k,
-        q_ov=overlapping_modularity(g, c),
+        q_ov=_modularity(g.edge_count, stats),
     )

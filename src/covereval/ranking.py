@@ -90,9 +90,9 @@ class DecisionMatrix:
 
 
 def rank_scalar(reference: Mapping[str, float],
-                candidates: Mapping[str, Mapping[str, float]]) -> RankingTable:
+                candidates: Mapping[str, Mapping[str, float | None]]) -> RankingTable:
     """Per property, rank candidates by ascending Manhattan distance to the
-    reference value."""
+    reference value. A missing value (None, a failed property) ranks last."""
     alternatives = tuple(candidates)
     columns: dict[str, list[int]] = {}
     for prop, ref in reference.items():
@@ -101,9 +101,12 @@ def rank_scalar(reference: Mapping[str, float],
         dists = []
         for alt in alternatives:
             val = candidates[alt][prop]
-            if not math.isfinite(val):
+            if val is None:
+                dists.append(math.inf)
+            elif not math.isfinite(val):
                 raise RankingError(f"non-finite value for {alt!r} on {prop!r}")
-            dists.append(abs(ref - val))
+            else:
+                dists.append(abs(ref - val))
         columns[prop] = competition_ranks(dists, ascending=True)
     return RankingTable.from_columns(alternatives, columns)
 

@@ -19,3 +19,15 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestRankCommand:
+    @pytest.mark.parametrize("text", ["alg,c1,c2\nA,1,2\nB,x,1\n",
+                                      "alg,c1,c2\nA,1,2\nB,2\n", ""])
+    def test_malformed_table_is_an_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert main(["rank", "--table", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

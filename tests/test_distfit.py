@@ -179,6 +179,13 @@ class TestKsStatistic:
         # ECDF jumps 0 -> 1 at 0.5 where F = 0.5
         assert ks_statistic(fit, data) == 0.5
 
+    def test_point_mass_uses_left_limit(self):
+        # F jumps 0 -> 1 at 2: just below 2, F = 0 against ECDF 0.2; at 2,
+        # F = 1 against 0.6; the largest gap is 0.4, just below 3. Taking F
+        # for its left limit would give |1 - 0.2| = 0.8 at 2.
+        fit = FittedDistribution(Family.UNIFORM, (2.0, 2.0), ks=0.0, n=5)
+        assert ks_statistic(fit, dist([1, 2, 2, 3, 3])) == pytest.approx(0.4, abs=1e-15)
+
 
 class TestBestFit:
     def test_heavy_tail_selects_power_law(self):

@@ -102,6 +102,14 @@ class TestBasicProperties:
         with pytest.raises(GraphError):
             basic_properties(Graph(3, []))
 
+    def test_hops_are_the_hop_distribution(self):
+        rng = random.Random(44)
+        g, _ = random_graph(rng, 30, 0.12)
+        assert basic_properties(g).hops == hop_distribution(g)
+        sampled = basic_properties(g, exact_paths=False, sources=6, seed=5).hops
+        assert sampled == hop_distribution(g, exact=False, sources=6, seed=5)
+        assert sampled.sampled and sampled.source_count == 6
+
 
 class TestDegreeDistribution:
     def test_k4(self):

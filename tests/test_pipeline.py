@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from covereval.cli import main
+from covereval.graph import EmpiricalDistribution
 from covereval.pipeline import (
     EvaluationReport, PipelineError, RunConfig, emit_reports, run,
 )
@@ -212,3 +213,174 @@ class TestCli:
         samples.write_text("1 2 3")  # below the minimum sample count
         rc = main(["fit", "--samples", str(samples)])
         assert rc == 2
+
+
+class TestSinglePass:
+    def test_one_hop_pass_per_cover(self, workspace, monkeypatch):
+        from covereval import graph, pipeline
+        calls = []
+        real = graph.hop_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        # the pipeline's own binding too, should it call hop_distribution itself
+        monkeypatch.setattr(graph, "hop_distribution", counting)
+        monkeypatch.setattr(pipeline, "hop_distribution", counting, raising=False)
+        rep = run(RunConfig.from_json(workspace / "cfg.json"))
+        covers = rep.data["community_graphs"]
+        assert len(covers) == 4 and not any(cg["degenerate"] for cg in covers.values())
+        assert len(calls) == 4
+
+    def test_samples_are_a_field(self, report):
+        assert set(report.samples) == {"ground_truth", "exact", "near", "far"}
+        for dists in report.samples.values():
+            assert set(dists) == {"DD", "Av", "HD", "CS", "M", "OS"}
+        # left out of the JSON and of equality
+        assert EvaluationReport.from_json(report.to_json()) == report
+        assert EvaluationReport.from_json(report.to_json()).samples == {}
+
+
+def _hand_built_report():
+    data = {
+        "tables": {
+            "quality": {
+                "criteria": ["AD", "OM"],
+                "ranks": {"A": [1, 2], "B": [2, 1], "C": [2, 3]},
+                "kemeny": {"order": ["A", "B", "C"], "ranks": {"A": 1, "B": 2, "C": 3},
+                           "score": 3, "exact": True},
+                "topsis": {"closeness": {"A": 0.75, "B": 0.5, "C": 0.0},
+                           "ranks": {"A": 1, "B": 2, "C": 3}},
+                "spearman": [[1.0, None], [None, 0.30000000000000004]],
+            },
+            "basic": {
+                "criteria": ["V"],
+                "ranks": {"A": [1], "B": [1], "C": [3]},
+                "topsis": {"closeness": {"A": 1.0, "B": 1.0, "C": 0.0},
+                           "ranks": {"A": 1, "B": 1, "C": 3}},
+            },
+        },
+        "quality": {
+            "ground_truth": {"AD": 4.0, "AO": 0.1, "FO": 0.0, "ID": 1 / 3,
+                             "MO": 0.5, "OM": 0.25},
+            "A": {"AD": 2.5, "AO": None, "FO": 1e-17, "ID": 2 / 3, "MO": 1.0,
+                  "OM": -0.125},
+        },
+        "clustering": {"A": {"NMI": 1.0, "OI": 0.1 + 0.2, "F1-score": None}},
+    }
+    samples = {
+        "ground_truth": {
+            "DD": EmpiricalDistribution.from_values([3, 1, 2, 3, 2, 3]),
+            "HD": EmpiricalDistribution.from_values([0.5, 1 / 3, 0.5]),
+        },
+        "A": {"CS": EmpiricalDistribution.from_values([7, 7, 7])},
+    }
+    return EvaluationReport(data=data, samples=samples)
+
+
+# The files emit_reports writes for _hand_built_report(), recorded from its
+# earlier one-writer-per-file implementation; the output format is a
+# contract, so any rewrite must reproduce them byte for byte.
+EMITTED = {
+    "ranking_basic.csv": "algorithm,V,TOPSIS\nA,1,1\nB,1,1\nC,3,3\n",
+    "ranking_quality.csv": ("algorithm,AD,OM,Kconsensus,TOPSIS\n"
+                            "A,1,2,1,1\nB,2,1,2,2\nC,2,3,3,3\n"),
+    "spearman_quality.csv": ",AD,OM\nAD,1.0,\nOM,,0.30000000000000004\n",
+    "quality.csv": ("name,AD,AO,FO,ID,MO,OM\n"
+                    "ground_truth,4.0,0.1,0.0,0.3333333333333333,0.5,0.25\n"
+                    "A,2.5,,1e-17,0.6666666666666666,1.0,-0.125\n"),
+    "clustering.csv": "name,NMI,OI,F1-score\nA,1.0,0.30000000000000004,\n",
+    "dist_A_CS.csv": "value,ecdf\n7.0,1.0\n",
+    "dist_ground_truth_DD.csv": ("value,ecdf\n1.0,0.16666666666666666\n"
+                                 "2.0,0.5\n3.0,1.0\n"),
+    "dist_ground_truth_HD.csv": ("value,ecdf\n0.3333333333333333,0.3333333333333333\n"
+                                 "0.5,1.0\n"),
+}
+
+
+class TestEmitReports:
+    def test_literal_output(self, tmp_path):
+        rep = _hand_built_report()
+        written = emit_reports(rep, tmp_path)
+        assert [p.name for p in written] == [
+            "report.json", "ranking_basic.csv", "ranking_quality.csv",
+            "spearman_quality.csv", "quality.csv", "clustering.csv",
+            "dist_A_CS.csv", "dist_ground_truth_DD.csv", "dist_ground_truth_HD.csv"]
+        assert (tmp_path / "report.json").read_text() == json.dumps(
+            rep.data, sort_keys=True, indent=2) + "\n"
+        for name, text in EMITTED.items():
+            assert (tmp_path / name).read_text() == text, name
+
+
+def _relative_config(workspace, root, **extra):
+    """The workspace inputs copied under root/data, with a config that names
+    them relative to itself."""
+    data = root / "data"
+    data.mkdir()
+    for name in ("net.txt", "gt.txt", "c1.txt"):
+        (data / name).write_text((workspace / name).read_text())
+    cfg = {
+        "network_path": "net.txt",
+        "ground_truth_path": "gt.txt",
+        "candidates": [{"name": "exact", "cover_path": "gt.txt"},
+                       {"name": "near", "cover_path": "c1.txt"}],
+        "property_groups": ["quality"],
+        "seed": 11,
+        "output_dir": "res",
+        **extra,
+    }
+    (data / "cfg.json").write_text(json.dumps(cfg))
+    return data / "cfg.json"
+
+
+class TestStrictConfig:
+    def test_unknown_key_rejected(self, workspace, tmp_path, capsys):
+        path = _relative_config(workspace, tmp_path, hop_mdoe="sampled")
+        with pytest.raises(PipelineError, match="hop_mdoe"):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('[{"network_path": "net.txt"}]')
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_mcdm_rejected(self, workspace, tmp_path, capsys):
+        with pytest.raises(PipelineError, match="kemeney"):
+            RunConfig(network_path="x", ground_truth_path="y",
+                      candidates=(("a", "p"),), mcdm=("kemeney",))
+        path = _relative_config(workspace, tmp_path, mcdm=["kemeney", "topsis"])
+        assert main(["run", "--config", str(path)]) == 1
+        assert "kemeney" in capsys.readouterr().err
+
+    def test_paths_relative_to_config(self, workspace, tmp_path, monkeypatch, capsys):
+        _relative_config(workspace, tmp_path, mcdm=["topsis"])
+        monkeypatch.chdir(tmp_path)
+        cfg = RunConfig.from_json("data/cfg.json")
+        assert (cfg.network_path, cfg.ground_truth_path, cfg.output_dir) == (
+            "data/net.txt", "data/gt.txt", "data/res")
+        assert cfg.candidates == (("exact", "data/gt.txt"), ("near", "data/c1.txt"))
+        assert main(["run", "--config", "data/cfg.json"]) == 0
+        printed = capsys.readouterr().out.split()
+        assert printed[0] == "data/res/report.json"
+        entry = json.loads((tmp_path / "data/res/report.json").read_text())["tables"]
+        assert set(entry["quality"]) == {"criteria", "ranks", "topsis"}
+
+    def test_config_in_current_directory_keeps_its_strings(self, workspace, tmp_path,
+                                                           monkeypatch):
+        _relative_config(workspace, tmp_path)
+        monkeypatch.chdir(tmp_path / "data")
+        cfg = RunConfig.from_json("cfg.json")
+        assert (cfg.network_path, cfg.output_dir) == ("net.txt", "res")
+        assert cfg.candidates == (("exact", "gt.txt"), ("near", "c1.txt"))
+
+    def test_output_override_stays_relative_to_cwd(self, workspace, tmp_path,
+                                                   monkeypatch):
+        _relative_config(workspace, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "data/cfg.json", "--output", "cli_out"]) == 0
+        assert (tmp_path / "cli_out" / "report.json").exists()
+        assert not (tmp_path / "data" / "res").exists()

@@ -115,6 +115,21 @@ class TestOverlappingModularity:
         with pytest.raises(GraphError):
             overlapping_modularity(Graph(3, []), Cover.from_sets([{0}]))
 
+    def test_quality_report_reuses_it_exactly(self):
+        rng = random.Random(61)
+        for _ in range(10):
+            n = rng.randint(5, 25)
+            g, _ = random_graph(rng, n, 0.3)
+            if g.edge_count == 0:
+                continue
+            cover = Cover.from_sets([set(rng.sample(range(n), rng.randint(1, n)))
+                                     for _ in range(rng.randint(1, 6))])
+            assert quality_report(g, cover).q_ov == overlapping_modularity(g, cover)
+
+    def test_quality_report_edgeless_rejected(self):
+        with pytest.raises(GraphError):
+            quality_report(Graph(3, []), Cover.from_sets([{0}]))
+
 
 class TestQualityReport:
     def test_duplicate_community_equals_single(self):

@@ -52,6 +52,13 @@ class TestRankScalar:
         with pytest.raises(RankingError):
             rank_scalar({"p": 1.0}, {"A": {"p": math.inf}})
 
+    def test_missing_value_ranks_last(self):
+        rt = rank_scalar({"p": 5.0, "q": 1.0},
+                         {"A": {"p": None, "q": 1.0}, "B": {"p": 100.0, "q": None},
+                          "C": {"p": None, "q": 2.0}, "D": {"p": 5.0, "q": 1.0}})
+        assert rt.column("p") == [3, 2, 3, 1]
+        assert rt.column("q") == [1, 4, 3, 1]
+
 
 class TestRankDistribution:
     def test_reference_copy_ranks_first(self):
