@@ -105,10 +105,10 @@ def cmd_rank(args) -> int:
         (_, *criteria), *rows = (ln.split(",") for ln in lines)
         columns = {c: [int(cells[j]) for cells in rows]
                    for j, c in enumerate(criteria, start=1)}
-    except (ValueError, IndexError) as exc:  # no header, a short row, a non-integer
+        rt = RankingTable.from_columns([cells[0] for cells in rows], columns)
+    except (ValueError, IndexError) as exc:  # no header, a short row, a bad cell or rank
         print(f"error: {args.table}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    rt = RankingTable.from_columns([cells[0] for cells in rows], columns)
     kc = kemeny_consensus(rt)
     ts = topsis(DecisionMatrix.from_ranks(rt))
     out = {"kemeny": {"order": list(kc.order), "score": kc.score, "exact": kc.exact},
@@ -183,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, GraphError, CoverError, PipelineError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (OSError, UnicodeDecodeError, GraphError, CoverError, PipelineError,
+            json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FitError, RankingError, ArithmeticError) as exc:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .cover import Cover, CoverError
+import numpy as np
+from scipy import sparse
+
+from .cover import Cover, CoverError, incidence
 
 
 def _common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover, frozenset[int]]:
@@ -25,15 +26,16 @@ def _common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover, frozenset[int]
     return c1.restricted_to(common), c2.restricted_to(common), frozenset(common)
 
 
-def _pair_multiplicities(c: Cover) -> Counter:
-    """Count, per unordered node pair, in how many communities it co-occurs.
-    Only pairs with multiplicity >= 1 are materialized."""
-    counts: Counter = Counter()
-    for comm in c.communities:
-        members = sorted(comm)
-        for i, j in combinations(members, 2):
-            counts[(i, j)] += 1
-    return counts
+def _co_memberships(c: Cover, universe: frozenset[int]) -> sparse.csr_array:
+    """Per node pair (i < j, columns of the sorted universe), the number of
+    communities containing both; pairs that never co-occur are not stored."""
+    b = incidence(c, universe)
+    return sparse.triu(b.T @ b, k=1, format="csr")
+
+
+def _contingency(c1: Cover, c2: Cover, universe: frozenset[int]) -> np.ndarray:
+    """|X & Y| for every community X of c1 (rows) and Y of c2 (columns)."""
+    return (incidence(c1, universe) @ incidence(c2, universe).T).toarray()
 
 
 def omega_index(c1: Cover, c2: Cover) -> float:
@@ -46,20 +48,17 @@ def omega_index(c1: Cover, c2: Cover) -> float:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    m1 = _pair_multiplicities(c1)
-    m2 = _pair_multiplicities(c2)
+    m1 = _co_memberships(c1, universe)
+    m2 = _co_memberships(c2, universe)
+    omega_u = (m_pairs - (m1 != m2).nnz) / m_pairs
 
-    # agreements at multiplicity >= 1, plus the t_0/t_0 class by subtraction
-    touched = set(m1) | set(m2)
-    agree = sum(1 for p in touched if m1.get(p, 0) == m2.get(p, 0))
-    agree += m_pairs - len(touched)
-    omega_u = agree / m_pairs
-
-    size1 = Counter(m1.values())
-    size2 = Counter(m2.values())
-    size1[0] = m_pairs - sum(size1.values())
-    size2[0] = m_pairs - sum(size2.values())
-    omega_e = sum(size1[j] * size2.get(j, 0) for j in size1) / (m_pairs ** 2)
+    # pairs per multiplicity, the t_0 class by subtraction; Python ints,
+    # because the products below overflow int64 on large universes
+    size1 = np.bincount(m1.data, minlength=1).tolist()
+    size2 = np.bincount(m2.data, minlength=1).tolist()
+    size1[0] = m_pairs - m1.nnz
+    size2[0] = m_pairs - m2.nnz
+    omega_e = sum(a * b for a, b in zip(size1, size2)) / (m_pairs ** 2)
 
     if omega_e == 1.0:
         if omega_u == 1.0:
@@ -80,30 +79,31 @@ def _indicator_entropy(size: int, n: int) -> float:
     return _h(size, n) + _h(n - size, n)
 
 
-def _cond_entropy_terms(x: frozenset[int], y: frozenset[int], n: int) -> float | None:
-    """H*(X|Y) for two binary community indicators, or None when the
-    information-theoretic constraint h(a)+h(d) >= h(b)+h(c) is violated."""
-    d = len(x & y)          # in both
-    c = len(x) - d          # only in x
-    b = len(y) - d          # only in y
+def _cond_entropy_terms(size_x: int, size_y: int, d: int, n: int) -> float | None:
+    """H*(X|Y) for two binary community indicators of sizes |X|, |Y| with
+    |X & Y| = d, or None when the information-theoretic constraint
+    h(a)+h(d) >= h(b)+h(c) is violated."""
+    c = size_x - d          # only in x
+    b = size_y - d          # only in y
     a = n - b - c - d       # in neither
     if _h(a, n) + _h(d, n) < _h(b, n) + _h(c, n):
         return None
     joint = _h(a, n) + _h(b, n) + _h(c, n) + _h(d, n)
-    hy = _indicator_entropy(len(y), n)
+    hy = _indicator_entropy(size_y, n)
     return joint - hy
 
 
-def _conditional_entropy(cover_x: Cover, cover_y: Cover, n: int,
-                         normalized: bool) -> float:
+def _conditional_entropy(sizes_x: list[int], sizes_y: list[int],
+                         overlap: list[list[int]], n: int, normalized: bool) -> float:
     """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to
-    H(X_k); optionally each term is divided by H(X_k)."""
+    H(X_k); optionally each term is divided by H(X_k). `overlap[k][l]` is
+    |X_k & Y_l|."""
     total = 0.0
-    for x in cover_x.communities:
-        hx = _indicator_entropy(len(x), n)
+    for size_x, row in zip(sizes_x, overlap):
+        hx = _indicator_entropy(size_x, n)
         best = hx
-        for y in cover_y.communities:
-            term = _cond_entropy_terms(x, y, n)
+        for size_y, d in zip(sizes_y, row):
+            term = _cond_entropy_terms(size_x, size_y, d, n)
             if term is not None and term < best:
                 best = term
         if normalized:
@@ -111,7 +111,7 @@ def _conditional_entropy(cover_x: Cover, cover_y: Cover, n: int,
         else:
             total += best
     if normalized:
-        total /= len(cover_x.communities)
+        total /= len(sizes_x)
     return total
 
 
@@ -124,20 +124,24 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
         raise ValueError("variant must be 'mcdaid' or 'lfk'")
     c1, c2, universe = _common_universe(c1, c2)
     n = len(universe)
-    h1 = sum(_indicator_entropy(len(x), n) for x in c1.communities)
-    h2 = sum(_indicator_entropy(len(y), n) for y in c2.communities)
+    sizes1 = [len(x) for x in c1.communities]
+    sizes2 = [len(y) for y in c2.communities]
+    h1 = sum(_indicator_entropy(s, n) for s in sizes1)
+    h2 = sum(_indicator_entropy(s, n) for s in sizes2)
     if h1 == 0.0 and h2 == 0.0:
         return 1.0 if set(c1.communities) == set(c2.communities) else 0.0
 
+    table = _contingency(c1, c2, universe)
+    overlap12, overlap21 = table.tolist(), table.T.tolist()
     if variant == "mcdaid":
-        h1c2 = _conditional_entropy(c1, c2, n, normalized=False)
-        h2c1 = _conditional_entropy(c2, c1, n, normalized=False)
+        h1c2 = _conditional_entropy(sizes1, sizes2, overlap12, n, normalized=False)
+        h2c1 = _conditional_entropy(sizes2, sizes1, overlap21, n, normalized=False)
         mutual = 0.5 * ((h1 - h1c2) + (h2 - h2c1))
         return mutual / max(h1, h2)
     # LFK-style: 1 - mean normalized conditional entropy, symmetrized by
     # the worse (max) direction
-    n1 = _conditional_entropy(c1, c2, n, normalized=True)
-    n2 = _conditional_entropy(c2, c1, n, normalized=True)
+    n1 = _conditional_entropy(sizes1, sizes2, overlap12, n, normalized=True)
+    n2 = _conditional_entropy(sizes2, sizes1, overlap21, n, normalized=True)
     return 1.0 - max(n1, n2)
 
 
@@ -148,25 +152,25 @@ class MatchScores:
     f1: float
 
 
-def _best_f1(source: Cover, target: Cover) -> tuple[float, float, float]:
+def _best_f1(sizes_s: list[int], sizes_t: list[int],
+             overlap: list[list[int]]) -> tuple[float, float, float]:
     """Mean best-match precision, recall, F1 from source communities to
-    target communities."""
+    target communities; `overlap[k][l]` is |S_k & T_l|."""
     ps, rs, fs = [], [], []
-    for s in source.communities:
+    for size_s, row in zip(sizes_s, overlap):
         best = (0.0, 0.0, 0.0)
-        for t in target.communities:
-            tp = len(s & t)
+        for size_t, tp in zip(sizes_t, row):
             if tp == 0:
                 continue
-            prec = tp / len(s)
-            rec = tp / len(t)
+            prec = tp / size_s
+            rec = tp / size_t
             f1 = 2 * prec * rec / (prec + rec)
             if f1 > best[2]:
                 best = (prec, rec, f1)
         ps.append(best[0])
         rs.append(best[1])
         fs.append(best[2])
-    k = len(source.communities)
+    k = len(sizes_s)
     return sum(ps) / k, sum(rs) / k, sum(fs) / k
 
 
@@ -174,7 +178,10 @@ def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
     """Best-overlap matching of detected communities to truth communities.
     Precision and recall are the detected-side means; F1 averages both
     matching directions."""
-    detected, truth, _ = _common_universe(detected, truth)
-    p_d, r_d, f_d = _best_f1(detected, truth)
-    _, _, f_t = _best_f1(truth, detected)
+    detected, truth, universe = _common_universe(detected, truth)
+    sizes_d = [len(s) for s in detected.communities]
+    sizes_t = [len(t) for t in truth.communities]
+    table = _contingency(detected, truth, universe)
+    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, table.tolist())
+    _, _, f_t = _best_f1(sizes_t, sizes_d, table.T.tolist())
     return MatchScores(precision=p_d, recall=r_d, f1=0.5 * (f_d + f_t))

@@ -3,9 +3,12 @@ property distributions, and community-graph construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import IO, Iterable, Mapping
+
+import numpy as np
+from scipy import sparse
 
 from .graph import EmpiricalDistribution, Graph, giant_component
 
@@ -104,16 +107,37 @@ def load_cover(text: str | bytes | IO, label_map: Mapping[str, int]) -> Cover:
     return Cover(tuple(communities))
 
 
+def incidence(c: Cover, universe: Iterable[int] | None = None) -> sparse.csr_array:
+    """Communities x nodes 0/1 matrix: row i is community i, column j the
+    j-th node of the sorted `universe` (default: the cover's own), which
+    must contain every member. Node ids are mapped to columns by search,
+    so they may be negative or large."""
+    nodes = np.array(sorted(c.universe if universe is None else universe), dtype=np.int64)
+    sizes = [len(s) for s in c.communities]
+    members = np.fromiter(chain.from_iterable(c.communities), dtype=np.int64,
+                          count=sum(sizes))
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return sparse.csr_array(
+        (np.ones(len(members), dtype=np.int64), np.searchsorted(nodes, members), indptr),
+        shape=(len(sizes), len(nodes)))
+
+
+def _overlaps(b: sparse.csr_array) -> sparse.coo_array:
+    """|C_i & C_j| for every overlapping pair i < j of an incidence matrix's
+    communities, as COO row/col/data."""
+    return sparse.triu(b @ b.T, k=1, format="coo")
+
+
 def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
     """Community size, node membership, and pairwise overlap-size
     distributions, computed on the full cover (before any pruning)."""
+    b = incidence(c)
     sizes = [len(s) for s in c.communities]
-    memberships = [len(v) for v in c.membership_index.values()]
-    overlaps = [len(c.communities[i] & c.communities[j])
-                for i, j in community_graph_edges(c)]
+    overlaps = _overlaps(b).data.tolist()
     return MesoscopicProfile(
         community_sizes=EmpiricalDistribution.from_values(sizes),
-        memberships=EmpiricalDistribution.from_values(memberships),
+        memberships=EmpiricalDistribution.from_values(b.sum(axis=0).tolist()),
         overlap_sizes=(EmpiricalDistribution.from_values(overlaps) if overlaps else None),
         community_count=len(c.communities),
         max_size=max(sizes),
@@ -122,15 +146,9 @@ def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
 
 
 def community_graph_edges(c: Cover) -> frozenset[tuple[int, int]]:
-    """Edges (i < j) between communities sharing at least one node,
-    via the membership inverted index."""
-    edges: set[tuple[int, int]] = set()
-    for comms in c.membership_index.values():
-        if len(comms) < 2:
-            continue
-        for i, j in combinations(sorted(comms), 2):
-            edges.add((i, j))
-    return frozenset(edges)
+    """Edges (i < j) between communities sharing at least one node."""
+    pairs = _overlaps(incidence(c))
+    return frozenset(zip(pairs.row.tolist(), pairs.col.tolist()))
 
 
 def build_community_graph(c: Cover) -> CommunityGraph:

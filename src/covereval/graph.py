@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 
 class GraphError(ValueError):
@@ -155,6 +159,15 @@ class Graph:
                 if u < v:
                     yield u, v
 
+    def csr(self) -> sparse.csr_array:
+        """Symmetric 0/1 adjacency matrix."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64,
+                              count=indptr[-1])
+        return sparse.csr_array((np.ones(len(indices), dtype=np.int64), indices, indptr),
+                                shape=(self.n, self.n))
+
     def label_map(self) -> dict[str, int]:
         return dict(self._label_to_id)
 
@@ -194,48 +207,15 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     return Graph(len(labels), edges, labels)
 
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Hop distances from source to every reachable node (incl. source)."""
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                q.append(v)
-    return dist
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted node-id lists, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        q = deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def giant_component(g: Graph) -> Graph:
     """Induced subgraph of the largest component; ties pick the component
     with the smallest minimum node id."""
     if g.n == 0:
         raise GraphError("empty graph")
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
+    # components are labelled in order of their smallest node, so the first
+    # largest label is the tie rule
+    _, component = csgraph.connected_components(g.csr(), directed=False)
+    best = np.flatnonzero(component == np.argmax(np.bincount(component))).tolist()
     remap = {old: new for new, old in enumerate(best)}
     edges = [(remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap]
     labels = [g.original_labels[old] for old in best]
@@ -250,18 +230,8 @@ def degree_distribution(g: Graph) -> EmpiricalDistribution:
 
 def triangles_per_node(g: Graph) -> list[int]:
     """tri(u) = number of edges among u's neighbors."""
-    tri = [0] * g.n
-    nbr_sets = [set(a) for a in g.adj]
-    for u in range(g.n):
-        nbrs = g.adj[u]
-        count = 0
-        for i in range(len(nbrs)):
-            si = nbr_sets[nbrs[i]]
-            for j in range(i + 1, len(nbrs)):
-                if nbrs[j] in si:
-                    count += 1
-        tri[u] = count
-    return tri
+    a = g.csr()
+    return ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
 
 
 def local_clustering(g: Graph) -> list[float]:
@@ -326,41 +296,30 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
     gc = giant_component(g)
     if gc.n < 2:
         raise GraphError("giant component needs at least 2 nodes")
-    hops: list[int] = []
     if exact or sources >= gc.n:
-        roots = list(range(gc.n))
-        in_roots = [True] * gc.n
+        roots = np.arange(gc.n)
         was_sampled = False
-        n_sources = gc.n
     else:
         if seed is None:
             raise GraphError("sampled hop mode requires a seed")
         if sources < 1:
             raise GraphError("sources must be >= 1")
-        rng = random.Random(seed)
-        roots = sorted(rng.sample(range(gc.n), sources))
-        in_roots = [False] * gc.n
-        for r in roots:
-            in_roots[r] = True
+        roots = np.array(sorted(random.Random(seed).sample(range(gc.n), sources)))
         was_sampled = True
-        n_sources = sources
-    for u in roots:
-        for v, d in bfs_distances(gc, u).items():
-            if v == u:
-                continue
-            # count each unordered pair once: skip (u, v) when v is a
-            # smaller root (that root already counted it)
-            if in_roots[v] and v < u:
-                continue
-            hops.append(d)
-    dist = EmpiricalDistribution.from_values(hops)
+    in_roots = np.zeros(gc.n, dtype=bool)
+    in_roots[roots] = True
+    # count each unordered pair once: skip (u, v) when v is a root <= u
+    # (that root already counted it, or v is u itself)
+    skip = in_roots & (np.arange(gc.n) <= roots[:, None])
+    hops = csgraph.shortest_path(gc.csr(), unweighted=True, indices=roots)[~skip]
+    dist = EmpiricalDistribution.from_values(hops.tolist())
     return HopSummary(
         distribution=dist,
         median_path=dist.percentile(50),
         effective_diameter=dist.percentile(90),
         diameter=dist.percentile(100),
         sampled=was_sampled,
-        source_count=n_sources,
+        source_count=len(roots),
     )
 
 

@@ -80,6 +80,13 @@ class RunConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(doc.get("candidates"), list):
+            raise PipelineError("candidates must be a list")
+        for c in doc["candidates"]:
+            if (not isinstance(c, dict) or set(c) != {"name", "cover_path"}
+                    or not all(isinstance(v, str) for v in c.values())):
+                raise PipelineError("a candidate needs exactly the keys name and "
+                                    f"cover_path, both strings, got {c!r}")
         base = Path(path).parent
         for key in ("network_path", "ground_truth_path", "output_dir"):
             if key in doc:

@@ -32,3 +32,15 @@ def random_partition(rng: random.Random, n: int, k: int) -> list[set[int]]:
     for u, b in enumerate(labels):
         blocks.setdefault(b, set()).add(u)
     return list(blocks.values())
+
+
+def arbitrary_ids(rng: random.Random, sets: list[set[int]]) -> list[set[int]]:
+    """The same sets with nodes renamed injectively to ids that are negative
+    or at least 2**40, as Cover.from_sets accepts."""
+    nodes = sorted(set().union(*sets))
+    ids: set[int] = set()
+    while len(ids) < len(nodes):
+        ids.add(rng.choice((-1, 1)) * rng.randrange(2**40, 2**50) if rng.random() < 0.5
+                else rng.randrange(-1000, 0))
+    rename = dict(zip(nodes, rng.sample(sorted(ids), len(nodes))))
+    return [{rename[u] for u in s} for s in sets]

@@ -5,6 +5,7 @@ enumeration) rather than the library's optimized paths."""
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations, permutations
 
 import numpy as np
@@ -223,6 +224,62 @@ def brute_f1(detected: list[set[int]], truth: list[set[int]]) -> float:
         return total / len(src)
 
     return 0.5 * (mean_best(detected, truth) + mean_best(truth, detected))
+
+
+def brute_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") -> float:
+    """Overlapping NMI straight from the set definition on the common
+    universe: every community is a binary node indicator, H*(X|Y) is the
+    entropy of the 2x2 table of X against Y minus H(Y), admitted only when
+    h(a) + h(d) >= h(b) + h(c); the max-normalized (McDaid) mutual
+    information, or the LFK-style 1 - worse mean normalized conditional
+    entropy."""
+    common = set().union(*c1) & set().union(*c2)
+    xs = [c & common for c in c1 if c & common]
+    ys = [c & common for c in c2 if c & common]
+    n = len(common)
+
+    def h(w):
+        return -w / n * math.log2(w / n) if w > 0 else 0.0
+
+    def entropy(c):
+        return h(len(c)) + h(n - len(c))
+
+    def conditional(x, others):
+        best = entropy(x)
+        for y in others:
+            a, b, c, d = n - len(x | y), len(y - x), len(x - y), len(x & y)
+            if h(a) + h(d) >= h(b) + h(c):
+                best = min(best, h(a) + h(b) + h(c) + h(d) - entropy(y))
+        return best
+
+    hx = sum(entropy(x) for x in xs)
+    hy = sum(entropy(y) for y in ys)
+    if hx == 0 and hy == 0:
+        return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
+    if variant == "mcdaid":
+        hxy = sum(conditional(x, ys) for x in xs)
+        hyx = sum(conditional(y, xs) for y in ys)
+        return 0.5 * ((hx - hxy) + (hy - hyx)) / max(hx, hy)
+
+    def mean_normalized(src, dst):
+        return sum(conditional(s, dst) / entropy(s) if entropy(s) > 0 else 0.0
+                   for s in src) / len(src)
+
+    return 1.0 - max(mean_normalized(xs, ys), mean_normalized(ys, xs))
+
+
+def brute_sampled_hops(n: int, edges: set[tuple[int, int]], sources: int,
+                       seed: int) -> list[float]:
+    """Sorted hop samples of sampled mode from Floyd-Warshall rows: the
+    giant component's nodes renumbered in id order, roots drawn by
+    random.Random(seed).sample, each unordered pair counted once."""
+    giant = max(union_find_components(n, edges), key=lambda c: (len(c), -min(c)))
+    gidx = {u: i for i, u in enumerate(sorted(giant))}
+    dist = floyd_warshall(len(gidx), {(gidx[u], gidx[v]) for u, v in edges
+                                      if u in gidx and v in gidx})
+    roots = set(random.Random(seed).sample(range(len(gidx)), sources))
+    return sorted(dist[u][v] for u in roots for v in range(len(gidx))
+                  if v != u and not (v in roots and v < u))
 
 
 # ---------------------------------------------------------------- fitting

@@ -1,6 +1,6 @@
 import pytest
 
-from covereval.cli import EXIT_OK, EXIT_VALIDATION, main
+from covereval.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main
 
 
 class TestFitCommand:
@@ -31,3 +31,18 @@ class TestRankCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_rank_outside_range_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("alg,c1\nA,5\nB,1\n")
+        assert main(["rank", "--table", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: ranks must lie in [1, 2]\n"
+
+    def test_aggregation_failure_stays_a_computation_error(self, tmp_path, capsys):
+        # a well-formed one-alternative table: TOPSIS needs two
+        path = tmp_path / "table.csv"
+        path.write_text("alg,c1\nA,1\n")
+        assert main(["rank", "--table", str(path)]) == EXIT_COMPUTATION
+        assert capsys.readouterr().err.startswith("computation error: ")

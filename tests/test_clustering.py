@@ -7,8 +7,8 @@ import pytest
 from covereval.clustering import f1_best_match, omega_index, onmi_max
 from covereval.cover import Cover, CoverError
 
-from gen import random_cover_sets, random_partition
-from oracles import adjusted_rand_index, brute_f1, brute_omega
+from gen import arbitrary_ids, random_cover_sets, random_partition
+from oracles import adjusted_rand_index, brute_f1, brute_omega, brute_onmi
 
 
 def cover(*sets):
@@ -57,6 +57,19 @@ class TestOmegaIndex:
             got = omega_index(Cover.from_sets(b1), Cover.from_sets(b2))
             assert got == pytest.approx(adjusted_rand_index(l1, l2), abs=1e-12)
 
+    def test_arbitrary_ids_match_brute_force(self):
+        # negative ids and ids >= 2**40 are columns found by search, never indices
+        rng = random.Random(101)
+        for _ in range(30):
+            n = rng.randint(4, 25)
+            s1 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
+            s2 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
+            renamed = arbitrary_ids(rng, s1 + s2)
+            r1, r2 = renamed[:len(s1)], renamed[len(s1):]
+            got = omega_index(Cover.from_sets(r1), Cover.from_sets(r2))
+            assert got == brute_omega(r1, r2)
+            assert got == omega_index(Cover.from_sets(s1), Cover.from_sets(s2))
+
     def test_tiny_universe_rejected(self):
         with pytest.raises(CoverError):
             omega_index(cover({0}), cover({0}))
@@ -103,6 +116,25 @@ class TestOnmiMax:
             v = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
             assert 0.0 <= v <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("variant", ["mcdaid", "lfk"])
+    def test_matches_set_definition_oracle(self, variant):
+        # duplicate communities, universes that differ, arbitrary ids
+        rng = random.Random(103)
+        for i in range(40):
+            n = rng.randint(4, 25)
+            s1 = random_cover_sets(rng, n, rng.randint(1, 6))
+            s2 = random_cover_sets(rng, n, rng.randint(1, 6))
+            s1.append(set(s1[0]))
+            s2.append(set(s2[-1]))
+            if i % 2:
+                renamed = arbitrary_ids(rng, s1 + s2)
+                s1, s2 = renamed[:len(s1)], renamed[len(s1):]
+            want = brute_onmi(s1, s2, variant)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the common-universe restriction
+                got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
+            assert got == pytest.approx(want, abs=1e-12)
+
     def test_lfk_variant_identity(self):
         c = cover({0, 1}, {2, 3, 4})
         assert onmi_max(c, c, variant="lfk") == 1.0
@@ -132,6 +164,17 @@ class TestF1BestMatch:
             got = f1_best_match(Cover.from_sets(s1), Cover.from_sets(s2)).f1
             want = brute_f1([set(x) for x in s1], [set(x) for x in s2])
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_arbitrary_ids_match_brute_force(self):
+        rng = random.Random(107)
+        for _ in range(20):
+            n = rng.randint(4, 25)
+            s1 = random_cover_sets(rng, n, rng.randint(1, 6)) + [set(range(n))]
+            s2 = random_cover_sets(rng, n, rng.randint(1, 6)) + [set(range(n))]
+            renamed = arbitrary_ids(rng, s1 + s2)
+            r1, r2 = renamed[:len(s1)], renamed[len(s1):]
+            got = f1_best_match(Cover.from_sets(r1), Cover.from_sets(r2)).f1
+            assert got == pytest.approx(brute_f1(r1, r2), abs=1e-12)
 
     def test_f1_bounds(self):
         rng = random.Random(89)

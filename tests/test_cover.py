@@ -10,7 +10,7 @@ from covereval.cover import (
 )
 from covereval.graph import load_edge_list
 
-from gen import random_cover_sets
+from gen import arbitrary_ids, random_cover_sets
 from oracles import algorithm1_community_graph, brute_mesoscopic
 
 
@@ -81,6 +81,17 @@ class TestMesoscopicProfile:
             got_overlaps = sorted(p.overlap_sizes.samples) if p.overlap_sizes else []
             assert got_overlaps == overlaps
 
+    def test_arbitrary_ids_match_pairwise_oracle(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            sets = arbitrary_ids(rng, random_cover_sets(rng, 100, 30))
+            p = mesoscopic_profile(Cover.from_sets(sets))
+            sizes, members, overlaps = brute_mesoscopic([frozenset(s) for s in sets])
+            assert sorted(p.community_sizes.samples) == sizes
+            assert sorted(p.memberships.samples) == members
+            got_overlaps = sorted(p.overlap_sizes.samples) if p.overlap_sizes else []
+            assert got_overlaps == overlaps
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_size_membership_balance(self, seed):
@@ -121,6 +132,13 @@ class TestCommunityGraph:
             got = community_graph_edges(c)
             want = algorithm1_community_graph([set(s) for s in sets])
             assert set(got) == want
+
+    def test_arbitrary_ids_match_algorithm1_oracle(self):
+        rng = random.Random(33)
+        for _ in range(20):
+            sets = arbitrary_ids(rng, random_cover_sets(rng, 60, rng.randint(2, 40)))
+            got = community_graph_edges(Cover.from_sets(sets))
+            assert set(got) == algorithm1_community_graph(sets)
 
     def test_overlap_count_equals_pre_pruning_edges(self):
         rng = random.Random(37)

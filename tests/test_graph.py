@@ -14,7 +14,8 @@ from covereval.graph import (
 
 from gen import random_graph
 from oracles import (
-    brute_basic_properties, brute_local_clustering, union_find_components,
+    brute_basic_properties, brute_local_clustering, brute_sampled_hops,
+    union_find_components,
 )
 
 
@@ -196,6 +197,19 @@ class TestHopDistribution:
         assert sampled.sampled and sampled.source_count == 5
         for h in sampled.distribution.samples:
             assert h in exact
+
+    def test_sampled_matches_floyd_warshall_oracle(self):
+        # disconnected graphs too: the roots are drawn on the giant component
+        rng = random.Random(5)
+        for i in range(30):
+            g, edges = random_graph(rng, rng.randint(3, 30), rng.choice([0.08, 0.15, 0.4]))
+            gn = max(len(c) for c in union_find_components(g.n, edges))
+            if gn < 2:
+                continue
+            sources = rng.randint(1, gn)
+            got = hop_distribution(g, exact=False, sources=sources, seed=i)
+            assert list(got.distribution.samples) == brute_sampled_hops(
+                g.n, edges, sources, seed=i)
 
     def test_pair_count(self):
         g = path_graph(7)

@@ -342,6 +342,29 @@ class TestStrictConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("candidate", [
+        {"name": "near", "cover_path": "c1.txt", "cover_pth": "x.txt", "weight": 2},
+        {"name": "near"},
+        {"cover_path": "c1.txt"},
+        "c1.txt",
+        {"name": "near", "cover_path": 3},
+        {"name": ["near"], "cover_path": "c1.txt"},
+    ], ids=["extra-keys", "no-cover-path", "no-name", "not-an-object", "path-not-a-string",
+            "name-not-a-string"])
+    def test_malformed_candidate_rejected(self, workspace, tmp_path, capsys, candidate):
+        path = _relative_config(workspace, tmp_path, candidates=[
+            {"name": "exact", "cover_path": "gt.txt"}, candidate])
+        with pytest.raises(PipelineError, match="name and cover_path"):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("candidates", [None, {"name": "a", "cover_path": "gt.txt"}])
+    def test_candidates_must_be_a_list(self, workspace, tmp_path, candidates):
+        path = _relative_config(workspace, tmp_path, candidates=candidates)
+        with pytest.raises(PipelineError, match="candidates must be a list"):
+            RunConfig.from_json(path)
+
     def test_non_object_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('[{"network_path": "net.txt"}]')
