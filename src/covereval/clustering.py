@@ -75,37 +75,30 @@ def _h(w: int, n: int) -> float:
     return -p * math.log2(p)
 
 
-def _indicator_entropy(size: int, n: int) -> float:
-    return _h(size, n) + _h(n - size, n)
+def _entropies(h: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """H(X) of each community indicator of the given sizes; `h[w]` is
+    `_h(w, n)` for w = 0..n."""
+    return h[sizes] + h[len(h) - 1 - sizes]
 
 
-def _cond_entropy_terms(size_x: int, size_y: int, d: int, n: int) -> float | None:
-    """H*(X|Y) for two binary community indicators of sizes |X|, |Y| with
-    |X & Y| = d, or None when the information-theoretic constraint
-    h(a)+h(d) >= h(b)+h(c) is violated."""
-    c = size_x - d          # only in x
-    b = size_y - d          # only in y
-    a = n - b - c - d       # in neither
-    if _h(a, n) + _h(d, n) < _h(b, n) + _h(c, n):
-        return None
-    joint = _h(a, n) + _h(b, n) + _h(c, n) + _h(d, n)
-    hy = _indicator_entropy(size_y, n)
-    return joint - hy
-
-
-def _conditional_entropy(sizes_x: list[int], sizes_y: list[int],
-                         overlap: list[list[int]], n: int, normalized: bool) -> float:
+def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray,
+                         overlap: np.ndarray, normalized: bool) -> float:
     """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to
-    H(X_k); optionally each term is divided by H(X_k). `overlap[k][l]` is
-    |X_k & Y_l|."""
+    H(X_k); optionally each term is divided by H(X_k). `overlap[k, l]` is
+    |X_k & Y_l|. H*(X|Y) is the joint entropy of the two binary indicators
+    minus H(Y), admitted only when the information-theoretic constraint
+    h(a)+h(d) >= h(b)+h(c) holds. One row at a time, so memory stays
+    linear in the number of communities."""
+    n = len(h) - 1
+    hy = _entropies(h, sizes_y)
     total = 0.0
-    for size_x, row in zip(sizes_x, overlap):
-        hx = _indicator_entropy(size_x, n)
-        best = hx
-        for size_y, d in zip(sizes_y, row):
-            term = _cond_entropy_terms(size_x, size_y, d, n)
-            if term is not None and term < best:
-                best = term
+    for size_x, hx, d in zip(sizes_x.tolist(), _entropies(h, sizes_x).tolist(), overlap):
+        ha = h[n - size_x - sizes_y + d]    # in neither
+        hb = h[sizes_y - d]                 # only in y
+        hc = h[size_x - d]                  # only in x
+        hd = h[d]                           # in both
+        terms = (ha + hb + hc + hd - hy)[ha + hd >= hb + hc]
+        best = min(hx, terms.min().item()) if len(terms) else hx
         if normalized:
             total += best / hx if hx > 0 else 0.0
         else:
@@ -124,24 +117,25 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
         raise ValueError("variant must be 'mcdaid' or 'lfk'")
     c1, c2, universe = _common_universe(c1, c2)
     n = len(universe)
-    sizes1 = [len(x) for x in c1.communities]
-    sizes2 = [len(y) for y in c2.communities]
-    h1 = sum(_indicator_entropy(s, n) for s in sizes1)
-    h2 = sum(_indicator_entropy(s, n) for s in sizes2)
+    # every count is one of 0..n, so each entropy term is computed once
+    h = np.array([_h(w, n) for w in range(n + 1)])
+    sizes1 = np.array([len(x) for x in c1.communities])
+    sizes2 = np.array([len(y) for y in c2.communities])
+    h1 = sum(_entropies(h, sizes1).tolist())
+    h2 = sum(_entropies(h, sizes2).tolist())
     if h1 == 0.0 and h2 == 0.0:
         return 1.0 if set(c1.communities) == set(c2.communities) else 0.0
 
     table = _contingency(c1, c2, universe)
-    overlap12, overlap21 = table.tolist(), table.T.tolist()
     if variant == "mcdaid":
-        h1c2 = _conditional_entropy(sizes1, sizes2, overlap12, n, normalized=False)
-        h2c1 = _conditional_entropy(sizes2, sizes1, overlap21, n, normalized=False)
+        h1c2 = _conditional_entropy(h, sizes1, sizes2, table, normalized=False)
+        h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=False)
         mutual = 0.5 * ((h1 - h1c2) + (h2 - h2c1))
         return mutual / max(h1, h2)
     # LFK-style: 1 - mean normalized conditional entropy, symmetrized by
     # the worse (max) direction
-    n1 = _conditional_entropy(sizes1, sizes2, overlap12, n, normalized=True)
-    n2 = _conditional_entropy(sizes2, sizes1, overlap21, n, normalized=True)
+    n1 = _conditional_entropy(h, sizes1, sizes2, table, normalized=True)
+    n2 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=True)
     return 1.0 - max(n1, n2)
 
 

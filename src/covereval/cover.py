@@ -34,14 +34,6 @@ class Cover:
         return cls(tuple(frozenset(s) for s in sets))
 
     @property
-    def membership_index(self) -> dict[int, frozenset[int]]:
-        idx: dict[int, set[int]] = {}
-        for ci, comm in enumerate(self.communities):
-            for u in comm:
-                idx.setdefault(u, set()).add(ci)
-        return {u: frozenset(s) for u, s in idx.items()}
-
-    @property
     def universe(self) -> frozenset[int]:
         out: set[int] = set()
         for c in self.communities:
@@ -69,11 +61,10 @@ class MesoscopicProfile:
 
 @dataclass(frozen=True)
 class CommunityGraph:
-    """Community-graph build result: the giant component plus the full
-    (pre-pruning) edge set, needed by overlap statistics."""
+    """Community-graph build result: its giant component and the number of
+    communities it was built from."""
 
     graph: Graph
-    full_edges: frozenset[tuple[int, int]]
     n_communities: int
     degenerate: bool  # all communities disjoint; giant forced to one node
 
@@ -158,10 +149,7 @@ def build_community_graph(c: Cover) -> CommunityGraph:
     community node, flagged explicitly."""
     k = len(c.communities)
     edges = community_graph_edges(c)
-    full = Graph(k, edges, [str(i) for i in range(k)])
     if not edges:
-        single = Graph(1, [], ["0"])
-        return CommunityGraph(graph=single, full_edges=edges,
-                              n_communities=k, degenerate=True)
-    return CommunityGraph(graph=giant_component(full), full_edges=edges,
-                          n_communities=k, degenerate=False)
+        return CommunityGraph(graph=Graph(1, [], ["0"]), n_communities=k, degenerate=True)
+    full = Graph(k, edges, [str(i) for i in range(k)])
+    return CommunityGraph(graph=giant_component(full), n_communities=k, degenerate=False)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -117,59 +116,63 @@ class BasicProperties:
 
 class Graph:
     """Immutable undirected simple graph. Node ids are dense 0..V-1;
-    ``original_labels[i]`` maps back to the source label."""
+    ``adjacency`` is its symmetric 0/1 CSR matrix (sorted column indices)
+    and ``original_labels[i]`` maps back to the source label."""
 
-    __slots__ = ("adj", "edge_count", "original_labels", "_label_to_id")
+    __slots__ = ("adjacency", "original_labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  original_labels: Sequence[str] | None = None):
-        neigh: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-            if v not in neigh[u]:
-                neigh[u].add(v)
-                neigh[v].add(u)
-                m += 1
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in neigh)
-        self.edge_count = m
+        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        e = e[e[:, 0] != e[:, 1]]
+        outside = ((e < 0) | (e >= n)).any(axis=1)
+        if outside.any():
+            u, v = e[outside.argmax()].tolist()
+            raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+        ends = np.concatenate([e, e[:, ::-1]])
+        # building from coordinates sums duplicate edges; the data is reset to 1
+        a = sparse.csr_array((np.ones(len(ends), dtype=np.int64), (ends[:, 0], ends[:, 1])),
+                             shape=(n, n))
+        a.data[:] = 1
+        self._adopt(a, original_labels)
+
+    @classmethod
+    def _from_adjacency(cls, a: sparse.csr_array, original_labels: Sequence[str]) -> "Graph":
+        """The graph whose adjacency is `a`, which must already be symmetric,
+        0/1, loop-free and in canonical CSR form."""
+        g = cls.__new__(cls)
+        g._adopt(a, original_labels)
+        return g
+
+    def _adopt(self, a: sparse.csr_array, original_labels: Sequence[str] | None) -> None:
+        n = a.shape[0]
         if original_labels is None:
             original_labels = [str(i) for i in range(n)]
         if len(original_labels) != n:
             raise GraphError("original_labels length must equal node count")
+        self.adjacency = a
         self.original_labels = tuple(original_labels)
-        self._label_to_id = {lab: i for i, lab in enumerate(self.original_labels)}
 
     @property
     def n(self) -> int:
-        return len(self.adj)
+        return self.adjacency.shape[0]
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
+    @property
+    def edge_count(self) -> int:
+        return self.adjacency.nnz // 2
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        return np.diff(self.adjacency.indptr).tolist()
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
-
-    def csr(self) -> sparse.csr_array:
-        """Symmetric 0/1 adjacency matrix."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64,
-                              count=indptr[-1])
-        return sparse.csr_array((np.ones(len(indices), dtype=np.int64), indices, indptr),
-                                shape=(self.n, self.n))
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge once as (u, v) with u < v, in row-major order."""
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        upper = rows < a.indices
+        return list(zip(rows[upper].tolist(), a.indices[upper].tolist()))
 
     def label_map(self) -> dict[str, int]:
-        return dict(self._label_to_id)
+        return {lab: i for i, lab in enumerate(self.original_labels)}
 
     def __repr__(self) -> str:
         return f"Graph(V={self.n}, E={self.edge_count})"
@@ -209,17 +212,17 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
 
 def giant_component(g: Graph) -> Graph:
     """Induced subgraph of the largest component; ties pick the component
-    with the smallest minimum node id."""
+    with the smallest minimum node id. A connected `g` is returned as is."""
     if g.n == 0:
         raise GraphError("empty graph")
+    count, component = csgraph.connected_components(g.adjacency, directed=False)
+    if count == 1:
+        return g
     # components are labelled in order of their smallest node, so the first
     # largest label is the tie rule
-    _, component = csgraph.connected_components(g.csr(), directed=False)
-    best = np.flatnonzero(component == np.argmax(np.bincount(component))).tolist()
-    remap = {old: new for new, old in enumerate(best)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap]
-    labels = [g.original_labels[old] for old in best]
-    return Graph(len(best), edges, labels)
+    best = np.flatnonzero(component == np.argmax(np.bincount(component)))
+    return Graph._from_adjacency(g.adjacency[best][:, best],
+                                 [g.original_labels[u] for u in best.tolist()])
 
 
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
@@ -230,18 +233,14 @@ def degree_distribution(g: Graph) -> EmpiricalDistribution:
 
 def triangles_per_node(g: Graph) -> list[int]:
     """tri(u) = number of edges among u's neighbors."""
-    a = g.csr()
+    a = g.adjacency
     return ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
 
 
 def local_clustering(g: Graph) -> list[float]:
     """c(u) = 2 tri(u) / (deg(u)(deg(u)-1)); 0 for degree < 2."""
     tri = triangles_per_node(g)
-    out = []
-    for u in range(g.n):
-        d = g.degree(u)
-        out.append(2 * tri[u] / (d * (d - 1)) if d >= 2 else 0.0)
-    return out
+    return [2 * t / (d * (d - 1)) if d >= 2 else 0.0 for t, d in zip(tri, g.degrees())]
 
 
 def transitivity(g: Graph) -> float:
@@ -256,10 +255,9 @@ def clustering_by_degree(g: Graph) -> list[tuple[int, float]]:
     """Mean local clustering per degree class, as sorted (k, mean c) pairs."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
-    local = local_clustering(g)
     by_k: dict[int, list[float]] = {}
-    for u in range(g.n):
-        by_k.setdefault(g.degree(u), []).append(local[u])
+    for d, c in zip(g.degrees(), local_clustering(g)):
+        by_k.setdefault(d, []).append(c)
     return [(k, sum(vals) / len(vals)) for k, vals in sorted(by_k.items())]
 
 
@@ -311,7 +309,7 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
     # count each unordered pair once: skip (u, v) when v is a root <= u
     # (that root already counted it, or v is u itself)
     skip = in_roots & (np.arange(gc.n) <= roots[:, None])
-    hops = csgraph.shortest_path(gc.csr(), unweighted=True, indices=roots)[~skip]
+    hops = csgraph.shortest_path(gc.adjacency, unweighted=True, indices=roots)[~skip]
     dist = EmpiricalDistribution.from_values(hops.tolist())
     return HopSummary(
         distribution=dist,

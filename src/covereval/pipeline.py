@@ -39,6 +39,26 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# (key, check, what the error says it must be) for config values that
+# would otherwise be converted or iterated silently, or fail in a path join
+_VALUE_TYPES = (
+    *((key, lambda v: isinstance(v, str), "a string")
+      for key in ("network_path", "ground_truth_path", "output_dir")),
+    ("sources", _is_int, "an integer"),
+    ("seed", lambda v: v is None or _is_int(v), "an integer or null"),
+    ("property_groups", _is_str_list, "a list of strings"),
+    ("mcdm", _is_str_list, "a list of strings"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     network_path: str
@@ -87,6 +107,9 @@ class RunConfig:
                     or not all(isinstance(v, str) for v in c.values())):
                 raise PipelineError("a candidate needs exactly the keys name and "
                                     f"cover_path, both strings, got {c!r}")
+        for key, ok, want in _VALUE_TYPES:
+            if key in doc and not ok(doc[key]):
+                raise PipelineError(f"{key} must be {want}, got {doc[key]!r}")
         base = Path(path).parent
         for key in ("network_path", "ground_truth_path", "output_dir"):
             if key in doc:
@@ -99,7 +122,7 @@ class RunConfig:
                              for c in doc["candidates"]),
             property_groups=tuple(doc.get("property_groups", ALL_GROUPS)),
             hop_mode=doc.get("hop_mode", "exact"),
-            sources=int(doc.get("sources", 1000)),
+            sources=doc.get("sources", 1000),
             seed=doc.get("seed"),
             mcdm=tuple(doc.get("mcdm", MCDM_METHODS)),
             output_dir=doc.get("output_dir", "out"),
@@ -134,7 +157,6 @@ def _safe_float(x: float | None) -> float | None:
 @dataclass
 class _CoverEval:
     """Everything computed for one cover (ground truth or candidate)."""
-    cover: Cover
     cgraph: CommunityGraph
     basic: dict[str, float | None]
     micro: dict[str, EmpiricalDistribution | None]
@@ -142,7 +164,7 @@ class _CoverEval:
     quality: dict[str, float | None]
 
 
-def _evaluate_cover(name: str, cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
+def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
     cg = build_community_graph(cover)
     g = cg.graph
     basic: dict[str, float | None] = {p: None for p in BASIC_PROPS}
@@ -163,7 +185,7 @@ def _evaluate_cover(name: str, cover: Cover, network: Graph, cfg: RunConfig) -> 
         "OS": profile.overlap_sizes,
     }
     qr = quality_report(network, cover)
-    return _CoverEval(cover=cover, cgraph=cg, basic=basic, micro=micro, meso=meso,
+    return _CoverEval(cgraph=cg, basic=basic, micro=micro, meso=meso,
                       quality={k: _safe_float(v) for k, v in qr.as_dict().items()})
 
 
@@ -181,9 +203,8 @@ def run(cfg: RunConfig) -> EvaluationReport:
     names = [name for name, _ in cfg.candidates]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        truth_eval = _evaluate_cover("ground_truth", truth, network, cfg)
-        evals = {name: _evaluate_cover(name, covers[name], network, cfg)
-                 for name in names}
+        truth_eval = _evaluate_cover(truth, network, cfg)
+        evals = {name: _evaluate_cover(covers[name], network, cfg) for name in names}
         all_evals = {"ground_truth": truth_eval, **evals}
 
         columns: dict[str, list[int]] = {}
@@ -209,26 +230,19 @@ def run(cfg: RunConfig) -> EvaluationReport:
                 if ref_samples is None or ref_samples.n < 5:
                     raise PipelineError(
                         f"ground truth has too few samples for {prop!r}")
-                cand_samples = {n: getattr(evals[n], source)[prop] for n in names}
-                usable = {n: s for n, s in cand_samples.items() if s is not None}
                 try:
-                    dr = rank_distribution(ref_samples, usable)
+                    dr = rank_distribution(
+                        ref_samples, {n: getattr(evals[n], source)[prop] for n in names})
                 except FitError as exc:
                     raise PipelineError(f"distribution ranking failed for {prop!r}: {exc}")
-                scores = []
-                for n in names:
-                    if n not in usable or dr.candidate_ks[n] is None:
-                        scores.append(math.inf)
-                        notes.append(f"{n} inapplicable for {prop}; ranked last")
-                    else:
-                        scores.append(dr.candidate_ks[n])
-                columns[prop] = competition_ranks(scores, ascending=True)
+                notes.extend(f"{n} inapplicable for {prop}; ranked last"
+                             for n in names if dr.candidate_ks[n] is None)
+                columns[prop] = [dr.ranks[n] for n in names]
                 fit_meta[prop] = {
                     "family": dr.family,
                     "reference_ks": dr.reference_fit.ks,
                     "reference_params": list(dr.reference_fit.params),
-                    "candidate_ks": {n: _safe_float(dr.candidate_ks.get(n))
-                                     for n in names},
+                    "candidate_ks": {n: _safe_float(dr.candidate_ks[n]) for n in names},
                 }
 
         if "quality" in groups:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import Cover
+import numpy as np
+
+from .cover import Cover, incidence
 from .graph import Graph, GraphError
 
 
@@ -43,33 +45,36 @@ class QualityReport:
 def community_stats(g: Graph, s: frozenset[int] | set[int]) -> CommunityStats:
     if not s:
         raise GraphError("empty community")
-    members = sorted(s)
-    if members[0] < 0 or members[-1] >= g.n:
+    return _cover_stats(g, Cover((frozenset(s),)))[0]
+
+
+def _cover_stats(g: Graph, c: Cover) -> list[CommunityStats]:
+    """The stats of every community of `c`, members in id order. Row i of
+    the product of the incidence matrix and the adjacency counts each
+    node's neighbours inside community i, so one product gives every
+    member's intra-degree."""
+    if any(min(s) < 0 or max(s) >= g.n for s in c.communities):
         raise GraphError("community references a node outside the graph")
-    sset = set(members)
-    intra = []
-    total = []
-    fracs = []
-    e_in2 = 0
-    e_out = 0
-    for u in members:
-        d = g.degree(u)
-        din = sum(1 for v in g.adj[u] if v in sset)
-        dout = d - din
-        e_in2 += din
-        e_out += dout
-        intra.append(din)
-        total.append(d)
-        fracs.append(dout / d if d > 0 else 0.0)
-    return CommunityStats(
-        n_s=len(members),
-        m_s=e_in2 // 2,
-        out_frac=tuple(fracs),
-        e_in=e_in2 // 2,
-        e_out=e_out,
-        intra_deg=tuple(intra),
-        total_deg=tuple(total),
-    )
+    b = incidence(c, range(g.n))
+    b.sort_indices()
+    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    intra = (b @ g.adjacency)[rows, b.indices]
+    total = np.diff(g.adjacency.indptr)[b.indices]
+    fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
+    intra, total, fracs = intra.tolist(), total.tolist(), fracs.tolist()
+    stats = []
+    for lo, hi in zip(b.indptr[:-1].tolist(), b.indptr[1:].tolist()):
+        e_in2 = sum(intra[lo:hi])
+        stats.append(CommunityStats(
+            n_s=hi - lo,
+            m_s=e_in2 // 2,
+            out_frac=tuple(fracs[lo:hi]),
+            e_in=e_in2 // 2,
+            e_out=sum(total[lo:hi]) - e_in2,
+            intra_deg=tuple(intra[lo:hi]),
+            total_deg=tuple(total[lo:hi]),
+        ))
+    return stats
 
 
 def avg_degree_score(cs: CommunityStats) -> float:
@@ -107,13 +112,13 @@ def _modularity(m: int, stats: list[CommunityStats]) -> float:
 def overlapping_modularity(g: Graph, c: Cover) -> float:
     """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2.
     Overlapping nodes contribute to every community containing them."""
-    return _modularity(g.edge_count, [community_stats(g, comm) for comm in c.communities])
+    return _modularity(g.edge_count, _cover_stats(g, c))
 
 
 def quality_report(g: Graph, c: Cover) -> QualityReport:
     """Unweighted cover-level means of the five per-community scores plus
     overlapping modularity."""
-    stats = [community_stats(g, comm) for comm in c.communities]
+    stats = _cover_stats(g, c)
     k = len(stats)
     return QualityReport(
         avg_degree=sum(avg_degree_score(s) for s in stats) / k,

@@ -120,23 +120,22 @@ class DistributionRanking:
 
 
 def rank_distribution(reference: EmpiricalDistribution,
-                      candidates: Mapping[str, EmpiricalDistribution]
+                      candidates: Mapping[str, EmpiricalDistribution | None]
                       ) -> DistributionRanking:
     """Select the best-fitting family on the reference samples, fit that
     family to each candidate's own samples, and rank by ascending KS.
-    Candidates the family cannot fit are ranked last."""
+    Candidates without samples (None) or that the family cannot fit have
+    KS None and are ranked last."""
     report = best_fit(reference)
     family = report.best.family
     ks: dict[str, float | None] = {}
     for name, samples in candidates.items():
         try:
-            ks[name] = fit_mle(family, samples).ks
+            ks[name] = None if samples is None else fit_mle(family, samples).ks
         except FitError:
             ks[name] = None
-    finite = [v for v in ks.values() if v is not None]
-    sentinel = (max(finite) if finite else 0.0) + 1.0
-    scores = [ks[name] if ks[name] is not None else sentinel for name in candidates]
-    ranks = competition_ranks(scores, ascending=True)
+    ranks = competition_ranks([math.inf if v is None else v for v in ks.values()],
+                              ascending=True)
     return DistributionRanking(
         ranks=dict(zip(candidates, ranks)),
         family=family.value,

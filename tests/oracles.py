@@ -268,6 +268,91 @@ def brute_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") 
     return 1.0 - max(mean_normalized(xs, ys), mean_normalized(ys, xs))
 
 
+def scalar_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") -> float:
+    """Overlapping NMI with the scalar arithmetic `clustering.onmi_max` had
+    before it read its entropies from a table: the same `h`, the same
+    additions in the same order, the contingency counted by set
+    intersection, one pair of communities at a time. Results must be equal
+    bit for bit, not just close."""
+    common = set().union(*c1) & set().union(*c2)
+    xs = [c & common for c in c1 if c & common]
+    ys = [c & common for c in c2 if c & common]
+    n = len(common)
+
+    def h(w):
+        if w <= 0:
+            return 0.0
+        p = w / n
+        return -p * math.log2(p)
+
+    def entropy(size):
+        return h(size) + h(n - size)
+
+    def conditional(src, dst, normalized):
+        total = 0.0
+        for x in src:
+            hx = entropy(len(x))
+            best = hx
+            for y in dst:
+                d = len(x & y)
+                c = len(x) - d
+                b = len(y) - d
+                a = n - b - c - d
+                if h(a) + h(d) < h(b) + h(c):
+                    continue
+                term = h(a) + h(b) + h(c) + h(d) - entropy(len(y))
+                if term < best:
+                    best = term
+            if normalized:
+                total += best / hx if hx > 0 else 0.0
+            else:
+                total += best
+        return total / len(src) if normalized else total
+
+    h1 = sum(entropy(len(x)) for x in xs)
+    h2 = sum(entropy(len(y)) for y in ys)
+    if h1 == 0.0 and h2 == 0.0:
+        return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
+    if variant == "mcdaid":
+        mutual = 0.5 * ((h1 - conditional(xs, ys, False)) + (h2 - conditional(ys, xs, False)))
+        return mutual / max(h1, h2)
+    return 1.0 - max(conditional(xs, ys, True), conditional(ys, xs, True))
+
+
+def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]]):
+    """The six quality values by scanning every member's edges, with the
+    float operations of `quality.quality_report` in the same order (members
+    in id order, communities in cover order), so results are equal bit for
+    bit: AD, AO, FO, ID, MO and OM."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    m = len(edges)
+    ad, ao, fo, idn, mo = [], [], [], [], []
+    om = 0.0
+    for s in communities:
+        fracs, bad, e_in2, e_out = [], 0, 0, 0
+        for u in sorted(s):
+            d = len(nbrs[u])
+            din = sum(1 for v in nbrs[u] if v in s)
+            e_in2 += din
+            e_out += d - din
+            fracs.append((d - din) / d if d > 0 else 0.0)
+            bad += din < d / 2
+        k = len(s)
+        m_s = e_in2 // 2
+        ad.append(2 * m_s / k)
+        ao.append(sum(fracs) / k)
+        fo.append(bad / k)
+        idn.append(m_s / (k * (k - 1) / 2) if k >= 2 else 0.0)
+        mo.append(max(fracs))
+        om += m_s / m - ((2 * m_s + e_out) / (2 * m)) ** 2
+    mean = [sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
+    return {"AD": mean[0], "AO": mean[1], "FO": mean[2], "ID": mean[3], "MO": mean[4],
+            "OM": om}
+
+
 def brute_sampled_hops(n: int, edges: set[tuple[int, int]], sources: int,
                        seed: int) -> list[float]:
     """Sorted hop samples of sampled mode from Floyd-Warshall rows: the

@@ -8,7 +8,7 @@ from covereval.clustering import f1_best_match, omega_index, onmi_max
 from covereval.cover import Cover, CoverError
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
-from oracles import adjusted_rand_index, brute_f1, brute_omega, brute_onmi
+from oracles import adjusted_rand_index, brute_f1, brute_omega, brute_onmi, scalar_onmi
 
 
 def cover(*sets):
@@ -134,6 +134,45 @@ class TestOnmiMax:
                 warnings.simplefilter("ignore")  # the common-universe restriction
                 got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["mcdaid", "lfk"])
+    def test_equals_scalar_formulas_exactly(self, variant):
+        # bit for bit, on partitions, duplicates and differing universes
+        rng = random.Random(109)
+        for i in range(150):
+            n = rng.randint(2, 40)
+            if i % 3 == 0:
+                s1 = random_partition(rng, n, rng.randint(1, 5))
+                s2 = random_partition(rng, n, rng.randint(1, 5))
+            else:
+                s1 = random_cover_sets(rng, n, rng.randint(1, 8))
+                s2 = random_cover_sets(rng, n, rng.randint(1, 8))
+                s1.append(set(s1[0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the common-universe restriction
+                try:
+                    got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
+                except CoverError:
+                    continue  # no common node, or the restriction emptied a cover
+            assert got == scalar_onmi(s1, s2, variant)
+
+    def test_one_entropy_per_count(self, monkeypatch):
+        from covereval import clustering
+        calls = []
+        real = clustering._h
+
+        def counting(w, n):
+            calls.append(w)
+            return real(w, n)
+
+        monkeypatch.setattr(clustering, "_h", counting)
+        rng = random.Random(113)
+        s1 = random_cover_sets(rng, 60, 25) + [set(range(60))]
+        s2 = random_cover_sets(rng, 60, 30) + [set(range(60))]
+        for variant in ("mcdaid", "lfk"):
+            calls.clear()
+            onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
+            assert 0 < len(calls) <= 60 + 1
 
     def test_lfk_variant_identity(self):
         c = cover({0, 1}, {2, 3, 4})

@@ -24,7 +24,7 @@ class TestLoadCover:
         c = load_cover("1 2 3\n3 4\n", g.label_map())
         assert len(c.communities) == 2
         node3 = g.label_map()["3"]
-        assert len(c.membership_index[node3]) == 2
+        assert sum(node3 in comm for comm in c.communities) == 2
 
     def test_dedup_within_line(self):
         g = four_node_graph()
@@ -41,17 +41,6 @@ class TestLoadCover:
         g = four_node_graph()
         with pytest.raises(CoverError):
             load_cover("# nothing\n", g.label_map())
-
-    def test_membership_index_inverse_consistency(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            sets = random_cover_sets(rng, 40, 50)
-            c = Cover.from_sets(sets)
-            idx = c.membership_index
-            # full re-scan: node u in community ci iff ci in idx[u]
-            for ci, comm in enumerate(c.communities):
-                for u in range(40):
-                    assert (u in comm) == (ci in idx.get(u, frozenset()))
 
 
 class TestMesoscopicProfile:
@@ -107,7 +96,7 @@ class TestCommunityGraph:
         cg = build_community_graph(c)
         assert not cg.degenerate
         assert cg.graph.n == 3 and cg.graph.edge_count == 2
-        assert cg.full_edges == {(0, 1), (1, 2)}
+        assert community_graph_edges(c) == {(0, 1), (1, 2)}
 
     def test_disjoint_partition_degenerates(self):
         c = Cover.from_sets([{0, 1}, {2, 3}, {4, 5}])
@@ -122,7 +111,7 @@ class TestCommunityGraph:
         c = Cover.from_sets([{0, 1}, {1, 2}, {2, 9}, {4, 5}, {5, 6}])
         cg = build_community_graph(c)
         assert cg.graph.n == 3  # the 0-1-2 chain of communities
-        assert len(cg.full_edges) == 3
+        assert len(community_graph_edges(c)) == 3
 
     def test_matches_algorithm1_oracle(self):
         rng = random.Random(31)

@@ -1,5 +1,8 @@
 """Golden output: the sha256 of every file `run()` + `emit_reports()` write
-for one seeded planted-cover instance, in exact and in sampled hop mode.
+for one seeded planted-cover network, with perturbed candidates in exact and
+in sampled hop mode, and with candidates that take the pipeline's rarer
+branches (a community graph of several components, a cover that leaves
+nodes out) in exact mode.
 
 A refactor of the metric code must leave these bytes unchanged. The groups
 are basic, quality and clustering, so no distribution is fitted and the
@@ -11,24 +14,46 @@ import hashlib
 
 import pytest
 
+from covereval.cover import Cover
 from covereval.pipeline import RunConfig, emit_reports, run
 from covereval.synthetic import (
     perturb_cover, planted_cover_network, write_cover, write_edge_list,
 )
 
 
-def emitted_digests(workdir, **settings) -> dict[str, str]:
+def perturbed(truth: Cover) -> dict[str, Cover]:
+    return {"near": perturb_cover(truth, 0.10, seed=2),
+            "far": perturb_cover(truth, 0.40, seed=2)}
+
+
+def split_and_partial(truth: Cover) -> dict[str, Cover]:
+    """`split` cuts every community at node 200, so its community graph
+    falls into at least two components and is reduced to the largest;
+    `partial` leaves every seventh node out, so the clustering metrics
+    restrict both covers to their common universe."""
+    low = frozenset(range(200))
+    return {
+        "split": Cover.from_sets(part for c in truth.communities
+                                 for part in (c & low, c - low) if part),
+        "partial": Cover.from_sets(kept for c in perturb_cover(truth, 0.10, seed=2).communities
+                                   if (kept := {u for u in c if u % 7})),
+    }
+
+
+def emitted_digests(workdir, candidates, **settings) -> dict[str, str]:
     """Write the instance into `workdir` (paths relative to it, so the
-    report does not name the directory), run it and hash every file in
-    the order it was written."""
+    report does not name the directory), the ground truth as candidate
+    `exact` plus `candidates(truth)`, run it and hash every file in the
+    order it was written."""
     graph, truth = planted_cover_network(n_nodes=400, n_communities=60, seed=7)
     write_edge_list(graph, workdir / "net.txt")
     write_cover(truth, workdir / "gt.txt")
-    write_cover(perturb_cover(truth, 0.10, seed=2), workdir / "near.txt")
-    write_cover(perturb_cover(truth, 0.40, seed=2), workdir / "far.txt")
+    names = [("exact", "gt.txt")]
+    for name, cover in candidates(truth).items():
+        write_cover(cover, workdir / f"{name}.txt")
+        names.append((name, f"{name}.txt"))
     cfg = RunConfig(
-        network_path="net.txt", ground_truth_path="gt.txt",
-        candidates=(("exact", "gt.txt"), ("near", "near.txt"), ("far", "far.txt")),
+        network_path="net.txt", ground_truth_path="gt.txt", candidates=tuple(names),
         property_groups=("basic", "quality", "clustering"), output_dir="out",
         **settings)
     written = emit_reports(run(cfg), cfg.output_dir)
@@ -174,12 +199,84 @@ SAMPLED = {
 }
 
 
-@pytest.mark.parametrize("settings, want", [
-    ({"hop_mode": "exact"}, EXACT),
-    ({"hop_mode": "sampled", "sources": 10, "seed": 3}, SAMPLED),
-], ids=["exact", "sampled"])
-def test_emitted_files_match_recorded_digests(tmp_path, monkeypatch, settings, want):
+SPLIT_PARTIAL = {
+    "report.json":
+        "f75230c16771ab1d2e0329f9c5a8ac3b42e34d8be37c345a372e2f05b0c20afb",
+    "ranking_basic.csv":
+        "5e1c0dfda563338e854ad1c0bdac7f252ea3fd3e0d54926d355564b2708fc564",
+    "spearman_basic.csv":
+        "83659cda3e3b0f9c6adbd02db3f5ec3cfd52c3f459efa891fde5465e0c767185",
+    "ranking_clustering.csv":
+        "f0ab910b7b9b3756225594efce95cd315f3d2540517e4fde5b8b9eb04687bccd",
+    "spearman_clustering.csv":
+        "f70c31fa34de7dbd5282e49d24629959b0735daaa9ad6daa882e6e3411f08cd9",
+    "ranking_quality.csv":
+        "d612c1345b3f2651dce8054fa5f6937327c55db8e36761dd462bf402884198c7",
+    "spearman_quality.csv":
+        "62bb400d0a0fef1e265e5f79d20292f92a353dd02f7425e706fdff758e66f27a",
+    "quality.csv":
+        "7acf46449b426d2ca0f435ebaece013d55abc6802732fd97cf4cf5a35ad1f39c",
+    "clustering.csv":
+        "3e2f48064a2d58cf04a982135af102e36ac0b7c547a2e36e4b09d70e6da628f4",
+    "dist_exact_Av.csv":
+        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+    "dist_exact_CS.csv":
+        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
+    "dist_exact_DD.csv":
+        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
+    "dist_exact_HD.csv":
+        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
+    "dist_exact_M.csv":
+        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
+    "dist_exact_OS.csv":
+        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
+    "dist_ground_truth_Av.csv":
+        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+    "dist_ground_truth_CS.csv":
+        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
+    "dist_ground_truth_DD.csv":
+        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
+    "dist_ground_truth_HD.csv":
+        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
+    "dist_ground_truth_M.csv":
+        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
+    "dist_ground_truth_OS.csv":
+        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
+    "dist_partial_Av.csv":
+        "13301b13ab8b56608e8508c9a4bc19e77d3eaf8e20a31a481f57a49aa93fceac",
+    "dist_partial_CS.csv":
+        "0f4db5b75edd9d608f9b56d9b94b50bc1c15c58cad1a5ac1b75df7893e58d839",
+    "dist_partial_DD.csv":
+        "87a6c27bd4398e832a19575ebe854ee31df80f88c6a7b56f4c49f40fe69973d7",
+    "dist_partial_HD.csv":
+        "d16d0e691fc9b4dd69f541bef297c114c252a48975ebaea868be44f2074984d7",
+    "dist_partial_M.csv":
+        "16139a34e8d17cc5a70f1791f5435cb5374ad3ad90bae79d691ce818e880fe8b",
+    "dist_partial_OS.csv":
+        "4e038154248cf67f02e99661dfa66aebda8a9d5ad2180d1131e51df2a0d13fa2",
+    "dist_split_Av.csv":
+        "459d4bda30c81f6da20914763874aa826da5f0da9c077621e1152d47e9e0d1b9",
+    "dist_split_CS.csv":
+        "ebd0c8e0f276343b9176ab77a0e68d78456dfc99f5aedd0b49fe4293d0fdb56f",
+    "dist_split_DD.csv":
+        "51293ff3752eaf8d3047e3225179b15c25892a7a787b7440928306327f2d5a66",
+    "dist_split_HD.csv":
+        "89dbf35b9730737b7b4573afa6ba557d4a8c08df9797a1be66258162fd7f387a",
+    "dist_split_M.csv":
+        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
+    "dist_split_OS.csv":
+        "958c846a5ee593bd2c9b0d265789b3366634a9cdd6a90e3a086d6015f79af3c2",
+}
+
+
+@pytest.mark.parametrize("candidates, settings, want", [
+    (perturbed, {"hop_mode": "exact"}, EXACT),
+    (perturbed, {"hop_mode": "sampled", "sources": 10, "seed": 3}, SAMPLED),
+    (split_and_partial, {"hop_mode": "exact"}, SPLIT_PARTIAL),
+], ids=["exact", "sampled", "split-partial"])
+def test_emitted_files_match_recorded_digests(tmp_path, monkeypatch, candidates, settings,
+                                              want):
     monkeypatch.chdir(tmp_path)
-    got = emitted_digests(tmp_path, **settings)
+    got = emitted_digests(tmp_path, candidates, **settings)
     assert list(got) == list(want)
     assert got == want

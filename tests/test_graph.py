@@ -74,6 +74,51 @@ class TestLoadEdgeList:
         assert g.label_map() == {"x": 0, "y": 1, "z": 2}
 
 
+class TestGraphConstructor:
+    def test_first_outside_edge_named(self):
+        # self-loops are dropped before the range check, even outside it
+        with pytest.raises(GraphError) as e:
+            Graph(3, [(0, 1), (9, 9), (1, 4), (7, 0)])
+        assert str(e.value) == "edge (1, 4) outside node range 0..2"
+        with pytest.raises(GraphError, match=r"edge \(-1, 2\)"):
+            Graph(3, [(-1, 2)])
+
+    def test_outside_self_loop_dropped(self):
+        g = Graph(3, [(0, 1), (9, 9), (2, 2)])
+        assert g.n == 3 and g.edge_count == 1 and list(g.edges()) == [(0, 1)]
+
+    def test_duplicates_merged(self):
+        g = Graph(4, [(0, 1), (1, 0), (0, 1), (1, 2), (2, 1)])
+        assert g.edge_count == 2
+        assert g.degrees() == [1, 2, 1, 0]
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+        # a repeated edge counts once in the adjacency products too
+        triangle = Graph(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2), (0, 2)])
+        assert local_clustering(triangle) == [1.0, 1.0, 1.0]
+
+    def test_edges_row_major(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            n = rng.randint(2, 30)
+            _, edges = random_graph(rng, n, 0.3)
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(flipped)
+            g = Graph(n, flipped)
+            assert list(g.edges()) == sorted(edges)
+            assert g.edge_count == len(edges)
+            assert g.degrees() == [sum(u in e for e in edges) for u in range(n)]
+
+    def test_empty_graph(self):
+        g = Graph(0, [])
+        assert (g.n, g.edge_count, list(g.edges()), g.degrees()) == (0, 0, [], [])
+        assert g.original_labels == () and g.label_map() == {}
+
+    def test_labels_length_checked(self):
+        with pytest.raises(GraphError, match="original_labels length"):
+            Graph(2, [(0, 1)], ["a"])
+        assert Graph(2, [(0, 1)]).original_labels == ("0", "1")
+
+
 class TestBasicProperties:
     def test_k5(self):
         p = basic_properties(complete_graph(5))
@@ -143,7 +188,7 @@ class TestClusteringByDegree:
             assert local_clustering(g) == pytest.approx(want, abs=1e-12)
             by_k = {}
             for u, c in enumerate(want):
-                by_k.setdefault(g.degree(u), []).append(c)
+                by_k.setdefault(g.degrees()[u], []).append(c)
             expect = [(k, sum(v) / len(v)) for k, v in sorted(by_k.items())]
             got = clustering_by_degree(g)
             assert [k for k, _ in got] == [k for k, _ in expect]
@@ -227,8 +272,20 @@ class TestGiantComponent:
 
     def test_connected_identity(self):
         g = path_graph(6)
-        gc = giant_component(g)
-        assert gc.n == g.n and gc.edge_count == g.edge_count
+        assert giant_component(g) is g
+
+    def test_sliced_component_matches_oracle(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(2, 40)
+            g, edges = random_graph(rng, n, 1.5 / n)
+            labels = [f"v{u}" for u in range(n)]
+            g = Graph(n, edges, labels)
+            giant = sorted(max(union_find_components(n, edges), key=lambda c: (len(c), -min(c))))
+            gc = giant_component(g)
+            new = {u: i for i, u in enumerate(giant)}
+            assert gc.original_labels == tuple(labels[u] for u in giant)
+            assert list(gc.edges()) == sorted((new[u], new[v]) for u, v in edges if u in new)
 
     def test_sizes_match_union_find(self):
         rng = random.Random(13)

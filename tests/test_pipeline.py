@@ -13,6 +13,8 @@ from covereval.synthetic import (
     perturb_cover, planted_cover_network, write_cover, write_edge_list,
 )
 
+from oracles import union_find_components
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -233,6 +235,46 @@ class TestSinglePass:
         assert len(covers) == 4 and not any(cg["degenerate"] for cg in covers.values())
         assert len(calls) == 4
 
+    def test_each_community_graph_built_at_most_twice(self, workspace, tmp_path,
+                                                     monkeypatch):
+        # once from the cover's overlaps, once more for its giant component
+        # when it has several components; the hop pass reuses it
+        from covereval import cover, graph
+        from covereval.cover import Cover, community_graph_edges, load_cover
+        from covereval.graph import Graph, load_edge_list
+        net = load_edge_list((workspace / "net.txt").read_text())
+        truth = load_cover((workspace / "gt.txt").read_text(), net.label_map())
+        low = frozenset(range(net.n // 2))
+        split = Cover.from_sets(part for c in truth.communities
+                                for part in (c & low, c - low) if part)
+        labels = net.original_labels
+        (tmp_path / "split.txt").write_text("".join(
+            " ".join(labels[u] for u in sorted(c)) + "\n" for c in split.communities))
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["candidates"].append({"name": "split", "cover_path": str(tmp_path / "split.txt")})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        covers = [truth] + [load_cover(Path(c["cover_path"]).read_text(), net.label_map())
+                            for c in cfg["candidates"]]
+        pieces = [len(union_find_components(len(c.communities), community_graph_edges(c)))
+                  for c in covers]
+        assert pieces[-1] >= 2 and min(pieces) == 1
+
+        built = []
+
+        class CountingGraph(Graph):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return object.__new__(cls)
+
+        monkeypatch.setattr(graph, "Graph", CountingGraph)
+        monkeypatch.setattr(cover, "Graph", CountingGraph)
+        rep = run(RunConfig.from_json(tmp_path / "cfg.json"))
+        assert not any(cg["degenerate"] for cg in rep.data["community_graphs"].values())
+        # the network, then one or two per community graph
+        assert len(built) == 1 + sum(1 if p == 1 else 2 for p in pieces)
+
     def test_samples_are_a_field(self, report):
         assert set(report.samples) == {"ground_truth", "exact", "near", "far"}
         for dists in report.samples.values():
@@ -364,6 +406,20 @@ class TestStrictConfig:
         path = _relative_config(workspace, tmp_path, candidates=candidates)
         with pytest.raises(PipelineError, match="candidates must be a list"):
             RunConfig.from_json(path)
+
+    @pytest.mark.parametrize("extra", [
+        {"sources": "abc"}, {"sources": 2.7}, {"sources": True}, {"sources": None},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": False},
+        {"property_groups": "quality"}, {"property_groups": ["quality", 1]},
+        {"mcdm": "kemeny"}, {"mcdm": [["topsis"]]},
+        {"network_path": 5}, {"ground_truth_path": ["gt.txt"]}, {"output_dir": None},
+    ], ids=lambda extra: f"{next(iter(extra))}={next(iter(extra.values()))!r}")
+    def test_bad_value_type_rejected(self, workspace, tmp_path, capsys, extra):
+        path = _relative_config(workspace, tmp_path, **extra)
+        with pytest.raises(PipelineError, match=next(iter(extra))):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_object_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

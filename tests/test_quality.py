@@ -11,7 +11,7 @@ from covereval.quality import (
 )
 
 from gen import random_graph, random_partition
-from oracles import newman_modularity
+from oracles import newman_modularity, scan_quality
 
 
 def complete_graph(n):
@@ -177,6 +177,25 @@ class TestQualityReport:
             assert rep["MO"] == pytest.approx(mo / k, abs=1e-12)
             assert rep["AO"] == pytest.approx(ao / k, abs=1e-12)
             assert rep["FO"] == pytest.approx(fo / k, abs=1e-12)
+
+    def test_equals_member_scan_exactly(self):
+        # isolated nodes, singletons, duplicate and whole-graph communities
+        rng = random.Random(67)
+        done = 0
+        while done < 40:
+            n = rng.randint(2, 40)
+            g, edges = random_graph(rng, n, rng.choice([0.05, 0.2, 0.6]))
+            if g.edge_count == 0:
+                continue
+            sets = [set(rng.sample(range(n), rng.randint(1, n)))
+                    for _ in range(rng.randint(1, 8))]
+            sets += [set(sets[0]), set(range(n)), {rng.randrange(n)}]
+            assert quality_report(g, Cover.from_sets(sets)).as_dict() == scan_quality(
+                n, edges, sets)
+            for s in sets:
+                assert quality_report(g, Cover.from_sets([s])).as_dict() == scan_quality(
+                    n, edges, [s])
+            done += 1
 
     def test_relabeling_invariance(self):
         rng = random.Random(59)

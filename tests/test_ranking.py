@@ -83,6 +83,20 @@ class TestRankDistribution:
         assert dr.ranks["a"] == dr.ranks["b"] == 1
 
 
+    def test_missing_and_unfittable_rank_last(self):
+        rng = np.random.default_rng(173)
+        ref = EmpiricalDistribution.from_values(rng.exponential(1.0, 200))
+        cands = {
+            "none": None,
+            "self": ref,
+            "short": EmpiricalDistribution.from_values([1.0, 2.0, 3.0]),  # FitError
+            "shifted": EmpiricalDistribution.from_values(rng.exponential(1.0, 200) + 3.0),
+        }
+        dr = rank_distribution(ref, cands)
+        assert dr.candidate_ks["none"] is None and dr.candidate_ks["short"] is None
+        assert dr.ranks == {"none": 3, "self": 1, "short": 3, "shifted": 2}
+
+
 class TestKemeny:
     def test_unanimity(self):
         rt = table(["A", "B", "C"], {"c1": [1, 2, 3], "c2": [1, 2, 3],
