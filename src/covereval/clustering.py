@@ -10,46 +10,41 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .cover import Cover, CoverError, incidence
+from .cover import Cover, CoverError
 
 
-def _common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover, frozenset[int]]:
-    u1, u2 = c1.universe, c2.universe
-    if u1 == u2:
-        return c1, c2, u1
-    common = u1 & u2
-    if not common:
+def _common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
+    """The two covers over the same node ids: as given when their ids are
+    equal, else both restricted to the ids they share."""
+    if np.array_equal(c1.nodes, c2.nodes):
+        return c1, c2
+    common = np.intersect1d(c1.nodes, c2.nodes, assume_unique=True)
+    if not len(common):
         raise CoverError("covers share no nodes")
-    dropped = sorted((u1 | u2) - common)
+    dropped = np.setxor1d(c1.nodes, c2.nodes, assume_unique=True).tolist()
     warnings.warn(f"covers restricted to common universe; dropped nodes {dropped[:20]}"
                   + ("..." if len(dropped) > 20 else ""))
-    return c1.restricted_to(common), c2.restricted_to(common), frozenset(common)
+    return c1.restricted_to(common), c2.restricted_to(common)
 
 
-def _co_memberships(c: Cover, universe: frozenset[int]) -> sparse.csr_array:
-    """Per node pair (i < j, columns of the sorted universe), the number of
+def _co_memberships(c: Cover) -> sparse.csr_array:
+    """Per node pair (i < j, columns of the cover's node ids), the number of
     communities containing both; pairs that never co-occur are not stored."""
-    b = incidence(c, universe)
-    return sparse.triu(b.T @ b, k=1, format="csr")
-
-
-def _contingency(c1: Cover, c2: Cover, universe: frozenset[int]) -> np.ndarray:
-    """|X & Y| for every community X of c1 (rows) and Y of c2 (columns)."""
-    return (incidence(c1, universe) @ incidence(c2, universe).T).toarray()
+    return sparse.triu(c.matrix.T @ c.matrix, k=1, format="csr")
 
 
 def omega_index(c1: Cover, c2: Cover) -> float:
     """Chance-corrected agreement on per-pair co-membership multiplicity.
     Pairs never co-clustered in either cover are handled by complement
     counting, never materializing all n(n-1)/2 pairs."""
-    c1, c2, universe = _common_universe(c1, c2)
-    n = len(universe)
+    c1, c2 = _common_universe(c1, c2)
+    n = len(c1.nodes)
     if n < 2:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    m1 = _co_memberships(c1, universe)
-    m2 = _co_memberships(c2, universe)
+    m1 = _co_memberships(c1)
+    m2 = _co_memberships(c2)
     omega_u = (m_pairs - (m1 != m2).nnz) / m_pairs
 
     # pairs per multiplicity, the t_0 class by subtraction; Python ints,
@@ -115,18 +110,18 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
     entropies inside the mutual information instead."""
     if variant not in ("mcdaid", "lfk"):
         raise ValueError("variant must be 'mcdaid' or 'lfk'")
-    c1, c2, universe = _common_universe(c1, c2)
-    n = len(universe)
+    c1, c2 = _common_universe(c1, c2)
+    n = len(c1.nodes)
     # every count is one of 0..n, so each entropy term is computed once
     h = np.array([_h(w, n) for w in range(n + 1)])
-    sizes1 = np.array([len(x) for x in c1.communities])
-    sizes2 = np.array([len(y) for y in c2.communities])
+    sizes1 = c1.matrix.sum(axis=1)
+    sizes2 = c2.matrix.sum(axis=1)
     h1 = sum(_entropies(h, sizes1).tolist())
     h2 = sum(_entropies(h, sizes2).tolist())
     if h1 == 0.0 and h2 == 0.0:
-        return 1.0 if set(c1.communities) == set(c2.communities) else 0.0
+        return 1.0  # every community of both covers is the whole universe
 
-    table = _contingency(c1, c2, universe)
+    table = (c1.matrix @ c2.matrix.T).toarray()
     if variant == "mcdaid":
         h1c2 = _conditional_entropy(h, sizes1, sizes2, table, normalized=False)
         h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=False)
@@ -172,10 +167,10 @@ def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
     """Best-overlap matching of detected communities to truth communities.
     Precision and recall are the detected-side means; F1 averages both
     matching directions."""
-    detected, truth, universe = _common_universe(detected, truth)
-    sizes_d = [len(s) for s in detected.communities]
-    sizes_t = [len(t) for t in truth.communities]
-    table = _contingency(detected, truth, universe)
+    detected, truth = _common_universe(detected, truth)
+    sizes_d = detected.matrix.sum(axis=1).tolist()
+    sizes_t = truth.matrix.sum(axis=1).tolist()
+    table = (detected.matrix @ truth.matrix.T).toarray()
     p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, table.tolist())
     _, _, f_t = _best_f1(sizes_t, sizes_d, table.T.tolist())
     return MatchScores(precision=p_d, recall=r_d, f1=0.5 * (f_d + f_t))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -17,36 +17,52 @@ class CoverError(ValueError):
     """Invalid cover input."""
 
 
-@dataclass(frozen=True)
 class Cover:
-    """A list of non-empty, possibly overlapping communities (node-id sets)."""
+    """A list of non-empty, possibly overlapping communities of node ids.
+    ``nodes`` holds the sorted distinct member ids (int64; any values) and
+    ``matrix`` is the communities x nodes 0/1 CSR incidence with sorted
+    column indices: row i is community i, column j is ``nodes[j]``."""
 
-    communities: tuple[frozenset[int], ...]
+    __slots__ = ("nodes", "matrix")
 
-    def __post_init__(self):
-        if not self.communities:
+    def __init__(self, sizes: Sequence[int], members: Sequence[int]):
+        """Community i holds the next ``sizes[i]`` entries of ``members``;
+        a member repeated within a community counts once."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        members = np.asarray(members, dtype=np.int64)
+        if len(sizes) == 0:
             raise CoverError("cover has zero communities")
-        if any(len(c) == 0 for c in self.communities):
+        if not sizes.all():
             raise CoverError("cover contains an empty community")
+        self.nodes, cols = np.unique(members, return_inverse=True)
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        # building from coordinates sums repeated members; the data is reset to 1
+        b = sparse.csr_array((np.ones(len(members), dtype=np.int64), (rows, cols)),
+                             shape=(len(sizes), len(self.nodes)))
+        b.data[:] = 1
+        self.matrix = b
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
-        return cls(tuple(frozenset(s) for s in sets))
+        sets = [list(s) for s in sets]
+        return cls([len(s) for s in sets], list(chain.from_iterable(sets)))
 
     @property
-    def universe(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.communities:
-            out |= c
-        return frozenset(out)
+    def communities(self) -> tuple[frozenset[int], ...]:
+        """Each community's member ids, as sets."""
+        members = self.nodes[self.matrix.indices].tolist()
+        bounds = self.matrix.indptr.tolist()
+        return tuple(frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    def restricted_to(self, nodes: frozenset[int]) -> "Cover":
-        """Drop nodes outside `nodes`; communities emptied entirely are dropped."""
-        kept = [c & nodes for c in self.communities]
-        kept = [c for c in kept if c]
-        if not kept:
+    def restricted_to(self, nodes: np.ndarray) -> "Cover":
+        """Drop members outside the ids `nodes`; communities emptied
+        entirely are dropped."""
+        keep = np.isin(self.nodes, nodes)
+        b = self.matrix[:, keep]
+        sizes = np.diff(b.indptr)
+        if not sizes.any():
             raise CoverError("restriction removed every community")
-        return Cover(tuple(kept))
+        return Cover(sizes[sizes > 0], self.nodes[keep][b.indices])
 
 
 @dataclass(frozen=True)
@@ -77,41 +93,22 @@ def load_cover(text: str | bytes | IO, label_map: Mapping[str, int]) -> Cover:
         text = text.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    communities: list[frozenset[int]] = []
+    sizes: list[int] = []
+    members: list[int] = []
     unknown: list[str] = []
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        members: set[int] = set()
-        for tok in stripped.split():
+        sizes.append(len(tokens))  # all members, unless some label is unknown
+        for tok in tokens:
             if tok in label_map:
-                members.add(label_map[tok])
+                members.append(label_map[tok])
             else:
                 unknown.append(tok)
-        if members or unknown:
-            communities.append(frozenset(members))
     if unknown:
         raise CoverError(f"cover references unknown node labels: {sorted(set(unknown))}")
-    if not communities:
-        raise CoverError("cover has zero communities")
-    return Cover(tuple(communities))
-
-
-def incidence(c: Cover, universe: Iterable[int] | None = None) -> sparse.csr_array:
-    """Communities x nodes 0/1 matrix: row i is community i, column j the
-    j-th node of the sorted `universe` (default: the cover's own), which
-    must contain every member. Node ids are mapped to columns by search,
-    so they may be negative or large."""
-    nodes = np.array(sorted(c.universe if universe is None else universe), dtype=np.int64)
-    sizes = [len(s) for s in c.communities]
-    members = np.fromiter(chain.from_iterable(c.communities), dtype=np.int64,
-                          count=sum(sizes))
-    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return sparse.csr_array(
-        (np.ones(len(members), dtype=np.int64), np.searchsorted(nodes, members), indptr),
-        shape=(len(sizes), len(nodes)))
+    return Cover(sizes, members)
 
 
 def _overlaps(b: sparse.csr_array) -> sparse.coo_array:
@@ -123,14 +120,14 @@ def _overlaps(b: sparse.csr_array) -> sparse.coo_array:
 def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
     """Community size, node membership, and pairwise overlap-size
     distributions, computed on the full cover (before any pruning)."""
-    b = incidence(c)
-    sizes = [len(s) for s in c.communities]
+    b = c.matrix
+    sizes = b.sum(axis=1).tolist()
     overlaps = _overlaps(b).data.tolist()
     return MesoscopicProfile(
         community_sizes=EmpiricalDistribution.from_values(sizes),
         memberships=EmpiricalDistribution.from_values(b.sum(axis=0).tolist()),
         overlap_sizes=(EmpiricalDistribution.from_values(overlaps) if overlaps else None),
-        community_count=len(c.communities),
+        community_count=len(sizes),
         max_size=max(sizes),
         avg_size=sum(sizes) / len(sizes),
     )
@@ -138,7 +135,7 @@ def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
 
 def community_graph_edges(c: Cover) -> frozenset[tuple[int, int]]:
     """Edges (i < j) between communities sharing at least one node."""
-    pairs = _overlaps(incidence(c))
+    pairs = _overlaps(c.matrix)
     return frozenset(zip(pairs.row.tolist(), pairs.col.tolist()))
 
 
@@ -147,7 +144,7 @@ def build_community_graph(c: Cover) -> CommunityGraph:
     communities overlap, reduced to its giant connected component.
     A fully disjoint cover degenerates to the single smallest-index
     community node, flagged explicitly."""
-    k = len(c.communities)
+    k = c.matrix.shape[0]
     edges = community_graph_edges(c)
     if not edges:
         return CommunityGraph(graph=Graph(1, [], ["0"]), n_communities=k, degenerate=True)

@@ -3,6 +3,7 @@ per-node (microscopic) topological properties."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -40,15 +41,15 @@ class EmpiricalDistribution:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical distribution needs at least one sample")
-        bad = [v for v in self.samples if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"empirical distribution needs finite samples, got {bad[0]}")
-        if any(self.samples[i] > self.samples[i + 1] for i in range(len(self.samples) - 1)):
-            object.__setattr__(self, "samples", tuple(sorted(self.samples)))
+        samples = tuple(sorted(self.samples))
+        if not all(map(math.isfinite, samples)):
+            bad = next(v for v in samples if not math.isfinite(v))
+            raise ValueError(f"empirical distribution needs finite samples, got {bad}")
+        object.__setattr__(self, "samples", samples)
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "EmpiricalDistribution":
-        return cls(tuple(sorted(float(v) for v in values)))
+        return cls(tuple(map(float, values)))
 
     @property
     def n(self) -> int:
@@ -56,14 +57,7 @@ class EmpiricalDistribution:
 
     def ecdf(self, x: float) -> float:
         """Right-continuous ECDF: (#samples <= x) / n."""
-        lo, hi = 0, len(self.samples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.samples[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo / len(self.samples)
+        return bisect.bisect_right(self.samples, x) / self.n
 
     def percentile(self, p: float) -> float:
         """Nearest-rank (ceil) percentile, p in (0, 100]."""

@@ -213,13 +213,17 @@ def run(cfg: RunConfig) -> EvaluationReport:
 
         groups = set(cfg.property_groups)
         if "basic" in groups:
+            # a property the ground truth has no value for (say, NaN
+            # assortativity) has nothing to rank against; its column is left out
+            reference = {p: v for p, v in truth_eval.basic.items() if v is not None}
             for prop in BASIC_PROPS:
-                if truth_eval.basic[prop] is None:
-                    raise PipelineError(f"ground truth failed basic property {prop!r}")
+                if prop not in reference:
+                    notes.append(f"ground truth has no value for {prop}; column left out")
+                    continue
                 notes.extend(f"{n} failed {prop}; ranked last"
                              for n in names if evals[n].basic[prop] is None)
-            rt = rank_scalar(truth_eval.basic, {n: evals[n].basic for n in names})
-            columns.update((prop, rt.column(prop)) for prop in BASIC_PROPS)
+            rt = rank_scalar(reference, {n: evals[n].basic for n in names})
+            columns.update((prop, rt.column(prop)) for prop in reference)
 
         for group, props, source in (("microscopic", MICRO_PROPS, "micro"),
                                      ("mesoscopic", MESO_PROPS, "meso")):

@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .cover import Cover, incidence
+from .cover import Cover
 from .graph import Graph, GraphError
 
 
@@ -45,18 +46,19 @@ class QualityReport:
 def community_stats(g: Graph, s: frozenset[int] | set[int]) -> CommunityStats:
     if not s:
         raise GraphError("empty community")
-    return _cover_stats(g, Cover((frozenset(s),)))[0]
+    return _cover_stats(g, Cover.from_sets([s]))[0]
 
 
 def _cover_stats(g: Graph, c: Cover) -> list[CommunityStats]:
     """The stats of every community of `c`, members in id order. Row i of
     the product of the incidence matrix and the adjacency counts each
     node's neighbours inside community i, so one product gives every
-    member's intra-degree."""
-    if any(min(s) < 0 or max(s) >= g.n for s in c.communities):
+    member's intra-degree; the cover's columns are relabelled with its
+    node ids, which keeps each row's indices sorted."""
+    if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
-    b = incidence(c, range(g.n))
-    b.sort_indices()
+    b = sparse.csr_array((c.matrix.data, c.nodes[c.matrix.indices], c.matrix.indptr),
+                         shape=(c.matrix.shape[0], g.n))
     rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
     intra = (b @ g.adjacency)[rows, b.indices]
     total = np.diff(g.adjacency.indptr)[b.indices]

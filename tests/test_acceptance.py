@@ -253,6 +253,9 @@ def test_criterion_11_onmi_anchors_and_symmetry(capsys):
     assert onmi_max(c, c) == 1.0
     universe_cover = Cover.from_sets([{0, 1, 2, 3, 4, 5}])
     assert onmi_max(c, universe_cover) == 0.0
+    # both covers only ever hold the whole universe: no entropy, and equal
+    twice = Cover.from_sets([{0, 1, 2, 3, 4, 5}] * 2)
+    assert onmi_max(twice, universe_cover) == onmi_max(universe_cover, twice) == 1.0
     rng = random.Random(257)
     for _ in range(100):
         n = rng.randint(4, 20)

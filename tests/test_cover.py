@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,27 @@ class TestCommunityGraph:
         assert cg.graph.n <= k
 
 
+class TestCoverMatrix:
+    def test_nodes_and_matrix(self):
+        c = Cover.from_sets([[2**45, -3, 2**45], [7], [-3, 7]])
+        assert c.nodes.dtype == np.int64
+        assert c.nodes.tolist() == [-3, 7, 2**45]
+        assert c.matrix.toarray().tolist() == [[1, 0, 1], [0, 1, 0], [1, 1, 0]]
+        assert c.matrix.has_sorted_indices
+        assert c.communities == (frozenset({-3, 2**45}), frozenset({7}), frozenset({-3, 7}))
+
+    def test_only_state_is_the_matrix(self):
+        c = Cover.from_sets([{0, 1}])
+        assert Cover.__slots__ == ("nodes", "matrix") and not hasattr(c, "__dict__")
+
+    def test_load_cover_equals_from_sets(self):
+        g = load_edge_list("a b\nb c\nc d\nd e\n")
+        loaded = load_cover("e d d\n# skip\n\n  b a\n", g.label_map())
+        built = Cover.from_sets([{4, 3}, {1, 0}])
+        assert np.array_equal(loaded.nodes, built.nodes)
+        assert (loaded.matrix != built.matrix).nnz == 0
+
+
 class TestCoverValidation:
     def test_empty_community_rejected(self):
         with pytest.raises(CoverError):
@@ -163,7 +185,8 @@ class TestCoverValidation:
 
     def test_restricted_to(self):
         c = Cover.from_sets([{0, 1, 2}, {3, 4}])
-        r = c.restricted_to(frozenset({0, 1, 3}))
+        r = c.restricted_to(np.array([0, 1, 3]))
         assert r.communities == (frozenset({0, 1}), frozenset({3}))
+        assert r.nodes.tolist() == [0, 1, 3]
         with pytest.raises(CoverError):
-            c.restricted_to(frozenset({99}))
+            c.restricted_to(np.array([99]))

@@ -54,7 +54,7 @@ def test_load_cover_returns_or_raises_cover_error(text):
         c = load_cover(text, {str(i): i for i in range(6)})
     except CoverError:
         return
-    assert c.universe <= set(range(6))
+    assert set(c.nodes.tolist()) <= set(range(6))
 
 
 @pytest.mark.filterwarnings("ignore:covers restricted to common universe")

@@ -275,6 +275,25 @@ class TestSinglePass:
         # the network, then one or two per community graph
         assert len(built) == 1 + sum(1 if p == 1 else 2 for p in pieces)
 
+    def test_one_cover_per_loaded_file(self, workspace, monkeypatch):
+        # the candidates keep the ground truth's node ids, so the clustering
+        # metrics read the loaded covers as they are and build none
+        from covereval import cover
+        built = []
+
+        class CountingCover(cover.Cover):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(type(self))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cover, "Cover", CountingCover)
+        rep = run(RunConfig.from_json(workspace / "cfg.json"))
+        assert rep.data["clustering"]
+        # the ground truth and the three candidates
+        assert len(built) == 4
+
     def test_samples_are_a_field(self, report):
         assert set(report.samples) == {"ground_truth", "exact", "near", "far"}
         for dists in report.samples.values():
@@ -374,6 +393,31 @@ def _relative_config(workspace, root, **extra):
     }
     (data / "cfg.json").write_text(json.dumps(cfg))
     return data / "cfg.json"
+
+
+class TestMissingReferenceProperty:
+    def test_nan_ground_truth_property_left_out(self, tmp_path, capsys):
+        # eight 5-cliques {3i .. 3i+4} mod 24: each overlaps the next, so the
+        # community graph is an 8-cycle, degree-regular, with NaN assortativity
+        truth = [[(3 * i + j) % 24 for j in range(5)] for i in range(8)]
+        edges = {(min(u, v), max(u, v)) for c in truth for u in c for v in c if u != v}
+        (tmp_path / "net.txt").write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+        (tmp_path / "gt.txt").write_text("".join(" ".join(map(str, c)) + "\n" for c in truth))
+        (tmp_path / "path.txt").write_text("".join(
+            " ".join(str(u) for u in range(4 * i, min(4 * i + 5, 24))) + "\n"
+            for i in range(6)))
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "network_path": "net.txt", "ground_truth_path": "gt.txt",
+            "candidates": [{"name": "same", "cover_path": "gt.txt"},
+                           {"name": "path", "cover_path": "path.txt"}],
+            "property_groups": ["basic"], "output_dir": "out"}))
+        rc = main(["run", "--config", str(tmp_path / "cfg.json")])
+        assert rc == 0, capsys.readouterr().err
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["community_graphs"]["ground_truth"]["basic"]["tau"] is None
+        criteria = rep["tables"]["basic"]["criteria"]
+        assert "tau" not in criteria and len(criteria) == 8
+        assert "ground truth has no value for tau; column left out" in rep["notes"]
 
 
 class TestStrictConfig:
