@@ -141,26 +141,25 @@ class MatchScores:
     f1: float
 
 
-def _best_f1(sizes_s: list[int], sizes_t: list[int],
-             overlap: list[list[int]]) -> tuple[float, float, float]:
+def _best_f1(sizes_s: np.ndarray, sizes_t: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray, tp: np.ndarray) -> tuple[float, float, float]:
     """Mean best-match precision, recall, F1 from source communities to
-    target communities; `overlap[k][l]` is |S_k & T_l|."""
-    ps, rs, fs = [], [], []
-    for size_s, row in zip(sizes_s, overlap):
-        best = (0.0, 0.0, 0.0)
-        for size_t, tp in zip(sizes_t, row):
-            if tp == 0:
-                continue
-            prec = tp / size_s
-            rec = tp / size_t
-            f1 = 2 * prec * rec / (prec + rec)
-            if f1 > best[2]:
-                best = (prec, rec, f1)
-        ps.append(best[0])
-        rs.append(best[1])
-        fs.append(best[2])
+    target communities; `tp[i]` = |S_rows[i] & T_cols[i]| > 0, every other
+    pair is disjoint. A community's best match is its target of highest F1,
+    the first such target on ties; one that meets no target scores 0."""
+    prec = tp / sizes_s[rows]
+    rec = tp / sizes_t[cols]
+    f1 = 2 * prec * rec / (prec + rec)
+    # by source, highest F1 first and, among equals, the first target
+    order = np.lexsort((cols, -f1, rows))
+    first = order[np.diff(rows[order], prepend=-1) > 0]
     k = len(sizes_s)
-    return sum(ps) / k, sum(rs) / k, sum(fs) / k
+    means = []
+    for values in (prec, rec, f1):
+        best = np.zeros(k)
+        best[rows[first]] = values[first]
+        means.append(sum(best.tolist()) / k)
+    return tuple(means)
 
 
 def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
@@ -168,9 +167,10 @@ def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
     Precision and recall are the detected-side means; F1 averages both
     matching directions."""
     detected, truth = _common_universe(detected, truth)
-    sizes_d = detected.matrix.sum(axis=1).tolist()
-    sizes_t = truth.matrix.sum(axis=1).tolist()
-    table = (detected.matrix @ truth.matrix.T).toarray()
-    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, table.tolist())
-    _, _, f_t = _best_f1(sizes_t, sizes_d, table.T.tolist())
+    sizes_d = detected.matrix.sum(axis=1)
+    sizes_t = truth.matrix.sum(axis=1)
+    table = detected.matrix @ truth.matrix.T
+    rows = np.repeat(np.arange(len(sizes_d)), np.diff(table.indptr))
+    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, rows, table.indices, table.data)
+    _, _, f_t = _best_f1(sizes_t, sizes_d, table.indices, rows, table.data)
     return MatchScores(precision=p_d, recall=r_d, f1=0.5 * (f_d + f_t))

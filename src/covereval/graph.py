@@ -182,15 +182,7 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     label_ids: dict[str, int] = {}
-    labels: list[str] = []
     edges: list[tuple[int, int]] = []
-
-    def intern(lab: str) -> int:
-        if lab not in label_ids:
-            label_ids[lab] = len(labels)
-            labels.append(lab)
-        return label_ids[lab]
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -198,10 +190,11 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListParseError(lineno, line)
-        edges.append((intern(tokens[0]), intern(tokens[1])))
-    if not labels:
+        edges.append((label_ids.setdefault(tokens[0], len(label_ids)),
+                      label_ids.setdefault(tokens[1], len(label_ids))))
+    if not label_ids:
         raise GraphError("empty edge list")
-    return Graph(len(labels), edges, labels)
+    return Graph(len(label_ids), edges, list(label_ids))
 
 
 def giant_component(g: Graph) -> Graph:

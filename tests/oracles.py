@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from scipy import stats
@@ -224,6 +224,31 @@ def brute_f1(detected: list[set[int]], truth: list[set[int]]) -> float:
         return total / len(src)
 
     return 0.5 * (mean_best(detected, truth) + mean_best(truth, detected))
+
+
+def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
+                   overlap: list[list[int]]) -> tuple[float, float, float]:
+    """Mean best-match precision, recall, F1 from source to target
+    communities with the scalar loop `clustering._best_f1` had before it
+    read only the contingency's nonzeros: every cell in column order, a
+    strictly higher F1 replaces the best. Results must be equal bit for
+    bit, not just close."""
+    ps, rs, fs = [], [], []
+    for size_s, row in zip(sizes_s, overlap):
+        best = (0.0, 0.0, 0.0)
+        for size_t, tp in zip(sizes_t, row):
+            if tp == 0:
+                continue
+            prec = tp / size_s
+            rec = tp / size_t
+            f1 = 2 * prec * rec / (prec + rec)
+            if f1 > best[2]:
+                best = (prec, rec, f1)
+        ps.append(best[0])
+        rs.append(best[1])
+        fs.append(best[2])
+    k = len(sizes_s)
+    return sum(ps) / k, sum(rs) / k, sum(fs) / k
 
 
 def brute_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") -> float:
@@ -451,24 +476,67 @@ def _scipy_dist(family: str, p):
 # ---------------------------------------------------------------- MCDM
 
 def brute_kemeny(alternatives: list[str], columns: dict[str, list[int]]):
-    """Full-permutation Kemeny search straight from the rank columns."""
-    m = len(alternatives)
+    """Full-permutation Kemeny search straight from the rank columns: every
+    order of the name-sorted alternatives is scored, in lexicographic order,
+    and the first of the highest score is kept. The (m-1)! orders that share
+    a first alternative are scored together, with numpy."""
+    names = sorted(alternatives)
+    m = len(names)
     idx = {a: i for i, a in enumerate(alternatives)}
+    # pref[a][b]: criteria ranking names[a] strictly above names[b]
+    pref = np.array([[sum(col[idx[a]] < col[idx[b]] for col in columns.values())
+                      for b in names] for a in names])
+    # every order of the other m - 1, in lexicographic order, one per column
+    tails = np.fromiter(chain.from_iterable(permutations(range(m - 1))), dtype=np.int16)
+    tails = np.ascontiguousarray(tails.reshape(math.factorial(m - 1), m - 1).T)
+    best_order, best_score = None, -1
+    for first in range(m):
+        others = np.array([a for a in range(m) if a != first], dtype=np.int16)
+        # block[i] is the alternative at position i of each order
+        block = np.vstack([np.full((1, tails.shape[1]), first, dtype=np.int16), others[tails]])
+        scores = np.zeros(block.shape[1], dtype=np.int64)
+        for i, j in combinations(range(m), 2):
+            scores += pref.ravel()[block[i] * m + block[j]]
+        top = int(np.argmax(scores))
+        if scores[top] > best_score:
+            best_order = tuple(names[a] for a in block[:, top])
+            best_score = int(scores[top])
+    return best_order, best_score
+
+
+def full_rescore_climb(alternatives: list[str], columns: dict[str, list[int]]):
+    """The heuristic Kemeny search as `ranking.kemeny_consensus` ran it
+    before a swap was scored by its change alone: from every cyclic rotation
+    of the (mean rank, name) order, adjacent swaps are tried left to right,
+    each by scoring both whole orders, and kept when the score rises, until
+    a pass keeps none; the first rotation of the highest score wins over
+    the starting order only when it scores strictly higher."""
+    m = len(alternatives)
+    pref = [[sum(col[a] < col[b] for col in columns.values()) for b in range(m)]
+            for a in range(m)]
+    mean_ranks = [sum(col[a] for col in columns.values()) / len(columns) for a in range(m)]
 
     def score(order):
-        s = 0
-        for col in columns.values():
-            for a, b in combinations(order, 2):
-                if col[idx[a]] < col[idx[b]]:
-                    s += 1
-        return s
+        return sum(pref[order[i]][order[j]] for i in range(m) for j in range(i + 1, m))
 
-    best_order, best_score = None, -1
-    for perm in permutations(sorted(alternatives)):
-        s = score(perm)
+    start = sorted(range(m), key=lambda i: (mean_ranks[i], alternatives[i]))
+    best_order, best_score = start, score(start)
+    for rot in range(m):
+        cur = start[rot:] + start[:rot]
+        improved = True
+        while improved:
+            improved = False
+            for i in range(m - 1):
+                cand = cur.copy()
+                cand[i], cand[i + 1] = cand[i + 1], cand[i]
+                if score(cand) > score(cur):
+                    cur = cand
+                    improved = True
+        s = score(cur)
         if s > best_score:
-            best_order, best_score = perm, s
-    return best_order, best_score
+            best_score = s
+            best_order = cur
+    return tuple(alternatives[i] for i in best_order), best_score
 
 
 def spreadsheet_topsis(matrix: list[list[float]], benefit: list[bool],

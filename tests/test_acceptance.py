@@ -53,21 +53,24 @@ def test_criterion_01_omega_vs_brute_force(capsys):
 def test_criterion_02_kemeny_vs_full_permutation(capsys):
     rng = random.Random(223)
     start = time.perf_counter()
-    for _ in range(100):
-        m = rng.randint(2, 6)
+    # m <= 9, then a few at m = 10; half the columns hold tied ranks
+    sizes = [rng.randint(2, 9) for _ in range(100)] + [10] * 3
+    for m in sizes:
         alts = [f"a{i}" for i in range(m)]
         cols = {}
         for ci in range(rng.randint(1, 10)):
-            perm = list(range(1, m + 1))
-            rng.shuffle(perm)
-            cols[f"c{ci}"] = perm
+            if rng.random() < 0.5:
+                cols[f"c{ci}"] = [rng.randint(1, m) for _ in range(m)]
+            else:
+                cols[f"c{ci}"] = rng.sample(range(1, m + 1), m)
         got = kemeny_consensus(RankingTable.from_columns(alts, cols))
         order, score = brute_kemeny(alts, cols)
         assert got.exact and got.score == score and got.order == order
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     announce(capsys, "PASS criterion 2: exact Kemeny == full-permutation "
-                     f"oracle on 100 random tables ({elapsed:.2f}s)")
+                     f"oracle on {len(sizes)} random tables, m <= 10, tied ranks "
+                     f"included ({elapsed:.2f}s)")
 
 
 def test_criterion_03_overlapping_modularity_anchors(capsys):

@@ -2,13 +2,16 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from covereval.clustering import f1_best_match, omega_index, onmi_max
+from covereval.clustering import _best_f1, f1_best_match, omega_index, onmi_max
 from covereval.cover import Cover, CoverError
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
-from oracles import adjusted_rand_index, brute_f1, brute_omega, brute_onmi, scalar_onmi
+from oracles import (
+    adjusted_rand_index, brute_f1, brute_omega, brute_onmi, scalar_best_f1, scalar_onmi,
+)
 
 
 def cover(*sets):
@@ -214,6 +217,51 @@ class TestF1BestMatch:
             r1, r2 = renamed[:len(s1)], renamed[len(s1):]
             got = f1_best_match(Cover.from_sets(r1), Cover.from_sets(r2)).f1
             assert got == pytest.approx(brute_f1(r1, r2), abs=1e-12)
+
+    def test_equals_scalar_loop_exactly(self):
+        # bit for bit, precision and recall of the first best match included,
+        # on covers with duplicate communities and on differing universes
+        rng = random.Random(227)
+        for i in range(150):
+            n = rng.randint(2, 40)
+            s1 = random_cover_sets(rng, n, rng.randint(1, 8))
+            s2 = random_cover_sets(rng, n, rng.randint(1, 8))
+            s1.append(set(s1[0]))
+            s2 += [set(s2[-1])] * (i % 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the common-universe restriction
+                try:
+                    got = f1_best_match(Cover.from_sets(s1), Cover.from_sets(s2))
+                except CoverError:
+                    continue  # no common node
+            common = set().union(*s1) & set().union(*s2)
+            d = [c & common for c in s1 if c & common]
+            t = [c & common for c in s2 if c & common]
+            overlap = [[len(x & y) for y in t] for x in d]
+            p_d, r_d, f_d = scalar_best_f1([len(x) for x in d], [len(y) for y in t], overlap)
+            _, _, f_t = scalar_best_f1([len(y) for y in t], [len(x) for x in d],
+                                       [list(col) for col in zip(*overlap)])
+            assert (got.precision, got.recall, got.f1) == (p_d, r_d, 0.5 * (f_d + f_t))
+
+    def test_best_match_equals_scalar_loop_on_tables(self):
+        # contingencies with empty rows, repeated rows and columns and tied
+        # F1s (small counts), the nonzeros passed in shuffled order
+        rng = random.Random(229)
+        for _ in range(300):
+            k1, k2 = rng.randint(1, 9), rng.randint(1, 9)
+            sizes_s = [rng.randint(1, 6) for _ in range(k1)]
+            sizes_t = [rng.randint(1, 6) for _ in range(k2)]
+            table = [[rng.randint(0, min(a, b)) if rng.random() < 0.6 else 0
+                      for b in sizes_t] for a in sizes_s]
+            if k1 > 1:
+                table[-1] = list(table[0])
+                sizes_s[-1] = sizes_s[0]
+            table[rng.randrange(k1)] = [0] * k2
+            cells = np.array([(r, c, tp) for r, row in enumerate(table)
+                              for c, tp in enumerate(row) if tp], dtype=np.int64).reshape(-1, 3)
+            rows, cols, tp = cells[rng.sample(range(len(cells)), len(cells))].T
+            got = _best_f1(np.array(sizes_s), np.array(sizes_t), rows, cols, tp)
+            assert got == scalar_best_f1(sizes_s, sizes_t, table)
 
     def test_f1_bounds(self):
         rng = random.Random(89)

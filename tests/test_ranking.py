@@ -6,11 +6,11 @@ import pytest
 
 from covereval.graph import EmpiricalDistribution
 from covereval.ranking import (
-    DecisionMatrix, RankingError, RankingTable, competition_ranks,
+    KEMENY_EXACT_LIMIT, DecisionMatrix, RankingError, RankingTable, competition_ranks,
     kemeny_consensus, rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
-from oracles import brute_kemeny, spreadsheet_topsis
+from oracles import brute_kemeny, full_rescore_climb, spreadsheet_topsis
 
 
 def table(alts, cols):
@@ -26,6 +26,18 @@ class TestCompetitionRanks:
 
     def test_descending(self):
         assert competition_ranks([3.0, 1.0, 2.0], ascending=False) == [1, 3, 2]
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_equals_index_definition(self, ascending):
+        # the rank is one plus the first position of the score in sorted order
+        rng = random.Random(233)
+        for _ in range(200):
+            pool = [math.inf, -math.inf, 0.0, -0.0] + [rng.uniform(-5, 5) for _ in range(3)]
+            scores = [rng.choice(pool) if rng.random() < 0.5 else rng.randint(-3, 3)
+                      for _ in range(rng.randint(1, 12))]
+            order = sorted(scores, reverse=not ascending)
+            assert (competition_ranks(scores, ascending)
+                    == [order.index(s) + 1 for s in scores])
 
 
 class TestRankScalar:
@@ -161,7 +173,7 @@ class TestKemeny:
 
     def test_heuristic_mode_flagged(self):
         rng = random.Random(191)
-        m = 12
+        m = KEMENY_EXACT_LIMIT + 2
         alts = [f"a{i:02d}" for i in range(m)]
         cols = {}
         for ci in range(3):
@@ -171,6 +183,22 @@ class TestKemeny:
         res = kemeny_consensus(table(alts, cols))
         assert not res.exact
         assert sorted(res.order) == sorted(alts)
+
+    def test_heuristic_equals_full_rescore_climb(self):
+        # the swap test by score change makes the moves of re-scoring both
+        # whole orders; half the columns hold tied ranks
+        rng = random.Random(239)
+        for m in range(KEMENY_EXACT_LIMIT + 1, KEMENY_EXACT_LIMIT + 9):
+            alts = [f"a{rng.randrange(100):02d}{i}" for i in range(m)]
+            cols = {}
+            for ci in range(rng.randint(2, 6)):
+                if ci % 2:
+                    cols[f"c{ci}"] = [rng.randint(1, m) for _ in range(m)]
+                else:
+                    cols[f"c{ci}"] = rng.sample(range(1, m + 1), m)
+            res = kemeny_consensus(table(alts, cols))
+            assert not res.exact
+            assert (res.order, res.score) == full_rescore_climb(alts, cols)
 
 
 class TestTopsis:
