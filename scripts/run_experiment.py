@@ -12,23 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from covereval.pipeline import PipelineError, RunConfig, emit_reports, run
+from covereval.cli import exit_code
+from covereval.pipeline import RunConfig, emit_reports, run
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", required=True, help="pipeline config JSON")
-    ap.add_argument("--seed", type=int, help="override the config seed")
-    ap.add_argument("--output", help="override the output directory")
-    args = ap.parse_args()
-
-    try:
-        cfg = RunConfig.from_json(args.config, seed=args.seed, output_dir=args.output)
-        report = run(cfg)
-        written = emit_reports(report, cfg.output_dir)
-    except (OSError, PipelineError) as exc:
-        sys.exit(f"error: {exc}")
+def summarize(args: argparse.Namespace) -> int:
+    cfg = RunConfig.from_json(args.config, seed=args.seed, output_dir=args.output)
+    report = run(cfg)
+    written = emit_reports(report, cfg.output_dir)
 
     for tname, entry in report.data["tables"].items():
         print(f"\n=== {tname} ({len(entry['criteria'])} criteria) ===")
@@ -44,7 +35,18 @@ def main() -> None:
                   + ", ".join(f"{name}#{rank}" for name, rank in topsis))
 
     print(f"\nwrote {len(written)} files to {cfg.output_dir}")
+    return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", required=True, help="pipeline config JSON")
+    ap.add_argument("--seed", type=int, help="override the config seed")
+    ap.add_argument("--output", help="override the output directory")
+    # errors exit as `covereval run` exits: 1 for bad input, 2 for a failed computation
+    return exit_code(summarize, ap.parse_args())
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

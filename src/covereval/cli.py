@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
-from .clustering import f1_best_match, omega_index, onmi_max
+from .clustering import common_universe, f1_best_match, omega_index, onmi_max
 from .cover import CoverError, build_community_graph, load_cover
 from .distfit import FitError, InapplicableFit, best_fit
 from .graph import EmpiricalDistribution, GraphError, basic_properties, load_edge_list
@@ -62,7 +63,7 @@ def cmd_props(args) -> int:
 def cmd_fit(args) -> int:
     tokens = Path(args.samples).read_text().split()
     try:
-        data = EmpiricalDistribution.from_values(float(tok) for tok in tokens)
+        data = EmpiricalDistribution([float(tok) for tok in tokens])
     except ValueError as exc:  # a non-numeric token, no samples, NaN or inf
         print(f"error: {args.samples}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -89,7 +90,8 @@ def cmd_quality(args) -> int:
 def cmd_clustering(args) -> int:
     g = _load_graph(args.network)
     truth = _load_cover_for(args.truth, g)
-    cover = _load_cover_for(args.cover, g)
+    # restricted once here, so the three metrics read the pair as is
+    cover, truth = common_universe(_load_cover_for(args.cover, g), truth)
     scores = {
         "NMI": onmi_max(cover, truth),
         "OI": omega_index(cover, truth),
@@ -178,11 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """Run `command(args)` and return its exit code. An input error prints
+    an `error:` line and gives EXIT_VALIDATION, a failed computation a
+    `computation error:` line and EXIT_COMPUTATION."""
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, UnicodeDecodeError, GraphError, CoverError, PipelineError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -190,6 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, RankingError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

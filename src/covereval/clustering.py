@@ -13,7 +13,7 @@ from scipy import sparse
 from .cover import Cover, CoverError
 
 
-def _common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
+def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
     """The two covers over the same node ids: as given when their ids are
     equal, else both restricted to the ids they share."""
     if np.array_equal(c1.nodes, c2.nodes):
@@ -37,7 +37,7 @@ def omega_index(c1: Cover, c2: Cover) -> float:
     """Chance-corrected agreement on per-pair co-membership multiplicity.
     Pairs never co-clustered in either cover are handled by complement
     counting, never materializing all n(n-1)/2 pairs."""
-    c1, c2 = _common_universe(c1, c2)
+    c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     if n < 2:
         raise CoverError("need at least 2 nodes")
@@ -110,7 +110,7 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
     entropies inside the mutual information instead."""
     if variant not in ("mcdaid", "lfk"):
         raise ValueError("variant must be 'mcdaid' or 'lfk'")
-    c1, c2 = _common_universe(c1, c2)
+    c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     # every count is one of 0..n, so each entropy term is computed once
     h = np.array([_h(w, n) for w in range(n + 1)])
@@ -166,7 +166,7 @@ def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
     """Best-overlap matching of detected communities to truth communities.
     Precision and recall are the detected-side means; F1 averages both
     matching directions."""
-    detected, truth = _common_universe(detected, truth)
+    detected, truth = common_universe(detected, truth)
     sizes_d = detected.matrix.sum(axis=1)
     sizes_t = truth.matrix.sum(axis=1)
     table = detected.matrix @ truth.matrix.T

@@ -121,15 +121,15 @@ def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
     """Community size, node membership, and pairwise overlap-size
     distributions, computed on the full cover (before any pruning)."""
     b = c.matrix
-    sizes = b.sum(axis=1).tolist()
-    overlaps = _overlaps(b).data.tolist()
+    sizes = b.sum(axis=1)
+    overlaps = _overlaps(b).data
     return MesoscopicProfile(
-        community_sizes=EmpiricalDistribution.from_values(sizes),
-        memberships=EmpiricalDistribution.from_values(b.sum(axis=0).tolist()),
-        overlap_sizes=(EmpiricalDistribution.from_values(overlaps) if overlaps else None),
+        community_sizes=EmpiricalDistribution(sizes),
+        memberships=EmpiricalDistribution(b.sum(axis=0)),
+        overlap_sizes=EmpiricalDistribution(overlaps) if len(overlaps) else None,
         community_count=len(sizes),
-        max_size=max(sizes),
-        avg_size=sum(sizes) / len(sizes),
+        max_size=int(sizes.max()),
+        avg_size=int(sizes.sum()) / len(sizes),
     )
 
 

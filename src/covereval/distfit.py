@@ -288,7 +288,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     FitError when the family is inapplicable to the data's support."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
-    x = np.asarray(data.samples, dtype=float)
+    x = data.samples
     reason = _check_support(family, x)
     if reason:
         raise FitError(f"{family.value}: {reason}")
@@ -367,10 +367,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
 def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:
     """sup_x |ECDF(x) - F(x)| evaluated at both one-sided jumps of every
     distinct sample; ties jump by their multiplicity."""
-    x = np.asarray(data.samples, dtype=float)
-    n = len(x)
-    values, counts = np.unique(x, return_counts=True)
-    cum = np.cumsum(counts) / n       # ECDF at each value (right limit)
+    values, cum = data.values, data.cdf  # ECDF at each value (right limit)
     prev = np.concatenate(([0.0], cum[:-1]))  # ECDF just below each value
     f = fit.cdf(values)
     f_left = f  # the CDF's left limit, which differs only at a point mass

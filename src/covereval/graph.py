@@ -3,10 +3,10 @@ per-node (microscopic) topological properties."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -32,24 +32,32 @@ EXACT_HOP_LIMIT = 20_000
 DEFAULT_HOP_SOURCES = 1_000
 
 
-@dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted multiset of real samples with ECDF / percentile queries."""
+    """Sorted multiset of finite real samples with ECDF / percentile
+    queries. ``samples`` is the sorted float64 array; ``values`` holds the
+    distinct samples and ``cdf`` the right-continuous ECDF at each of them.
+    All three are built once here and are read-only."""
 
-    samples: tuple[float, ...]
+    __slots__ = ("samples", "values", "cdf")
 
-    def __post_init__(self):
-        if len(self.samples) == 0:
+    def __init__(self, samples: np.ndarray | Sequence[float]):
+        given = np.asarray(samples, dtype=np.float64)
+        x = np.sort(given)
+        x[x == 0] = given[given == 0]  # 0.0 and -0.0 stay in the given order
+        if len(x) == 0:
             raise ValueError("empirical distribution needs at least one sample")
-        samples = tuple(sorted(self.samples))
-        if not all(map(math.isfinite, samples)):
-            bad = next(v for v in samples if not math.isfinite(v))
-            raise ValueError(f"empirical distribution needs finite samples, got {bad}")
-        object.__setattr__(self, "samples", samples)
+        bad = x[~np.isfinite(x)]
+        if len(bad):
+            raise ValueError(f"empirical distribution needs finite samples, got {bad[0]}")
+        values, counts = np.unique(x, return_counts=True)
+        self.samples, self.values, self.cdf = x, values, np.cumsum(counts) / len(x)
+        for a in (self.samples, self.values, self.cdf):
+            a.flags.writeable = False
 
-    @classmethod
-    def from_values(cls, values: Iterable[float]) -> "EmpiricalDistribution":
-        return cls(tuple(map(float, values)))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmpiricalDistribution):
+            return NotImplemented
+        return np.array_equal(self.samples, other.samples)
 
     @property
     def n(self) -> int:
@@ -57,14 +65,14 @@ class EmpiricalDistribution:
 
     def ecdf(self, x: float) -> float:
         """Right-continuous ECDF: (#samples <= x) / n."""
-        return bisect.bisect_right(self.samples, x) / self.n
+        return int(np.searchsorted(self.samples, x, side="right")) / self.n
 
     def percentile(self, p: float) -> float:
         """Nearest-rank (ceil) percentile, p in (0, 100]."""
         if not 0 < p <= 100:
             raise ValueError("percentile must be in (0, 100]")
         idx = math.ceil(p / 100 * self.n)
-        return self.samples[max(idx, 1) - 1]
+        return self.samples[max(idx, 1) - 1].item()
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  original_labels: Sequence[str] | None = None):
-        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
         e = e[e[:, 0] != e[:, 1]]
         outside = ((e < 0) | (e >= n)).any(axis=1)
         if outside.any():
@@ -182,7 +190,7 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     label_ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # the two ids of each edge in turn
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -190,11 +198,11 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListParseError(lineno, line)
-        edges.append((label_ids.setdefault(tokens[0], len(label_ids)),
-                      label_ids.setdefault(tokens[1], len(label_ids))))
+        ends.append(label_ids.setdefault(tokens[0], len(label_ids)))
+        ends.append(label_ids.setdefault(tokens[1], len(label_ids)))
     if not label_ids:
         raise GraphError("empty edge list")
-    return Graph(len(label_ids), edges, list(label_ids))
+    return Graph(len(label_ids), zip(ends[::2], ends[1::2]), list(label_ids))
 
 
 def giant_component(g: Graph) -> Graph:
@@ -215,7 +223,7 @@ def giant_component(g: Graph) -> Graph:
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
     if g.n < 1:
         raise GraphError("empty graph")
-    return EmpiricalDistribution.from_values(g.degrees())
+    return EmpiricalDistribution(np.diff(g.adjacency.indptr))
 
 
 def triangles_per_node(g: Graph) -> list[int]:
@@ -297,7 +305,7 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
     # (that root already counted it, or v is u itself)
     skip = in_roots & (np.arange(gc.n) <= roots[:, None])
     hops = csgraph.shortest_path(gc.adjacency, unweighted=True, indices=roots)[~skip]
-    dist = EmpiricalDistribution.from_values(hops.tolist())
+    dist = EmpiricalDistribution(hops)
     return HopSummary(
         distribution=dist,
         median_path=dist.percentile(50),
@@ -327,7 +335,8 @@ def basic_properties(g: Graph, exact_paths: bool = True,
         e=g.edge_count,
         rho=2 * g.edge_count / (g.n * (g.n - 1)),
         d=int(hops.diameter),
-        l_g=sum(samples) / len(samples),
+        # hop counts are integers, so their sum is exact in any order
+        l_g=float(samples.sum()) / len(samples),
         avg_deg=sum(degs) / g.n,
         max_deg=max(degs),
         tau=degree_assortativity(g),

@@ -10,8 +10,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import clustering as cl
 from .cover import Cover, CommunityGraph, build_community_graph, load_cover, mesoscopic_profile
 from .distfit import FitError
@@ -77,6 +75,11 @@ class RunConfig:
         names = [n for n, _ in self.candidates]
         if len(set(names)) != len(names):
             raise PipelineError("candidate names must be unique")
+        # the report keys the truth's entries by this name; names go into file names
+        bad = [n for n in names if n == "ground_truth" or "/" in n or "\0" in n]
+        if bad:
+            raise PipelineError("a candidate name must not be 'ground_truth' or contain "
+                                f"'/' or NUL, got {bad[0]!r}")
         if self.hop_mode not in ("exact", "sampled"):
             raise PipelineError("hop_mode must be 'exact' or 'sampled'")
         if self.hop_mode == "sampled" and self.seed is None:
@@ -176,7 +179,7 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
         micro["DD"] = degree_distribution(g)
         if g.n >= 3:
             curve = [v for _, v in clustering_by_degree(g) if v > 0]
-            micro["Av"] = EmpiricalDistribution.from_values(curve) if curve else None
+            micro["Av"] = EmpiricalDistribution(curve) if curve else None
         micro["HD"] = props.hops.distribution
     profile = mesoscopic_profile(cover)
     meso: dict[str, EmpiricalDistribution | None] = {
@@ -256,11 +259,11 @@ def run(cfg: RunConfig) -> EvaluationReport:
         clustering_values: dict[str, dict[str, float]] = {}
         if "clustering" in groups:
             for n in names:
-                scores_nmi = cl.onmi_max(covers[n], truth)
-                scores_oi = cl.omega_index(covers[n], truth)
-                match = cl.f1_best_match(covers[n], truth)
-                clustering_values[n] = {"NMI": scores_nmi, "OI": scores_oi,
-                                        "F1-score": match.f1}
+                # restricted once here, so the three metrics read the pair as is
+                cover, ref = cl.common_universe(covers[n], truth)
+                clustering_values[n] = {"NMI": cl.onmi_max(cover, ref),
+                                        "OI": cl.omega_index(cover, ref),
+                                        "F1-score": cl.f1_best_match(cover, ref).f1}
             # similarity scores: higher is better, rank 1 = highest
             for prop in CLUSTERING_PROPS:
                 vals = [clustering_values[n][prop] for n in names]
@@ -387,8 +390,6 @@ def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     for name, dists in sorted(report.samples.items()):
         for prop, dist in sorted(dists.items()):
             # one row per distinct value with the right-continuous ECDF
-            values, counts = np.unique(dist.samples, return_counts=True)
-            ecdf = np.cumsum(counts) / dist.n
             write_csv(f"dist_{name}_{prop}.csv",
-                      [["value", "ecdf"], *zip(values.tolist(), ecdf.tolist())])
+                      [["value", "ecdf"], *zip(dist.values.tolist(), dist.cdf.tolist())])
     return written

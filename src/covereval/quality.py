@@ -1,5 +1,5 @@
-"""Ground-truth-free quality metrics: the five per-community scoring
-functions and overlapping modularity."""
+"""Ground-truth-free quality metrics: the cover-level means of five
+per-community scores, and overlapping modularity."""
 
 from __future__ import annotations
 
@@ -10,17 +10,6 @@ from scipy import sparse
 
 from .cover import Cover
 from .graph import Graph, GraphError
-
-
-@dataclass(frozen=True)
-class CommunityStats:
-    n_s: int
-    m_s: int                     # intra-community edges (= e_in)
-    out_frac: tuple[float, ...]  # per member, fraction of its edges leaving S
-    e_in: int
-    e_out: int                   # edge endpoints leaving S, one per inside endpoint
-    intra_deg: tuple[int, ...]
-    total_deg: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -43,90 +32,50 @@ class QualityReport:
         }
 
 
-def community_stats(g: Graph, s: frozenset[int] | set[int]) -> CommunityStats:
-    if not s:
-        raise GraphError("empty community")
-    return _cover_stats(g, Cover.from_sets([s]))[0]
-
-
-def _cover_stats(g: Graph, c: Cover) -> list[CommunityStats]:
-    """The stats of every community of `c`, members in id order. Row i of
-    the product of the incidence matrix and the adjacency counts each
-    node's neighbours inside community i, so one product gives every
-    member's intra-degree; the cover's columns are relabelled with its
-    node ids, which keeps each row's indices sorted."""
-    if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
-        raise GraphError("community references a node outside the graph")
-    b = sparse.csr_array((c.matrix.data, c.nodes[c.matrix.indices], c.matrix.indptr),
-                         shape=(c.matrix.shape[0], g.n))
-    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
-    intra = (b @ g.adjacency)[rows, b.indices]
-    total = np.diff(g.adjacency.indptr)[b.indices]
-    fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
-    intra, total, fracs = intra.tolist(), total.tolist(), fracs.tolist()
-    stats = []
-    for lo, hi in zip(b.indptr[:-1].tolist(), b.indptr[1:].tolist()):
-        e_in2 = sum(intra[lo:hi])
-        stats.append(CommunityStats(
-            n_s=hi - lo,
-            m_s=e_in2 // 2,
-            out_frac=tuple(fracs[lo:hi]),
-            e_in=e_in2 // 2,
-            e_out=sum(total[lo:hi]) - e_in2,
-            intra_deg=tuple(intra[lo:hi]),
-            total_deg=tuple(total[lo:hi]),
-        ))
-    return stats
-
-
-def avg_degree_score(cs: CommunityStats) -> float:
-    return 2 * cs.m_s / cs.n_s
-
-
-def internal_density_score(cs: CommunityStats) -> float:
-    if cs.n_s < 2:
-        return 0.0
-    return cs.m_s / (cs.n_s * (cs.n_s - 1) / 2)
-
-
-def max_odf_score(cs: CommunityStats) -> float:
-    return max(cs.out_frac)
-
-
-def avg_odf_score(cs: CommunityStats) -> float:
-    return sum(cs.out_frac) / cs.n_s
-
-
-def flake_odf_score(cs: CommunityStats) -> float:
-    bad = sum(1 for din, d in zip(cs.intra_deg, cs.total_deg) if din < d / 2)
-    return bad / cs.n_s
-
-
-def _modularity(m: int, stats: list[CommunityStats]) -> float:
-    if m < 1:
-        raise GraphError("modularity undefined on an edgeless graph")
-    total = 0.0
-    for cs in stats:
-        total += cs.e_in / m - ((2 * cs.e_in + cs.e_out) / (2 * m)) ** 2
-    return total
-
-
-def overlapping_modularity(g: Graph, c: Cover) -> float:
-    """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2.
-    Overlapping nodes contribute to every community containing them."""
-    return _modularity(g.edge_count, _cover_stats(g, c))
+def _mean(per_community: np.ndarray) -> float:
+    # Python's sum adds left to right, in community order
+    return sum(per_community.tolist()) / len(per_community)
 
 
 def quality_report(g: Graph, c: Cover) -> QualityReport:
-    """Unweighted cover-level means of the five per-community scores plus
-    overlapping modularity."""
-    stats = _cover_stats(g, c)
-    k = len(stats)
+    """Unweighted cover-level means of five per-community scores (average
+    degree, average and maximum out-degree fraction, Flake ODF, internal
+    density) plus overlapping modularity. Row i of the product of the
+    incidence matrix and the adjacency counts each node's neighbours inside
+    community i, so one product gives every member's intra-degree; the
+    cover's columns are relabelled with its node ids, which keeps each row's
+    members in id order, and a weighted `np.bincount` adds in input order."""
+    if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
+        raise GraphError("community references a node outside the graph")
+    m = g.edge_count
+    if m < 1:
+        raise GraphError("modularity undefined on an edgeless graph")
+    b = sparse.csr_array((c.matrix.data, c.nodes[c.matrix.indices], c.matrix.indptr),
+                         shape=(c.matrix.shape[0], g.n))
+    k = b.shape[0]
+    size = np.diff(b.indptr)
+    rows = np.repeat(np.arange(k), size)
+    intra = (b @ g.adjacency)[rows, b.indices]
+    total = np.diff(g.adjacency.indptr)[b.indices]
+    fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
+    e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints
+    volume = np.bincount(rows, total, k)  # 2 e_in + e_out
+    q_ov = 0.0
+    for inside, share in zip((e_in / m).tolist(), (volume / (2 * m)).tolist()):
+        q_ov += inside - share ** 2
     return QualityReport(
-        avg_degree=sum(avg_degree_score(s) for s in stats) / k,
-        avg_odf=sum(avg_odf_score(s) for s in stats) / k,
-        flake_odf=sum(flake_odf_score(s) for s in stats) / k,
-        internal_density=sum(internal_density_score(s) for s in stats) / k,
-        max_odf=sum(max_odf_score(s) for s in stats) / k,
-        q_ov=_modularity(g.edge_count, stats),
+        avg_degree=_mean(2 * e_in / size),
+        avg_odf=_mean(np.bincount(rows, fracs, k) / size),
+        flake_odf=_mean(np.bincount(rows, intra < total / 2, k) / size),
+        internal_density=_mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k),
+                                         where=size >= 2)),
+        max_odf=_mean(np.maximum.reduceat(fracs, b.indptr[:-1])),
+        q_ov=q_ov,
     )
+
+
+def overlapping_modularity(g: Graph, c: Cover) -> float:
+    """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2,
+    where e_out counts the edge endpoints leaving the community. Overlapping
+    nodes contribute to every community containing them."""
+    return quality_report(g, c).q_ov

@@ -152,7 +152,7 @@ def test_criterion_06_power_law_mle_recovery(capsys):
         rng = np.random.default_rng(229 + i)
         u = rng.random(10000)
         x = (1 - u) ** (-1.0 / (alpha - 1.0))  # inverse-CDF sampler, xmin = 1
-        data = EmpiricalDistribution.from_values(x)
+        data = EmpiricalDistribution(x)
         start = time.perf_counter()
         fit = fit_mle(Family.POWER_LAW, data)
         timings.append(time.perf_counter() - start)
@@ -168,13 +168,13 @@ def test_criterion_07_best_fit_selection_rates(capsys):
         rng = np.random.default_rng(1000 + i)
         u = rng.random(2000)
         x = (1 - u) ** (-1 / 1.3)  # heavy tail, alpha = 2.3
-        if best_fit(EmpiricalDistribution.from_values(x)).best.family is Family.POWER_LAW:
+        if best_fit(EmpiricalDistribution(x)).best.family is Family.POWER_LAW:
             pl_wins += 1
     n_wins = 0
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
         g = rng.normal(0.0, 1.0, 2000)
-        if best_fit(EmpiricalDistribution.from_values(g)).best.family is Family.NORMAL:
+        if best_fit(EmpiricalDistribution(g)).best.family is Family.NORMAL:
             n_wins += 1
     assert pl_wins >= 95, pl_wins
     assert n_wins >= 95, n_wins
@@ -204,7 +204,7 @@ def test_criterion_08_ks_vs_jump_point_oracle(capsys):
         fit = families[trial % len(families)]()
         n = pyrng.randint(5, 40)
         vals = [round(float(v), 2) for v in rng.gamma(2.0, 1.5, n) + 0.5]
-        data = EmpiricalDistribution.from_values(vals)
+        data = EmpiricalDistribution(vals)
         got = ks_statistic(fit, data)
         want = brute_ks(lambda x: float(fit.cdf(np.asarray([x]))[0]),
                         list(data.samples))

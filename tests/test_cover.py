@@ -50,7 +50,7 @@ class TestMesoscopicProfile:
         p = mesoscopic_profile(c)
         assert sorted(p.community_sizes.samples) == [2, 3]
         assert sorted(p.memberships.samples) == [1, 1, 1, 2]
-        assert p.overlap_sizes.samples == (1,)
+        assert p.overlap_sizes.samples.tolist() == [1]
         assert p.community_count == 2 and p.max_size == 3
         assert p.avg_size == 2.5
 

@@ -19,7 +19,7 @@ from oracles import brute_ks, scipy_cdf, scipy_log_likelihood
 
 
 def dist(values):
-    return EmpiricalDistribution.from_values(values)
+    return EmpiricalDistribution(values)
 
 
 # Two fixed samples and every family's fitted params and KS on them, as
@@ -163,6 +163,20 @@ class TestKsStatistic:
         got = ks_statistic(fit, data)
         assert got == brute_ks(lambda x: fit.cdf(np.asarray([x]))[0],
                                list(data.samples))
+
+    @pytest.mark.parametrize("family", FAMILY_ORDER, ids=lambda f: f.value)
+    def test_fitted_family_equals_brute_force(self, family):
+        # seeded samples with ties, rounded to one decimal; the fitted CDF is
+        # evaluated once on the distinct values, as ks_statistic evaluates it
+        # (shape families round differently one point at a time), so the
+        # ECDF and the sup over both sides of every jump are what is compared
+        rng = np.random.default_rng(157)
+        for _ in range(6):
+            x = np.round(rng.gamma(2.0, 1.5, int(rng.integers(5, 60))) + 0.2, 1).tolist()
+            fit = fit_mle(family, dist(x))
+            distinct = sorted(set(x))
+            cdf = dict(zip(distinct, fit.cdf(np.array(distinct)).tolist()))
+            assert fit.ks == brute_ks(cdf.__getitem__, x)
 
     def test_bounds(self):
         rng = np.random.default_rng(131)

@@ -4,10 +4,16 @@ in sampled hop mode, and with candidates that take the pipeline's rarer
 branches (a community graph of several components, a cover that leaves
 nodes out) in exact mode.
 
-A refactor of the metric code must leave these bytes unchanged. The groups
-are basic, quality and clustering, so no distribution is fitted and the
-digests do not depend on the optimizer; the `dist_*` sample dumps are
-written for every cover whatever the groups.
+A refactor of the metric code must leave these bytes unchanged. The first
+three instances run the basic, quality and clustering groups, so no
+distribution is fitted and their digests do not depend on the optimizer;
+the `dist_*` sample dumps are written for every cover whatever the groups.
+The `fitted` instance runs the microscopic and mesoscopic groups, so it pins
+the fitting path too: every family's MLE and KS statistic on the sample
+distributions, and the family each property selects. Its digests depend on
+the optimizer: ROADMAP item 2 (profile likelihoods for gamma and Weibull, no
+search for a Cauchy fit without a maximum) will re-record them on purpose
+and declare the change.
 """
 
 import hashlib
@@ -40,7 +46,9 @@ def split_and_partial(truth: Cover) -> dict[str, Cover]:
     }
 
 
-def emitted_digests(workdir, candidates, **settings) -> dict[str, str]:
+def emitted_digests(workdir, candidates,
+                    property_groups=("basic", "quality", "clustering"),
+                    **settings) -> dict[str, str]:
     """Write the instance into `workdir` (paths relative to it, so the
     report does not name the directory), the ground truth as candidate
     `exact` plus `candidates(truth)`, run it and hash every file in the
@@ -54,8 +62,7 @@ def emitted_digests(workdir, candidates, **settings) -> dict[str, str]:
         names.append((name, f"{name}.txt"))
     cfg = RunConfig(
         network_path="net.txt", ground_truth_path="gt.txt", candidates=tuple(names),
-        property_groups=("basic", "quality", "clustering"), output_dir="out",
-        **settings)
+        property_groups=property_groups, output_dir="out", **settings)
     written = emit_reports(run(cfg), cfg.output_dir)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
 
@@ -269,11 +276,77 @@ SPLIT_PARTIAL = {
 }
 
 
+FITTED = {
+    "report.json":
+        "96489fee2d92ed572d72f2c6b9601c6508904dd92cefc6cf18f32ac0f962375e",
+    "ranking_mesoscopic.csv":
+        "8738eb4181c05c6f311d00d960f28f2a9a56d91a3b0a1a6f6511e97b6da65016",
+    "spearman_mesoscopic.csv":
+        "95849be95c0172b2fbc06d49565dd5ad0f26190f8e678ba9aad64f3a3664a39e",
+    "ranking_microscopic.csv":
+        "da10e14d66e51095768371425a1d9aad62ae2980d40bd39ef63b05409330d9cc",
+    "spearman_microscopic.csv":
+        "b30b8699af46215cc71e1f45c4a3e74334ef318ab9767cefeb35ae25be2fa801",
+    "quality.csv":
+        "c66ae401b903059c6ee271cddb409ccc9586b82dd1f122438904fa53040e10c0",
+    "dist_exact_Av.csv":
+        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+    "dist_exact_CS.csv":
+        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
+    "dist_exact_DD.csv":
+        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
+    "dist_exact_HD.csv":
+        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
+    "dist_exact_M.csv":
+        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
+    "dist_exact_OS.csv":
+        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
+    "dist_far_Av.csv":
+        "7d526aa1ec497f80daf466458e629e8a9337ca15e1ba5745a7d1d85516c919f2",
+    "dist_far_CS.csv":
+        "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
+    "dist_far_DD.csv":
+        "fd4797498d0b3a006b470381932142f8a8c879f4da4ff7f80cc5ee28431d934e",
+    "dist_far_HD.csv":
+        "396a7654cac0a41d936ca1faa00fe0befe01ec89ffa6d5c84fe7e31c7eb51167",
+    "dist_far_M.csv":
+        "de5e7234454acd0c86b1db71cb5d0844d807eb6950808fbbdc7f492d8a13d52f",
+    "dist_far_OS.csv":
+        "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
+    "dist_ground_truth_Av.csv":
+        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+    "dist_ground_truth_CS.csv":
+        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
+    "dist_ground_truth_DD.csv":
+        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
+    "dist_ground_truth_HD.csv":
+        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
+    "dist_ground_truth_M.csv":
+        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
+    "dist_ground_truth_OS.csv":
+        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
+    "dist_near_Av.csv":
+        "31c69461da0d506b91b0e83ff9b94747adad249e83843e9f723268d8c51096ff",
+    "dist_near_CS.csv":
+        "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
+    "dist_near_DD.csv":
+        "042a34326c35fb9fb11e4d171de5070a38e9066a9a524078208d7fd450b28c16",
+    "dist_near_HD.csv":
+        "357094574cf27961b55412dd63d4efc9c120e36fa732f563fee7e442d3a5b5cb",
+    "dist_near_M.csv":
+        "6bbc23dccc8093fcfe40ece90e74717f180ef087089b50622003b66997d30cae",
+    "dist_near_OS.csv":
+        "d2437a2baf81a73b83973139477e4a4888ca40efacb35e4323f417c8906d1409",
+}
+
+
 @pytest.mark.parametrize("candidates, settings, want", [
     (perturbed, {"hop_mode": "exact"}, EXACT),
     (perturbed, {"hop_mode": "sampled", "sources": 10, "seed": 3}, SAMPLED),
     (split_and_partial, {"hop_mode": "exact"}, SPLIT_PARTIAL),
-], ids=["exact", "sampled", "split-partial"])
+    (perturbed, {"hop_mode": "exact", "property_groups": ("microscopic", "mesoscopic")},
+     FITTED),
+], ids=["exact", "sampled", "split-partial", "fitted"])
 def test_emitted_files_match_recorded_digests(tmp_path, monkeypatch, candidates, settings,
                                               want):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,10 +160,10 @@ class TestBasicProperties:
 
 class TestDegreeDistribution:
     def test_k4(self):
-        assert degree_distribution(complete_graph(4)).samples == (3, 3, 3, 3)
+        assert degree_distribution(complete_graph(4)).samples.tolist() == [3, 3, 3, 3]
 
     def test_p3(self):
-        assert degree_distribution(path_graph(3)).samples == (1, 1, 2)
+        assert degree_distribution(path_graph(3)).samples.tolist() == [1, 1, 2]
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
@@ -227,7 +228,7 @@ class TestHopDistribution:
         g, _ = random_graph(rng, 20, 0.2)
         exact = hop_distribution(g, exact=True)
         sampled = hop_distribution(g, exact=False, sources=g.n, seed=1)
-        assert sampled.distribution.samples == exact.distribution.samples
+        assert sampled.distribution.samples.tolist() == exact.distribution.samples.tolist()
 
     def test_sampled_requires_seed(self):
         g = path_graph(10)
@@ -308,21 +309,21 @@ class TestGiantComponent:
 
 class TestEmpiricalDistribution:
     def test_ecdf_right_continuous(self):
-        d = EmpiricalDistribution.from_values([1, 2, 2, 3])
+        d = EmpiricalDistribution([1, 2, 2, 3])
         assert d.ecdf(0.5) == 0.0
         assert d.ecdf(2) == 0.75
         assert d.ecdf(1.99) == 0.25
         assert d.ecdf(3) == 1.0
 
     def test_percentile_nearest_rank(self):
-        d = EmpiricalDistribution.from_values([10, 20, 30, 40])
+        d = EmpiricalDistribution([10, 20, 30, 40])
         assert d.percentile(25) == 10
         assert d.percentile(50) == 20
         assert d.percentile(90) == 40
         assert d.percentile(100) == 40
 
     def test_percentile_domain(self):
-        d = EmpiricalDistribution.from_values([1])
+        d = EmpiricalDistribution([1])
         with pytest.raises(ValueError):
             d.percentile(0)
         with pytest.raises(ValueError):
@@ -332,7 +333,25 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             EmpiricalDistribution(())
 
+    def test_sorted_arrays_are_read_only(self):
+        given = np.array([3.0, 1.0, 2.0, 2.0])
+        d = EmpiricalDistribution(given)
+        assert d.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert d.values.tolist() == [1.0, 2.0, 3.0] and d.cdf.tolist() == [0.25, 0.75, 1.0]
+        for a in (d.samples, d.values, d.cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        given[1] = 9.0  # the caller's array is copied, not kept
+        assert d.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
+
+    def test_equal_samples_keep_their_order(self):
+        # 0.0 and -0.0 are equal; they stay in the given order, as in
+        # Python's sorted, which the dumps and fitted minima print
+        x = np.random.default_rng(5).choice([0.0, -0.0, 1.0], 300)
+        got = EmpiricalDistribution(x).samples
+        assert np.signbit(got).tolist() == np.signbit(sorted(x.tolist())).tolist()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            EmpiricalDistribution.from_values([1.0, 2.0, bad, 4.0, 5.0])
+            EmpiricalDistribution([1.0, 2.0, bad, 4.0, 5.0])

@@ -294,6 +294,44 @@ class TestSinglePass:
         # the ground truth and the three candidates
         assert len(built) == 4
 
+    def test_one_restriction_per_pair(self, workspace, tmp_path, monkeypatch):
+        # a candidate that leaves nodes out is restricted with the truth to
+        # their common nodes once, for all three clustering metrics: two
+        # covers for the pair, in `run` and in the clustering subcommand
+        from covereval import cover
+        from covereval.cover import load_cover
+        from covereval.graph import load_edge_list
+        net = load_edge_list((workspace / "net.txt").read_text())
+        labels = net.original_labels
+        (tmp_path / "partial.txt").write_text("".join(
+            " ".join(labels[u] for u in sorted(c) if u % 5) + "\n"
+            for c in load_cover((workspace / "c1.txt").read_text(), net.label_map()).communities
+            if any(u % 5 for u in c)))
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["candidates"].append({"name": "partial",
+                                  "cover_path": str(tmp_path / "partial.txt")})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        built = []
+
+        class CountingCover(cover.Cover):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(type(self))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cover, "Cover", CountingCover)
+        rep = run(RunConfig.from_json(tmp_path / "cfg.json"))
+        assert set(rep.data["clustering"]) == {"exact", "near", "far", "partial"}
+        # the ground truth, the four candidates, and the restricted pair
+        assert len(built) == 5 + 2
+        built.clear()
+        with pytest.warns(UserWarning, match="restricted to common universe"):
+            assert main(["clustering", "--network", str(workspace / "net.txt"),
+                         "--truth", str(workspace / "gt.txt"),
+                         "--cover", str(tmp_path / "partial.txt")]) == 0
+        assert len(built) == 2 + 2
+
     def test_samples_are_a_field(self, report):
         assert set(report.samples) == {"ground_truth", "exact", "near", "far"}
         for dists in report.samples.values():
@@ -332,10 +370,10 @@ def _hand_built_report():
     }
     samples = {
         "ground_truth": {
-            "DD": EmpiricalDistribution.from_values([3, 1, 2, 3, 2, 3]),
-            "HD": EmpiricalDistribution.from_values([0.5, 1 / 3, 0.5]),
+            "DD": EmpiricalDistribution([3, 1, 2, 3, 2, 3]),
+            "HD": EmpiricalDistribution([0.5, 1 / 3, 0.5]),
         },
-        "A": {"CS": EmpiricalDistribution.from_values([7, 7, 7])},
+        "A": {"CS": EmpiricalDistribution([7, 7, 7])},
     }
     return EvaluationReport(data=data, samples=samples)
 
@@ -470,6 +508,19 @@ class TestStrictConfig:
         path.write_text('[{"network_path": "net.txt"}]')
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["ground_truth", "a/b", "../near", "nul\0"],
+                             ids=["ground_truth", "slash", "parent-dir", "nul"])
+    def test_unusable_candidate_name_rejected(self, workspace, tmp_path, capsys, name):
+        # `ground_truth` would overwrite the truth's entries in the report, and
+        # a name is part of the file names; both stop before anything is written
+        path = _relative_config(workspace, tmp_path, candidates=[
+            {"name": "exact", "cover_path": "gt.txt"}, {"name": name, "cover_path": "c1.txt"}])
+        with pytest.raises(PipelineError, match="candidate name"):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (path.parent / "res").exists()
 
     def test_unknown_mcdm_rejected(self, workspace, tmp_path, capsys):
         with pytest.raises(PipelineError, match="kemeney"):

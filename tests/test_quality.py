@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from covereval.cover import Cover
+from covereval.cover import Cover, CoverError
 from covereval.graph import Graph, GraphError
-from covereval.quality import (
-    avg_degree_score, avg_odf_score, community_stats, flake_odf_score,
-    internal_density_score, max_odf_score, overlapping_modularity,
-    quality_report,
-)
+from covereval.quality import overlapping_modularity, quality_report
 
 from gen import random_graph, random_partition
 from oracles import newman_modularity, scan_quality
@@ -22,63 +18,76 @@ def two_triangles():
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
+def one_community(g, s):
+    return quality_report(g, Cover.from_sets([s]))
+
+
 class TestCommunityStats:
+    """A community's counts, read through a one-community `quality_report`:
+    AD is 2 m_s / n_s and OM is m_s/|E| - ((2 m_s + e_out) / (2|E|))^2."""
+
     def test_k4_whole(self):
-        cs = community_stats(complete_graph(4), {0, 1, 2, 3})
-        assert cs.n_s == 4 and cs.m_s == 6
-        assert cs.out_frac == (0.0, 0.0, 0.0, 0.0)
-        assert cs.e_out == 0
+        qr = one_community(complete_graph(4), {0, 1, 2, 3})
+        assert qr.avg_degree == 2 * 6 / 4  # n_s = 4, m_s = 6
+        assert qr.max_odf == qr.avg_odf == 0.0  # every out fraction is 0
+        assert qr.q_ov == 6 / 6 - ((2 * 6 + 0) / 12) ** 2  # e_out = 0
 
     def test_triangle_in_k4(self):
-        cs = community_stats(complete_graph(4), {0, 1, 2})
-        assert cs.n_s == 3 and cs.m_s == 3
-        assert cs.out_frac == (1 / 3, 1 / 3, 1 / 3)
-        assert cs.e_out == 3
+        qr = one_community(complete_graph(4), {0, 1, 2})
+        assert qr.avg_degree == 2 * 3 / 3  # n_s = 3, m_s = 3
+        assert qr.max_odf == 1 / 3  # every out fraction is 1/3
+        assert qr.q_ov == 3 / 6 - ((2 * 3 + 3) / 12) ** 2  # e_out = 3
 
     def test_outside_node_rejected(self):
         with pytest.raises(GraphError):
-            community_stats(complete_graph(4), {0, 7})
-        with pytest.raises(GraphError):
-            community_stats(complete_graph(4), set())
+            one_community(complete_graph(4), {0, 7})
+        with pytest.raises(CoverError):
+            one_community(complete_graph(4), set())
 
     def test_random_matches_edge_scan(self):
         rng = random.Random(41)
         for _ in range(15):
             n = rng.randint(4, 25)
             g, edges = random_graph(rng, n, 0.3)
+            if g.edge_count == 0:
+                continue
             s = set(rng.sample(range(n), rng.randint(1, n)))
-            cs = community_stats(g, s)
+            qr = one_community(g, s)
             m_s = sum(1 for u, v in edges if u in s and v in s)
             e_out = sum((u in s) + (v in s)
                         for u, v in edges if (u in s) != (v in s))
-            assert cs.m_s == m_s and cs.e_out == e_out
+            m = len(edges)
+            assert qr.avg_degree == 2 * m_s / len(s)
+            assert qr.q_ov == m_s / m - ((2 * m_s + e_out) / (2 * m)) ** 2
 
 
 class TestScoreFunctions:
+    """Each of the five scores of a one-community cover, which is its
+    cover-level mean."""
+
     def test_k4(self):
-        cs = community_stats(complete_graph(4), {0, 1, 2, 3})
-        assert avg_degree_score(cs) == 3.0
-        assert internal_density_score(cs) == 1.0
-        assert max_odf_score(cs) == avg_odf_score(cs) == flake_odf_score(cs) == 0.0
+        qr = one_community(complete_graph(4), {0, 1, 2, 3})
+        assert qr.avg_degree == 3.0
+        assert qr.internal_density == 1.0
+        assert qr.max_odf == qr.avg_odf == qr.flake_odf == 0.0
 
     def test_triangle_in_k4(self):
-        cs = community_stats(complete_graph(4), {0, 1, 2})
-        assert avg_degree_score(cs) == 2.0
-        assert internal_density_score(cs) == 1.0
-        assert max_odf_score(cs) == pytest.approx(1 / 3)
-        assert avg_odf_score(cs) == pytest.approx(1 / 3)
-        assert flake_odf_score(cs) == 0.0  # intra 2 > 3/2 for every member
+        qr = one_community(complete_graph(4), {0, 1, 2})
+        assert qr.avg_degree == 2.0
+        assert qr.internal_density == 1.0
+        assert qr.max_odf == pytest.approx(1 / 3)
+        assert qr.avg_odf == pytest.approx(1 / 3)
+        assert qr.flake_odf == 0.0  # intra 2 > 3/2 for every member
 
     def test_single_node_of_k4(self):
-        cs = community_stats(complete_graph(4), {0})
-        assert avg_degree_score(cs) == 0.0
-        assert internal_density_score(cs) == 0.0
-        assert max_odf_score(cs) == 1.0 and flake_odf_score(cs) == 1.0
+        qr = one_community(complete_graph(4), {0})
+        assert qr.avg_degree == 0.0
+        assert qr.internal_density == 0.0
+        assert qr.max_odf == 1.0 and qr.flake_odf == 1.0
 
     def test_avg_degree_complete(self):
         for n in range(2, 21):
-            cs = community_stats(complete_graph(n), set(range(n)))
-            assert avg_degree_score(cs) == n - 1
+            assert one_community(complete_graph(n), set(range(n))).avg_degree == n - 1
 
 
 class TestOverlappingModularity:

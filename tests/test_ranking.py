@@ -78,18 +78,18 @@ class TestRankDistribution:
         u = rng.random(800)
         ref = (1 - u) ** (-1 / 1.4)
         cands = {
-            "self": EmpiricalDistribution.from_values(ref),
-            "noisy": EmpiricalDistribution.from_values(ref * rng.uniform(0.5, 2.0, 800)),
-            "shifted": EmpiricalDistribution.from_values(ref + 5.0),
+            "self": EmpiricalDistribution(ref),
+            "noisy": EmpiricalDistribution(ref * rng.uniform(0.5, 2.0, 800)),
+            "shifted": EmpiricalDistribution(ref + 5.0),
         }
-        dr = rank_distribution(EmpiricalDistribution.from_values(ref), cands)
+        dr = rank_distribution(EmpiricalDistribution(ref), cands)
         assert dr.ranks["self"] == 1
         assert dr.family == dr.reference_fit.family.value
 
     def test_identical_candidates_tie(self):
         rng = np.random.default_rng(167)
         x = list(rng.exponential(1.0, 200))
-        ref = EmpiricalDistribution.from_values(x)
+        ref = EmpiricalDistribution(x)
         cands = {"a": ref, "b": ref}
         dr = rank_distribution(ref, cands)
         assert dr.ranks["a"] == dr.ranks["b"] == 1
@@ -97,12 +97,12 @@ class TestRankDistribution:
 
     def test_missing_and_unfittable_rank_last(self):
         rng = np.random.default_rng(173)
-        ref = EmpiricalDistribution.from_values(rng.exponential(1.0, 200))
+        ref = EmpiricalDistribution(rng.exponential(1.0, 200))
         cands = {
             "none": None,
             "self": ref,
-            "short": EmpiricalDistribution.from_values([1.0, 2.0, 3.0]),  # FitError
-            "shifted": EmpiricalDistribution.from_values(rng.exponential(1.0, 200) + 3.0),
+            "short": EmpiricalDistribution([1.0, 2.0, 3.0]),  # FitError
+            "shifted": EmpiricalDistribution(rng.exponential(1.0, 200) + 3.0),
         }
         dr = rank_distribution(ref, cands)
         assert dr.candidate_ks["none"] is None and dr.candidate_ks["short"] is None

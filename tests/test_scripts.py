@@ -51,10 +51,17 @@ def test_runs_from_the_parent_directory(demo_data):
     assert (demo_data.parent / "parent_results" / "report.json").exists()
 
 
-@pytest.mark.parametrize("config", ["missing.json", "bad.json"])
+@pytest.mark.parametrize("config", ["missing.json", "bad.json", "malformed.json",
+                                    "loops.json"])
 def test_bad_config_is_an_error_line(demo_data, config):
     doc = json.loads((demo_data / "config.json").read_text())
     (demo_data / "bad.json").write_text(json.dumps({**doc, "hop_mdoe": "exact"}))
+    (demo_data / "malformed.json").write_text(json.dumps(doc)[:-1])
+    # every node with a self-loop only: the covers load, and the quality
+    # metrics fail on a network left without edges
+    labels = sorted(set((demo_data / "network.txt").read_text().split()))
+    (demo_data / "loops.txt").write_text("".join(f"{u} {u}\n" for u in labels))
+    (demo_data / "loops.json").write_text(json.dumps({**doc, "network_path": "loops.txt"}))
     out = script("run_experiment.py", "--config", config, cwd=demo_data)
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
