@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 validation error, 2 computation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable
 
@@ -68,13 +70,14 @@ def cmd_fit(args) -> int:
         print(f"error: {args.samples}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     report = best_fit(data)
-    print("family,params,ks")
+    out = csv.writer(sys.stdout, lineterminator="\n")  # quotes a reason with a comma
+    out.writerow(["family", "params", "ks"])
     for fit in report.fits:
         if isinstance(fit, InapplicableFit):
-            print(f"{fit.family.value},inapplicable ({fit.reason}),")
+            out.writerow([fit.family.value, f"inapplicable ({fit.reason})", ""])
         else:
             params = ";".join(repr(p) for p in fit.params)
-            print(f"{fit.family.value},{params},{fit.ks!r}")
+            out.writerow([fit.family.value, params, repr(fit.ks)])
     print(f"# best: {report.best.family.value}", file=sys.stderr)
     return EXIT_OK
 
@@ -91,7 +94,11 @@ def cmd_clustering(args) -> int:
     g = _load_graph(args.network)
     truth = _load_cover_for(args.truth, g)
     # restricted once here, so the three metrics read the pair as is
-    cover, truth = common_universe(_load_cover_for(args.cover, g), truth)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cover, truth = common_universe(_load_cover_for(args.cover, g), truth)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     scores = {
         "NMI": onmi_max(cover, truth),
         "OI": omega_index(cover, truth),

@@ -7,7 +7,14 @@ numpy and `scipy.special`. Each entry computes what the matching scipy 1.17
 continuous distribution computes: the same functions of the standardised
 z = (x - loc) / scale, on arrays of the same layout, minus log(scale). The
 values are therefore bit-identical to scipy's, without its per-call
-argument handling, which dominated fitting on small samples."""
+argument handling, which dominated fitting on small samples.
+
+The MLEs: power law, normal, log-normal, exponential and uniform in closed
+form; the gamma shape by Newton's method on its 1-D score equation and the
+Weibull shape by a bracketed root of its profile score, each scale then in
+closed form; Cauchy, logistic and beta by a Nelder-Mead simplex search.
+Where one value holds more than half the samples the Cauchy likelihood has
+no maximum (Copas 1975), so the family is inapplicable there."""
 
 from __future__ import annotations
 
@@ -282,10 +289,63 @@ def _numeric_mle(family: Family, x: np.ndarray, init: tuple[float, float],
     return pack(res.x)
 
 
+def _gamma_mle(x: np.ndarray, mean: float) -> tuple[float, float]:
+    """The shape solves log a - digamma(a) = log(mean) - mean(log x), by
+    Newton's method from Minka's approximation ("Estimating a Gamma
+    distribution", 2002); the scale is mean / a. The left side is convex and
+    decreasing, so from the first step on the iterates rise to the root.
+    They stop when the relative step falls below 1e-14, or when the steps
+    stop shrinking: near a large root, rounding in log a - digamma(a) moves
+    the root by more than that."""
+    s = math.log(mean) - float(np.log(x).mean())
+    if not s > 0:
+        raise FitError("GM: samples too close to constant")
+    a = (3 - s + math.sqrt((s - 3) ** 2 + 24 * s)) / (12 * s)
+    last = math.inf
+    while True:
+        # above a ~ 1e8 the slope can round to 0, and the step is inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (math.log(a) - sc.digamma(a) - s) / (1 / a - sc.polygamma(1, a))
+        if not abs(step) < last:
+            return a, mean / a
+        last = abs(step)
+        a = a - step if step < a else a / 2  # the shape stays positive
+        if last <= 1e-14 * a:
+            return a, mean / a
+
+
+def _weibull_mle(x: np.ndarray) -> tuple[float, float]:
+    """The shape k is the root of the profile score
+    1/k + mean(log x) - sum(x^k log x) / sum(x^k), which falls from +inf
+    at k -> 0 to mean(log x) - max(log x) < 0 at k -> inf; the scale is
+    mean(x^k)^(1/k). Powers are taken relative to max(x), so they lie in
+    (0, 1] and cannot overflow."""
+    d = np.log(x)
+    top = float(d.max())
+    d -= top  # d <= 0, and mean(d) < 0 as the samples are not all equal
+    mean_d = float(d.mean())
+
+    def score(k):
+        w = np.exp(k * d)
+        return 1 / k + mean_d - float(w @ d) / float(w.sum())
+
+    # the weighted mean of d is at most 0, so score(k) >= 1/k + mean(d),
+    # which is -mean(d) > 0 at the first lower end; each doubling keeps
+    # score(lo) > 0 and the bracket [lo, 2 lo]
+    lo = -0.5 / mean_d
+    while score(2 * lo) > 0:
+        lo *= 2
+        if not math.isfinite(lo):
+            raise FitError("WB: no root of the shape equation")
+    k = optimize.brentq(score, lo, 2 * lo, xtol=1e-300)
+    return k, math.exp(top + math.log(float(np.exp(k * d).mean())) / k)
+
+
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
-    """MLE fit of one family. Closed forms where they exist, otherwise
-    moment-matched initialization plus simplex maximization. Raises
-    FitError when the family is inapplicable to the data's support."""
+    """MLE fit of one family. Closed forms where they exist, a 1-D equation
+    for the gamma and Weibull shapes, otherwise moment-matched
+    initialization plus simplex maximization. Raises FitError when the
+    family is inapplicable to the data or its likelihood has no maximum."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
     x = data.samples
@@ -323,16 +383,11 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     elif family is Family.GAMMA:
         if sd == 0:
             raise FitError("GM: zero variance")
-        shape0 = mean * mean / var
-        scale0 = var / mean
-        params = _numeric_mle(family, x, (shape0, scale0), (True, True))
+        params = _gamma_mle(x, mean)
     elif family is Family.WEIBULL:
         if sd == 0:
             raise FitError("WB: zero variance")
-        # log-moment initialization for the shape, mean-matched scale
-        shape0 = max(0.1, 1.2 / max(float(np.log(x).std()), 1e-6))
-        scale0 = mean
-        params = _numeric_mle(family, x, (shape0, scale0), (True, True))
+        params = _weibull_mle(x)
     elif family is Family.BETA:
         lo, hi = float(x.min()), float(x.max())
         rescale = (lo, hi)
@@ -345,6 +400,11 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         params = _numeric_mle(family, np.clip(y, 1e-15, 1 - 1e-15), (a0, b0),
                               (True, True))
     elif family is Family.CAUCHY:
+        # with k equal samples the log-likelihood holds (n - 2k) log(scale),
+        # unbounded as the scale goes to 0 when 2k > n (Copas 1975)
+        if 2 * int(data.counts.max()) > n:
+            raise FitError("CA: one value holds more than half the samples; "
+                           "the likelihood has no maximum")
         q25, q50, q75 = np.percentile(x, [25, 50, 75])
         scale0 = max((q75 - q25) / 2.0, 1e-9)
         params = _numeric_mle(family, x, (float(q50), scale0), (False, True))

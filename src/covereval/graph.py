@@ -35,10 +35,11 @@ DEFAULT_HOP_SOURCES = 1_000
 class EmpiricalDistribution:
     """Sorted multiset of finite real samples with ECDF / percentile
     queries. ``samples`` is the sorted float64 array; ``values`` holds the
-    distinct samples and ``cdf`` the right-continuous ECDF at each of them.
-    All three are built once here and are read-only."""
+    distinct samples, ``counts`` their multiplicities and ``cdf`` the
+    right-continuous ECDF at each of them. All four are built once here and
+    are read-only."""
 
-    __slots__ = ("samples", "values", "cdf")
+    __slots__ = ("samples", "values", "counts", "cdf")
 
     def __init__(self, samples: np.ndarray | Sequence[float]):
         given = np.asarray(samples, dtype=np.float64)
@@ -50,8 +51,9 @@ class EmpiricalDistribution:
         if len(bad):
             raise ValueError(f"empirical distribution needs finite samples, got {bad[0]}")
         values, counts = np.unique(x, return_counts=True)
-        self.samples, self.values, self.cdf = x, values, np.cumsum(counts) / len(x)
-        for a in (self.samples, self.values, self.cdf):
+        self.samples, self.values, self.counts = x, values, counts
+        self.cdf = np.cumsum(counts) / len(x)
+        for a in (self.samples, self.values, self.counts, self.cdf):
             a.flags.writeable = False
 
     def __eq__(self, other) -> bool:

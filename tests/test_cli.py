@@ -1,5 +1,14 @@
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import covereval
+from covereval import distfit
 from covereval.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -19,6 +28,43 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_reason_with_a_comma_stays_one_field(self, tmp_path, capsys, monkeypatch):
+        fit_mle = distfit.fit_mle
+
+        def failing_gamma(family, data):
+            if family is distfit.Family.GAMMA:
+                raise distfit.FitError("GM: optimizer failed at (1.0, 2.0)")
+            return fit_mle(family, data)
+
+        monkeypatch.setattr(distfit, "fit_mle", failing_gamma)
+        path = tmp_path / "samples.txt"
+        path.write_text("1 2 2 3 5 8 13\n")
+        assert main(["fit", "--samples", str(path)]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 11 and all(len(row) == 3 for row in rows)
+        assert rows[5] == ["GM", "inapplicable (GM: optimizer failed at (1.0, 2.0))", ""]
+
+
+class TestClusteringCommand:
+    def test_restriction_warning_is_one_line(self, tmp_path):
+        # the candidate leaves nodes 4 and 5 out, so both covers are
+        # restricted to nodes 0-3; a fresh interpreter, so Python's own
+        # warning display is what a user would see
+        (tmp_path / "net.txt").write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        (tmp_path / "truth.txt").write_text("0 1 2\n3 4 5\n")
+        (tmp_path / "cand.txt").write_text("0 1\n2 3\n")
+        src = str(Path(covereval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-m", "covereval.cli", "clustering", "--network", "net.txt",
+             "--truth", "truth.txt", "--cover", "cand.txt"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert out.returncode == EXIT_OK
+        assert out.stderr.startswith("warning: covers restricted to common universe; ")
+        assert len(out.stderr.splitlines()) == 1 and ".py:" not in out.stderr
+        assert set(json.loads(out.stdout)) == {"NMI", "OI", "F1-score"}
 
 
 class TestRankCommand:

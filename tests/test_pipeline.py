@@ -294,7 +294,7 @@ class TestSinglePass:
         # the ground truth and the three candidates
         assert len(built) == 4
 
-    def test_one_restriction_per_pair(self, workspace, tmp_path, monkeypatch):
+    def test_one_restriction_per_pair(self, workspace, tmp_path, monkeypatch, capsys):
         # a candidate that leaves nodes out is restricted with the truth to
         # their common nodes once, for all three clustering metrics: two
         # covers for the pair, in `run` and in the clustering subcommand
@@ -326,10 +326,12 @@ class TestSinglePass:
         # the ground truth, the four candidates, and the restricted pair
         assert len(built) == 5 + 2
         built.clear()
-        with pytest.warns(UserWarning, match="restricted to common universe"):
-            assert main(["clustering", "--network", str(workspace / "net.txt"),
-                         "--truth", str(workspace / "gt.txt"),
-                         "--cover", str(tmp_path / "partial.txt")]) == 0
+        capsys.readouterr()
+        assert main(["clustering", "--network", str(workspace / "net.txt"),
+                     "--truth", str(workspace / "gt.txt"),
+                     "--cover", str(tmp_path / "partial.txt")]) == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: covers restricted to common universe")
         assert len(built) == 2 + 2
 
     def test_samples_are_a_field(self, report):
