@@ -24,9 +24,9 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sc
 
+from . import optimize
 from .graph import EmpiricalDistribution
 
 MIN_SAMPLES = 5
@@ -281,9 +281,8 @@ def _numeric_mle(family: Family, x: np.ndarray, init: tuple[float, float],
         return math.inf if not math.isfinite(ll) else -ll
 
     theta0 = [math.log(v) if pos else v for v, pos in zip(init, positive)]
-    res = optimize.minimize(nll, theta0, method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-12,
-                                     "maxiter": 2000, "maxfev": 4000})
+    res = optimize.minimize(nll, theta0, xatol=1e-10, fatol=1e-12,
+                            maxiter=2000, maxfev=4000)
     if not math.isfinite(res.fun):
         raise FitError(f"{family.value}: optimizer failed at {pack(res.x)}")
     return pack(res.x)

@@ -1,16 +1,11 @@
 import math
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sc
 
-import covereval
 from covereval.distfit import (
     FAMILY_ORDER, POSITIVE_SUPPORT, Family, FitError, FittedDistribution,
     InapplicableFit, _numeric_mle, best_fit, fit_mle, ks_statistic,
@@ -377,13 +372,3 @@ class TestScipyIdentity:
             fit = fit_mle(family, data)
             assert (fit.params, fit.ks) == want, family
 
-
-def test_import_leaves_scipy_stats_out():
-    """scipy.stats costs ~0.35 s to import; the CLI must not pull it in."""
-    src = str(Path(covereval.__file__).parents[1])
-    code = "import sys, covereval.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

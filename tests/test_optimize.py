@@ -1,0 +1,146 @@
+"""The Nelder-Mead and Brent ports in `covereval.optimize` against their
+scipy originals, bit for bit, on the objectives the fits build and on a few
+plain functions; and the import that the ports keep out of the CLI."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import optimize as scipy_optimize
+
+import covereval
+from covereval import distfit, optimize
+from covereval.distfit import Family, fit_mle
+from covereval.graph import EmpiricalDistribution
+
+OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
+
+
+def fit_samples(rng):
+    """Seeded samples on which Cauchy, logistic and beta search a simplex
+    and Weibull a root; every third is rounded, so it has ties."""
+    for trial in range(24):
+        n = int(rng.integers(5, 90))
+        x = [rng.standard_cauchy(n) * 2 + 8, rng.logistic(3, 2, n),
+             rng.beta(0.7, 2, n) * 5 + 0.1][trial % 3]
+        x = np.abs(x) + 0.05
+        if trial % 3 == 2:
+            x = np.round(x) + 1
+        yield x
+
+
+def recorded_calls(monkeypatch, name):
+    """Fit every family to the seeded samples and return the (function,
+    args, kwargs) of each call the fits make to `optimize.<name>`."""
+    calls = []
+    original = getattr(optimize, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, name, record)
+        for x in fit_samples(np.random.default_rng(1009)):
+            data = EmpiricalDistribution(x)
+            for family in (Family.CAUCHY, Family.LOGISTIC, Family.BETA, Family.WEIBULL):
+                try:
+                    fit_mle(family, data)
+                except distfit.FitError:
+                    pass
+    return calls
+
+
+def assert_same_minimum(fun, x0, maxfev, maxiter=OPTIONS["maxiter"]):
+    options = {**OPTIONS, "maxiter": maxiter, "maxfev": maxfev}
+    want = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+    got = optimize.minimize(fun, x0, **options)
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun or (math.isnan(got.fun) and math.isnan(want.fun))
+    assert (got.nfev, got.success) == (want.nfev, want.success)
+    return got
+
+
+@pytest.mark.parametrize("maxfev", [7, 50, 4000])
+def test_minimize_equals_scipy_on_the_fit_objectives(monkeypatch, maxfev):
+    calls = recorded_calls(monkeypatch, "minimize")
+    assert len(calls) >= 40
+    capped = 0
+    for (fun, x0), _ in calls:
+        capped += not assert_same_minimum(fun, x0, maxfev).success
+    # 7 evaluations stop every search; 4 000 let every one converge
+    if maxfev == 7:
+        assert capped == len(calls)
+    if maxfev == 4000:
+        assert capped == 0
+
+
+def test_minimize_equals_scipy_at_the_iteration_cap(monkeypatch):
+    calls = recorded_calls(monkeypatch, "minimize")
+    for (fun, x0), _ in calls[::4]:
+        assert not assert_same_minimum(fun, x0, 4000, maxiter=25).success
+
+
+@pytest.mark.parametrize("maxfev", [7, 50, 4000])
+def test_minimize_equals_scipy_where_the_objective_is_inf(maxfev):
+    def walled(t):
+        return math.inf if t[0] < 0.3 else (t[0] - 1) ** 2 + (t[1] + 2) ** 2
+
+    # where every vertex is inf, inf - inf is NaN in the convergence test
+    with np.errstate(invalid="ignore"):
+        for x0 in ([0.0, 0.0], [0.31, 5.0], [2.0, 0.0], [0.0, 1.0]):
+            assert_same_minimum(walled, x0, maxfev)
+        got = assert_same_minimum(lambda t: math.inf, [1.0, 2.0], maxfev)
+    assert not got.success and got.nfev == maxfev
+
+
+def test_brentq_equals_scipy_on_the_weibull_score(monkeypatch):
+    calls = recorded_calls(monkeypatch, "brentq")
+    assert len(calls) >= 20
+    for (f, a, b), kwargs in calls:
+        assert optimize.brentq(f, a, b, **kwargs) == scipy_optimize.brentq(f, a, b, **kwargs)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (math.cos, 0.0, 3.0),
+    (lambda t: t ** 3 - 2 * t - 5, 2.0, 3.0),
+    (lambda t: math.exp(t) - 10, -5.0, 5.0),
+    (lambda t: t - 1e-3, 0.0, 1.0),
+    (lambda t: math.atan(t - 0.7), 5.0, -3.0),
+])
+@pytest.mark.parametrize("xtol", [1e-300, 2e-12, 1e-3])
+def test_brentq_equals_scipy_on_smooth_functions(f, a, b, xtol):
+    assert optimize.brentq(f, a, b, xtol) == scipy_optimize.brentq(f, a, b, xtol=xtol)
+
+
+def test_brentq_raises_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        optimize.brentq(lambda t: t * t + 1, -1.0, 1.0, 1e-12)
+    assert optimize.brentq(lambda t: t - 2, 2.0, 3.0, 1e-12) == 2.0  # a root at an end
+
+
+def test_cli_imports_neither_scipy_optimize_nor_stats(tmp_path):
+    """Together they cost ~0.1-0.16 s and ~0.35 s to import: the CLI pulls
+    in neither, before or after `covereval fit` has fitted all ten
+    families."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0.42 0.57 0.61 0.83 0.9 1.07 1.18 1.3 1.46 1.52 1.77 2.6 9.1\n")
+    code = (
+        "import sys, covereval.cli\n"
+        "heavy = ('scipy.optimize', 'scipy.stats')\n"
+        "print(*[m for m in heavy if m in sys.modules])\n"
+        "assert covereval.cli.main(['fit', '--samples', sys.argv[1]]) == 0\n"
+        "print(*[m for m in heavy if m in sys.modules])\n")
+    src = str(Path(covereval.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(samples)], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == ""
+    assert "inapplicable" not in out.stdout and len(lines) == 1 + 1 + 10 + 1
+    assert lines[-1] == ""
