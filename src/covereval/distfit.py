@@ -400,9 +400,10 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
                               (True, True))
     elif family is Family.CAUCHY:
         # with k equal samples the log-likelihood holds (n - 2k) log(scale),
-        # unbounded as the scale goes to 0 when 2k > n (Copas 1975)
-        if 2 * int(data.counts.max()) > n:
-            raise FitError("CA: one value holds more than half the samples; "
+        # unbounded as the scale goes to 0 when 2k > n (Copas 1975); at
+        # 2k = n it is bounded, but only approached as the scale goes to 0
+        if 2 * int(data.counts.max()) >= n:
+            raise FitError("CA: one value holds at least half the samples; "
                            "the likelihood has no maximum")
         q25, q50, q75 = np.percentile(x, [25, 50, 75])
         scale0 = max((q75 - q25) / 2.0, 1e-9)
