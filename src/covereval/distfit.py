@@ -12,9 +12,12 @@ argument handling, which dominated fitting on small samples.
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
 form; the gamma shape by Newton's method on its 1-D score equation and the
 Weibull shape by a bracketed root of its profile score, each scale then in
-closed form; Cauchy, logistic and beta by a Nelder-Mead simplex search.
-Where one value holds more than half the samples the Cauchy likelihood has
-no maximum (Copas 1975), so the family is inapplicable there."""
+closed form; Cauchy, logistic and beta by a Nelder-Mead simplex search. The
+root finder and the simplex are covereval's own exact ports of scipy's
+(`optimize`), so fitting imports nothing of scipy but `scipy.special`.
+Where one value holds at least half the samples the Cauchy likelihood has
+no maximum (Copas 1975; at exactly half it is bounded but only approached
+as the scale goes to 0), so the family is inapplicable there."""
 
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """The two numerical routines the fits use, ported from scipy 1.17.1 so that
-importing covereval does not import `scipy.optimize` (0.1-0.16 s).
+importing covereval does not import `scipy.optimize`, which takes 0.1-0.16 s
+on a 2-vCPU x86-64 machine.
 
 `minimize` is the Nelder-Mead simplex (Nelder & Mead 1965) of
 `scipy.optimize.minimize(method="Nelder-Mead")` without bounds, adaptive
@@ -65,8 +66,8 @@ def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
             fsim[k] = f(sim[k])
     except _Capped:
         pass
-    # argsort is stable only below 17 elements, so a second reorder of sorted
-    # values can still move ties; scipy reorders twice here
+    # argsort is not a stable sort, so a second reorder of sorted values can
+    # still move ties; scipy reorders twice here
     sim, fsim = _reorder(sim, fsim)
     sim, fsim = _reorder(sim, fsim)
 
@@ -74,7 +75,7 @@ def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
     while nfev < maxfev and iterations < maxiter:
         try:
             # np.max propagates NaN, which compares false: no convergence
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol and
                     np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
