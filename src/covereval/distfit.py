@@ -2,27 +2,31 @@
 Kolmogorov-Smirnov goodness-of-fit selection.
 
 Power law and uniform are written out in FittedDistribution. The other
-eight families' log-densities and CDFs come from one table (`_FORMS`) in
-numpy and `scipy.special`. Each entry computes what the matching scipy 1.17
+eight families' CDFs come from one table (`_FORMS`) in numpy and
+`scipy.special`. Each entry computes what the matching scipy 1.17
 continuous distribution computes: the same functions of the standardised
-z = (x - loc) / scale, on arrays of the same layout, minus log(scale). The
-values are therefore bit-identical to scipy's, without its per-call
-argument handling, which dominated fitting on small samples.
+z = (x - loc) / scale, on arrays of the same layout. The values are
+therefore bit-identical to scipy's, without its per-call argument handling.
 
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
 form; the gamma shape by Newton's method on its 1-D score equation and the
 Weibull shape by a bracketed root of its profile score, each scale then in
-closed form; Cauchy, logistic and beta by a Nelder-Mead simplex search. The
-root finder and the simplex are covereval's own exact ports of scipy's
-(`optimize`), so fitting imports nothing of scipy but `scipy.special`.
-Where one value holds at least half the samples the Cauchy likelihood has
-no maximum (Copas 1975; at exactly half it is bounded but only approached
-as the scale goes to 0), so the family is inapplicable there."""
+closed form; logistic and beta by Newton's method on their two score
+equations, in coordinates where the log-likelihood is concave; Cauchy by a
+Nelder-Mead simplex search. The root finder and the simplex are covereval's
+own exact ports of scipy's (`optimize`), so fitting imports nothing of
+scipy but `scipy.special`. Every iterative fit reads the samples as their
+distinct values and counts, so one evaluation of a likelihood or score
+costs O(distinct values), not O(samples). Where one value holds at least
+half the samples the Cauchy likelihood has no maximum (Copas 1975; at
+exactly half it is bounded but only approached as the scale goes to 0), so
+the family is inapplicable there."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -66,10 +70,8 @@ POSITIVE_SUPPORT = {
     Family.WEIBULL, Family.EXPONENTIAL,
 }
 
-# scipy's constants, in the precision scipy computes them
+# scipy's constant, in the precision scipy computes it
 _LOG_PI = 1.1447298858494002
-_SQRT_2PI = np.sqrt(2 * np.pi)
-_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 def _cauchy_logpdf(z):
@@ -83,27 +85,14 @@ def _cauchy_logpdf(z):
     return out
 
 
-def _logistic_logpdf(z):
-    y = -np.abs(z)
-    return y - 2. * sc.log1p(np.exp(y))
-
-
-def _beta_logpdf(z, a, b):
-    lpx = sc.xlog1py(b - 1.0, -z) + sc.xlogy(a - 1.0, z)
-    lpx -= sc.betaln(a[:1], b[:1])  # constant; scipy repeats it per element
-    return lpx
-
-
 class _Form(NamedTuple):
     """A family in scipy's standard form. `standard` maps the fitted
-    params to (loc, scale, shapes); `logpdf` and `cdf` take z and the shapes
-    inside the support [lower, upper]."""
+    params to (loc, scale, shapes); `cdf` takes z and the shapes inside the
+    support [lower, upper]."""
     standard: Callable[[tuple[float, ...]], tuple[float, float, tuple[float, ...]]]
-    logpdf: Callable[..., np.ndarray]
     cdf: Callable[..., np.ndarray]
     lower: float = -math.inf
     upper: float = math.inf
-    open_density: bool = False  # the density's support excludes its ends
 
 
 def _loc_scale(p):
@@ -116,26 +105,18 @@ def _shape_scale(p):
 
 _FORMS: dict[Family, _Form] = {
     Family.BETA: _Form(
-        lambda p: (0.0, 1.0, p), _beta_logpdf,
-        lambda z, a, b: sc.betainc(a, b, z), 0.0, 1.0),
-    Family.CAUCHY: _Form(
-        _loc_scale, _cauchy_logpdf, lambda z: np.arctan2(1, -z) / np.pi),
+        lambda p: (0.0, 1.0, p), lambda z, a, b: sc.betainc(a, b, z), 0.0, 1.0),
+    Family.CAUCHY: _Form(_loc_scale, lambda z: np.arctan2(1, -z) / np.pi),
     Family.EXPONENTIAL: _Form(
-        lambda p: (0.0, 1.0 / p[0], ()), lambda z: -z,
-        lambda z: -sc.expm1(-z), 0.0),
-    Family.GAMMA: _Form(
-        _shape_scale, lambda z, a: sc.xlogy(a - 1.0, z) - z - sc.gammaln(a[:1]),
-        lambda z, a: sc.gammainc(a, z), 0.0),
-    Family.LOGISTIC: _Form(_loc_scale, _logistic_logpdf, sc.expit),
+        lambda p: (0.0, 1.0 / p[0], ()), lambda z: -sc.expm1(-z), 0.0),
+    Family.GAMMA: _Form(_shape_scale, lambda z, a: sc.gammainc(a, z), 0.0),
+    Family.LOGISTIC: _Form(_loc_scale, sc.expit),
     Family.LOG_NORMAL: _Form(
         lambda p: (0.0, math.exp(p[0]), (p[1],)),
-        lambda z, s: -np.log(z) ** 2 / (2 * s ** 2) - np.log(s * z * _SQRT_2PI),
-        lambda z, s: sc.ndtr(np.log(z) / s), 0.0, open_density=True),
-    Family.NORMAL: _Form(
-        _loc_scale, lambda z: -z ** 2 / 2.0 - _LOG_SQRT_2PI, sc.ndtr),
+        lambda z, s: sc.ndtr(np.log(z) / s), 0.0),
+    Family.NORMAL: _Form(_loc_scale, sc.ndtr),
     Family.WEIBULL: _Form(
-        _shape_scale, lambda z, c: np.log(c) + sc.xlogy(c - 1, z) - pow(z, c),
-        lambda z, c: -sc.expm1(-pow(z, c)), 0.0),
+        _shape_scale, lambda z, c: -sc.expm1(-pow(z, c)), 0.0),
 }
 
 
@@ -145,7 +126,7 @@ def _standardise(family: Family, x: np.ndarray, params: tuple[float, ...]):
         raise FitError(f"unknown family {family}")
     loc, scale, shapes = form.standard(params)
     valid = scale > 0 and all(s > 0 for s in shapes)
-    return form, (x - loc) / scale, scale, shapes, valid
+    return form, (x - loc) / scale, shapes, valid
 
 
 def _reduce(z: np.ndarray, inside: np.ndarray, params: tuple[float, ...]):
@@ -161,28 +142,8 @@ def _reduce(z: np.ndarray, inside: np.ndarray, params: tuple[float, ...]):
     return z[inside], [np.array([p]) for p in params]
 
 
-def _logpdf(family: Family, x: np.ndarray, params: tuple[float, ...]) -> np.ndarray:
-    """Elementwise log-density: NaN for invalid parameters or samples,
-    -inf outside the support."""
-    form, z, scale, shapes, valid = _standardise(family, x, params)
-    if not valid:
-        return np.full(z.shape, np.nan)
-    if form.open_density:
-        inside = (form.lower < z) & (z < form.upper)
-    else:
-        inside = (form.lower <= z) & (z <= form.upper)
-    zin, (*args, scales) = _reduce(z, inside, shapes + (scale,))
-    values = form.logpdf(zin, *args) - np.log(scales)
-    if zin is z:
-        return values
-    out = np.full(z.shape, -np.inf)
-    out[np.isnan(z)] = np.nan
-    out[inside] = values
-    return out
-
-
 def _cdf(family: Family, x: np.ndarray, params: tuple[float, ...]) -> np.ndarray:
-    form, z, _, shapes, valid = _standardise(family, x, params)
+    form, z, shapes, valid = _standardise(family, x, params)
     if not valid:
         return np.full(z.shape, np.nan)
     out = np.zeros(z.shape)
@@ -192,6 +153,15 @@ def _cdf(family: Family, x: np.ndarray, params: tuple[float, ...]) -> np.ndarray
     zin, args = _reduce(z, inside, shapes)
     out[inside] = form.cdf(zin, *args)
     return out
+
+
+class SolverWork(NamedTuple):
+    """What an iterative fit did: its solver's iterations, its evaluations
+    of the objective or score, and whether it stopped at an iteration or
+    evaluation cap instead of converging. A closed form does none."""
+    iterations: int = 0
+    evaluations: int = 0
+    capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,6 +174,8 @@ class FittedDistribution:
     # Beta fits are performed on data rescaled to (0, 1); the transform is
     # carried so the CDF applies to raw values.
     rescale: tuple[float, float] | None = None  # (min, max) of the raw data
+    # how hard the fit's solver worked: not part of the fit, never emitted
+    work: SolverWork = field(default=SolverWork(), compare=False, repr=False)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -223,26 +195,6 @@ class FittedDistribution:
                 return (x >= lo).astype(float)
             return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         return _cdf(f, x, p)
-
-    def log_likelihood(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        f = self.family
-        p = self.params
-        if f is Family.POWER_LAW:
-            alpha, xmin = p
-            return float(np.sum(np.log((alpha - 1) / xmin) - alpha * np.log(x / xmin)))
-        if f is Family.BETA:
-            lo, hi = self.rescale
-            span = hi - lo + 2 * BETA_EPS
-            y = (x - lo + BETA_EPS) / span
-            return float(np.sum(_logpdf(f, y, p) - math.log(span)))
-        if f is Family.UNIFORM:
-            lo, hi = p
-            if hi == lo:
-                return math.inf if np.all(x == lo) else -math.inf
-            inside = np.all((x >= lo) & (x <= hi))
-            return -len(x) * math.log(hi - lo) if inside else -math.inf
-        return float(np.sum(_logpdf(f, x, p)))
 
 
 @dataclass(frozen=True)
@@ -270,17 +222,18 @@ def _check_support(family: Family, x: np.ndarray) -> str | None:
     return None
 
 
-def _numeric_mle(family: Family, x: np.ndarray, init: tuple[float, float],
-                 positive: tuple[bool, bool]) -> tuple[float, ...]:
-    """Maximize the summed log-density of `x` with a derivative-free
-    simplex search; positivity-constrained parameters are optimized in log
+def _numeric_mle(family: Family, log_likelihood: Callable[[tuple[float, ...]], float],
+                 init: tuple[float, float], positive: tuple[bool, bool]
+                 ) -> tuple[tuple[float, ...], SolverWork]:
+    """Maximize `log_likelihood(params)` with a derivative-free simplex
+    search; positivity-constrained parameters are optimized in log
     space."""
 
     def pack(theta):
         return tuple(math.exp(t) if pos else t for t, pos in zip(theta, positive))
 
     def nll(theta):
-        ll = float(_logpdf(family, x, pack(theta)).sum())
+        ll = log_likelihood(pack(theta))
         return math.inf if not math.isfinite(ll) else -ll
 
     theta0 = [math.log(v) if pos else v for v, pos in zip(init, positive)]
@@ -288,10 +241,99 @@ def _numeric_mle(family: Family, x: np.ndarray, init: tuple[float, float],
                             maxiter=2000, maxfev=4000)
     if not math.isfinite(res.fun):
         raise FitError(f"{family.value}: optimizer failed at {pack(res.x)}")
-    return pack(res.x)
+    return pack(res.x), SolverWork(res.nit, res.nfev, not res.success)
 
 
-def _gamma_mle(x: np.ndarray, mean: float) -> tuple[float, float]:
+def _newton(evaluate, theta: tuple[float, float], maxiter: int = 100
+            ) -> tuple[tuple[float, float], SolverWork]:
+    """Maximize a strictly concave function of two parameters by Newton's
+    method from `theta`. `evaluate(theta)` returns the value, the gradient
+    (g0, g1) and the Hessian (h00, h01, h11) there, or None outside the
+    domain. A step is halved until it ends in the domain and raises the
+    value, or keeps it within rounding while the gradient shrinks: near the
+    maximum the rise falls below the value's rounding well before the
+    gradient falls to its own. The iterates stop when the Newton decrement
+    g'(-H)^-1 g, twice the rise a step predicts, is below 1e-30, or stops
+    falling once below 1e-12 (the gradient is down to rounding), or when no
+    halved step is accepted."""
+    value, grad, hess = evaluate(theta)
+    evaluations, last = 1, math.inf
+    for iteration in range(maxiter):
+        (g0, g1), (h00, h01, h11) = grad, hess
+        det = h00 * h11 - h01 * h01
+        s0, s1 = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+        decrement = g0 * s0 + g1 * s1
+        if not decrement > 1e-30 or last <= decrement < 1e-12:
+            return theta, SolverWork(iteration, evaluations)
+        last, norm, t = decrement, g0 * g0 + g1 * g1, 1.0
+        for _ in range(60):
+            trial = (theta[0] + t * s0, theta[1] + t * s1)
+            point = evaluate(trial)
+            evaluations += 1
+            if point is not None and (point[0] > value or (
+                    point[0] >= value - 1e-12 * (1 + abs(value))
+                    and point[1][0] ** 2 + point[1][1] ** 2 < norm)):
+                break
+            t /= 2
+        else:
+            return theta, SolverWork(iteration, evaluations)
+        theta, (value, grad, hess) = trial, point
+    return theta, SolverWork(maxiter, evaluations, capped=True)
+
+
+def _logistic_mle(data: EmpiricalDistribution, mean: float, sd: float
+                  ) -> tuple[tuple[float, float], SolverWork]:
+    """Newton's method on the two score equations in Pratt's coordinates
+    alpha = 1/scale, beta = loc/scale, where the mean log-likelihood
+    log(alpha) + mean g(alpha x - beta), g the standard logistic
+    log-density, is concave (Pratt 1981, JASA 76:103). The samples are
+    standardised first, u = (x - mean) / sd, so the moment start
+    loc = mean, scale = sd sqrt(3) / pi is alpha = pi / sqrt(3), beta = 0."""
+    u = (data.values - mean) / sd
+    w = data.counts / data.n
+
+    def evaluate(theta):
+        alpha, beta = theta
+        if not alpha > 0:
+            return None
+        z = alpha * u - beta
+        e = np.exp(-np.abs(z))
+        d1 = w * np.sign(z) * (1 - e) / (1 + e)  # w times -g'(z) = tanh(z / 2)
+        d2 = w * 2 * e / (1 + e) ** 2  # w times -g''(z)
+        value = math.log(alpha) - float(w @ (np.abs(z) + 2 * np.log1p(e)))
+        return (value, (1 / alpha - float(d1 @ u), float(d1.sum())),
+                (-1 / alpha ** 2 - float(d2 @ (u * u)), float(d2 @ u),
+                 -float(d2.sum())))
+
+    (alpha, beta), work = _newton(evaluate, (math.pi / math.sqrt(3), 0.0))
+    return (mean + sd * beta / alpha, sd / alpha), work
+
+
+def _beta_mle(y: np.ndarray, counts: np.ndarray, init: tuple[float, float]
+              ) -> tuple[tuple[float, float], SolverWork]:
+    """Newton's method on the two score equations in the shapes (a, b),
+    where the mean log-likelihood (a - 1) mean(log y) + (b - 1)
+    mean(log(1 - y)) - log B(a, b) is concave, since beta is an exponential
+    family (Minka, "Estimating a Dirichlet distribution", 2000). The samples
+    enter only through those two means."""
+    n = float(counts.sum())
+    s1, s2 = float(counts @ np.log(y)) / n, float(counts @ np.log1p(-y)) / n
+
+    def evaluate(theta):
+        a, b = theta
+        if not (a > 0 and b > 0):
+            return None
+        psi_a, psi_b, psi_ab = sc.digamma((a, b, a + b))
+        tri_a, tri_b, tri_ab = sc.polygamma(1, (a, b, a + b))
+        value = (a - 1) * s1 + (b - 1) * s2 - float(sc.betaln(a, b))
+        return (value, (s1 - psi_a + psi_ab, s2 - psi_b + psi_ab),
+                (tri_ab - tri_a, tri_ab, tri_ab - tri_b))
+
+    return _newton(evaluate, init)
+
+
+def _gamma_mle(data: EmpiricalDistribution, mean: float
+               ) -> tuple[tuple[float, float], SolverWork]:
     """The shape solves log a - digamma(a) = log(mean) - mean(log x), by
     Newton's method from Minka's approximation ("Estimating a Gamma
     distribution", 2002); the scale is mean / a. The left side is convex and
@@ -299,37 +341,42 @@ def _gamma_mle(x: np.ndarray, mean: float) -> tuple[float, float]:
     They stop when the relative step falls below 1e-14, or when the steps
     stop shrinking: near a large root, rounding in log a - digamma(a) moves
     the root by more than that."""
-    s = math.log(mean) - float(np.log(x).mean())
+    s = math.log(mean) - float(data.counts @ np.log(data.values)) / data.n
     if not s > 0:
         raise FitError("GM: samples too close to constant")
     a = (3 - s + math.sqrt((s - 3) ** 2 + 24 * s)) / (12 * s)
     last = math.inf
-    while True:
+    for evaluations in itertools.count(1):
         # above a ~ 1e8 the slope can round to 0, and the step is inf or nan
         with np.errstate(divide="ignore", invalid="ignore"):
             step = (math.log(a) - sc.digamma(a) - s) / (1 / a - sc.polygamma(1, a))
         if not abs(step) < last:
-            return a, mean / a
+            return (a, mean / a), SolverWork(evaluations - 1, evaluations)
         last = abs(step)
         a = a - step if step < a else a / 2  # the shape stays positive
         if last <= 1e-14 * a:
-            return a, mean / a
+            return (a, mean / a), SolverWork(evaluations, evaluations)
 
 
-def _weibull_mle(x: np.ndarray) -> tuple[float, float]:
+def _weibull_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], SolverWork]:
     """The shape k is the root of the profile score
     1/k + mean(log x) - sum(x^k log x) / sum(x^k), which falls from +inf
     at k -> 0 to mean(log x) - max(log x) < 0 at k -> inf; the scale is
     mean(x^k)^(1/k). Powers are taken relative to max(x), so they lie in
     (0, 1] and cannot overflow."""
-    d = np.log(x)
+    d = np.log(data.values)
     top = float(d.max())
     d -= top  # d <= 0, and mean(d) < 0 as the samples are not all equal
-    mean_d = float(d.mean())
+    counts = data.counts.astype(float)
+    counted = counts * d
+    mean_d = float(counted.sum()) / data.n
+    evaluations = 0
 
     def score(k):
+        nonlocal evaluations
+        evaluations += 1
         w = np.exp(k * d)
-        return 1 / k + mean_d - float(w @ d) / float(w.sum())
+        return 1 / k + mean_d - float(w @ counted) / float(w @ counts)
 
     # the weighted mean of d is at most 0, so score(k) >= 1/k + mean(d),
     # which is -mean(d) > 0 at the first lower end; each doubling keeps
@@ -339,15 +386,20 @@ def _weibull_mle(x: np.ndarray) -> tuple[float, float]:
         lo *= 2
         if not math.isfinite(lo):
             raise FitError("WB: no root of the shape equation")
+    bracketing = evaluations
     k = optimize.brentq(score, lo, 2 * lo, xtol=1e-300)
-    return k, math.exp(top + math.log(float(np.exp(k * d).mean())) / k)
+    # brentq evaluates both ends of the bracket, then once per iteration
+    work = SolverWork(evaluations - bracketing - 2, evaluations)
+    return (k, math.exp(top + math.log(float(np.exp(k * d) @ counts) / data.n) / k)), work
 
 
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     """MLE fit of one family. Closed forms where they exist, a 1-D equation
-    for the gamma and Weibull shapes, otherwise moment-matched
-    initialization plus simplex maximization. Raises FitError when the
-    family is inapplicable to the data or its likelihood has no maximum."""
+    for the gamma and Weibull shapes, Newton's method on the two score
+    equations for logistic and beta, and a simplex search for Cauchy, the
+    iterative fits from moment-matched or quantile starts. Raises FitError
+    when the family is inapplicable to the data or its likelihood has no
+    maximum."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
     x = data.samples
@@ -361,6 +413,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     sd = math.sqrt(var)
     rescale = None
     degenerate = False
+    work = SolverWork()
 
     if family is Family.POWER_LAW:
         xmin = float(x.min())
@@ -385,22 +438,23 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     elif family is Family.GAMMA:
         if sd == 0:
             raise FitError("GM: zero variance")
-        params = _gamma_mle(x, mean)
+        params, work = _gamma_mle(data, mean)
     elif family is Family.WEIBULL:
         if sd == 0:
             raise FitError("WB: zero variance")
-        params = _weibull_mle(x)
+        params, work = _weibull_mle(data)
     elif family is Family.BETA:
         lo, hi = float(x.min()), float(x.max())
         rescale = (lo, hi)
-        y = (x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
-        m, v = float(y.mean()), max(float(y.var()), 1e-12)
+        y = (data.values - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
+        w = data.counts / n
+        m = float(w @ y)
+        v = max(float(w @ (y - m) ** 2), 1e-12)
         common = max(m * (1 - m) / v - 1, 1e-3)
         a0, b0 = max(m * common, 1e-3), max((1 - m) * common, 1e-3)
-        # the objective keeps y off {0, 1}, where the log-density diverges,
+        # the likelihood keeps y off {0, 1}, where the log-density diverges,
         # and leaves out the rescaling's constant -n log(span)
-        params = _numeric_mle(family, np.clip(y, 1e-15, 1 - 1e-15), (a0, b0),
-                              (True, True))
+        params, work = _beta_mle(np.clip(y, 1e-15, 1 - 1e-15), data.counts, (a0, b0))
     elif family is Family.CAUCHY:
         # with k equal samples the log-likelihood holds (n - 2k) log(scale),
         # unbounded as the scale goes to 0 when 2k > n (Copas 1975); at
@@ -410,12 +464,18 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
                            "the likelihood has no maximum")
         q25, q50, q75 = np.percentile(x, [25, 50, 75])
         scale0 = max((q75 - q25) / 2.0, 1e-9)
-        params = _numeric_mle(family, x, (float(q50), scale0), (False, True))
+        values, counts = data.values, data.counts
+
+        def log_likelihood(p):
+            z = (values - p[0]) / p[1]
+            return float(counts @ _cauchy_logpdf(z) - n * np.log(p[1]))
+
+        params, work = _numeric_mle(family, log_likelihood, (float(q50), scale0),
+                                    (False, True))
     elif family is Family.LOGISTIC:
         if sd == 0:
             raise FitError("LO: zero variance")
-        params = _numeric_mle(family, x, (mean, sd * math.sqrt(3) / math.pi),
-                              (False, True))
+        params, work = _logistic_mle(data, mean, sd)
     else:
         raise FitError(f"unknown family {family}")
 
@@ -424,7 +484,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
                              degenerate=degenerate, rescale=rescale)
     ks = ks_statistic(fit, data)
     return FittedDistribution(family=family, params=params, ks=ks, n=n,
-                              degenerate=degenerate, rescale=rescale)
+                              degenerate=degenerate, rescale=rescale, work=work)
 
 
 def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:

@@ -22,6 +22,7 @@ class Minimum(NamedTuple):
     x: np.ndarray
     fun: float
     nfev: int
+    nit: int  # iterations, counted from 1 as scipy counts them
     success: bool  # False when the evaluation or iteration cap stopped it
 
 
@@ -114,7 +115,7 @@ def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
             pass
         sim, fsim = _reorder(sim, fsim)
 
-    return Minimum(sim[0], np.min(fsim), nfev,
+    return Minimum(sim[0], np.min(fsim), nfev, iterations,
                    nfev < maxfev and iterations < maxiter)
 
 

@@ -1,14 +1,18 @@
+import dataclasses
+import functools
 import math
 import random
 import re
 
 import numpy as np
 import pytest
-from scipy import special as sc
+from scipy import optimize, special as sc, stats
 
+from covereval import distfit
 from covereval.distfit import (
-    FAMILY_ORDER, POSITIVE_SUPPORT, Family, FitError, FittedDistribution,
-    InapplicableFit, _numeric_mle, best_fit, fit_mle, ks_statistic,
+    BETA_EPS, FAMILY_ORDER, POSITIVE_SUPPORT, Family, FitError,
+    FittedDistribution, InapplicableFit, SolverWork, _cauchy_logpdf,
+    _numeric_mle, best_fit, fit_mle, ks_statistic,
 )
 from covereval.graph import EmpiricalDistribution
 
@@ -19,35 +23,42 @@ def dist(values):
     return EmpiricalDistribution(values)
 
 
+def log_likelihood(fit, x):
+    """The fit's log-likelihood of the samples x, summed per sample with
+    scipy.stats."""
+    return scipy_log_likelihood(fit.family.value, fit.params, x, fit.rescale)
+
+
 # Two fixed samples and every family's fitted params and KS on them
-# (scipy 1.17.1, numpy 2.4.6). The simplex families are as fit_mle gave them
-# when it evaluated the families with scipy.stats; gamma and Weibull are the
-# roots of their shape equations. In TIES one value holds more than half the
-# samples: the Cauchy likelihood has no maximum there, so the family is
-# inapplicable and its entry is the reason.
+# (scipy 1.17.1, numpy 2.4.6): gamma and Weibull are the roots of their
+# shape equations, logistic and beta the Newton solutions of their score
+# equations, Cauchy the simplex search's result, each summed over the
+# distinct values. In TIES one value holds more than half the samples: the
+# Cauchy likelihood has no maximum there, so the family is inapplicable and
+# its entry is the reason.
 TIES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 7]
 REAL = [0.42, 0.57, 0.61, 0.83, 0.9, 1.07, 1.18, 1.3, 1.46, 1.52, 1.77, 1.9,
         2.14, 2.38, 2.6, 2.95, 3.3, 3.71, 4.4, 5.25, 6.8, 9.1]
 RECORDED = {
     "TIES": {
         "PL": ((3.1695954208616266, 1.0), 0.6),
-        "BE": ((0.05629865917195645, 0.18909452003411567), 0.37981494877294264),
+        "BE": ((0.05629865823505194, 0.18909451712483122), 0.3798149441622758),
         "CA": "CA: one value holds at least half the samples; the likelihood has no maximum",
         "E": ((0.5,), 0.3934693402873666),
         "GM": ((2.305932243581429, 0.8673281730488861), 0.3618586345855218),
-        "LO": ((1.6776733541239586, 0.7943233628939302), 0.3012265535346454),
+        "LO": ((1.6776733465511842, 0.7943233706390093), 0.30122654979446),
         "LN": ((0.460915427081268, 0.6286917011858486), 0.36826172782725897),
         "N": ((2.0, 1.61245154965971), 0.33242827380112466),
         "U": ((1.0, 7.0), 0.6),
-        "WB": ((1.4212726004155396, 2.228780094272396), 0.3260679045995616),
+        "WB": ((1.42127260041554, 2.2287800942723965), 0.32606790459956175),
     },
     "REAL": {
         "PL": ((1.6705245997844758, 0.42), 0.23856054212483527),
-        "BE": ((0.2488118857959532, 0.3737609784816639), 0.27630878497834377),
-        "CA": ((1.6103439528363939, 0.8500952685904049), 0.19740490842501252),
+        "BE": ((0.24881188928462444, 0.37376098374111766), 0.2763087845418426),
+        "CA": ((1.6103439510458883, 0.8500952677942136), 0.19740490851046108),
         "E": ((0.39173789173789175,), 0.154663083477864),
         "GM": ((1.7440533052205045, 1.463675029361861), 0.09754482712371887),
-        "LO": ((2.19574427752175, 1.0926173550512845), 0.1644861379385239),
+        "LO": ((2.195744263130585, 1.0926173624796713), 0.16448614126718247),
         "LN": ((0.6238690260751718, 0.7979385524004876), 0.0559988689324849),
         "N": ((2.5527272727272727, 2.1400556106159776), 0.17300646873148562),
         "U": ((0.42, 9.1), 0.4409300377042312),
@@ -124,14 +135,14 @@ class TestFitMle:
         for family in (Family.GAMMA, Family.WEIBULL, Family.CAUCHY,
                        Family.LOGISTIC):
             fit = fit_mle(family, dist(x))
-            ll = fit.log_likelihood(xs)
+            ll = log_likelihood(fit, xs)
             for i in range(len(fit.params)):
                 for eps in (0.99, 1.01):
                     p = list(fit.params)
                     p[i] *= eps
                     alt = FittedDistribution(family, tuple(p), ks=0.0,
                                              n=fit.n, rescale=fit.rescale)
-                    assert alt.log_likelihood(xs) <= ll + 1e-6
+                    assert log_likelihood(alt, xs) <= ll + 1e-6
 
     def test_closed_forms_beat_moment_matching(self):
         rng = np.random.default_rng(127)
@@ -144,7 +155,7 @@ class TestFitMle:
         mm = FittedDistribution(Family.LOG_NORMAL,
                                 (math.log(m) - sigma2 / 2, math.sqrt(sigma2)),
                                 ks=0.0, n=len(xs))
-        assert fit.log_likelihood(xs) >= mm.log_likelihood(xs) - 1e-9
+        assert log_likelihood(fit, xs) >= log_likelihood(mm, xs) - 1e-9
 
 
 def positive_samples(rng):
@@ -192,10 +203,12 @@ class TestShapeEquations:
                 Family.WEIBULL: (max(0.1, 1.2 / max(float(np.log(x).std()), 1e-6)), mean),
             }
             for family, init in inits.items():
-                searched = FittedDistribution(
-                    family, _numeric_mle(family, xs, init, (True, True)), ks=0.0, n=len(x))
-                ll = fit_mle(family, data).log_likelihood(xs)
-                assert ll >= searched.log_likelihood(xs) - 1e-9, family
+                params, _ = _numeric_mle(
+                    family, functools.partial(scipy_log_likelihood, family.value, x=xs),
+                    init, (True, True))
+                searched = FittedDistribution(family, params, ks=0.0, n=len(x))
+                ll = log_likelihood(fit_mle(family, data), xs)
+                assert ll >= log_likelihood(searched, xs) - 1e-9, family
 
     def test_gamma_inapplicable_on_samples_equal_up_to_rounding(self):
         # log(mean) - mean(log x) rounds to 0 or below, where the shape
@@ -210,7 +223,7 @@ class TestShapeEquations:
                   np.array([1e-6] * 20 + [1e6])):
             fit = fit_mle(Family.WEIBULL, dist(x))
             assert all(math.isfinite(p) and p > 0 for p in fit.params)
-            assert math.isfinite(fit.log_likelihood(np.sort(x)))
+            assert math.isfinite(log_likelihood(fit, np.sort(x)))
 
     def test_cauchy_inapplicable_when_one_value_holds_more_than_half(self):
         rng = np.random.default_rng(431)
@@ -234,7 +247,6 @@ class TestShapeEquations:
         # With k = n/2 samples at v the log-likelihood is bounded by its
         # scale -> 0 limit at loc = v, -n log(pi) - sum_{x != v} log (x - v)^2;
         # a simplex search from several starts gets no higher
-        from scipy import optimize, stats
         rng = np.random.default_rng(439)
         for n in (6, 10, 20):
             v = float(rng.normal(3.0, 1.0))
@@ -253,11 +265,186 @@ class TestShapeEquations:
                     assert -res.fun <= limit + 1e-9 * abs(limit)
 
 
+def tied_samples(rng):
+    """Seeded samples with ties on scales from 1e-3 to 1e6: 780 samples of
+    three values, then rounded logistic, beta and log-normal draws and
+    samples of two distinct values in turn."""
+    yield np.repeat([1.0, 2.0, 5.0], [500, 200, 80])
+    for trial in range(36):
+        n = int(rng.integers(5, 150))
+        kind = trial % 4
+        if kind == 0:
+            x = np.round(rng.logistic(3.0, 2.0, n))
+        elif kind == 1:
+            x = np.round(rng.beta(0.6, 2.0, n), 1)
+        elif kind == 2:
+            x = np.round(rng.lognormal(0.5, 1.0, n), 1)
+        else:
+            k = int(rng.integers(1, n))
+            x = np.repeat(rng.normal(0.0, 3.0, 2), [k, n - k])
+        if x.min() < x.max():
+            yield x * 10.0 ** float(rng.uniform(-3, 6))
+
+
+def beta_y(fit, x):
+    """The rescaled samples the beta fit maximizes its likelihood over."""
+    lo, hi = fit.rescale
+    return np.clip((x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS), 1e-15, 1 - 1e-15)
+
+
+def logistic_ll(loc, scale, x):
+    z = np.abs((x - loc) / scale)
+    return float(np.sum(-z - 2 * np.log1p(np.exp(-z)))) - len(x) * math.log(scale)
+
+
+def beta_ll(a, b, y):
+    return float(np.sum(sc.xlogy(a - 1, y) + sc.xlog1py(b - 1, -y))) - len(y) * sc.betaln(a, b)
+
+
+def best_simplex(objective, starts):
+    """The highest value scipy's Nelder-Mead reaches from the starts."""
+    return max(-optimize.minimize(lambda t: -objective(t), start, method="Nelder-Mead",
+                                  options={"xatol": 1e-12, "fatol": 1e-13,
+                                           "maxfev": 4000}).fun
+               for start in starts)
+
+
+class TestScoreEquations:
+    """Logistic and beta are fitted by Newton's method on their two score
+    equations; every iterative fit sums over the distinct values with their
+    counts, which must equal the sum over the samples."""
+
+    # Newton's method converges quadratically; with a wrong Hessian the fits
+    # still reach the root, but in several times as many steps
+    MAX_STEPS = 25
+
+    def test_logistic_solves_its_score_equations(self):
+        # the mean scores in loc and log(scale), times the scale:
+        # mean tanh(z/2) = 0 and mean z tanh(z/2) = 1
+        for x in tied_samples(np.random.default_rng(503)):
+            fit = fit_mle(Family.LOGISTIC, dist(x))
+            loc, scale = fit.params
+            t = np.tanh((x - loc) / scale / 2)
+            assert abs(t.mean()) <= 1e-10
+            assert abs(((x - loc) / scale * t).mean() - 1) <= 1e-10
+            assert fit.work.iterations <= self.MAX_STEPS
+
+    def test_beta_solves_its_score_equations(self):
+        for x in tied_samples(np.random.default_rng(509)):
+            fit = fit_mle(Family.BETA, dist(x))
+            a, b = fit.params
+            y = beta_y(fit, x)
+            assert abs(np.log(y).mean() - sc.digamma(a) + sc.digamma(a + b)) <= 1e-10
+            assert abs(np.log1p(-y).mean() - sc.digamma(b) + sc.digamma(a + b)) <= 1e-10
+            assert fit.work.iterations <= self.MAX_STEPS
+
+    def test_likelihood_at_least_the_scipy_simplex(self):
+        # scipy's Nelder-Mead from the moment start and from three others,
+        # on the per-sample log-likelihood
+        for x in tied_samples(np.random.default_rng(521)):
+            data = dist(x)
+            mean, sd = float(x.mean()), float(x.std())
+            loc, scale = fit_mle(Family.LOGISTIC, data).params
+            searched = best_simplex(
+                lambda t: logistic_ll(t[0] * sd, math.exp(t[1]) * sd, x),
+                [(mean / sd, math.log(math.sqrt(3) / math.pi)), (mean / sd, 0.0),
+                 (mean / sd + 0.5, -1.0), (mean / sd - 0.5, 1.0)])
+            assert logistic_ll(loc, scale, x) >= searched - 1e-9
+
+            fit = fit_mle(Family.BETA, data)
+            y = beta_y(fit, x)
+            m, v = y.mean(), y.var()
+            common = max(m * (1 - m) / v - 1, 1e-3)
+            start = (math.log(m * common), math.log((1 - m) * common))
+            searched = best_simplex(
+                lambda t: beta_ll(math.exp(t[0]), math.exp(t[1]), y),
+                [start, (0.0, 0.0), (start[0] + 1, start[1] - 1), (start[0] - 1, start[1] + 1)])
+            assert beta_ll(*fit.params, y) >= searched - 1e-9
+
+    def test_weighted_cauchy_objective_equals_the_per_sample_sum(self, monkeypatch):
+        objectives = []
+        original = distfit.optimize.minimize
+
+        def record(fun, x0, **options):
+            objectives.append((fun, np.array(x0)))
+            return original(fun, x0, **options)
+
+        monkeypatch.setattr(distfit.optimize, "minimize", record)
+        rng = np.random.default_rng(523)
+        for trial in range(30):
+            x = np.round(rng.standard_cauchy(int(rng.integers(5, 150))) * 3 + 1)
+            objectives.clear()
+            try:
+                fit_mle(Family.CAUCHY, dist(x))
+            except FitError:
+                continue
+            (nll, x0), = objectives
+            for theta in (x0, x0 + (0.3, -0.2), x0 + (-1.0, 0.5)):
+                want = -float(np.sum(stats.cauchy.logpdf(x, theta[0], math.exp(theta[1]))))
+                assert nll(theta) == pytest.approx(want, rel=1e-12)
+
+    def test_weighted_weibull_score_equals_the_per_sample_sum(self, monkeypatch):
+        scores = []
+        original = distfit.optimize.brentq
+
+        def record(f, a, b, **options):
+            scores.append(f)
+            return original(f, a, b, **options)
+
+        monkeypatch.setattr(distfit.optimize, "brentq", record)
+        for x in tied_samples(np.random.default_rng(541)):
+            if x.min() <= 0:
+                continue
+            scores.clear()
+            k, _ = fit_mle(Family.WEIBULL, dist(x)).params
+            (score,) = scores
+            logs = np.log(x)
+            for kk in (k / 3, k / 2, 2 * k, 3 * k):
+                xk = np.exp(kk * (logs - logs.max()))
+                want = 1 / kk + logs.mean() - float(xk @ logs) / float(xk.sum())
+                # the terms' size, so a score near 0 is compared fairly
+                size = 1 / kk + float(np.abs(logs).max())
+                assert score(kk) == pytest.approx(want, rel=1e-12, abs=1e-12 * size)
+
+
+class TestSolverWork:
+    """Each fit records its solver's work, outside the fit's value."""
+
+    def test_iterative_fits_record_their_work(self):
+        data = dist(REAL)
+        for family in (Family.BETA, Family.CAUCHY, Family.GAMMA, Family.LOGISTIC,
+                       Family.WEIBULL):
+            work = fit_mle(family, data).work
+            assert 0 < work.iterations <= work.evaluations, family
+            assert not work.capped, family
+
+    def test_closed_forms_record_none(self):
+        data = dist(REAL)
+        for family in (Family.POWER_LAW, Family.EXPONENTIAL, Family.LOG_NORMAL,
+                       Family.NORMAL, Family.UNIFORM):
+            assert fit_mle(family, data).work == SolverWork(0, 0, False), family
+
+    def test_caps_are_recorded(self, monkeypatch):
+        data = dist(REAL)
+        monkeypatch.setattr(distfit, "_newton",
+                            functools.partial(distfit._newton, maxiter=1))
+        for family in (Family.BETA, Family.LOGISTIC):
+            assert fit_mle(family, data).work[::2] == (1, True)
+        minimize = distfit.optimize.minimize
+        monkeypatch.setattr(distfit.optimize, "minimize", lambda fun, x0, **options:
+                            minimize(fun, x0, **{**options, "maxfev": 7}))
+        assert fit_mle(Family.CAUCHY, data).work[1:] == (7, True)
+
+    def test_work_is_not_part_of_the_fit(self):
+        fit = fit_mle(Family.LOGISTIC, dist(REAL))
+        other = dataclasses.replace(fit, work=SolverWork(1, 2, True))
+        assert other == fit and hash(other) == hash(fit) and repr(other) == repr(fit)
+
+
 class TestKsStatistic:
     def test_quantile_aligned_data(self):
         n = 100
         fit = FittedDistribution(Family.NORMAL, (0.0, 1.0), ks=0.0, n=n)
-        from scipy import stats
         q = stats.norm.ppf((np.arange(n) + 0.5) / n)
         assert ks_statistic(fit, dist(q)) <= 0.5 / n + 1e-12
 
@@ -345,8 +532,8 @@ class TestBestFit:
 
 
 class TestScipyIdentity:
-    """The log-likelihoods and CDFs equal the scipy.stats forms bit for bit,
-    so the simplex searches take the same path and the fits do not move."""
+    """The CDFs, and the Cauchy log-density the simplex search sums, equal
+    the scipy.stats forms bit for bit."""
 
     @pytest.mark.parametrize("family", FAMILY_ORDER, ids=lambda f: f.value)
     def test_log_likelihood_and_cdf_exact(self, family):
@@ -367,8 +554,9 @@ class TestScipyIdentity:
             params = random_params(family, x, rng)
             rescale = (float(x.min()), float(x.max()))
             fit = FittedDistribution(family, params, ks=0.0, n=n, rescale=rescale)
-            want_ll = scipy_log_likelihood(family.value, params, x, rescale)
-            assert fit.log_likelihood(x) == want_ll
+            if family is Family.CAUCHY:
+                z = (x - params[0]) / params[1]
+                assert np.array_equal(_cauchy_logpdf(z), stats.cauchy.logpdf(z))
             want_cdf = scipy_cdf(family.value, params, x, rescale)
             assert np.array_equal(fit.cdf(x), want_cdf)
 
@@ -380,8 +568,6 @@ class TestScipyIdentity:
         x = np.sort(np.random.default_rng(223).lognormal(0.0, 1.0, 200))
         for sample in (x, np.concatenate(([-1.0], x))):
             fit = FittedDistribution(Family.WEIBULL, (shape, 1.5), ks=0.0, n=len(sample))
-            want_ll = scipy_log_likelihood("WB", fit.params, sample)
-            assert fit.log_likelihood(sample) == want_ll
             assert np.array_equal(fit.cdf(sample), scipy_cdf("WB", fit.params, sample))
 
     @pytest.mark.parametrize("name, samples", [("TIES", TIES), ("REAL", REAL)])
