@@ -1,26 +1,24 @@
 """MLE fitting of ten candidate distribution families and
 Kolmogorov-Smirnov goodness-of-fit selection.
 
-Power law and uniform are written out in FittedDistribution. The other
-eight families' CDFs come from one table (`_FORMS`) in numpy and
-`scipy.special`. Each entry computes what the matching scipy 1.17
-continuous distribution computes: the same functions of the standardised
-z = (x - loc) / scale, on arrays of the same layout. The values are
-therefore bit-identical to scipy's, without its per-call argument handling.
+Each family's CDF is one numpy or `scipy.special` expression on x in
+FittedDistribution.cdf. It is the function scipy.stats computes, though not
+always in the same order of operations, so the values can differ from
+scipy's in the last bits; the tests hold them to 1e-14.
 
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
 form; the gamma shape by Newton's method on its 1-D score equation and the
-Weibull shape by a bracketed root of its profile score, each scale then in
-closed form; logistic and beta by Newton's method on their two score
-equations, in coordinates where the log-likelihood is concave; Cauchy by a
-Nelder-Mead simplex search. The root finder and the simplex are covereval's
-own exact ports of scipy's (`optimize`), so fitting imports nothing of
-scipy but `scipy.special`. Every iterative fit reads the samples as their
-distinct values and counts, so one evaluation of a likelihood or score
-costs O(distinct values), not O(samples). Where one value holds at least
-half the samples the Cauchy likelihood has no maximum (Copas 1975; at
-exactly half it is bounded but only approached as the scale goes to 0), so
-the family is inapplicable there."""
+Weibull shape by a safeguarded Newton's method on its profile score, each
+scale then in closed form; logistic and beta by Newton's method on their
+two score equations, in coordinates where the log-likelihood is concave;
+Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
+scipy's (`optimize`), so fitting imports nothing of scipy but
+`scipy.special`. Every iterative fit reads the samples as their distinct
+values and counts, so one evaluation of a likelihood or score costs
+O(distinct values), not O(samples). Where one value holds at least half the
+samples the Cauchy likelihood has no maximum (Copas 1975; at exactly half
+it is bounded but only approached as the scale goes to 0), so the family is
+inapplicable there."""
 
 from __future__ import annotations
 
@@ -28,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -85,76 +83,6 @@ def _cauchy_logpdf(z):
     return out
 
 
-class _Form(NamedTuple):
-    """A family in scipy's standard form. `standard` maps the fitted
-    params to (loc, scale, shapes); `cdf` takes z and the shapes inside the
-    support [lower, upper]."""
-    standard: Callable[[tuple[float, ...]], tuple[float, float, tuple[float, ...]]]
-    cdf: Callable[..., np.ndarray]
-    lower: float = -math.inf
-    upper: float = math.inf
-
-
-def _loc_scale(p):
-    return p[0], p[1], ()
-
-
-def _shape_scale(p):
-    return 0.0, p[1], (p[0],)
-
-
-_FORMS: dict[Family, _Form] = {
-    Family.BETA: _Form(
-        lambda p: (0.0, 1.0, p), lambda z, a, b: sc.betainc(a, b, z), 0.0, 1.0),
-    Family.CAUCHY: _Form(_loc_scale, lambda z: np.arctan2(1, -z) / np.pi),
-    Family.EXPONENTIAL: _Form(
-        lambda p: (0.0, 1.0 / p[0], ()), lambda z: -sc.expm1(-z), 0.0),
-    Family.GAMMA: _Form(_shape_scale, lambda z, a: sc.gammainc(a, z), 0.0),
-    Family.LOGISTIC: _Form(_loc_scale, sc.expit),
-    Family.LOG_NORMAL: _Form(
-        lambda p: (0.0, math.exp(p[0]), (p[1],)),
-        lambda z, s: sc.ndtr(np.log(z) / s), 0.0),
-    Family.NORMAL: _Form(_loc_scale, sc.ndtr),
-    Family.WEIBULL: _Form(
-        _shape_scale, lambda z, c: -sc.expm1(-pow(z, c)), 0.0),
-}
-
-
-def _standardise(family: Family, x: np.ndarray, params: tuple[float, ...]):
-    form = _FORMS.get(family)
-    if form is None:
-        raise FitError(f"unknown family {family}")
-    loc, scale, shapes = form.standard(params)
-    valid = scale > 0 and all(s > 0 for s in shapes)
-    return form, (x - loc) / scale, shapes, valid
-
-
-def _reduce(z: np.ndarray, inside: np.ndarray, params: tuple[float, ...]):
-    """scipy's `argsreduce`. With every point inside the support the
-    parameters become full arrays, otherwise only the inside points are
-    kept and the parameters stay one-element arrays. Both layouts are
-    kept because numpy's results depend on them: `pow` with a one-element
-    exponent of 2, 0.5 or -1 squares, takes the root or inverts, which
-    differs in the last bit from `pow` over a full exponent array for a
-    few percent of the points."""
-    if inside.all():
-        return z, [np.full(z.shape, p) for p in params]
-    return z[inside], [np.array([p]) for p in params]
-
-
-def _cdf(family: Family, x: np.ndarray, params: tuple[float, ...]) -> np.ndarray:
-    form, z, shapes, valid = _standardise(family, x, params)
-    if not valid:
-        return np.full(z.shape, np.nan)
-    out = np.zeros(z.shape)
-    out[np.isnan(z)] = np.nan
-    out[z >= form.upper] = 1.0
-    inside = (form.lower < z) & (z < form.upper)
-    zin, args = _reduce(z, inside, shapes)
-    out[inside] = form.cdf(zin, *args)
-    return out
-
-
 class SolverWork(NamedTuple):
     """What an iterative fit did: its solver's iterations, its evaluations
     of the objective or score, and whether it stopped at an iteration or
@@ -188,13 +116,29 @@ class FittedDistribution:
         if f is Family.BETA:
             lo, hi = self.rescale
             y = (x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
-            return _cdf(f, np.clip(y, 0.0, 1.0), p)
+            return sc.betainc(p[0], p[1], np.clip(y, 0.0, 1.0))
         if f is Family.UNIFORM:
             lo, hi = p
             if hi == lo:
                 return (x >= lo).astype(float)
             return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        return _cdf(f, x, p)
+        if f is Family.CAUCHY:
+            return np.arctan2(1, (p[0] - x) / p[1]) / np.pi
+        if f is Family.LOGISTIC:
+            return sc.expit((x - p[0]) / p[1])
+        if f is Family.NORMAL:
+            return sc.ndtr((x - p[0]) / p[1])
+        positive = np.maximum(x, 0.0)  # the other families are 0 below 0
+        if f is Family.EXPONENTIAL:
+            return -sc.expm1(-p[0] * positive)
+        if f is Family.GAMMA:
+            return sc.gammainc(p[0], positive / p[1])
+        if f is Family.LOG_NORMAL:
+            with np.errstate(divide="ignore"):  # log 0 = -inf, where the CDF is 0
+                return sc.ndtr((np.log(positive) - p[0]) / p[1])
+        if f is Family.WEIBULL:
+            return -sc.expm1(-(positive / p[1]) ** p[0])
+        raise FitError(f"unknown family {f}")
 
 
 @dataclass(frozen=True)
@@ -220,28 +164,6 @@ def _check_support(family: Family, x: np.ndarray) -> str | None:
     if family is Family.BETA and x.min() == x.max():
         return "constant data; beta rescaling degenerate"
     return None
-
-
-def _numeric_mle(family: Family, log_likelihood: Callable[[tuple[float, ...]], float],
-                 init: tuple[float, float], positive: tuple[bool, bool]
-                 ) -> tuple[tuple[float, ...], SolverWork]:
-    """Maximize `log_likelihood(params)` with a derivative-free simplex
-    search; positivity-constrained parameters are optimized in log
-    space."""
-
-    def pack(theta):
-        return tuple(math.exp(t) if pos else t for t, pos in zip(theta, positive))
-
-    def nll(theta):
-        ll = log_likelihood(pack(theta))
-        return math.inf if not math.isfinite(ll) else -ll
-
-    theta0 = [math.log(v) if pos else v for v, pos in zip(init, positive)]
-    res = optimize.minimize(nll, theta0, xatol=1e-10, fatol=1e-12,
-                            maxiter=2000, maxfev=4000)
-    if not math.isfinite(res.fun):
-        raise FitError(f"{family.value}: optimizer failed at {pack(res.x)}")
-    return pack(res.x), SolverWork(res.nit, res.nfev, not res.success)
 
 
 def _newton(evaluate, theta: tuple[float, float], maxiter: int = 100
@@ -358,39 +280,64 @@ def _gamma_mle(data: EmpiricalDistribution, mean: float
             return (a, mean / a), SolverWork(evaluations, evaluations)
 
 
+def _weibull_score(k: float, d: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """The Weibull profile score in the shape k,
+    1/k + mean(d) - sum(x^k d) / sum(x^k), and its slope, -1/k^2 minus the
+    variance of d under the weights x^k, over the distinct values' counts
+    and d = log x - max(log x). Powers are taken relative to max(x), so
+    x^k = exp(k d) lies in (0, 1] and cannot overflow."""
+    w = counts * np.exp(k * d)
+    total = float(w.sum())
+    mean_w = float(w @ d) / total
+    score = 1 / k + float(counts @ d) / float(counts.sum()) - mean_w
+    return score, -1 / k ** 2 - float(w @ (d - mean_w) ** 2) / total
+
+
 def _weibull_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], SolverWork]:
-    """The shape k is the root of the profile score
-    1/k + mean(log x) - sum(x^k log x) / sum(x^k), which falls from +inf
+    """The shape k is the root of the profile score, which falls from +inf
     at k -> 0 to mean(log x) - max(log x) < 0 at k -> inf; the scale is
-    mean(x^k)^(1/k). Powers are taken relative to max(x), so they lie in
-    (0, 1] and cannot overflow."""
+    mean(x^k)^(1/k). The root is bracketed by doubling, then found by
+    Newton's method inside the bracket: a step that would leave it bisects
+    it instead, and every evaluation narrows it. The iterates stop when a
+    step falls to 4 ulp of k, or after 100 steps, which counts as capped."""
     d = np.log(data.values)
     top = float(d.max())
     d -= top  # d <= 0, and mean(d) < 0 as the samples are not all equal
-    counts = data.counts.astype(float)
-    counted = counts * d
-    mean_d = float(counted.sum()) / data.n
-    evaluations = 0
-
-    def score(k):
-        nonlocal evaluations
-        evaluations += 1
-        w = np.exp(k * d)
-        return 1 / k + mean_d - float(w @ counted) / float(w @ counts)
-
+    counts = data.counts
     # the weighted mean of d is at most 0, so score(k) >= 1/k + mean(d),
     # which is -mean(d) > 0 at the first lower end; each doubling keeps
     # score(lo) > 0 and the bracket [lo, 2 lo]
-    lo = -0.5 / mean_d
-    while score(2 * lo) > 0:
-        lo *= 2
+    lo = -0.5 * data.n / float(counts @ d)
+    score, slope = _weibull_score(2 * lo, d, counts)
+    evaluations, at_lo = 1, None
+    while score > 0:
+        lo, at_lo = 2 * lo, (score, slope)
         if not math.isfinite(lo):
             raise FitError("WB: no root of the shape equation")
-    bracketing = evaluations
-    k = optimize.brentq(score, lo, 2 * lo, xtol=1e-300)
-    # brentq evaluates both ends of the bracket, then once per iteration
-    work = SolverWork(evaluations - bracketing - 2, evaluations)
-    return (k, math.exp(top + math.log(float(np.exp(k * d) @ counts) / data.n) / k)), work
+        score, slope = _weibull_score(2 * lo, d, counts)
+        evaluations += 1
+    k = hi = 2 * lo
+    # start from the end whose Newton step is the shorter
+    if at_lo is not None and abs(at_lo[0] / at_lo[1]) < abs(score / slope):
+        k, (score, slope) = lo, at_lo
+    capped = False
+    for iteration in range(1, 101):
+        step = score / slope
+        if abs(step) > 4 * math.ulp(k) and not lo < k - step < hi:
+            step = k - (lo + hi) / 2
+        k -= step
+        if abs(step) <= 4 * math.ulp(k):
+            break
+        score, slope = _weibull_score(k, d, counts)
+        evaluations += 1
+        if score > 0:
+            lo = k
+        else:
+            hi = k
+    else:
+        capped = True
+    scale = math.exp(top + math.log(float(np.exp(k * d) @ counts) / data.n) / k)
+    return (k, scale), SolverWork(iteration, evaluations, capped)
 
 
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
@@ -466,12 +413,19 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         scale0 = max((q75 - q25) / 2.0, 1e-9)
         values, counts = data.values, data.counts
 
-        def log_likelihood(p):
-            z = (values - p[0]) / p[1]
-            return float(counts @ _cauchy_logpdf(z) - n * np.log(p[1]))
+        def mean_nll(theta):
+            # the mean, not the sum, so that fatol bounds a per-sample value
+            # whose rounding does not grow with n; the scale is exp(theta[1])
+            z = (values - theta[0]) / math.exp(theta[1])
+            nll = theta[1] - float(counts @ _cauchy_logpdf(z)) / n
+            return nll if math.isfinite(nll) else math.inf
 
-        params, work = _numeric_mle(family, log_likelihood, (float(q50), scale0),
-                                    (False, True))
+        res = optimize.minimize(mean_nll, [float(q50), math.log(scale0)], xatol=1e-10,
+                                fatol=1e-12, maxiter=2000, maxfev=4000)
+        params = (res.x[0], math.exp(res.x[1]))
+        if not math.isfinite(res.fun):
+            raise FitError(f"CA: optimizer failed at {params}")
+        work = SolverWork(res.nit, res.nfev, not res.success)
     elif family is Family.LOGISTIC:
         if sd == 0:
             raise FitError("LO: zero variance")

@@ -1,18 +1,16 @@
-"""The two numerical routines the fits use, ported from scipy 1.17.1 so that
-importing covereval does not import `scipy.optimize`, which takes 0.1-0.16 s
-on a 2-vCPU x86-64 machine.
+"""The Nelder-Mead simplex search the Cauchy fit uses, ported from scipy
+1.17.1 so that importing covereval does not import `scipy.optimize`, which
+takes 0.1-0.16 s on a 2-vCPU x86-64 machine.
 
 `minimize` is the Nelder-Mead simplex (Nelder & Mead 1965) of
 `scipy.optimize.minimize(method="Nelder-Mead")` without bounds, adaptive
-coefficients or a given initial simplex; `brentq` is the iteration of
-scipy's `brentq.c` (Brent 1973). Both do the same floating-point operations
-in the same order as scipy, so they return the same bits: every reorder,
-stopping rule and evaluation cap below is scipy's, kept on purpose."""
+coefficients or a given initial simplex. It does the same floating-point
+operations in the same order as scipy, so it returns the same bits: every
+reorder, stopping rule and evaluation cap below is scipy's, kept on
+purpose."""
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -118,64 +116,3 @@ def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
     return Minimum(sim[0], np.min(fsim), nfev, iterations,
                    nfev < maxfev and iterations < maxiter)
 
-
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
-           rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
-    """A root of `f` in [a, b], where f(a) and f(b) differ in sign, by
-    Brent's method: inverse quadratic interpolation or secant steps, kept
-    inside the bracket and replaced by bisection where they would converge
-    slowly. The root is within xtol + rtol |root| of a sign change."""
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1, fpre) != math.copysign(1, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur:f}.")

@@ -1,6 +1,6 @@
-"""The Nelder-Mead and Brent ports in `covereval.optimize` against their
-scipy originals, bit for bit, on the objectives the fits build and on a few
-plain functions; and the import that the ports keep out of the CLI."""
+"""The Nelder-Mead port in `covereval.optimize` against its scipy original,
+bit for bit, on the objectives the Cauchy fits build and on a few plain
+functions; and the import that the port keeps out of the CLI."""
 
 import math
 import os
@@ -22,8 +22,7 @@ OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
 
 def fit_samples(rng):
     """Seeded samples of Cauchy, logistic and beta shape, on which Cauchy
-    searches a simplex and Weibull a root; every third is rounded, so it has
-    ties."""
+    searches a simplex; every third is rounded, so it has ties."""
     for trial in range(42):
         n = int(rng.integers(5, 90))
         x = [rng.standard_cauchy(n) * 2 + 8, rng.logistic(3, 2, n),
@@ -34,25 +33,23 @@ def fit_samples(rng):
         yield x
 
 
-def recorded_calls(monkeypatch, name):
-    """Fit every family to the seeded samples and return the (function,
-    args, kwargs) of each call the fits make to `optimize.<name>`."""
+def recorded_calls(monkeypatch):
+    """Fit Cauchy to the seeded samples and return the (args, kwargs) of
+    each call the fits make to `optimize.minimize`."""
     calls = []
-    original = getattr(optimize, name)
+    original = optimize.minimize
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(optimize, name, record)
+        patch.setattr(optimize, "minimize", record)
         for x in fit_samples(np.random.default_rng(1009)):
-            data = EmpiricalDistribution(x)
-            for family in (Family.CAUCHY, Family.WEIBULL):
-                try:
-                    fit_mle(family, data)
-                except distfit.FitError:
-                    pass
+            try:
+                fit_mle(Family.CAUCHY, EmpiricalDistribution(x))
+            except distfit.FitError:
+                pass
     return calls
 
 
@@ -68,7 +65,7 @@ def assert_same_minimum(fun, x0, maxfev, maxiter=OPTIONS["maxiter"]):
 
 @pytest.mark.parametrize("maxfev", [7, 50, 4000])
 def test_minimize_equals_scipy_on_the_fit_objectives(monkeypatch, maxfev):
-    calls = recorded_calls(monkeypatch, "minimize")
+    calls = recorded_calls(monkeypatch)
     assert len(calls) >= 40
     capped = 0
     for (fun, x0), _ in calls:
@@ -81,7 +78,7 @@ def test_minimize_equals_scipy_on_the_fit_objectives(monkeypatch, maxfev):
 
 
 def test_minimize_equals_scipy_at_the_iteration_cap(monkeypatch):
-    calls = recorded_calls(monkeypatch, "minimize")
+    calls = recorded_calls(monkeypatch)
     for (fun, x0), _ in calls[::4]:
         assert not assert_same_minimum(fun, x0, 4000, maxiter=25).success
 
@@ -97,31 +94,6 @@ def test_minimize_equals_scipy_where_the_objective_is_inf(maxfev):
             assert_same_minimum(walled, x0, maxfev)
         got = assert_same_minimum(lambda t: math.inf, [1.0, 2.0], maxfev)
     assert not got.success and got.nfev == maxfev
-
-
-def test_brentq_equals_scipy_on_the_weibull_score(monkeypatch):
-    calls = recorded_calls(monkeypatch, "brentq")
-    assert len(calls) >= 20
-    for (f, a, b), kwargs in calls:
-        assert optimize.brentq(f, a, b, **kwargs) == scipy_optimize.brentq(f, a, b, **kwargs)
-
-
-@pytest.mark.parametrize("f, a, b", [
-    (math.cos, 0.0, 3.0),
-    (lambda t: t ** 3 - 2 * t - 5, 2.0, 3.0),
-    (lambda t: math.exp(t) - 10, -5.0, 5.0),
-    (lambda t: t - 1e-3, 0.0, 1.0),
-    (lambda t: math.atan(t - 0.7), 5.0, -3.0),
-])
-@pytest.mark.parametrize("xtol", [1e-300, 2e-12, 1e-3])
-def test_brentq_equals_scipy_on_smooth_functions(f, a, b, xtol):
-    assert optimize.brentq(f, a, b, xtol) == scipy_optimize.brentq(f, a, b, xtol=xtol)
-
-
-def test_brentq_raises_without_a_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        optimize.brentq(lambda t: t * t + 1, -1.0, 1.0, 1e-12)
-    assert optimize.brentq(lambda t: t - 2, 2.0, 3.0, 1e-12) == 2.0  # a root at an end
 
 
 def test_cli_imports_neither_scipy_optimize_nor_stats(tmp_path):
