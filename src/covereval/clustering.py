@@ -8,9 +8,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .cover import Cover, CoverError
+from .graph import expand, row_pairs
 
 
 def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
@@ -27,10 +27,27 @@ def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
     return c1.restricted_to(common), c2.restricted_to(common)
 
 
-def _co_memberships(c: Cover) -> sparse.csr_array:
-    """Per node pair (i < j, columns of the cover's node ids), the number of
-    communities containing both; pairs that never co-occur are not stored."""
-    return sparse.triu(c.matrix.T @ c.matrix, k=1, format="csr")
+def _co_memberships(c: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """Every node pair i < j (positions in the cover's node ids) that some
+    community holds, as the increasing codes i * n + j, and the number of
+    communities holding it: the pairs of each community's members, counted.
+    Pairs that never co-occur are not listed."""
+    _, i, j = row_pairs(c.indptr, c.indices)
+    return np.unique(i * len(c.nodes) + j, return_counts=True)
+
+
+def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (k, l) of a community of `c1` and one of `c2` that share
+    a node, by k, then l, and |C1_k & C2_l|: the pairs of each node's
+    communities in the two covers, counted. The covers' node ids must be
+    equal."""
+    ptr1, comm1 = c1.transposed()
+    ptr2, comm2 = c2.transposed()
+    node = np.repeat(np.arange(len(c1.nodes)), np.diff(ptr1))
+    first, second = expand(ptr2[node], np.diff(ptr2)[node])
+    width = len(c2.sizes)
+    codes, counts = np.unique(comm1[first] * width + comm2[second], return_counts=True)
+    return codes // width, codes % width, counts
 
 
 def omega_index(c1: Cover, c2: Cover) -> float:
@@ -43,16 +60,19 @@ def omega_index(c1: Cover, c2: Cover) -> float:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    m1 = _co_memberships(c1)
-    m2 = _co_memberships(c2)
-    omega_u = (m_pairs - (m1 != m2).nnz) / m_pairs
+    pairs1, m1 = _co_memberships(c1)
+    pairs2, m2 = _co_memberships(c2)
+    _, at1, at2 = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
+    # a pair listed by one cover only has differing counts
+    agree = int(np.count_nonzero(m1[at1] == m2[at2]))
+    omega_u = (m_pairs - (len(m1) + len(m2) - len(at1) - agree)) / m_pairs
 
     # pairs per multiplicity, the t_0 class by subtraction; Python ints,
     # because the products below overflow int64 on large universes
-    size1 = np.bincount(m1.data, minlength=1).tolist()
-    size2 = np.bincount(m2.data, minlength=1).tolist()
-    size1[0] = m_pairs - m1.nnz
-    size2[0] = m_pairs - m2.nnz
+    size1 = np.bincount(m1, minlength=1).tolist()
+    size2 = np.bincount(m2, minlength=1).tolist()
+    size1[0] = m_pairs - len(m1)
+    size2[0] = m_pairs - len(m2)
     omega_e = sum(a * b for a, b in zip(size1, size2)) / (m_pairs ** 2)
 
     if omega_e == 1.0:
@@ -114,14 +134,16 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
     n = len(c1.nodes)
     # every count is one of 0..n, so each entropy term is computed once
     h = np.array([_h(w, n) for w in range(n + 1)])
-    sizes1 = c1.matrix.sum(axis=1)
-    sizes2 = c2.matrix.sum(axis=1)
+    sizes1 = c1.sizes
+    sizes2 = c2.sizes
     h1 = sum(_entropies(h, sizes1).tolist())
     h2 = sum(_entropies(h, sizes2).tolist())
     if h1 == 0.0 and h2 == 0.0:
         return 1.0  # every community of both covers is the whole universe
 
-    table = (c1.matrix @ c2.matrix.T).toarray()
+    rows, cols, counts = _contingency(c1, c2)
+    table = np.zeros((len(sizes1), len(sizes2)), dtype=np.int64)
+    table[rows, cols] = counts
     if variant == "mcdaid":
         h1c2 = _conditional_entropy(h, sizes1, sizes2, table, normalized=False)
         h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=False)
@@ -167,10 +189,9 @@ def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
     Precision and recall are the detected-side means; F1 averages both
     matching directions."""
     detected, truth = common_universe(detected, truth)
-    sizes_d = detected.matrix.sum(axis=1)
-    sizes_t = truth.matrix.sum(axis=1)
-    table = detected.matrix @ truth.matrix.T
-    rows = np.repeat(np.arange(len(sizes_d)), np.diff(table.indptr))
-    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, rows, table.indices, table.data)
-    _, _, f_t = _best_f1(sizes_t, sizes_d, table.indices, rows, table.data)
+    sizes_d = detected.sizes
+    sizes_t = truth.sizes
+    rows, cols, tp = _contingency(detected, truth)
+    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, rows, cols, tp)
+    _, _, f_t = _best_f1(sizes_t, sizes_d, cols, rows, tp)
     return MatchScores(precision=p_d, recall=r_d, f1=0.5 * (f_d + f_t))

@@ -8,9 +8,8 @@ from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .graph import EmpiricalDistribution, Graph, giant_component
+from .graph import EmpiricalDistribution, Graph, csr, giant_component, row_pairs
 
 
 class CoverError(ValueError):
@@ -19,11 +18,12 @@ class CoverError(ValueError):
 
 class Cover:
     """A list of non-empty, possibly overlapping communities of node ids.
-    ``nodes`` holds the sorted distinct member ids (int64; any values) and
-    ``matrix`` is the communities x nodes 0/1 CSR incidence with sorted
-    column indices: row i is community i, column j is ``nodes[j]``."""
+    ``nodes`` holds the sorted distinct member ids (int64; any values), and
+    community i's members are ``nodes[indices[indptr[i]:indptr[i + 1]]]``
+    in increasing order: ``indptr`` and ``indices`` are the communities x
+    nodes 0/1 incidence in CSR form."""
 
-    __slots__ = ("nodes", "matrix")
+    __slots__ = ("nodes", "indptr", "indices")
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -36,11 +36,7 @@ class Cover:
             raise CoverError("cover contains an empty community")
         self.nodes, cols = np.unique(members, return_inverse=True)
         rows = np.repeat(np.arange(len(sizes)), sizes)
-        # building from coordinates sums repeated members; the data is reset to 1
-        b = sparse.csr_array((np.ones(len(members), dtype=np.int64), (rows, cols)),
-                             shape=(len(sizes), len(self.nodes)))
-        b.data[:] = 1
-        self.matrix = b
+        self.indptr, self.indices = csr(rows, cols, len(sizes), len(self.nodes))
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -50,19 +46,30 @@ class Cover:
     @property
     def communities(self) -> tuple[frozenset[int], ...]:
         """Each community's member ids, as sets."""
-        members = self.nodes[self.matrix.indices].tolist()
-        bounds = self.matrix.indptr.tolist()
+        members = self.nodes[self.indices].tolist()
+        bounds = self.indptr.tolist()
         return tuple(frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each community's member count."""
+        return np.diff(self.indptr)
+
+    def transposed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence transposed, nodes x communities, in CSR form: node
+        j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
+        increasing order."""
+        rows = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        return csr(self.indices, rows, len(self.nodes), len(self.sizes))
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied
         entirely are dropped."""
-        keep = np.isin(self.nodes, nodes)
-        b = self.matrix[:, keep]
-        sizes = np.diff(b.indptr)
+        keep = np.isin(self.nodes, nodes)[self.indices]
+        sizes = np.add.reduceat(keep.astype(np.int64), self.indptr[:-1])
         if not sizes.any():
             raise CoverError("restriction removed every community")
-        return Cover(sizes[sizes > 0], self.nodes[keep][b.indices])
+        return Cover(sizes[sizes > 0], self.nodes[self.indices[keep]])
 
 
 @dataclass(frozen=True)
@@ -111,21 +118,22 @@ def load_cover(text: str | bytes | IO, label_map: Mapping[str, int]) -> Cover:
     return Cover(sizes, members)
 
 
-def _overlaps(b: sparse.csr_array) -> sparse.coo_array:
-    """|C_i & C_j| for every overlapping pair i < j of an incidence matrix's
-    communities, as COO row/col/data."""
-    return sparse.triu(b @ b.T, k=1, format="coo")
+def _overlaps(c: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """Every overlapping pair i < j of the cover's communities, as the
+    increasing codes i * K + j, and |C_i & C_j| for each: the pairs of
+    each node's communities, counted."""
+    _, i, j = row_pairs(*c.transposed())
+    return np.unique(i * len(c.sizes) + j, return_counts=True)
 
 
 def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
     """Community size, node membership, and pairwise overlap-size
     distributions, computed on the full cover (before any pruning)."""
-    b = c.matrix
-    sizes = b.sum(axis=1)
-    overlaps = _overlaps(b).data
+    sizes = c.sizes
+    _, overlaps = _overlaps(c)
     return MesoscopicProfile(
         community_sizes=EmpiricalDistribution(sizes),
-        memberships=EmpiricalDistribution(b.sum(axis=0)),
+        memberships=EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
         overlap_sizes=EmpiricalDistribution(overlaps) if len(overlaps) else None,
         community_count=len(sizes),
         max_size=int(sizes.max()),
@@ -135,8 +143,8 @@ def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
 
 def community_graph_edges(c: Cover) -> frozenset[tuple[int, int]]:
     """Edges (i < j) between communities sharing at least one node."""
-    pairs = _overlaps(c.matrix)
-    return frozenset(zip(pairs.row.tolist(), pairs.col.tolist()))
+    i, j = np.divmod(_overlaps(c)[0], len(c.sizes))
+    return frozenset(zip(i.tolist(), j.tolist()))
 
 
 def build_community_graph(c: Cover) -> CommunityGraph:
@@ -144,7 +152,7 @@ def build_community_graph(c: Cover) -> CommunityGraph:
     communities overlap, reduced to its giant connected component.
     A fully disjoint cover degenerates to the single smallest-index
     community node, flagged explicitly."""
-    k = c.matrix.shape[0]
+    k = len(c.sizes)
     edges = community_graph_edges(c)
     if not edges:
         return CommunityGraph(graph=Graph(1, [], ["0"]), n_communities=k, degenerate=True)

@@ -10,8 +10,7 @@ from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_array
 
 
 class GraphError(ValueError):
@@ -24,6 +23,34 @@ class EdgeListParseError(GraphError):
     def __init__(self, lineno: int, line: str):
         self.lineno = lineno
         super().__init__(f"line {lineno}: expected 2 tokens, got {line.strip()!r}")
+
+
+def csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+        ) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 matrix with a one at each (row, col) pair, repeated pairs
+    counted once, in CSR form: int64 row pointers and column indices,
+    sorted within each row."""
+    rows, cols = np.divmod(np.unique(rows * n_cols + cols), max(n_cols, 1))
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols
+
+
+def expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1 one after another:
+    the index i of each entry's range, and the entry."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.cumsum(counts) - counts - starts
+    return owner, np.arange(len(owner)) - offset[owner]
+
+
+def row_pairs(indptr: np.ndarray, indices: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of entries a < b within one row of a CSR matrix with
+    sorted rows: the row, a and b, row by row and, within a row, in
+    order of a, then b. A row of s entries gives s(s - 1)/2 pairs."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    pos = np.arange(len(indices))
+    first, second = expand(pos + 1, indptr[rows + 1] - pos - 1)
+    return rows[first], indices[first], indices[second]
 
 
 # Exact all-pairs BFS above this node count gets too expensive; fall back
@@ -119,11 +146,12 @@ class BasicProperties:
 
 
 class Graph:
-    """Immutable undirected simple graph. Node ids are dense 0..V-1;
-    ``adjacency`` is its symmetric 0/1 CSR matrix (sorted column indices)
-    and ``original_labels[i]`` maps back to the source label."""
+    """Immutable undirected simple graph. Node ids are dense 0..V-1; the
+    neighbours of node u are ``indices[indptr[u]:indptr[u + 1]]``, in
+    increasing order (the symmetric 0/1 adjacency in CSR form), and
+    ``original_labels[i]`` maps back to the source label."""
 
-    __slots__ = ("adjacency", "original_labels")
+    __slots__ = ("indptr", "indices", "original_labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  original_labels: Sequence[str] | None = None):
@@ -134,46 +162,43 @@ class Graph:
             u, v = e[outside.argmax()].tolist()
             raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
         ends = np.concatenate([e, e[:, ::-1]])
-        # building from coordinates sums duplicate edges; the data is reset to 1
-        a = sparse.csr_array((np.ones(len(ends), dtype=np.int64), (ends[:, 0], ends[:, 1])),
-                             shape=(n, n))
-        a.data[:] = 1
-        self._adopt(a, original_labels)
+        self._adopt(*csr(ends[:, 0], ends[:, 1], n, n), original_labels)
 
     @classmethod
-    def _from_adjacency(cls, a: sparse.csr_array, original_labels: Sequence[str]) -> "Graph":
-        """The graph whose adjacency is `a`, which must already be symmetric,
-        0/1, loop-free and in canonical CSR form."""
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
+                  original_labels: Sequence[str]) -> "Graph":
+        """The graph with these CSR arrays, which must already be symmetric,
+        loop-free and sorted within each row."""
         g = cls.__new__(cls)
-        g._adopt(a, original_labels)
+        g._adopt(indptr, indices, original_labels)
         return g
 
-    def _adopt(self, a: sparse.csr_array, original_labels: Sequence[str] | None) -> None:
-        n = a.shape[0]
+    def _adopt(self, indptr: np.ndarray, indices: np.ndarray,
+               original_labels: Sequence[str] | None) -> None:
+        n = len(indptr) - 1
         if original_labels is None:
             original_labels = [str(i) for i in range(n)]
         if len(original_labels) != n:
             raise GraphError("original_labels length must equal node count")
-        self.adjacency = a
+        self.indptr, self.indices = indptr, indices
         self.original_labels = tuple(original_labels)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return self.adjacency.nnz // 2
+        return len(self.indices) // 2
 
     def degrees(self) -> list[int]:
-        return np.diff(self.adjacency.indptr).tolist()
+        return np.diff(self.indptr).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, in row-major order."""
-        a = self.adjacency
-        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        upper = rows < a.indices
-        return list(zip(rows[upper].tolist(), a.indices[upper].tolist()))
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
     def label_map(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.original_labels)}
@@ -212,26 +237,38 @@ def giant_component(g: Graph) -> Graph:
     with the smallest minimum node id. A connected `g` is returned as is."""
     if g.n == 0:
         raise GraphError("empty graph")
-    count, component = csgraph.connected_components(g.adjacency, directed=False)
+    count, component = csgraph.connected_components(
+        csr_array((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)),
+        directed=False)
     if count == 1:
         return g
     # components are labelled in order of their smallest node, so the first
     # largest label is the tie rule
-    best = np.flatnonzero(component == np.argmax(np.bincount(component)))
-    return Graph._from_adjacency(g.adjacency[best][:, best],
-                                 [g.original_labels[u] for u in best.tolist()])
+    inside = component == np.argmax(np.bincount(component))
+    best = np.flatnonzero(inside)
+    new_id = np.cumsum(inside) - 1
+    # a component's edges stay inside it, so its rows are all it needs
+    kept = np.repeat(inside, np.diff(g.indptr))
+    degrees = np.diff(g.indptr)[best]
+    return Graph._from_csr(np.concatenate(([0], np.cumsum(degrees))), new_id[g.indices[kept]],
+                           [g.original_labels[u] for u in best.tolist()])
 
 
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
     if g.n < 1:
         raise GraphError("empty graph")
-    return EmpiricalDistribution(np.diff(g.adjacency.indptr))
+    return EmpiricalDistribution(np.diff(g.indptr))
 
 
 def triangles_per_node(g: Graph) -> list[int]:
-    """tri(u) = number of edges among u's neighbors."""
-    a = g.adjacency
-    return ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
+    """tri(u) = number of edges among u's neighbors: the pairs v < w of
+    u's neighbours that are adjacent, found among the sorted edge codes
+    v * n + w."""
+    u, v, w = row_pairs(g.indptr, g.indices)
+    codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
+    pairs = v * g.n + w
+    found = codes[np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)] == pairs
+    return np.bincount(u[found], minlength=g.n).tolist()
 
 
 def local_clustering(g: Graph) -> list[float]:
@@ -306,7 +343,8 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
     # count each unordered pair once: skip (u, v) when v is a root <= u
     # (that root already counted it, or v is u itself)
     skip = in_roots & (np.arange(gc.n) <= roots[:, None])
-    hops = csgraph.shortest_path(gc.adjacency, unweighted=True, indices=roots)[~skip]
+    adjacency = csr_array((np.ones(len(gc.indices)), gc.indices, gc.indptr), shape=(gc.n, gc.n))
+    hops = csgraph.shortest_path(adjacency, unweighted=True, indices=roots)[~skip]
     dist = EmpiricalDistribution(hops)
     return HopSummary(
         distribution=dist,

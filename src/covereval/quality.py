@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .cover import Cover
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, expand
 
 
 @dataclass(frozen=True)
@@ -40,23 +39,27 @@ def _mean(per_community: np.ndarray) -> float:
 def quality_report(g: Graph, c: Cover) -> QualityReport:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
-    density) plus overlapping modularity. Row i of the product of the
-    incidence matrix and the adjacency counts each node's neighbours inside
-    community i, so one product gives every member's intra-degree; the
-    cover's columns are relabelled with its node ids, which keeps each row's
-    members in id order, and a weighted `np.bincount` adds in input order."""
+    density) plus overlapping modularity. Every member's intra-degree
+    counts its neighbours that are members of the same community: each
+    (community, neighbour) pair is looked up among the members' sorted codes
+    community * V + node. Members stay in id order, and a weighted
+    `np.bincount` adds in input order."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
     m = g.edge_count
     if m < 1:
         raise GraphError("modularity undefined on an edgeless graph")
-    b = sparse.csr_array((c.matrix.data, c.nodes[c.matrix.indices], c.matrix.indptr),
-                         shape=(c.matrix.shape[0], g.n))
-    k = b.shape[0]
-    size = np.diff(b.indptr)
+    k = len(c.sizes)
+    size = c.sizes
     rows = np.repeat(np.arange(k), size)
-    intra = (b @ g.adjacency)[rows, b.indices]
-    total = np.diff(g.adjacency.indptr)[b.indices]
+    members = c.nodes[c.indices]
+    degree = np.diff(g.indptr)
+    total = degree[members]
+    owner, at = expand(g.indptr[members], total)
+    codes = rows * g.n + members
+    wanted = rows[owner] * g.n + g.indices[at]
+    inside = codes[np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)] == wanted
+    intra = np.bincount(owner[inside], minlength=len(members))
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
     e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints
     volume = np.bincount(rows, total, k)  # 2 e_in + e_out
@@ -69,7 +72,7 @@ def quality_report(g: Graph, c: Cover) -> QualityReport:
         flake_odf=_mean(np.bincount(rows, intra < total / 2, k) / size),
         internal_density=_mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k),
                                          where=size >= 2)),
-        max_odf=_mean(np.maximum.reduceat(fracs, b.indptr[:-1])),
+        max_odf=_mean(np.maximum.reduceat(fracs, c.indptr[:-1])),
         q_ov=q_ov,
     )
 

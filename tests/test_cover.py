@@ -158,20 +158,28 @@ class TestCoverMatrix:
         c = Cover.from_sets([[2**45, -3, 2**45], [7], [-3, 7]])
         assert c.nodes.dtype == np.int64
         assert c.nodes.tolist() == [-3, 7, 2**45]
-        assert c.matrix.toarray().tolist() == [[1, 0, 1], [0, 1, 0], [1, 1, 0]]
-        assert c.matrix.has_sorted_indices
+        # the incidence [[1, 0, 1], [0, 1, 0], [1, 1, 0]] in CSR form
+        assert c.indptr.dtype == np.int64 and c.indices.dtype == np.int64
+        assert c.indptr.tolist() == [0, 2, 3, 5]
+        assert c.indices.tolist() == [0, 2, 1, 0, 1]
+        rng = random.Random(31)
+        for _ in range(10):
+            r = Cover.from_sets(arbitrary_ids(rng, random_cover_sets(rng, 60, 12)))
+            for lo, hi in zip(r.indptr[:-1], r.indptr[1:]):
+                assert (np.diff(r.indices[lo:hi]) > 0).all()
         assert c.communities == (frozenset({-3, 2**45}), frozenset({7}), frozenset({-3, 7}))
 
     def test_only_state_is_the_matrix(self):
         c = Cover.from_sets([{0, 1}])
-        assert Cover.__slots__ == ("nodes", "matrix") and not hasattr(c, "__dict__")
+        assert Cover.__slots__ == ("nodes", "indptr", "indices") and not hasattr(c, "__dict__")
 
     def test_load_cover_equals_from_sets(self):
         g = load_edge_list("a b\nb c\nc d\nd e\n")
         loaded = load_cover("e d d\n# skip\n\n  b a\n", g.label_map())
         built = Cover.from_sets([{4, 3}, {1, 0}])
         assert np.array_equal(loaded.nodes, built.nodes)
-        assert (loaded.matrix != built.matrix).nnz == 0
+        assert np.array_equal(loaded.indptr, built.indptr)
+        assert np.array_equal(loaded.indices, built.indices)
 
 
 class TestCoverValidation:
