@@ -10,7 +10,6 @@ from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
 
 
 class GraphError(ValueError):
@@ -57,6 +56,10 @@ def row_pairs(indptr: np.ndarray, indices: np.ndarray
 # to sampled sources (a seed is then mandatory).
 EXACT_HOP_LIMIT = 20_000
 DEFAULT_HOP_SOURCES = 1_000
+# hop_distribution searches from its roots in blocks of r roots: a block
+# holds r x V distances and flags, and r / 8 bytes per edge end, and r V
+# stays under this bound where r > 1
+BFS_BLOCK_ENTRIES = 1 << 22
 
 
 class EmpiricalDistribution:
@@ -232,19 +235,39 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     return Graph(len(label_ids), zip(ends[::2], ends[1::2]), list(label_ids))
 
 
+def connected_components(g: Graph) -> np.ndarray:
+    """Each node's component, the components numbered in order of their
+    smallest node. Every tree of pointers hangs under its smallest node:
+    each round hooks every root under the smallest root it has an edge to,
+    then points every node straight at its root, until no edge joins two
+    trees."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    root = np.arange(g.n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[g.indices])
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = hooked
+
+
 def giant_component(g: Graph) -> Graph:
     """Induced subgraph of the largest component; ties pick the component
     with the smallest minimum node id. A connected `g` is returned as is."""
     if g.n == 0:
         raise GraphError("empty graph")
-    count, component = csgraph.connected_components(
-        csr_array((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)),
-        directed=False)
-    if count == 1:
+    component = connected_components(g)
+    count = np.bincount(component)
+    if len(count) == 1:
         return g
-    # components are labelled in order of their smallest node, so the first
-    # largest label is the tie rule
-    inside = component == np.argmax(np.bincount(component))
+    # components are numbered in order of their smallest node, so the first
+    # largest one is the tie rule
+    inside = component == np.argmax(count)
     best = np.flatnonzero(inside)
     new_id = np.cumsum(inside) - 1
     # a component's edges stay inside it, so its rows are all it needs
@@ -317,6 +340,33 @@ def degree_assortativity(g: Graph) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:
+    """Hop distances from each root to every node, as a roots x V int32
+    array (-1 where unreachable), by breadth-first search from all roots at
+    once. Each node holds one bit per root, packed eight to a byte, for the
+    roots whose frontier it is on; a level ORs each node's neighbours' bits,
+    and the bits of roots that had not reached it yet form the next
+    frontier."""
+    degree = np.diff(g.indptr)
+    linked = degree > 0
+    starts = g.indptr[:-1][linked]
+    dist = np.full((g.n, len(roots)), -1, dtype=np.int32)  # node x root
+    dist[roots, np.arange(len(roots))] = 0
+    frontier = np.packbits(dist == 0, axis=1)
+    seen = frontier.copy()
+    level = 0
+    while frontier.any():
+        level += 1
+        gathered = frontier[g.indices]
+        frontier = np.zeros_like(seen)
+        # rows without neighbours are left out, so no reduceat segment is empty
+        frontier[linked] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        frontier &= ~seen
+        seen |= frontier
+        dist[np.unpackbits(frontier, axis=1, count=len(roots)).view(bool)] = level
+    return dist.T
+
+
 def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SOURCES,
                      seed: int | None = None) -> HopSummary:
     """Pairwise hop-distance distribution on the giant component.
@@ -340,12 +390,16 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
         was_sampled = True
     in_roots = np.zeros(gc.n, dtype=bool)
     in_roots[roots] = True
-    # count each unordered pair once: skip (u, v) when v is a root <= u
-    # (that root already counted it, or v is u itself)
-    skip = in_roots & (np.arange(gc.n) <= roots[:, None])
-    adjacency = csr_array((np.ones(len(gc.indices)), gc.indices, gc.indptr), shape=(gc.n, gc.n))
-    hops = csgraph.shortest_path(adjacency, unweighted=True, indices=roots)[~skip]
-    dist = EmpiricalDistribution(hops)
+    # roots in blocks, so that memory stays bounded on large graphs
+    block = max(1, BFS_BLOCK_ENTRIES // gc.n)
+    hops = []
+    for start in range(0, len(roots), block):
+        part = roots[start:start + block]
+        # count each unordered pair once: skip (u, v) when v is a root <= u
+        # (that root already counted it, or v is u itself)
+        skip = in_roots & (np.arange(gc.n) <= part[:, None])
+        hops.append(hop_counts(gc, part)[~skip])
+    dist = EmpiricalDistribution(np.concatenate(hops))
     return HopSummary(
         distribution=dist,
         median_path=dist.percentile(50),
