@@ -1,10 +1,10 @@
 """MLE fitting of ten candidate distribution families and
 Kolmogorov-Smirnov goodness-of-fit selection.
 
-Each family's CDF is one numpy or `scipy.special` expression on x in
+Each family's CDF is one numpy or `special` expression on x in
 FittedDistribution.cdf. It is the function scipy.stats computes, though not
-always in the same order of operations, so the values can differ from
-scipy's in the last bits; the tests hold them to 1e-14.
+in the same operations, so the values can differ from scipy's in the last
+bits; the tests hold them to 1e-14.
 
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
 form; the gamma shape by Newton's method on its 1-D score equation and the
@@ -12,8 +12,8 @@ Weibull shape by a safeguarded Newton's method on its profile score, each
 scale then in closed form; logistic and beta by Newton's method on their
 two score equations, in coordinates where the log-likelihood is concave;
 Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
-scipy's (`optimize`), so fitting imports nothing of scipy but
-`scipy.special`. Every iterative fit reads the samples as their distinct
+scipy's (`optimize`). Fitting imports nothing of scipy: the special
+functions are covereval's own (`special`). Every iterative fit reads the samples as their distinct
 values and counts, so one evaluation of a likelihood or score costs
 O(distinct values), not O(samples). Where one value holds at least half the
 samples the Cauchy likelihood has no maximum (Copas 1975; at exactly half
@@ -29,9 +29,9 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sc
 
 from . import optimize
+from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 from .graph import EmpiricalDistribution
 
 MIN_SAMPLES = 5
@@ -116,7 +116,7 @@ class FittedDistribution:
         if f is Family.BETA:
             lo, hi = self.rescale
             y = (x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
-            return sc.betainc(p[0], p[1], np.clip(y, 0.0, 1.0))
+            return betainc(p[0], p[1], np.clip(y, 0.0, 1.0))
         if f is Family.UNIFORM:
             lo, hi = p
             if hi == lo:
@@ -125,19 +125,19 @@ class FittedDistribution:
         if f is Family.CAUCHY:
             return np.arctan2(1, (p[0] - x) / p[1]) / np.pi
         if f is Family.LOGISTIC:
-            return sc.expit((x - p[0]) / p[1])
+            return expit((x - p[0]) / p[1])
         if f is Family.NORMAL:
-            return sc.ndtr((x - p[0]) / p[1])
+            return ndtr((x - p[0]) / p[1])
         positive = np.maximum(x, 0.0)  # the other families are 0 below 0
         if f is Family.EXPONENTIAL:
-            return -sc.expm1(-p[0] * positive)
+            return -np.expm1(-p[0] * positive)
         if f is Family.GAMMA:
-            return sc.gammainc(p[0], positive / p[1])
+            return gammainc(p[0], positive / p[1])
         if f is Family.LOG_NORMAL:
             with np.errstate(divide="ignore"):  # log 0 = -inf, where the CDF is 0
-                return sc.ndtr((np.log(positive) - p[0]) / p[1])
+                return ndtr((np.log(positive) - p[0]) / p[1])
         if f is Family.WEIBULL:
-            return -sc.expm1(-(positive / p[1]) ** p[0])
+            return -np.expm1(-(positive / p[1]) ** p[0])
         raise FitError(f"unknown family {f}")
 
 
@@ -164,6 +164,16 @@ def _check_support(family: Family, x: np.ndarray) -> str | None:
     if family is Family.BETA and x.min() == x.max():
         return "constant data; beta rescaling degenerate"
     return None
+
+
+def _quantile(x: np.ndarray, q: float) -> float:
+    """The q-quantile of the sorted samples x by linear interpolation, in
+    np.percentile's default method and operations (which import numpy.ma)."""
+    index = q * (len(x) - 1)
+    lo = math.floor(index)
+    a, b = float(x[lo]), float(x[min(lo + 1, len(x) - 1)])
+    frac = index - lo
+    return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
 
 
 def _newton(evaluate, theta: tuple[float, float], maxiter: int = 100
@@ -245,9 +255,9 @@ def _beta_mle(y: np.ndarray, counts: np.ndarray, init: tuple[float, float]
         a, b = theta
         if not (a > 0 and b > 0):
             return None
-        psi_a, psi_b, psi_ab = sc.digamma((a, b, a + b))
-        tri_a, tri_b, tri_ab = sc.polygamma(1, (a, b, a + b))
-        value = (a - 1) * s1 + (b - 1) * s2 - float(sc.betaln(a, b))
+        psi_a, psi_b, psi_ab = digamma(a), digamma(b), digamma(a + b)
+        tri_a, tri_b, tri_ab = trigamma(a), trigamma(b), trigamma(a + b)
+        value = (a - 1) * s1 + (b - 1) * s2 - betaln(a, b)
         return (value, (s1 - psi_a + psi_ab, s2 - psi_b + psi_ab),
                 (tri_ab - tri_a, tri_ab, tri_ab - tri_b))
 
@@ -269,9 +279,9 @@ def _gamma_mle(data: EmpiricalDistribution, mean: float
     a = (3 - s + math.sqrt((s - 3) ** 2 + 24 * s)) / (12 * s)
     last = math.inf
     for evaluations in itertools.count(1):
-        # above a ~ 1e8 the slope can round to 0, and the step is inf or nan
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (math.log(a) - sc.digamma(a) - s) / (1 / a - sc.polygamma(1, a))
+        # for large a the slope can round to 0, which ends the iterates
+        slope = 1 / a - trigamma(a)
+        step = (math.log(a) - digamma(a) - s) / slope if slope else math.inf
         if not abs(step) < last:
             return (a, mean / a), SolverWork(evaluations - 1, evaluations)
         last = abs(step)
@@ -409,7 +419,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         if 2 * int(data.counts.max()) >= n:
             raise FitError("CA: one value holds at least half the samples; "
                            "the likelihood has no maximum")
-        q25, q50, q75 = np.percentile(x, [25, 50, 75])
+        q25, q50, q75 = (_quantile(x, q) for q in (0.25, 0.5, 0.75))
         scale0 = max((q75 - q25) / 2.0, 1e-9)
         values, counts = data.values, data.counts
 

@@ -29,7 +29,9 @@ def csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
     """The 0/1 matrix with a one at each (row, col) pair, repeated pairs
     counted once, in CSR form: int64 row pointers and column indices,
     sorted within each row."""
-    rows, cols = np.divmod(np.unique(rows * n_cols + cols), max(n_cols, 1))
+    codes = np.sort(rows * n_cols + cols)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    rows, cols = np.divmod(codes, max(n_cols, 1))
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols
 
 
@@ -50,6 +52,14 @@ def row_pairs(indptr: np.ndarray, indices: np.ndarray
     pos = np.arange(len(indices))
     first, second = expand(pos + 1, indptr[rows + 1] - pos - 1)
     return rows[first], indices[first], indices[second]
+
+
+def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query is one of the increasing `values`."""
+    at = np.searchsorted(values, queries)
+    found = at < len(values)
+    found[found] = values[at[found]] == queries[found]
+    return found
 
 
 # Exact all-pairs BFS above this node count gets too expensive; fall back
@@ -289,9 +299,7 @@ def triangles_per_node(g: Graph) -> list[int]:
     v * n + w."""
     u, v, w = row_pairs(g.indptr, g.indices)
     codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
-    pairs = v * g.n + w
-    found = codes[np.minimum(np.searchsorted(codes, pairs), len(codes) - 1)] == pairs
-    return np.bincount(u[found], minlength=g.n).tolist()
+    return np.bincount(u[in_sorted(codes, v * g.n + w)], minlength=g.n).tolist()
 
 
 def local_clustering(g: Graph) -> list[float]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand
+from .graph import Graph, GraphError, expand, in_sorted
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,23 @@ def _mean(per_community: np.ndarray) -> float:
     return sum(per_community.tolist()) / len(per_community)
 
 
+def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
+    """Each member's neighbours inside its community, member by member as
+    the cover's CSR arrays list them: every (community, neighbour) pair is
+    looked up among the members' sorted codes community * V + node."""
+    rows = np.repeat(np.arange(len(c.sizes)), c.sizes)
+    members = c.nodes[c.indices]
+    owner, at = expand(g.indptr[members], np.diff(g.indptr)[members])
+    inside = in_sorted(rows * g.n + members, rows[owner] * g.n + g.indices[at])
+    return np.bincount(owner[inside], minlength=len(members))
+
+
 def quality_report(g: Graph, c: Cover) -> QualityReport:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
-    density) plus overlapping modularity. Every member's intra-degree
-    counts its neighbours that are members of the same community: each
-    (community, neighbour) pair is looked up among the members' sorted codes
-    community * V + node. Members stay in id order, and a weighted
-    `np.bincount` adds in input order."""
+    density) plus overlapping modularity, from every member's degree and
+    intra-degree. Members stay in id order, and a weighted `np.bincount`
+    adds in input order."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
     m = g.edge_count
@@ -52,14 +61,8 @@ def quality_report(g: Graph, c: Cover) -> QualityReport:
     k = len(c.sizes)
     size = c.sizes
     rows = np.repeat(np.arange(k), size)
-    members = c.nodes[c.indices]
-    degree = np.diff(g.indptr)
-    total = degree[members]
-    owner, at = expand(g.indptr[members], total)
-    codes = rows * g.n + members
-    wanted = rows[owner] * g.n + g.indices[at]
-    inside = codes[np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)] == wanted
-    intra = np.bincount(owner[inside], minlength=len(members))
+    total = np.diff(g.indptr)[c.nodes[c.indices]]
+    intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
     e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints
     volume = np.bincount(rows, total, k)  # 2 e_in + e_out

@@ -30,10 +30,10 @@ def log_likelihood(fit, x):
 
 
 # Two fixed samples and every family's fitted params and KS on them
-# (scipy 1.17.1, numpy 2.4.6): gamma and Weibull are the Newton roots of
-# their shape equations, logistic and beta the Newton solutions of their
-# score equations, Cauchy the simplex search's minimum of the mean negative
-# log-likelihood, each summed over the distinct values. In TIES one value
+# (numpy 2.4.6, covereval's own special functions): gamma and Weibull are
+# the Newton roots of their shape equations, logistic and beta the Newton
+# solutions of their score equations, Cauchy the simplex search's minimum
+# of the mean negative log-likelihood, each summed over the distinct values. In TIES one value
 # holds more than half the samples: the Cauchy likelihood has no maximum
 # there, so the family is inapplicable and its entry is the reason.
 TIES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 7]
@@ -42,27 +42,27 @@ REAL = [0.42, 0.57, 0.61, 0.83, 0.9, 1.07, 1.18, 1.3, 1.46, 1.52, 1.77, 1.9,
 RECORDED = {
     "TIES": {
         "PL": ((3.1695954208616266, 1.0), 0.6),
-        "BE": ((0.05629865823505194, 0.18909451712483122), 0.3798149441622758),
+        "BE": ((0.056298658235051924, 0.18909451712483114), 0.379814944162276),
         "CA": "CA: one value holds at least half the samples; the likelihood has no maximum",
         "E": ((0.5,), 0.3934693402873666),
-        "GM": ((2.305932243581429, 0.8673281730488861), 0.3618586345855218),
+        "GM": ((2.305932243581426, 0.8673281730488873), 0.3618586345855215),
         "LO": ((1.6776733465511842, 0.7943233706390093), 0.30122654979446),
         "LN": ((0.460915427081268, 0.6286917011858486), 0.36826172782725897),
-        "N": ((2.0, 1.61245154965971), 0.33242827380112466),
+        "N": ((2.0, 1.61245154965971), 0.3324282738011247),
         "U": ((1.0, 7.0), 0.6),
-        "WB": ((1.4212726004155405, 2.2287800942723974), 0.3260679045995619),
+        "WB": ((1.4212726004155405, 2.2287800942723974), 0.326067904599562),
     },
     "REAL": {
         "PL": ((1.6705245997844758, 0.42), 0.23856054212483527),
-        "BE": ((0.24881188928462444, 0.37376098374111766), 0.2763087845418426),
+        "BE": ((0.24881188928462433, 0.37376098374111744), 0.2763087845418427),
         "CA": ((1.61034398417268, 0.8500952443733762), 0.1974049001733059),
         "E": ((0.39173789173789175,), 0.154663083477864),
-        "GM": ((1.7440533052205045, 1.463675029361861), 0.09754482712371887),
+        "GM": ((1.7440533052205036, 1.463675029361862), 0.09754482712371881),
         "LO": ((2.195744263130585, 1.0926173624796713), 0.16448614126718247),
         "LN": ((0.6238690260751718, 0.7979385524004876), 0.0559988689324849),
         "N": ((2.5527272727272727, 2.1400556106159776), 0.17300646873148562),
         "U": ((0.42, 9.1), 0.4409300377042312),
-        "WB": ((1.3051167494681881, 2.7877358523760964), 0.09080957963474112),
+        "WB": ((1.3051167494681881, 2.7877358523760964), 0.09080957963474107),
     },
 }
 
