@@ -364,10 +364,13 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     if reason:
         raise FitError(f"{family.value}: {reason}")
     n = len(x)
-    mean = float(x.mean())
-    # MLE uses the population variance
-    var = float(x.var())
-    sd = math.sqrt(var)
+    # the mean and the population standard deviation (the MLE's), from the
+    # samples scaled by a power of two at least max |x|: the scaling is
+    # exact, and x.var() itself overflows above ~1e154
+    exponent = math.frexp(float(np.abs(x).max()))[1]
+    scaled = np.ldexp(x, -exponent)
+    mean = math.ldexp(float(scaled.mean()), exponent)
+    sd = math.ldexp(math.sqrt(float(scaled.var())), exponent)
     rescale = None
     degenerate = False
     work = SolverWork()

@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestFitMle:
     def test_too_few_samples(self):
         with pytest.raises(FitError):
             fit_mle(Family.NORMAL, dist([1, 2, 3, 4]))
+
+    def test_huge_samples_fit_or_fail_loudly(self):
+        # x.var() overflows above ~1e154; every family either fits with
+        # finite parameters and KS, without an overflow warning, or raises
+        data = dist([1e200, 2e200, 3e200, 5e200, 8e200, 9e200])
+        for family in FAMILY_ORDER:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    fit = fit_mle(family, data)
+                except FitError:
+                    continue
+            assert all(map(math.isfinite, fit.params + (fit.ks,))), family
 
     def test_numeric_families_are_local_maxima(self):
         rng = np.random.default_rng(113)
