@@ -92,3 +92,43 @@ class TestRankCommand:
         path.write_text("alg,c1\nA,1\n")
         assert main(["rank", "--table", str(path)]) == EXIT_COMPUTATION
         assert capsys.readouterr().err.startswith("computation error: ")
+
+
+class TestImports:
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        """The CLI loads numpy and the standard library only: no scipy module
+        after `import covereval.cli`, after `covereval fit` has fitted all
+        ten families, or after a run of all five groups that writes its
+        reports. A fresh interpreter, so that no test's import counts."""
+        (tmp_path / "samples.txt").write_text(
+            "0.42 0.57 0.61 0.83 0.9 1.07 1.18 1.3 1.46 1.52 1.77 2.6 9.1\n")
+        code = (
+            "import sys\n"
+            "def loaded():\n"
+            "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "import covereval.cli\n"
+            "loaded()\n"
+            "assert covereval.cli.main(['fit', '--samples', 'samples.txt']) == 0\n"
+            "loaded()\n"
+            "from covereval.pipeline import RunConfig, emit_reports, run\n"
+            "from covereval.synthetic import (perturb_cover, planted_cover_network,\n"
+            "                                 write_cover, write_edge_list)\n"
+            "graph, truth = planted_cover_network(n_nodes=120, n_communities=12, seed=3)\n"
+            "write_edge_list(graph, 'net.txt')\n"
+            "write_cover(truth, 'gt.txt')\n"
+            "write_cover(perturb_cover(truth, 0.3, seed=4), 'far.txt')\n"
+            "cfg = RunConfig(network_path='net.txt', ground_truth_path='gt.txt',\n"
+            "                candidates=(('exact', 'gt.txt'), ('far', 'far.txt')),\n"
+            "                output_dir='out')\n"
+            "written = emit_reports(run(cfg), cfg.output_dir)\n"
+            "assert len(cfg.property_groups) == 5 and written\n"
+            "loaded()\n")
+        src = str(Path(covereval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        # the first line, the ten fits with their header, the second, the last
+        assert len(lines) == 1 + 11 + 1 + 1 and "inapplicable" not in out.stdout
+        assert [lines[0], lines[12], lines[13]] == ["", "", ""]

@@ -1,0 +1,215 @@
+"""The CSR kernels of graph, cover, quality and clustering against
+scipy.sparse and scipy.sparse.csgraph, which covereval no longer imports, on
+seeded random graphs (duplicate edges, self-loops, isolated nodes, several
+components) and covers (repeated members, ids negative or beyond 2^40)."""
+
+import random
+import warnings
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
+
+from covereval import graph as graph_module
+from covereval.clustering import _co_memberships, _contingency, common_universe
+from covereval.cover import Cover, CoverError, _overlaps
+from covereval.graph import (
+    Graph, connected_components, giant_component, hop_counts, hop_distribution,
+    triangles_per_node,
+)
+from covereval.quality import intra_degrees
+
+from gen import arbitrary_ids, random_cover_sets
+
+
+def messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Edges among the first ~80 % of the nodes, in two to four separate
+    blocks, with repeats in both orientations and self-loops; the rest of
+    the nodes are isolated."""
+    used = max(2, int(n * 0.8))
+    cuts = sorted(rng.sample(range(1, used), min(used - 1, rng.randint(1, 3))))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [used]):
+        for _ in range(2 * (hi - lo)):
+            u, v = rng.randrange(lo, hi), rng.randrange(lo, hi)
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((v, u))
+    edges += [(u, u) for u in rng.sample(range(n), n // 5)]
+    rng.shuffle(edges)
+    return edges
+
+
+def scipy_adjacency(n: int, edges) -> sparse.csr_array:
+    e = np.array([(u, v) for u, v in edges if u != v] or np.empty((0, 2)), dtype=np.int64)
+    ends = np.concatenate([e, e[:, ::-1]])
+    a = sparse.csr_array((np.ones(len(ends), dtype=np.int64), (ends[:, 0], ends[:, 1])),
+                         shape=(n, n))
+    a.data[:] = 1
+    return a
+
+
+def scipy_incidence(c: Cover) -> sparse.csr_array:
+    """The cover's communities x nodes incidence, built by scipy from its
+    member sets."""
+    rows, cols = [], []
+    for i, members in enumerate(c.communities):
+        rows += [i] * len(members)
+        cols += np.searchsorted(c.nodes, sorted(members)).tolist()
+    b = sparse.csr_array((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                         shape=(len(c.communities), len(c.nodes)))
+    return b
+
+
+def graphs(seed: int, count: int = 25):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 60)
+        edges = messy_edges(rng, n)
+        yield Graph(n, edges), scipy_adjacency(n, edges)
+
+
+def covers(seed: int, count: int = 25):
+    rng = random.Random(seed)
+    for _ in range(count):
+        sets = random_cover_sets(rng, rng.randint(2, 60), rng.randint(1, 12))
+        if rng.random() < 0.5:
+            sets = arbitrary_ids(rng, sets)
+        sizes = [len(s) for s in sets]
+        members = [u for s in sets for u in s]
+        # repeat some members within their community
+        extra = rng.sample(range(len(members)), len(members) // 4)
+        at = np.cumsum([0] + sizes)
+        for i in sorted(extra, reverse=True):
+            k = int(np.searchsorted(at, i, side="right")) - 1
+            members.insert(at[k], members[i])
+            sizes[k] += 1
+            at[k + 1:] += 1
+        c = Cover(sizes, members)
+        yield c, scipy_incidence(c)
+
+
+def test_graph_csr_equals_scipy():
+    for g, a in graphs(1):
+        a.sort_indices()
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.tolist() == a.indptr.tolist()
+        assert g.indices.tolist() == a.indices.tolist()
+
+
+def test_cover_csr_equals_scipy():
+    for c, b in covers(2):
+        b.sum_duplicates()
+        assert c.indptr.tolist() == b.indptr.tolist()
+        assert c.indices.tolist() == b.indices.tolist()
+
+
+def test_transposed_equals_scipy():
+    for c, b in covers(3):
+        t = b.T.tocsr()
+        t.sort_indices()
+        ptr, comm = c.transposed()
+        assert ptr.tolist() == t.indptr.tolist() and comm.tolist() == t.indices.tolist()
+
+
+def test_overlaps_equal_scipy():
+    for c, b in covers(4):
+        want = sparse.triu(b @ b.T, k=1, format="csr")
+        want.sort_indices()
+        k = len(c.communities)
+        rows = np.repeat(np.arange(k), np.diff(want.indptr))
+        codes, counts = _overlaps(c)
+        assert codes.tolist() == (rows * k + want.indices).tolist()
+        assert counts.tolist() == want.data.tolist()
+
+
+def test_co_memberships_equal_scipy():
+    for c, b in covers(5):
+        want = sparse.triu(b.T @ b, k=1, format="csr")
+        want.sort_indices()
+        n = len(c.nodes)
+        rows = np.repeat(np.arange(n), np.diff(want.indptr))
+        codes, counts = _co_memberships(c)
+        assert codes.tolist() == (rows * n + want.indices).tolist()
+        assert counts.tolist() == want.data.tolist()
+
+
+def test_contingency_equals_scipy():
+    pairs = list(covers(6, 60))
+    for (c1, _), (c2, _) in zip(pairs[::2], pairs[1::2]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the restriction to shared ids
+            try:
+                c1, c2 = common_universe(c1, c2)
+            except CoverError:
+                continue  # no shared id
+        want = (scipy_incidence(c1) @ scipy_incidence(c2).T).tocsr()
+        want.sort_indices()
+        rows, cols, counts = _contingency(c1, c2)
+        assert rows.tolist() == np.repeat(np.arange(want.shape[0]),
+                                          np.diff(want.indptr)).tolist()
+        assert cols.tolist() == want.indices.tolist()
+        assert counts.tolist() == want.data.tolist()
+
+
+def test_intra_degrees_equal_scipy():
+    rng = random.Random(7)
+    for g, a in graphs(7):
+        sets = [set(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(rng.randint(1, 8))]
+        c = Cover.from_sets(sets)
+        b = sparse.csr_array((np.ones(len(c.indices), dtype=np.int64), c.nodes[c.indices],
+                              c.indptr), shape=(len(sets), g.n))
+        rows = np.repeat(np.arange(len(sets)), np.diff(c.indptr))
+        want = (b @ a)[rows, b.indices]
+        assert intra_degrees(g, c).tolist() == want.tolist()
+
+
+def test_triangles_equal_scipy():
+    for g, a in graphs(8):
+        want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
+        assert triangles_per_node(g) == want
+
+
+def test_component_labels_equal_scipy():
+    for g, a in graphs(9, 40):
+        count, want = csgraph.connected_components(a, directed=False)
+        got = connected_components(g)
+        assert got.tolist() == want.tolist() and got.max() + 1 == count
+
+
+def test_giant_component_equals_scipy_slice():
+    for g, a in graphs(10):
+        _, labels = csgraph.connected_components(a, directed=False)
+        best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+        want = a[best][:, best].tocsr()
+        want.sort_indices()
+        gc = giant_component(g)
+        assert gc.indptr.tolist() == want.indptr.tolist()
+        assert gc.indices.tolist() == want.indices.tolist()
+        assert gc.original_labels == tuple(str(u) for u in best.tolist())
+
+
+def test_hop_counts_equal_scipy():
+    rng = random.Random(11)
+    for g, a in graphs(11):
+        roots = np.array(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
+        want = csgraph.shortest_path(a, unweighted=True, indices=roots)
+        got = hop_counts(g, roots)
+        assert got.shape == want.shape
+        assert np.array_equal(np.where(got < 0, np.inf, got), want)
+
+
+@pytest.mark.parametrize("entries", [1, 200, graph_module.BFS_BLOCK_ENTRIES])
+def test_hop_distribution_in_blocks_equals_scipy(monkeypatch, entries):
+    # the block bound only changes how many roots are searched at once
+    monkeypatch.setattr(graph_module, "BFS_BLOCK_ENTRIES", entries)
+    for g, _ in graphs(12, 15):
+        gc = giant_component(g)
+        if gc.n < 2:
+            continue
+        b = scipy_adjacency(gc.n, gc.edges())
+        full = csgraph.shortest_path(b, unweighted=True)
+        want = full[np.triu_indices(gc.n, k=1)]
+        got = hop_distribution(g).distribution.samples
+        assert got.tolist() == sorted(want.tolist())

@@ -1,18 +1,13 @@
 """The Nelder-Mead port in `covereval.optimize` against its scipy original,
 bit for bit, on the objectives the Cauchy fits build and on a few plain
-functions; and the import that the port keeps out of the CLI."""
+functions. The guard that the CLI imports no scipy is in test_cli.py."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize as scipy_optimize
 
-import covereval
 from covereval import distfit, optimize
 from covereval.distfit import Family, fit_mle
 from covereval.graph import EmpiricalDistribution
@@ -94,26 +89,3 @@ def test_minimize_equals_scipy_where_the_objective_is_inf(maxfev):
             assert_same_minimum(walled, x0, maxfev)
         got = assert_same_minimum(lambda t: math.inf, [1.0, 2.0], maxfev)
     assert not got.success and got.nfev == maxfev
-
-
-def test_cli_imports_neither_scipy_optimize_nor_stats(tmp_path):
-    """Together they cost ~0.1-0.16 s and ~0.35 s to import: the CLI pulls
-    in neither, before or after `covereval fit` has fitted all ten
-    families."""
-    samples = tmp_path / "samples.txt"
-    samples.write_text("0.42 0.57 0.61 0.83 0.9 1.07 1.18 1.3 1.46 1.52 1.77 2.6 9.1\n")
-    code = (
-        "import sys, covereval.cli\n"
-        "heavy = ('scipy.optimize', 'scipy.stats')\n"
-        "print(*[m for m in heavy if m in sys.modules])\n"
-        "assert covereval.cli.main(['fit', '--samples', sys.argv[1]]) == 0\n"
-        "print(*[m for m in heavy if m in sys.modules])\n")
-    src = str(Path(covereval.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, str(samples)], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
-    assert lines[0] == ""
-    assert "inapplicable" not in out.stdout and len(lines) == 1 + 1 + 10 + 1
-    assert lines[-1] == ""
