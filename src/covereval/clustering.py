@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, row_pairs
+from .graph import expand, row_of, row_pairs
 
 
 def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
@@ -43,7 +43,7 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
     equal."""
     ptr1, comm1 = c1.transposed()
     ptr2, comm2 = c2.transposed()
-    node = np.repeat(np.arange(len(c1.nodes)), np.diff(ptr1))
+    node = row_of(ptr1)
     first, second = expand(ptr2[node], np.diff(ptr2)[node])
     width = len(c2.sizes)
     codes, counts = np.unique(comm1[first] * width + comm2[second], return_counts=True)

@@ -9,7 +9,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EmpiricalDistribution, Graph, csr, giant_component, row_pairs
+from .graph import EmpiricalDistribution, Graph, csr, giant_component, row_of, row_pairs
 
 
 class CoverError(ValueError):
@@ -59,8 +59,7 @@ class Cover:
         """The incidence transposed, nodes x communities, in CSR form: node
         j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
         increasing order."""
-        rows = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        return csr(self.indices, rows, len(self.nodes), len(self.sizes))
+        return csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes))
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied

@@ -13,9 +13,9 @@ scale then in closed form; logistic and beta by Newton's method on their
 two score equations, in coordinates where the log-likelihood is concave;
 Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
 scipy's (`optimize`). Fitting imports nothing of scipy: the special
-functions are covereval's own (`special`). Every iterative fit reads the samples as their distinct
-values and counts, so one evaluation of a likelihood or score costs
-O(distinct values), not O(samples). Where one value holds at least half the
+functions are covereval's own (`special`). Every iterative fit reads the
+samples as their distinct values and counts, so one evaluation of a
+likelihood or score costs O(distinct values), not O(samples). Where one value holds at least half the
 samples the Cauchy likelihood has no maximum (Copas 1975; at exactly half
 it is bounded but only approached as the scale goes to 0), so the family is
 inapplicable there."""
@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optimize
-from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 from .graph import EmpiricalDistribution
+from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 
 MIN_SAMPLES = 5
 BETA_EPS = 1e-9

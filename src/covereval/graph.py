@@ -31,8 +31,13 @@ def csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
     sorted within each row."""
     codes = np.sort(rows * n_cols + cols)
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    rows, cols = np.divmod(codes, max(n_cols, 1))
+    rows, cols = np.divmod(codes, n_cols)
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols
+
+
+def row_of(indptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of a CSR matrix."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +53,7 @@ def row_pairs(indptr: np.ndarray, indices: np.ndarray
     """Every pair of entries a < b within one row of a CSR matrix with
     sorted rows: the row, a and b, row by row and, within a row, in
     order of a, then b. A row of s entries gives s(s - 1)/2 pairs."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    rows = row_of(indptr)
     pos = np.arange(len(indices))
     first, second = expand(pos + 1, indptr[rows + 1] - pos - 1)
     return rows[first], indices[first], indices[second]
@@ -66,9 +71,9 @@ def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # to sampled sources (a seed is then mandatory).
 EXACT_HOP_LIMIT = 20_000
 DEFAULT_HOP_SOURCES = 1_000
-# hop_distribution searches from its roots in blocks of r roots: a block
-# holds r x V distances and flags, and r / 8 bytes per edge end, and r V
-# stays under this bound where r > 1
+# hop_distribution searches from at most this many / V roots at once (one
+# at least), which bounds the roots x V distances a search holds; its
+# frontiers take one bit per root and edge end
 BFS_BLOCK_ENTRIES = 1 << 22
 
 
@@ -209,7 +214,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, in row-major order."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows = row_of(self.indptr)
         upper = rows < self.indices
         return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
@@ -251,7 +256,7 @@ def connected_components(g: Graph) -> np.ndarray:
     each round hooks every root under the smallest root it has an edge to,
     then points every node straight at its root, until no edge joins two
     trees."""
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    rows = row_of(g.indptr)
     root = np.arange(g.n)
     while True:
         hooked = root.copy()
@@ -298,7 +303,7 @@ def triangles_per_node(g: Graph) -> list[int]:
     u's neighbours that are adjacent, found among the sorted edge codes
     v * n + w."""
     u, v, w = row_pairs(g.indptr, g.indices)
-    codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
+    codes = row_of(g.indptr) * g.n + g.indices
     return np.bincount(u[in_sorted(codes, v * g.n + w)], minlength=g.n).tolist()
 
 

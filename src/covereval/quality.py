@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, in_sorted
+from .graph import Graph, GraphError, expand, in_sorted, row_of
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     """Each member's neighbours inside its community, member by member as
     the cover's CSR arrays list them: every (community, neighbour) pair is
     looked up among the members' sorted codes community * V + node."""
-    rows = np.repeat(np.arange(len(c.sizes)), c.sizes)
+    rows = row_of(c.indptr)
     members = c.nodes[c.indices]
     owner, at = expand(g.indptr[members], np.diff(g.indptr)[members])
     inside = in_sorted(rows * g.n + members, rows[owner] * g.n + g.indices[at])
@@ -60,7 +60,7 @@ def quality_report(g: Graph, c: Cover) -> QualityReport:
         raise GraphError("modularity undefined on an edgeless graph")
     k = len(c.sizes)
     size = c.sizes
-    rows = np.repeat(np.arange(k), size)
+    rows = row_of(c.indptr)
     total = np.diff(g.indptr)[c.nodes[c.indices]]
     intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)

@@ -119,16 +119,14 @@ def _fraction(coefficients, shape: tuple[int, ...]) -> np.ndarray:
     until doubling n changes no element by more than 2^-52 of it. From the
     back, a near-zero denominator of an early convergent, which Lentz's
     forward method divides by, never enters."""
-    last = None
-    n = 8
+    last, n = None, 8
     while True:
         value = np.zeros(shape)
         for i in range(n, 0, -1):
             a_i, b_i = coefficients(i)
             value = a_i / (b_i + value)
-        if last is not None and (np.abs(value - last) <= 2 * _EPS * np.abs(value)).all():
-            return value
-        if n >= _MAX_TERMS:
+        if n >= _MAX_TERMS or (
+                last is not None and (np.abs(value - last) <= 2 * _EPS * np.abs(value)).all()):
             return value
         last, n = value, 2 * n
 
