@@ -133,14 +133,10 @@ def _fraction(coefficients, shape: tuple[int, ...]) -> np.ndarray:
 
 def gammainc(a: float, x: np.ndarray) -> np.ndarray:
     """The regularized lower incomplete gamma function P(a, x) for a > 0 and
-    x >= 0. Below x = a + 1 + 3 sqrt(a) it is x^a e^-x / Gamma(a + 1) times
-    the series sum_n x^n / ((a + 1) ... (a + n)); above, one minus Q(a, x),
-    which is x^a e^-x / Gamma(a) times the continued fraction
-    1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...))).
-    Numerical Recipes switches at x = a + 1, but for large a the fraction
-    cancels there, by a factor that grows as sqrt(a); the series has
-    positive terms, and three standard deviations later Q is small enough
-    that the fraction's error is too."""
+    x >= 0. Below x = a + 1 it is x^a e^-x / Gamma(a + 1) times the series
+    sum_n x^n / ((a + 1) ... (a + n)); above, one minus Q(a, x), which is
+    x^a e^-x / Gamma(a) times the continued fraction
+    1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...)))."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pos = x > 0
@@ -155,7 +151,7 @@ def gammainc(a: float, x: np.ndarray) -> np.ndarray:
                        - _stirling(a))
     front = np.exp(log_front)
 
-    low = xs < a + 1 + 3 * math.sqrt(a)
+    low = xs < a + 1
     xl = xs[low]
     term = np.ones_like(xl)
     total = np.ones_like(xl)
@@ -232,16 +228,14 @@ def betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # a log(x / p) + b log((1 - x) / q) = a log(1 + t) + b log(1 + u), with
     # t = (x - p) / p and u = (p - x) / q, and near x = p, where the two
     # cancel, a g(t) + b g(u), g(t) = log(1 + t) - t, as a t + b u = 0.
-    # x - p and the logs of p and q are taken from the side where they do
-    # not cancel, and log(1 + t) as log x - log p where t is near -1.
+    # x - p is taken from the side where it does not cancel, and log(1 + t)
+    # as log x - log p where t is near -1.
     p, q = a / (a + b), b / (a + b)
-    log_p = math.log1p(-q) if p > 0.5 else math.log(p)
-    log_q = math.log1p(-p) if q > 0.5 else math.log(q)
     d = np.where(xs < 0.5, xs - p, q - ys)
     t, u = d / p, -d / q
     with np.errstate(divide="ignore"):
-        main = (a * np.where(t > -0.5, np.log1p(t), np.log(xs) - log_p)
-                + b * np.where(u > -0.5, np.log1p(u), np.log1p(-xs) - log_q))
+        main = (a * np.where(t > -0.5, np.log1p(t), np.log(xs) - math.log(p))
+                + b * np.where(u > -0.5, np.log1p(u), np.log1p(-xs) - math.log(q)))
     near = (np.abs(t) < 0.5) & (np.abs(u) < 0.5)
     main[near] = a * _log1pmx(t[near]) + b * _log1pmx(u[near])
     front = np.exp(main + 0.5 * math.log(a * b / (a + b)) - _HALF_LOG_2PI
