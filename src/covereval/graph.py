@@ -403,16 +403,21 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
         was_sampled = True
     in_roots = np.zeros(gc.n, dtype=bool)
     in_roots[roots] = True
-    # roots in blocks, so that memory stays bounded on large graphs
+    # count each unordered pair once: skip (u, v) when v is a root <= u
+    # (that root already counted it, or v is u itself), so the i-th root
+    # keeps V - i - 1 distances; the roots go in blocks, so that memory stays
+    # bounded on large graphs, and each block's distances straight into one
+    # array
+    hops = np.empty(len(roots) * gc.n - len(roots) * (len(roots) + 1) // 2)
     block = max(1, BFS_BLOCK_ENTRIES // gc.n)
-    hops = []
+    kept = 0
     for start in range(0, len(roots), block):
         part = roots[start:start + block]
-        # count each unordered pair once: skip (u, v) when v is a root <= u
-        # (that root already counted it, or v is u itself)
         skip = in_roots & (np.arange(gc.n) <= part[:, None])
-        hops.append(hop_counts(gc, part)[~skip])
-    dist = EmpiricalDistribution(np.concatenate(hops))
+        found = hop_counts(gc, part)[~skip]
+        hops[kept:kept + len(found)] = found
+        kept += len(found)
+    dist = EmpiricalDistribution(hops)
     return HopSummary(
         distribution=dist,
         median_path=dist.percentile(50),
