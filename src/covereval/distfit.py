@@ -15,10 +15,10 @@ Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
 scipy's (`optimize`). Fitting imports nothing of scipy: the special
 functions are covereval's own (`special`). Every iterative fit reads the
 samples as their distinct values and counts, so one evaluation of a
-likelihood or score costs O(distinct values), not O(samples). Where one value holds at least half the
-samples the Cauchy likelihood has no maximum (Copas 1975; at exactly half
-it is bounded but only approached as the scale goes to 0), so the family is
-inapplicable there."""
+likelihood or score costs O(distinct values), not O(samples). Where one
+value holds at least half the samples the Cauchy likelihood has no maximum
+(Copas 1975; at exactly half it is bounded but only approached as the scale
+goes to 0), so the family is inapplicable there."""
 
 from __future__ import annotations
 

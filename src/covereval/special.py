@@ -181,10 +181,11 @@ def _beta_fraction(a: float, b: float, x: np.ndarray, flip: np.ndarray) -> np.nd
         if i == 1:
             return 1.0, 1.0
         m, odd = divmod(i - 1, 2)
+        sides = ((a, b), (b, a))
         if odd:
-            d = [-(s + m) * (s + r + m) / ((s + 2 * m) * (s + 2 * m + 1)) for s, r in ((a, b), (b, a))]
+            d = [-(s + m) * (s + r + m) / ((s + 2 * m) * (s + 2 * m + 1)) for s, r in sides]
         else:
-            d = [m * (r - m) / ((s + 2 * m - 1) * (s + 2 * m)) for s, r in ((a, b), (b, a))]
+            d = [m * (r - m) / ((s + 2 * m - 1) * (s + 2 * m)) for s, r in sides]
         return np.where(flip, d[1], d[0]) * x, 1.0
     return _fraction(coefficients, x.shape)
 
