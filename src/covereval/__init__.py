@@ -12,13 +12,12 @@ from .graph import (
 from .pipeline import EvaluationReport, RunConfig, emit_reports, run
 from .quality import overlapping_modularity, quality_report
 from .ranking import (
-    DecisionMatrix, RankingTable, kemeny_consensus, rank_distribution,
-    rank_scalar, spearman_matrix, topsis,
+    RankingTable, kemeny_consensus, rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
 __all__ = [
-    "Cover", "DecisionMatrix", "EmpiricalDistribution", "EvaluationReport",
-    "Family", "FitReport", "Graph", "RankingTable", "RunConfig",
+    "Cover", "EmpiricalDistribution", "EvaluationReport", "Family", "FitReport",
+    "Graph", "RankingTable", "RunConfig",
     "basic_properties", "best_fit", "build_community_graph",
     "clustering_by_degree", "degree_distribution", "emit_reports",
     "f1_best_match", "fit_mle", "giant_component", "hop_distribution",

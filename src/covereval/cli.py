@@ -20,9 +20,7 @@ from .distfit import FitError, InapplicableFit, best_fit
 from .graph import EmpiricalDistribution, GraphError, basic_properties, load_edge_list
 from .pipeline import PipelineError, RunConfig, emit_reports, run
 from .quality import quality_report
-from .ranking import (
-    DecisionMatrix, RankingError, RankingTable, kemeny_consensus, topsis,
-)
+from .ranking import RankingError, RankingTable, kemeny_consensus, topsis
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -112,6 +110,8 @@ def cmd_rank(args) -> int:
     lines = [ln for ln in Path(args.table).read_text().splitlines() if ln.strip()]
     try:
         (_, *criteria), *rows = (ln.split(",") for ln in lines)
+        if len(rows) < 2 or not criteria:
+            raise ValueError("need at least 2 alternatives and 1 criterion")
         columns = {c: [int(cells[j]) for cells in rows]
                    for j, c in enumerate(criteria, start=1)}
         rt = RankingTable.from_columns([cells[0] for cells in rows], columns)
@@ -119,7 +119,7 @@ def cmd_rank(args) -> int:
         print(f"error: {args.table}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     kc = kemeny_consensus(rt)
-    ts = topsis(DecisionMatrix.from_ranks(rt))
+    ts = topsis(rt)
     out = {"kemeny": {"order": list(kc.order), "score": kc.score, "exact": kc.exact},
            "topsis": {"closeness": ts.closeness, "ranks": ts.ranks}}
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -97,13 +97,12 @@ def _entropies(h: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray,
-                         overlap: np.ndarray, normalized: bool) -> float:
+                         overlap: np.ndarray) -> float:
     """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to
-    H(X_k); optionally each term is divided by H(X_k). `overlap[k, l]` is
-    |X_k & Y_l|. H*(X|Y) is the joint entropy of the two binary indicators
-    minus H(Y), admitted only when the information-theoretic constraint
-    h(a)+h(d) >= h(b)+h(c) holds. One row at a time, so memory stays
-    linear in the number of communities."""
+    H(X_k). `overlap[k, l]` is |X_k & Y_l|. H*(X|Y) is the joint entropy of
+    the two binary indicators minus H(Y), admitted only when the
+    information-theoretic constraint h(a)+h(d) >= h(b)+h(c) holds. One row
+    at a time, so memory stays linear in the number of communities."""
     n = len(h) - 1
     hy = _entropies(h, sizes_y)
     total = 0.0
@@ -113,23 +112,13 @@ def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray
         hc = h[size_x - d]                  # only in x
         hd = h[d]                           # in both
         terms = (ha + hb + hc + hd - hy)[ha + hd >= hb + hc]
-        best = min(hx, terms.min().item()) if len(terms) else hx
-        if normalized:
-            total += best / hx if hx > 0 else 0.0
-        else:
-            total += best
-    if normalized:
-        total /= len(sizes_x)
+        total += min(hx, terms.min().item()) if len(terms) else hx
     return total
 
 
-def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
-    """Overlapping NMI normalized by the larger cover entropy. The default
-    follows the max-normalization construction over binary community
-    indicators; variant="lfk" uses per-community normalized conditional
-    entropies inside the mutual information instead."""
-    if variant not in ("mcdaid", "lfk"):
-        raise ValueError("variant must be 'mcdaid' or 'lfk'")
+def onmi_max(c1: Cover, c2: Cover) -> float:
+    """Overlapping NMI normalized by the larger cover entropy (McDaid et
+    al.'s max-normalization over binary community indicators)."""
     c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     # every count is one of 0..n, so each entropy term is computed once
@@ -144,16 +133,10 @@ def onmi_max(c1: Cover, c2: Cover, variant: str = "mcdaid") -> float:
     rows, cols, counts = _contingency(c1, c2)
     table = np.zeros((len(sizes1), len(sizes2)), dtype=np.int64)
     table[rows, cols] = counts
-    if variant == "mcdaid":
-        h1c2 = _conditional_entropy(h, sizes1, sizes2, table, normalized=False)
-        h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=False)
-        mutual = 0.5 * ((h1 - h1c2) + (h2 - h2c1))
-        return mutual / max(h1, h2)
-    # LFK-style: 1 - mean normalized conditional entropy, symmetrized by
-    # the worse (max) direction
-    n1 = _conditional_entropy(h, sizes1, sizes2, table, normalized=True)
-    n2 = _conditional_entropy(h, sizes2, sizes1, table.T, normalized=True)
-    return 1.0 - max(n1, n2)
+    h1c2 = _conditional_entropy(h, sizes1, sizes2, table)
+    h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T)
+    mutual = 0.5 * ((h1 - h1c2) + (h2 - h2c1))
+    return mutual / max(h1, h2)
 
 
 @dataclass(frozen=True)

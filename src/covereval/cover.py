@@ -76,9 +76,6 @@ class MesoscopicProfile:
     community_sizes: EmpiricalDistribution
     memberships: EmpiricalDistribution
     overlap_sizes: EmpiricalDistribution | None  # None when no pair overlaps
-    community_count: int
-    max_size: int
-    avg_size: float
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,11 @@ def _overlaps(c: Cover) -> tuple[np.ndarray, np.ndarray]:
 def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
     """Community size, node membership, and pairwise overlap-size
     distributions, computed on the full cover (before any pruning)."""
-    sizes = c.sizes
     _, overlaps = _overlaps(c)
     return MesoscopicProfile(
-        community_sizes=EmpiricalDistribution(sizes),
+        community_sizes=EmpiricalDistribution(c.sizes),
         memberships=EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
         overlap_sizes=EmpiricalDistribution(overlaps) if len(overlaps) else None,
-        community_count=len(sizes),
-        max_size=int(sizes.max()),
-        avg_size=int(sizes.sum()) / len(sizes),
     )
 
 

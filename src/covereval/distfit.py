@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -70,6 +71,8 @@ POSITIVE_SUPPORT = {
 
 # scipy's constant, in the precision scipy computes it
 _LOG_PI = 1.1447298858494002
+# math.exp overflows exactly above this
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _cauchy_logpdf(z):
@@ -98,7 +101,6 @@ class FittedDistribution:
     params: tuple[float, ...]
     ks: float
     n: int
-    degenerate: bool = False
     # Beta fits are performed on data rescaled to (0, 1); the transform is
     # carried so the CDF applies to raw values.
     rescale: tuple[float, float] | None = None  # (min, max) of the raw data
@@ -151,9 +153,6 @@ class InapplicableFit:
 class FitReport:
     fits: tuple[FittedDistribution | InapplicableFit, ...]
     best: FittedDistribution
-
-    def by_family(self) -> dict[Family, FittedDistribution | InapplicableFit]:
-        return {f.family: f for f in self.fits}
 
 
 def _check_support(family: Family, x: np.ndarray) -> str | None:
@@ -372,7 +371,6 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     mean = math.ldexp(float(scaled.mean()), exponent)
     sd = math.ldexp(math.sqrt(float(scaled.var())), exponent)
     rescale = None
-    degenerate = False
     work = SolverWork()
 
     if family is Family.POWER_LAW:
@@ -394,7 +392,6 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     elif family is Family.UNIFORM:
         lo, hi = float(x.min()), float(x.max())
         params = (lo, hi)
-        degenerate = lo == hi
     elif family is Family.GAMMA:
         if sd == 0:
             raise FitError("GM: zero variance")
@@ -428,16 +425,23 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
 
         def mean_nll(theta):
             # the mean, not the sum, so that fatol bounds a per-sample value
-            # whose rounding does not grow with n; the scale is exp(theta[1])
+            # whose rounding does not grow with n; the scale is exp(theta[1]),
+            # and one beyond the largest double has no likelihood
+            if not theta[1] <= _LOG_MAX:
+                return math.inf
             z = (values - theta[0]) / math.exp(theta[1])
             nll = theta[1] - float(counts @ _cauchy_logpdf(z)) / n
             return nll if math.isfinite(nll) else math.inf
 
-        res = optimize.minimize(mean_nll, [float(q50), math.log(scale0)], xatol=1e-10,
-                                fatol=1e-12, maxiter=2000, maxfev=4000)
-        params = (res.x[0], math.exp(res.x[1]))
+        # near the largest double a simplex centroid can overflow; the
+        # objective scores such a vertex inf
+        with np.errstate(over="ignore"):
+            res = optimize.minimize(mean_nll, [float(q50), math.log(scale0)], xatol=1e-10,
+                                    fatol=1e-12, maxiter=2000, maxfev=4000)
+        # a finite minimum has a finite scale
         if not math.isfinite(res.fun):
-            raise FitError(f"CA: optimizer failed at {params}")
+            raise FitError(f"CA: optimizer failed at (loc, log scale) {res.x.tolist()}")
+        params = (res.x[0], math.exp(res.x[1]))
         work = SolverWork(res.nit, res.nfev, not res.success)
     elif family is Family.LOGISTIC:
         if sd == 0:
@@ -447,11 +451,8 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         raise FitError(f"unknown family {family}")
 
     params = tuple(float(p) for p in params)
-    fit = FittedDistribution(family=family, params=params, ks=0.0, n=n,
-                             degenerate=degenerate, rescale=rescale)
-    ks = ks_statistic(fit, data)
-    return FittedDistribution(family=family, params=params, ks=ks, n=n,
-                              degenerate=degenerate, rescale=rescale, work=work)
+    fit = FittedDistribution(family=family, params=params, ks=0.0, n=n, rescale=rescale)
+    return replace(fit, ks=ks_statistic(fit, data), work=work)
 
 
 def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:

@@ -78,11 +78,10 @@ BFS_BLOCK_ENTRIES = 1 << 22
 
 
 class EmpiricalDistribution:
-    """Sorted multiset of finite real samples with ECDF / percentile
-    queries. ``samples`` is the sorted float64 array; ``values`` holds the
-    distinct samples, ``counts`` their multiplicities and ``cdf`` the
-    right-continuous ECDF at each of them. All four are built once here and
-    are read-only."""
+    """Sorted multiset of finite real samples. ``samples`` is the sorted
+    float64 array; ``values`` holds the distinct samples, ``counts`` their
+    multiplicities and ``cdf`` the right-continuous ECDF at each of them.
+    All four are built once here and are read-only."""
 
     __slots__ = ("samples", "values", "counts", "cdf")
 
@@ -110,23 +109,10 @@ class EmpiricalDistribution:
     def n(self) -> int:
         return len(self.samples)
 
-    def ecdf(self, x: float) -> float:
-        """Right-continuous ECDF: (#samples <= x) / n."""
-        return int(np.searchsorted(self.samples, x, side="right")) / self.n
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank (ceil) percentile, p in (0, 100]."""
-        if not 0 < p <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        idx = math.ceil(p / 100 * self.n)
-        return self.samples[max(idx, 1) - 1].item()
-
 
 @dataclass(frozen=True)
 class HopSummary:
     distribution: EmpiricalDistribution
-    median_path: float
-    effective_diameter: float
     diameter: float
     sampled: bool
     source_count: int
@@ -420,9 +406,7 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
     dist = EmpiricalDistribution(hops)
     return HopSummary(
         distribution=dist,
-        median_path=dist.percentile(50),
-        effective_diameter=dist.percentile(90),
-        diameter=dist.percentile(100),
+        diameter=dist.values[-1].item(),
         sampled=was_sampled,
         source_count=len(roots),
     )
@@ -438,6 +422,9 @@ def basic_properties(g: Graph, exact_paths: bool = True,
     if g.edge_count == 0:
         raise GraphError("graph has no edges; path lengths undefined")
     if exact_paths and g.n > EXACT_HOP_LIMIT:
+        if seed is None:
+            raise GraphError(f"exact hop mode is limited to {EXACT_HOP_LIMIT} nodes, got "
+                             f"{g.n}; a seed enables sampling {sources} sources instead")
         exact_paths = False
     hops = hop_distribution(g, exact=exact_paths, sources=sources, seed=seed)
     degs = g.degrees()

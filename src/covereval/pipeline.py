@@ -19,7 +19,7 @@ from .graph import (
 )
 from .quality import quality_report
 from .ranking import (
-    DecisionMatrix, RankingTable, competition_ranks, kemeny_consensus,
+    RankingTable, competition_ranks, kemeny_consensus,
     rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
@@ -144,10 +144,6 @@ class EvaluationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        return cls(json.loads(text))
 
 
 def _safe_float(x: float | None) -> float | None:
@@ -299,7 +295,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
             entry["kemeny"] = {"order": list(kc.order), "ranks": kc.ranks,
                                "score": kc.score, "exact": kc.exact}
         if "topsis" in cfg.mcdm and len(names) >= 2:
-            ts = topsis(DecisionMatrix.from_ranks(rt))
+            ts = topsis(rt)
             entry["topsis"] = {"closeness": {n: _safe_float(c)
                                              for n, c in ts.closeness.items()},
                                "ranks": ts.ranks}

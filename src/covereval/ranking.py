@@ -62,34 +62,6 @@ class RankingTable:
         return cls(tuple(alternatives), crits, rows)
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]     # values[alt][criterion]
-    benefit: tuple[bool, ...]                 # per criterion; False = cost
-    weights: tuple[float, ...] | None = None  # defaults to equal
-
-    def weight_vector(self) -> np.ndarray:
-        k = len(self.criteria)
-        if self.weights is None:
-            return np.full(k, 1.0 / k)
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0):
-            raise RankingError("weights must be positive")
-        return w / w.sum()
-
-    @classmethod
-    def from_ranks(cls, rt: RankingTable) -> "DecisionMatrix":
-        """Ranks as equal-weight cost criteria (lower rank is better)."""
-        return cls(
-            alternatives=rt.alternatives,
-            criteria=rt.criteria,
-            values=tuple(tuple(float(r) for r in row) for row in rt.ranks),
-            benefit=tuple(False for _ in rt.criteria),
-        )
-
-
 def rank_scalar(reference: Mapping[str, float],
                 candidates: Mapping[str, Mapping[str, float | None]]) -> RankingTable:
     """Per property, rank candidates by ascending Manhattan distance to the
@@ -227,28 +199,24 @@ class TopsisResult:
     ranks: dict[str, int]
 
 
-def topsis(dm: DecisionMatrix) -> TopsisResult:
-    """Vector-normalize, weight, and rank by relative closeness to the
-    ideal solution."""
-    x = np.array(dm.values, dtype=float)
-    if x.shape[0] < 2 or x.shape[1] < 1:
+def topsis(rt: RankingTable) -> TopsisResult:
+    """The ranks as equal-weight cost criteria (a lower rank is better):
+    vector-normalize, weight, and rank by relative closeness to the ideal
+    solution, each column's minimum; its maximum is the anti-ideal. Ranks
+    are at least 1, so no column norm is 0."""
+    m, k = len(rt.alternatives), len(rt.criteria)
+    if m < 2 or k < 1:
         raise RankingError("need at least 2 alternatives and 1 criterion")
-    norms = np.sqrt((x ** 2).sum(axis=0))
-    if np.any(norms == 0):
-        bad = [dm.criteria[j] for j in np.where(norms == 0)[0]]
-        raise RankingError(f"zero-norm criterion column(s): {bad}")
-    y = x / norms * dm.weight_vector()
-    benefit = np.array(dm.benefit, dtype=bool)
-    pis = np.where(benefit, y.max(axis=0), y.min(axis=0))
-    nis = np.where(benefit, y.min(axis=0), y.max(axis=0))
-    d_plus = np.sqrt(((y - pis) ** 2).sum(axis=1))
-    d_minus = np.sqrt(((y - nis) ** 2).sum(axis=1))
+    x = rt.matrix()
+    y = x / np.sqrt((x ** 2).sum(axis=0)) * (1.0 / k)
+    d_plus = np.sqrt(((y - y.min(axis=0)) ** 2).sum(axis=1))
+    d_minus = np.sqrt(((y - y.max(axis=0)) ** 2).sum(axis=1))
     denom = d_plus + d_minus
     closeness = np.where(denom == 0, 0.5, d_minus / np.where(denom == 0, 1.0, denom))
     ranks = competition_ranks(list(closeness), ascending=False)
     return TopsisResult(
-        closeness=dict(zip(dm.alternatives, (float(c) for c in closeness))),
-        ranks=dict(zip(dm.alternatives, ranks)),
+        closeness=dict(zip(rt.alternatives, (float(c) for c in closeness))),
+        ranks=dict(zip(rt.alternatives, ranks)),
     )
 
 

@@ -251,13 +251,12 @@ def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
     return sum(ps) / k, sum(rs) / k, sum(fs) / k
 
 
-def brute_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") -> float:
+def brute_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
     """Overlapping NMI straight from the set definition on the common
     universe: every community is a binary node indicator, H*(X|Y) is the
     entropy of the 2x2 table of X against Y minus H(Y), admitted only when
     h(a) + h(d) >= h(b) + h(c); the max-normalized (McDaid) mutual
-    information, or the LFK-style 1 - worse mean normalized conditional
-    entropy."""
+    information."""
     common = set().union(*c1) & set().union(*c2)
     xs = [c & common for c in c1 if c & common]
     ys = [c & common for c in c2 if c & common]
@@ -281,19 +280,12 @@ def brute_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") 
     hy = sum(entropy(y) for y in ys)
     if hx == 0 and hy == 0:
         return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
-    if variant == "mcdaid":
-        hxy = sum(conditional(x, ys) for x in xs)
-        hyx = sum(conditional(y, xs) for y in ys)
-        return 0.5 * ((hx - hxy) + (hy - hyx)) / max(hx, hy)
-
-    def mean_normalized(src, dst):
-        return sum(conditional(s, dst) / entropy(s) if entropy(s) > 0 else 0.0
-                   for s in src) / len(src)
-
-    return 1.0 - max(mean_normalized(xs, ys), mean_normalized(ys, xs))
+    hxy = sum(conditional(x, ys) for x in xs)
+    hyx = sum(conditional(y, xs) for y in ys)
+    return 0.5 * ((hx - hxy) + (hy - hyx)) / max(hx, hy)
 
 
-def scalar_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid") -> float:
+def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
     """Overlapping NMI with the scalar arithmetic `clustering.onmi_max` had
     before it read its entropies from a table: the same `h`, the same
     additions in the same order, the contingency counted by set
@@ -313,7 +305,7 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid")
     def entropy(size):
         return h(size) + h(n - size)
 
-    def conditional(src, dst, normalized):
+    def conditional(src, dst):
         total = 0.0
         for x in src:
             hx = entropy(len(x))
@@ -328,20 +320,15 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]], variant: str = "mcdaid")
                 term = h(a) + h(b) + h(c) + h(d) - entropy(len(y))
                 if term < best:
                     best = term
-            if normalized:
-                total += best / hx if hx > 0 else 0.0
-            else:
-                total += best
-        return total / len(src) if normalized else total
+            total += best
+        return total
 
     h1 = sum(entropy(len(x)) for x in xs)
     h2 = sum(entropy(len(y)) for y in ys)
     if h1 == 0.0 and h2 == 0.0:
         return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
-    if variant == "mcdaid":
-        mutual = 0.5 * ((h1 - conditional(xs, ys, False)) + (h2 - conditional(ys, xs, False)))
-        return mutual / max(h1, h2)
-    return 1.0 - max(conditional(xs, ys, True), conditional(ys, xs, True))
+    mutual = 0.5 * ((h1 - conditional(xs, ys)) + (h2 - conditional(ys, xs)))
+    return mutual / max(h1, h2)
 
 
 def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]]):
@@ -588,16 +575,14 @@ def full_rescore_climb(alternatives: list[str], columns: dict[str, list[int]]):
     return tuple(alternatives[i] for i in best_order), best_score
 
 
-def spreadsheet_topsis(matrix: list[list[float]], benefit: list[bool],
-                       weights: list[float]) -> list[float]:
-    """Step-by-step TOPSIS closeness values with explicit loops."""
+def spreadsheet_topsis(matrix: list[list[float]]) -> list[float]:
+    """Step-by-step TOPSIS closeness values with explicit loops, every
+    column a cost criterion (lower is better) of weight 1/k."""
     m, k = len(matrix), len(matrix[0])
     norm = [math.sqrt(sum(matrix[i][j] ** 2 for i in range(m))) for j in range(k)]
-    y = [[matrix[i][j] / norm[j] * weights[j] for j in range(k)] for i in range(m)]
-    pis = [max(y[i][j] for i in range(m)) if benefit[j] else min(y[i][j] for i in range(m))
-           for j in range(k)]
-    nis = [min(y[i][j] for i in range(m)) if benefit[j] else max(y[i][j] for i in range(m))
-           for j in range(k)]
+    y = [[matrix[i][j] / norm[j] / k for j in range(k)] for i in range(m)]
+    pis = [min(y[i][j] for i in range(m)) for j in range(k)]
+    nis = [max(y[i][j] for i in range(m)) for j in range(k)]
     out = []
     for i in range(m):
         dp = math.sqrt(sum((y[i][j] - pis[j]) ** 2 for j in range(k)))

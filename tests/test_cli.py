@@ -1,15 +1,19 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import covereval
-from covereval import distfit
+from covereval import cli, distfit
 from covereval.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main
+from covereval.graph import EXACT_HOP_LIMIT
+from covereval.ranking import RankingError
 
 
 class TestFitCommand:
@@ -19,6 +23,22 @@ class TestFitCommand:
         assert main(["fit", "--samples", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "family,params,ks" and len(lines) == 11
+
+    def test_samples_near_the_largest_double(self, tmp_path, capsys):
+        # the Cauchy simplex tries scales beyond the largest double here
+        path = tmp_path / "samples.txt"
+        path.write_text("1e307 5e307 1e308 1.5e308 1.7e308 1.79e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            assert main(["fit", "--samples", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("# best: ") and len(captured.err.splitlines()) == 1
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert [row[0] for row in rows[1:]] == [f.value for f in distfit.FAMILY_ORDER]
+        for family, params, ks in rows[1:]:
+            if not params.startswith("inapplicable"):
+                values = [float(p) for p in params.split(";")] + [float(ks)]
+                assert all(map(math.isfinite, values)), family
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "3x"])
     def test_bad_sample_is_an_input_error(self, tmp_path, capsys, token):
@@ -44,6 +64,19 @@ class TestFitCommand:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert len(rows) == 11 and all(len(row) == 3 for row in rows)
         assert rows[5] == ["GM", "inapplicable (GM: optimizer failed at (1.0, 2.0))", ""]
+
+
+class TestPropsCommand:
+    def test_exact_mode_above_the_limit_without_a_seed_is_an_input_error(self, tmp_path,
+                                                                         capsys):
+        # a path of EXACT_HOP_LIMIT + 1 nodes; refused before any breadth-first search
+        path = tmp_path / "net.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(EXACT_HOP_LIMIT)))
+        assert main(["props", "--network", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: exact hop mode is limited to {EXACT_HOP_LIMIT} "
+                                       f"nodes, got {EXACT_HOP_LIMIT + 1}; a seed enables ")
 
 
 class TestClusteringCommand:
@@ -86,12 +119,27 @@ class TestRankCommand:
         assert captured.out == ""
         assert captured.err == f"error: {path}: ranks must lie in [1, 2]\n"
 
-    def test_aggregation_failure_stays_a_computation_error(self, tmp_path, capsys):
-        # a well-formed one-alternative table: TOPSIS needs two
+    @pytest.mark.parametrize("text", ["alg,c1\nA,1\n", "alg\nA\nB\n"])
+    def test_too_few_rows_or_criteria_is_an_input_error(self, tmp_path, capsys, text):
         path = tmp_path / "table.csv"
-        path.write_text("alg,c1\nA,1\n")
+        path.write_text(text)
+        assert main(["rank", "--table", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: "
+                                "need at least 2 alternatives and 1 criterion\n")
+
+    def test_aggregation_failure_stays_a_computation_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # no valid table makes the aggregation fail, so one is made to
+        def failing_topsis(rt):
+            raise RankingError("aggregation failed")
+
+        monkeypatch.setattr(cli, "topsis", failing_topsis)
+        path = tmp_path / "table.csv"
+        path.write_text("alg,c1\nA,1\nB,2\n")
         assert main(["rank", "--table", str(path)]) == EXIT_COMPUTATION
-        assert capsys.readouterr().err.startswith("computation error: ")
+        assert capsys.readouterr().err == "computation error: aggregation failed\n"
 
 
 class TestImports:

@@ -119,8 +119,7 @@ class TestOnmiMax:
             v = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
             assert 0.0 <= v <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("variant", ["mcdaid", "lfk"])
-    def test_matches_set_definition_oracle(self, variant):
+    def test_matches_set_definition_oracle(self):
         # duplicate communities, universes that differ, arbitrary ids
         rng = random.Random(103)
         for i in range(40):
@@ -132,14 +131,13 @@ class TestOnmiMax:
             if i % 2:
                 renamed = arbitrary_ids(rng, s1 + s2)
                 s1, s2 = renamed[:len(s1)], renamed[len(s1):]
-            want = brute_onmi(s1, s2, variant)
+            want = brute_onmi(s1, s2)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the common-universe restriction
-                got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
+                got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
             assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("variant", ["mcdaid", "lfk"])
-    def test_equals_scalar_formulas_exactly(self, variant):
+    def test_equals_scalar_formulas_exactly(self):
         # bit for bit, on partitions, duplicates and differing universes
         rng = random.Random(109)
         for i in range(150):
@@ -154,10 +152,10 @@ class TestOnmiMax:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the common-universe restriction
                 try:
-                    got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
+                    got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
                 except CoverError:
                     continue  # no common node, or the restriction emptied a cover
-            assert got == scalar_onmi(s1, s2, variant)
+            assert got == scalar_onmi(s1, s2)
 
     def test_one_entropy_per_count(self, monkeypatch):
         from covereval import clustering
@@ -172,16 +170,8 @@ class TestOnmiMax:
         rng = random.Random(113)
         s1 = random_cover_sets(rng, 60, 25) + [set(range(60))]
         s2 = random_cover_sets(rng, 60, 30) + [set(range(60))]
-        for variant in ("mcdaid", "lfk"):
-            calls.clear()
-            onmi_max(Cover.from_sets(s1), Cover.from_sets(s2), variant)
-            assert 0 < len(calls) <= 60 + 1
-
-    def test_lfk_variant_identity(self):
-        c = cover({0, 1}, {2, 3, 4})
-        assert onmi_max(c, c, variant="lfk") == 1.0
-        with pytest.raises(ValueError):
-            onmi_max(c, c, variant="bogus")
+        onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
+        assert 0 < len(calls) <= 60 + 1
 
 
 class TestF1BestMatch:

@@ -51,8 +51,6 @@ class TestMesoscopicProfile:
         assert sorted(p.community_sizes.samples) == [2, 3]
         assert sorted(p.memberships.samples) == [1, 1, 1, 2]
         assert p.overlap_sizes.samples.tolist() == [1]
-        assert p.community_count == 2 and p.max_size == 3
-        assert p.avg_size == 2.5
 
     def test_disjoint_partition(self):
         c = Cover.from_sets([{0, 1}, {2, 3}, {4}])

@@ -98,7 +98,8 @@ class TestFitMle:
 
     def test_uniform_constant_degenerate(self):
         fit = fit_mle(Family.UNIFORM, dist([2, 2, 2, 2, 2]))
-        assert fit.params == (2.0, 2.0) and fit.degenerate
+        # a point mass: the CDF's jump at 2 matches the ECDF's
+        assert fit.params == (2.0, 2.0) and fit.ks == 0.0
 
     def test_power_law_recovery(self):
         rng = np.random.default_rng(103)
@@ -258,7 +259,7 @@ class TestShapeEquations:
         for n in (5, 6, 20, 21):
             rest = rng.normal(5.0, 2.0, n - (n // 2 + 1))
             report = best_fit(dist(np.concatenate(([3.0] * (n // 2 + 1), rest))))
-            cauchy = report.by_family()[Family.CAUCHY]
+            cauchy = report.fits[FAMILY_ORDER.index(Family.CAUCHY)]
             assert isinstance(cauchy, InapplicableFit)
             assert "at least half" in cauchy.reason
 
@@ -543,9 +544,8 @@ class TestBestFit:
     def test_constant_data_well_formed(self):
         report = best_fit(dist([3, 3, 3, 3, 3]))
         assert report.best.family is Family.UNIFORM
-        assert report.best.degenerate
-        by_family = report.by_family()
-        assert isinstance(by_family[Family.POWER_LAW], InapplicableFit)
+        assert report.best.params == (3.0, 3.0) and report.best.ks == 0.0
+        assert isinstance(report.fits[FAMILY_ORDER.index(Family.POWER_LAW)], InapplicableFit)
 
     def test_all_families_attempted(self):
         rng = np.random.default_rng(149)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covereval.graph import (
-    EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
+    EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
     basic_properties, clustering_by_degree, degree_distribution,
     giant_component, hop_distribution, load_edge_list, local_clustering,
     transitivity,
@@ -149,6 +149,14 @@ class TestBasicProperties:
         with pytest.raises(GraphError):
             basic_properties(Graph(3, []))
 
+    def test_exact_mode_above_the_limit_samples_with_a_seed(self):
+        # a binary tree: few BFS levels and few neighbour pairs
+        n = EXACT_HOP_LIMIT + 1
+        p = basic_properties(Graph(n, [(i, (i - 1) // 2) for i in range(1, n)]),
+                             sources=2, seed=1)
+        assert p.hops.sampled and p.hops.source_count == 2
+        assert p.hops.distribution.n == 2 * n - 3
+
     def test_hops_are_the_hop_distribution(self):
         rng = random.Random(44)
         g, _ = random_graph(rng, 30, 0.12)
@@ -217,11 +225,13 @@ class TestHopDistribution:
     def test_p5(self):
         h = hop_distribution(path_graph(5))
         assert sorted(h.distribution.samples) == [1, 1, 1, 1, 2, 2, 2, 3, 3, 4]
-        assert h.diameter == 4 and h.median_path == 2
+        assert h.diameter == 4
+        assert h.distribution.values.tolist() == [1, 2, 3, 4]
+        assert h.distribution.counts.tolist() == [4, 3, 2, 1]
 
     def test_k6(self):
         h = hop_distribution(complete_graph(6))
-        assert h.median_path == h.effective_diameter == h.diameter == 1
+        assert h.diameter == 1 and h.distribution.samples.tolist() == [1] * 15
 
     def test_sampled_all_sources_equals_exact(self):
         rng = random.Random(3)
@@ -309,25 +319,10 @@ class TestGiantComponent:
 
 class TestEmpiricalDistribution:
     def test_ecdf_right_continuous(self):
-        d = EmpiricalDistribution([1, 2, 2, 3])
-        assert d.ecdf(0.5) == 0.0
-        assert d.ecdf(2) == 0.75
-        assert d.ecdf(1.99) == 0.25
-        assert d.ecdf(3) == 1.0
-
-    def test_percentile_nearest_rank(self):
-        d = EmpiricalDistribution([10, 20, 30, 40])
-        assert d.percentile(25) == 10
-        assert d.percentile(50) == 20
-        assert d.percentile(90) == 40
-        assert d.percentile(100) == 40
-
-    def test_percentile_domain(self):
-        d = EmpiricalDistribution([1])
-        with pytest.raises(ValueError):
-            d.percentile(0)
-        with pytest.raises(ValueError):
-            d.percentile(101)
+        # right-continuous: at each value it counts the samples up to and including it
+        d = EmpiricalDistribution([3, 2, 1, 2])
+        assert d.values.tolist() == [1, 2, 3]
+        assert d.cdf.tolist() == [0.25, 0.75, 1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

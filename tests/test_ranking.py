@@ -6,7 +6,7 @@ import pytest
 
 from covereval.graph import EmpiricalDistribution
 from covereval.ranking import (
-    KEMENY_EXACT_LIMIT, DecisionMatrix, RankingError, RankingTable, competition_ranks,
+    KEMENY_EXACT_LIMIT, RankingError, RankingTable, competition_ranks,
     kemeny_consensus, rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
@@ -203,47 +203,58 @@ class TestKemeny:
 
 class TestTopsis:
     def test_cost_dominance(self):
-        dm = DecisionMatrix(("A", "B"), ("c1", "c2"),
-                            ((1.0, 1.0), (2.0, 3.0)),
-                            benefit=(False, False))
-        res = topsis(dm)
+        res = topsis(table(["A", "B"], {"c1": [1, 2], "c2": [1, 2]}))
         assert res.closeness["A"] == 1.0 and res.closeness["B"] == 0.0
         assert res.ranks == {"A": 1, "B": 2}
 
     def test_column_scaling_invariance(self):
+        # doubling a column of ranks 1 and 2 keeps it a rank column
         rng = random.Random(193)
-        vals = [[rng.uniform(1, 9) for _ in range(3)] for _ in range(4)]
-        dm1 = DecisionMatrix(("A", "B", "C", "D"), ("x", "y", "z"),
-                             tuple(tuple(r) for r in vals),
-                             benefit=(False, False, False))
-        scaled = [[r[0] * 7.5, r[1], r[2]] for r in vals]
-        dm2 = DecisionMatrix(("A", "B", "C", "D"), ("x", "y", "z"),
-                             tuple(tuple(r) for r in scaled),
-                             benefit=(False, False, False))
-        assert topsis(dm1).ranks == topsis(dm2).ranks
+        for _ in range(10):
+            cols = {c: [rng.randint(1, 4) for _ in range(4)] for c in ("y", "z")}
+            halves = [rng.randint(1, 2) for _ in range(4)]
+            small = topsis(table("ABCD", {"x": halves, **cols}))
+            large = topsis(table("ABCD", {"x": [2 * r for r in halves], **cols}))
+            assert large.ranks == small.ranks
+            for name in "ABCD":
+                assert large.closeness[name] == pytest.approx(small.closeness[name], abs=1e-15)
 
     def test_random_matches_spreadsheet_oracle(self):
+        # tied ranks included: each column draws its ranks with replacement
         rng = random.Random(197)
-        for _ in range(10):
-            vals = [[rng.uniform(1, 9) for _ in range(3)] for _ in range(4)]
-            dm = DecisionMatrix(("A", "B", "C", "D"), ("x", "y", "z"),
-                                tuple(tuple(r) for r in vals),
-                                benefit=(False, False, False))
-            got = topsis(dm)
-            want = spreadsheet_topsis(vals, [False, False, False],
-                                      [1 / 3] * 3)
-            for name, w in zip(("A", "B", "C", "D"), want):
+        for _ in range(40):
+            m, k = rng.randint(2, 9), rng.randint(1, 5)
+            alts = [f"a{i}" for i in range(m)]
+            cols = {f"c{j}": [rng.randint(1, m) for _ in range(m)] for j in range(k)}
+            rt = table(alts, cols)
+            got = topsis(rt)
+            want = spreadsheet_topsis([list(row) for row in rt.ranks])
+            for name, w in zip(alts, want):
                 assert got.closeness[name] == pytest.approx(w, abs=1e-12)
+            assert got.ranks == dict(zip(alts, competition_ranks(
+                [got.closeness[a] for a in alts], ascending=False)))
+
+    def test_all_tied_is_one_half(self):
+        for m, k in ((2, 1), (5, 3)):
+            alts = [f"a{i}" for i in range(m)]
+            res = topsis(table(alts, {f"c{j}": [1] * m for j in range(k)}))
+            assert spreadsheet_topsis([[1] * k] * m) == [0.5] * m
+            assert res.closeness == dict.fromkeys(alts, 0.5)
+            assert res.ranks == dict.fromkeys(alts, 1)
 
     def test_zero_norm_column_rejected(self):
-        dm = DecisionMatrix(("A", "B"), ("c1",), ((0.0,), (0.0,)),
-                            benefit=(False,))
+        # ranks are at least 1, so no column that reaches topsis has norm 0
         with pytest.raises(RankingError):
-            topsis(dm)
+            topsis(table(["A", "B"], {"c1": [0, 0]}))
+
+    def test_needs_two_alternatives_and_a_criterion(self):
+        for rt in (table(["A"], {"c1": [1]}), table(["A", "B"], {})):
+            with pytest.raises(RankingError, match="at least 2 alternatives"):
+                topsis(rt)
 
     def test_from_ranks_cost_orientation(self):
         rt = table(["A", "B", "C"], {"c1": [1, 2, 3], "c2": [1, 2, 3]})
-        res = topsis(DecisionMatrix.from_ranks(rt))
+        res = topsis(rt)
         assert res.ranks == {"A": 1, "B": 2, "C": 3}
 
 
