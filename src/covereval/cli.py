@@ -14,10 +14,12 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from .clustering import common_universe, f1_best_match, omega_index, onmi_max
+from .clustering import clustering_scores
 from .cover import CoverError, build_community_graph, load_cover
 from .distfit import FitError, InapplicableFit, best_fit
-from .graph import EmpiricalDistribution, GraphError, basic_properties, load_edge_list
+from .graph import (
+    DEFAULT_HOP_SOURCES, EmpiricalDistribution, GraphError, basic_properties, load_edge_list,
+)
 from .pipeline import PipelineError, RunConfig, emit_reports, run
 from .quality import quality_report
 from .ranking import RankingError, RankingTable, kemeny_consensus, topsis
@@ -54,9 +56,9 @@ def cmd_community_graph(args) -> int:
 
 def cmd_props(args) -> int:
     g = _load_graph(args.network)
-    props = basic_properties(g, exact_paths=(args.hop_mode == "exact"),
-                             sources=args.sources, seed=args.seed)
-    print(json.dumps(props.as_dict(), indent=2, sort_keys=True))
+    props, _ = basic_properties(g, exact_paths=(args.hop_mode == "exact"),
+                                sources=args.sources, seed=args.seed)
+    print(json.dumps(props, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -83,25 +85,22 @@ def cmd_fit(args) -> int:
 def cmd_quality(args) -> int:
     g = _load_graph(args.network)
     cover = _load_cover_for(args.cover, g)
-    qr = quality_report(g, cover)
-    print(json.dumps(qr.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(quality_report(g, cover), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_clustering(args) -> int:
     g = _load_graph(args.network)
     truth = _load_cover_for(args.truth, g)
-    # restricted once here, so the three metrics read the pair as is
+    # each warning (the common-universe restriction) as one line, also
+    # before an error
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cover, truth = common_universe(_load_cover_for(args.cover, g), truth)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    scores = {
-        "NMI": onmi_max(cover, truth),
-        "OI": omega_index(cover, truth),
-        "F1-score": f1_best_match(cover, truth).f1,
-    }
+        try:
+            scores = clustering_scores(_load_cover_for(args.cover, g), truth)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     print(json.dumps(scores, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="basic topological properties of a graph")
     p.add_argument("--network", required=True)
     p.add_argument("--hop-mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--sources", type=int, default=1000)
+    p.add_argument("--sources", type=int, default=DEFAULT_HOP_SOURCES)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_props)
 

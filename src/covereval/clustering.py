@@ -1,16 +1,18 @@
 """Ground-truth comparison metrics for covers: Omega index, overlapping
-NMI (max-normalized), and best-match precision/recall/F1."""
+NMI (max-normalized), and best-match F1."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cover import Cover, CoverError
 from .graph import expand, row_of, row_pairs
+
+# overlapping NMI, omega index and best-match F1, by their report names
+CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
 
 
 def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
@@ -139,42 +141,34 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
     return mutual / max(h1, h2)
 
 
-@dataclass(frozen=True)
-class MatchScores:
-    precision: float
-    recall: float
-    f1: float
-
-
 def _best_f1(sizes_s: np.ndarray, sizes_t: np.ndarray, rows: np.ndarray,
-             cols: np.ndarray, tp: np.ndarray) -> tuple[float, float, float]:
-    """Mean best-match precision, recall, F1 from source communities to
-    target communities; `tp[i]` = |S_rows[i] & T_cols[i]| > 0, every other
-    pair is disjoint. A community's best match is its target of highest F1,
-    the first such target on ties; one that meets no target scores 0."""
+             cols: np.ndarray, tp: np.ndarray) -> float:
+    """Mean best-match F1 from source communities to target communities;
+    `tp[i]` = |S_rows[i] & T_cols[i]| > 0, every other pair is disjoint. A
+    community's best match is its target of highest F1; one that meets no
+    target scores 0."""
     prec = tp / sizes_s[rows]
     rec = tp / sizes_t[cols]
-    f1 = 2 * prec * rec / (prec + rec)
-    # by source, highest F1 first and, among equals, the first target
-    order = np.lexsort((cols, -f1, rows))
-    first = order[np.diff(rows[order], prepend=-1) > 0]
-    k = len(sizes_s)
-    means = []
-    for values in (prec, rec, f1):
-        best = np.zeros(k)
-        best[rows[first]] = values[first]
-        means.append(sum(best.tolist()) / k)
-    return tuple(means)
+    best = np.zeros(len(sizes_s))
+    np.maximum.at(best, rows, 2 * prec * rec / (prec + rec))
+    return sum(best.tolist()) / len(sizes_s)
 
 
-def f1_best_match(detected: Cover, truth: Cover) -> MatchScores:
-    """Best-overlap matching of detected communities to truth communities.
-    Precision and recall are the detected-side means; F1 averages both
-    matching directions."""
+def f1_best_match(detected: Cover, truth: Cover) -> float:
+    """Best-overlap matching of detected communities to truth communities:
+    the mean best-match F1 of both matching directions, averaged."""
     detected, truth = common_universe(detected, truth)
     sizes_d = detected.sizes
     sizes_t = truth.sizes
     rows, cols, tp = _contingency(detected, truth)
-    p_d, r_d, f_d = _best_f1(sizes_d, sizes_t, rows, cols, tp)
-    _, _, f_t = _best_f1(sizes_t, sizes_d, cols, rows, tp)
-    return MatchScores(precision=p_d, recall=r_d, f1=0.5 * (f_d + f_t))
+    return 0.5 * (_best_f1(sizes_d, sizes_t, rows, cols, tp)
+                  + _best_f1(sizes_t, sizes_d, cols, rows, tp))
+
+
+def clustering_scores(cover: Cover, truth: Cover) -> dict[str, float]:
+    """The three metrics of `cover` against `truth`, keyed by
+    `CLUSTERING_PROPS`. The pair is restricted to its common ids once, so
+    each metric reads it as is."""
+    cover, truth = common_universe(cover, truth)
+    return dict(zip(CLUSTERING_PROPS, (onmi_max(cover, truth), omega_index(cover, truth),
+                                       f1_best_match(cover, truth))))

@@ -12,6 +12,11 @@ import numpy as np
 from .graph import EmpiricalDistribution, Graph, csr, giant_component, row_of, row_pairs
 
 
+# community sizes, node memberships and pairwise overlap sizes, by their
+# report names
+MESO_PROPS = ("CS", "M", "OS")
+
+
 class CoverError(ValueError):
     """Invalid cover input."""
 
@@ -72,13 +77,6 @@ class Cover:
 
 
 @dataclass(frozen=True)
-class MesoscopicProfile:
-    community_sizes: EmpiricalDistribution
-    memberships: EmpiricalDistribution
-    overlap_sizes: EmpiricalDistribution | None  # None when no pair overlaps
-
-
-@dataclass(frozen=True)
 class CommunityGraph:
     """Community-graph build result: its giant component and the number of
     communities it was built from."""
@@ -122,15 +120,17 @@ def _overlaps(c: Cover) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(i * len(c.sizes) + j, return_counts=True)
 
 
-def mesoscopic_profile(c: Cover) -> MesoscopicProfile:
+def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     """Community size, node membership, and pairwise overlap-size
-    distributions, computed on the full cover (before any pruning)."""
+    distributions, keyed by `MESO_PROPS`, computed on the full cover (before
+    any pruning); the overlap sizes are None when no two communities
+    overlap."""
     _, overlaps = _overlaps(c)
-    return MesoscopicProfile(
-        community_sizes=EmpiricalDistribution(c.sizes),
-        memberships=EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
-        overlap_sizes=EmpiricalDistribution(overlaps) if len(overlaps) else None,
-    )
+    return dict(zip(MESO_PROPS, (
+        EmpiricalDistribution(c.sizes),
+        EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
+        EmpiricalDistribution(overlaps) if len(overlaps) else None,
+    )))
 
 
 def community_graph_edges(c: Cover) -> frozenset[tuple[int, int]]:

@@ -75,6 +75,8 @@ DEFAULT_HOP_SOURCES = 1_000
 # at least), which bounds the roots x V distances a search holds; its
 # frontiers take one bit per root and edge end
 BFS_BLOCK_ENTRIES = 1 << 22
+# the nine global properties, by their report names
+BASIC_PROPS = ("V", "E", "rho", "d", "l_G", "avg_deg", "max_deg", "tau", "C")
 
 
 class EmpiricalDistribution:
@@ -116,37 +118,6 @@ class HopSummary:
     diameter: float
     sampled: bool
     source_count: int
-
-
-@dataclass(frozen=True)
-class BasicProperties:
-    """The nine global graph properties: V, E, density, diameter,
-    average shortest path, mean/max degree, assortativity, transitivity.
-    `hops` is the hop distribution that d and l_G were computed from."""
-
-    v: int
-    e: int
-    rho: float
-    d: int
-    l_g: float
-    avg_deg: float
-    max_deg: int
-    tau: float
-    c: float
-    hops: HopSummary
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "V": self.v,
-            "E": self.e,
-            "rho": self.rho,
-            "d": self.d,
-            "l_G": self.l_g,
-            "avg_deg": self.avg_deg,
-            "max_deg": self.max_deg,
-            "tau": self.tau,
-            "C": self.c,
-        }
 
 
 class Graph:
@@ -285,12 +256,23 @@ def degree_distribution(g: Graph) -> EmpiricalDistribution:
 
 
 def triangles_per_node(g: Graph) -> list[int]:
-    """tri(u) = number of edges among u's neighbors: the pairs v < w of
-    u's neighbours that are adjacent, found among the sorted edge codes
-    v * n + w."""
-    u, v, w = row_pairs(g.indptr, g.indices)
-    codes = row_of(g.indptr) * g.n + g.indices
-    return np.bincount(u[in_sorted(codes, v * g.n + w)], minlength=g.n).tolist()
+    """tri(u) = number of edges among u's neighbours. Each edge is kept at
+    its end that comes first in (degree, id) order, so a node keeps at most
+    sqrt(2E) neighbours (Latapy 2008, "Main-memory triangle computations for
+    very large (sparse (power-law)) graphs", Theor. Comput. Sci. 407:458); a
+    triangle is then the one pair of its first corner's kept neighbours
+    that is adjacent, found once among the sorted edge codes v * n + w, and
+    credited to all three corners."""
+    degree = np.diff(g.indptr)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.lexsort((np.arange(g.n), degree))] = np.arange(g.n)
+    rows = row_of(g.indptr)
+    kept = rank[rows] < rank[g.indices]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=g.n))))
+    u, v, w = row_pairs(indptr, g.indices[kept])
+    closed = in_sorted(rows * g.n + g.indices, v * g.n + w)
+    return np.bincount(np.concatenate((u[closed], v[closed], w[closed])),
+                       minlength=g.n).tolist()
 
 
 def local_clustering(g: Graph) -> list[float]:
@@ -413,10 +395,11 @@ def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SO
 
 
 def basic_properties(g: Graph, exact_paths: bool = True,
-                     sources: int = DEFAULT_HOP_SOURCES,
-                     seed: int | None = None) -> BasicProperties:
-    """All nine global properties; diameter and average shortest path are
-    computed on the giant component."""
+                     sources: int = DEFAULT_HOP_SOURCES, seed: int | None = None
+                     ) -> tuple[dict[str, float], HopSummary]:
+    """The nine global properties, keyed by `BASIC_PROPS`, and the hop
+    distribution that the diameter and average shortest path were computed
+    from, on the giant component."""
     if g.n < 2:
         raise GraphError("need at least 2 nodes")
     if g.edge_count == 0:
@@ -429,16 +412,16 @@ def basic_properties(g: Graph, exact_paths: bool = True,
     hops = hop_distribution(g, exact=exact_paths, sources=sources, seed=seed)
     degs = g.degrees()
     samples = hops.distribution.samples
-    return BasicProperties(
-        v=g.n,
-        e=g.edge_count,
-        rho=2 * g.edge_count / (g.n * (g.n - 1)),
-        d=int(hops.diameter),
+    props = dict(zip(BASIC_PROPS, (
+        g.n,
+        g.edge_count,
+        2 * g.edge_count / (g.n * (g.n - 1)),
+        int(hops.diameter),
         # hop counts are integers, so their sum is exact in any order
-        l_g=float(samples.sum()) / len(samples),
-        avg_deg=sum(degs) / g.n,
-        max_deg=max(degs),
-        tau=degree_assortativity(g),
-        c=transitivity(g),
-        hops=hops,
-    )
+        float(samples.sum()) / len(samples),
+        sum(degs) / g.n,
+        max(degs),
+        degree_assortativity(g),
+        transitivity(g),
+    )))
+    return props, hops

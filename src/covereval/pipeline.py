@@ -10,26 +10,27 @@ import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import clustering as cl
-from .cover import Cover, CommunityGraph, build_community_graph, load_cover, mesoscopic_profile
+from .clustering import CLUSTERING_PROPS, clustering_scores
+from .cover import (
+    MESO_PROPS, Cover, CommunityGraph, build_community_graph, load_cover, mesoscopic_profile,
+)
 from .distfit import FitError
 from .graph import (
-    EmpiricalDistribution, Graph, GraphError, basic_properties,
-    clustering_by_degree, degree_distribution, load_edge_list,
+    BASIC_PROPS, DEFAULT_HOP_SOURCES, EmpiricalDistribution, Graph, GraphError,
+    basic_properties, clustering_by_degree, degree_distribution, load_edge_list,
 )
-from .quality import quality_report
+from .quality import QUALITY_PROPS, quality_report
 from .ranking import (
     RankingTable, competition_ranks, kemeny_consensus,
     rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
-BASIC_PROPS = ("V", "E", "rho", "d", "l_G", "avg_deg", "max_deg", "tau", "C")
+# degree distribution, clustering by degree, hop distances
 MICRO_PROPS = ("DD", "Av", "HD")
-MESO_PROPS = ("CS", "M", "OS")
-QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
-CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
-
-ALL_GROUPS = ("basic", "microscopic", "mesoscopic", "quality", "clustering")
+# each property group's report names, in report and table-column order
+GROUP_PROPS = {"basic": BASIC_PROPS, "microscopic": MICRO_PROPS, "mesoscopic": MESO_PROPS,
+               "quality": QUALITY_PROPS, "clustering": CLUSTERING_PROPS}
+TOPOLOGY_GROUPS = ("basic", "microscopic", "mesoscopic")
 MCDM_METHODS = ("kemeny", "topsis")
 
 
@@ -62,9 +63,9 @@ class RunConfig:
     network_path: str
     ground_truth_path: str
     candidates: tuple[tuple[str, str], ...]  # (name, cover path)
-    property_groups: tuple[str, ...] = ALL_GROUPS
+    property_groups: tuple[str, ...] = tuple(GROUP_PROPS)
     hop_mode: str = "exact"                  # "exact" | "sampled"
-    sources: int = 1000
+    sources: int = DEFAULT_HOP_SOURCES
     seed: int | None = None
     mcdm: tuple[str, ...] = MCDM_METHODS
     output_dir: str = "out"
@@ -84,7 +85,7 @@ class RunConfig:
             raise PipelineError("hop_mode must be 'exact' or 'sampled'")
         if self.hop_mode == "sampled" and self.seed is None:
             raise PipelineError("sampled hop mode requires a seed")
-        unknown = set(self.property_groups) - set(ALL_GROUPS)
+        unknown = set(self.property_groups) - set(GROUP_PROPS)
         if unknown:
             raise PipelineError(f"unknown property groups: {sorted(unknown)}")
         unknown = set(self.mcdm) - set(MCDM_METHODS)
@@ -123,9 +124,9 @@ class RunConfig:
             ground_truth_path=doc["ground_truth_path"],
             candidates=tuple((c["name"], str(base / c["cover_path"]))
                              for c in doc["candidates"]),
-            property_groups=tuple(doc.get("property_groups", ALL_GROUPS)),
+            property_groups=tuple(doc.get("property_groups", GROUP_PROPS)),
             hop_mode=doc.get("hop_mode", "exact"),
-            sources=doc.get("sources", 1000),
+            sources=doc.get("sources", DEFAULT_HOP_SOURCES),
             seed=doc.get("seed"),
             mcdm=tuple(doc.get("mcdm", MCDM_METHODS)),
             output_dir=doc.get("output_dir", "out"),
@@ -158,34 +159,27 @@ class _CoverEval:
     """Everything computed for one cover (ground truth or candidate)."""
     cgraph: CommunityGraph
     basic: dict[str, float | None]
-    micro: dict[str, EmpiricalDistribution | None]
-    meso: dict[str, EmpiricalDistribution | None]
+    samples: dict[str, EmpiricalDistribution | None]  # microscopic, then mesoscopic
     quality: dict[str, float | None]
 
 
 def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
     cg = build_community_graph(cover)
     g = cg.graph
-    basic: dict[str, float | None] = {p: None for p in BASIC_PROPS}
-    micro: dict[str, EmpiricalDistribution | None] = {p: None for p in MICRO_PROPS}
-    if not cg.degenerate and g.n >= 2 and g.edge_count >= 1:
-        props = basic_properties(g, exact_paths=(cfg.hop_mode == "exact"),
-                                 sources=cfg.sources, seed=cfg.seed)
-        basic = {k: _safe_float(v) for k, v in props.as_dict().items()}
-        micro["DD"] = degree_distribution(g)
+    basic: dict[str, float | None] = dict.fromkeys(BASIC_PROPS)
+    samples: dict[str, EmpiricalDistribution | None] = dict.fromkeys(MICRO_PROPS)
+    if not cg.degenerate:
+        props, hops = basic_properties(g, exact_paths=(cfg.hop_mode == "exact"),
+                                       sources=cfg.sources, seed=cfg.seed)
+        basic = {k: _safe_float(v) for k, v in props.items()}
+        samples["DD"] = degree_distribution(g)
         if g.n >= 3:
             curve = [v for _, v in clustering_by_degree(g) if v > 0]
-            micro["Av"] = EmpiricalDistribution(curve) if curve else None
-        micro["HD"] = props.hops.distribution
-    profile = mesoscopic_profile(cover)
-    meso: dict[str, EmpiricalDistribution | None] = {
-        "CS": profile.community_sizes,
-        "M": profile.memberships,
-        "OS": profile.overlap_sizes,
-    }
-    qr = quality_report(network, cover)
-    return _CoverEval(cgraph=cg, basic=basic, micro=micro, meso=meso,
-                      quality={k: _safe_float(v) for k, v in qr.as_dict().items()})
+            samples["Av"] = EmpiricalDistribution(curve) if curve else None
+        samples["HD"] = hops.distribution
+    samples.update(mesoscopic_profile(cover))
+    quality = {k: _safe_float(v) for k, v in quality_report(network, cover).items()}
+    return _CoverEval(cgraph=cg, basic=basic, samples=samples, quality=quality)
 
 
 def run(cfg: RunConfig) -> EvaluationReport:
@@ -224,18 +218,17 @@ def run(cfg: RunConfig) -> EvaluationReport:
             rt = rank_scalar(reference, {n: evals[n].basic for n in names})
             columns.update((prop, rt.column(prop)) for prop in reference)
 
-        for group, props, source in (("microscopic", MICRO_PROPS, "micro"),
-                                     ("mesoscopic", MESO_PROPS, "meso")):
+        for group in ("microscopic", "mesoscopic"):
             if group not in groups:
                 continue
-            for prop in props:
-                ref_samples = getattr(truth_eval, source)[prop]
+            for prop in GROUP_PROPS[group]:
+                ref_samples = truth_eval.samples[prop]
                 if ref_samples is None or ref_samples.n < 5:
                     raise PipelineError(
                         f"ground truth has too few samples for {prop!r}")
                 try:
                     dr = rank_distribution(
-                        ref_samples, {n: getattr(evals[n], source)[prop] for n in names})
+                        ref_samples, {n: evals[n].samples[prop] for n in names})
                 except FitError as exc:
                     raise PipelineError(f"distribution ranking failed for {prop!r}: {exc}")
                 notes.extend(f"{n} inapplicable for {prop}; ranked last"
@@ -254,33 +247,19 @@ def run(cfg: RunConfig) -> EvaluationReport:
 
         clustering_values: dict[str, dict[str, float]] = {}
         if "clustering" in groups:
-            for n in names:
-                # restricted once here, so the three metrics read the pair as is
-                cover, ref = cl.common_universe(covers[n], truth)
-                clustering_values[n] = {"NMI": cl.onmi_max(cover, ref),
-                                        "OI": cl.omega_index(cover, ref),
-                                        "F1-score": cl.f1_best_match(cover, ref).f1}
+            clustering_values = {n: clustering_scores(covers[n], truth) for n in names}
             # similarity scores: higher is better, rank 1 = highest
             for prop in CLUSTERING_PROPS:
                 vals = [clustering_values[n][prop] for n in names]
                 columns[prop] = competition_ranks(vals, ascending=False)
 
-    group_columns = {
-        "basic": [p for p in BASIC_PROPS if p in columns],
-        "microscopic": [p for p in MICRO_PROPS if p in columns],
-        "mesoscopic": [p for p in MESO_PROPS if p in columns],
-        "quality": [p for p in QUALITY_PROPS if p in columns],
-        "clustering": [p for p in CLUSTERING_PROPS if p in columns],
-    }
-    topo = (group_columns["basic"] + group_columns["microscopic"]
-            + group_columns["mesoscopic"])
+    group_columns = {g: [p for p in props if p in columns] for g, props in GROUP_PROPS.items()}
     tables: dict[str, dict] = {}
     table_specs = {g: group_columns[g] for g in cfg.property_groups}
-    if all(g in groups for g in ("basic", "microscopic", "mesoscopic")):
-        table_specs["all_topological"] = topo
-    if groups == set(ALL_GROUPS):
-        table_specs["all_properties"] = (topo + group_columns["quality"]
-                                         + group_columns["clustering"])
+    if groups.issuperset(TOPOLOGY_GROUPS):
+        table_specs["all_topological"] = [p for g in TOPOLOGY_GROUPS for p in group_columns[g]]
+    if groups == set(GROUP_PROPS):
+        table_specs["all_properties"] = [p for crits in group_columns.values() for p in crits]
 
     for table_name, crits in table_specs.items():
         if not crits:
@@ -330,7 +309,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
         "tables": tables,
         "notes": sorted(set(notes)),
     }
-    samples = {n: {p: s for p, s in {**ev.micro, **ev.meso}.items() if s is not None}
+    samples = {n: {p: s for p, s in ev.samples.items() if s is not None}
                for n, ev in all_evals.items()}
     return EvaluationReport(data=data, samples=samples)
 

@@ -3,32 +3,15 @@ per-community scores, and overlapping modularity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cover import Cover
 from .graph import Graph, GraphError, expand, in_sorted, row_of
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    avg_degree: float
-    avg_odf: float
-    flake_odf: float
-    internal_density: float
-    max_odf: float
-    q_ov: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "AD": self.avg_degree,
-            "AO": self.avg_odf,
-            "FO": self.flake_odf,
-            "ID": self.internal_density,
-            "MO": self.max_odf,
-            "OM": self.q_ov,
-        }
+# average degree, average ODF, Flake ODF, internal density, maximum ODF and
+# overlapping modularity, by their report names
+QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
 
 
 def _mean(per_community: np.ndarray) -> float:
@@ -47,11 +30,11 @@ def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     return np.bincount(owner[inside], minlength=len(members))
 
 
-def quality_report(g: Graph, c: Cover) -> QualityReport:
+def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
-    density) plus overlapping modularity, from every member's degree and
-    intra-degree. Members stay in id order, and a weighted `np.bincount`
+    density) plus overlapping modularity, keyed by `QUALITY_PROPS`, from
+    every member's degree and intra-degree. Members stay in id order, and a weighted `np.bincount`
     adds in input order."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
@@ -69,19 +52,18 @@ def quality_report(g: Graph, c: Cover) -> QualityReport:
     q_ov = 0.0
     for inside, share in zip((e_in / m).tolist(), (volume / (2 * m)).tolist()):
         q_ov += inside - share ** 2
-    return QualityReport(
-        avg_degree=_mean(2 * e_in / size),
-        avg_odf=_mean(np.bincount(rows, fracs, k) / size),
-        flake_odf=_mean(np.bincount(rows, intra < total / 2, k) / size),
-        internal_density=_mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k),
-                                         where=size >= 2)),
-        max_odf=_mean(np.maximum.reduceat(fracs, c.indptr[:-1])),
-        q_ov=q_ov,
-    )
+    return dict(zip(QUALITY_PROPS, (
+        _mean(2 * e_in / size),
+        _mean(np.bincount(rows, fracs, k) / size),
+        _mean(np.bincount(rows, intra < total / 2, k) / size),
+        _mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k), where=size >= 2)),
+        _mean(np.maximum.reduceat(fracs, c.indptr[:-1])),
+        q_ov,
+    )))
 
 
 def overlapping_modularity(g: Graph, c: Cover) -> float:
     """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2,
     where e_out counts the edge endpoints leaving the community. Overlapping
     nodes contribute to every community containing them."""
-    return quality_report(g, c).q_ov
+    return quality_report(g, c)["OM"]

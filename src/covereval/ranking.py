@@ -225,18 +225,10 @@ def spearman_matrix(rt: RankingTable) -> np.ndarray:
     ranks, tie-corrected); constant columns yield NaN entries."""
     if len(rt.alternatives) < 3:
         raise RankingError("need at least 3 alternatives")
-    r = rt.matrix()  # alternatives x criteria
-    k = len(rt.criteria)
-    out = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i, k):
-            xi, xj = r[:, i], r[:, j]
-            sx = xi - xi.mean()
-            sy = xj - xj.mean()
-            vx = float((sx ** 2).sum())
-            vy = float((sy ** 2).sum())
-            if vx == 0 or vy == 0:
-                continue
-            val = float((sx * sy).sum()) / math.sqrt(vx * vy)
-            out[i, j] = out[j, i] = val
-    return out
+    # criteria x alternatives, each row contiguous, so that every sum over
+    # the alternatives is numpy's pairwise sum of one row
+    r = np.ascontiguousarray(rt.matrix().T)
+    c = r - r.mean(axis=1)[:, None]
+    var = (c ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where a column is constant
+        return (c[:, None] * c[None]).sum(axis=2) / np.sqrt(np.outer(var, var))

@@ -227,28 +227,23 @@ def brute_f1(detected: list[set[int]], truth: list[set[int]]) -> float:
 
 
 def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
-                   overlap: list[list[int]]) -> tuple[float, float, float]:
-    """Mean best-match precision, recall, F1 from source to target
-    communities with the scalar loop `clustering._best_f1` had before it
-    read only the contingency's nonzeros: every cell in column order, a
-    strictly higher F1 replaces the best. Results must be equal bit for
-    bit, not just close."""
-    ps, rs, fs = [], [], []
+                   overlap: list[list[int]]) -> float:
+    """Mean best-match F1 from source to target communities with the
+    scalar loop `clustering._best_f1` had before it read only the
+    contingency's nonzeros: every cell in column order, a strictly higher
+    F1 replaces the best. Results must be equal bit for bit, not just
+    close."""
+    fs = []
     for size_s, row in zip(sizes_s, overlap):
-        best = (0.0, 0.0, 0.0)
+        best = 0.0
         for size_t, tp in zip(sizes_t, row):
             if tp == 0:
                 continue
             prec = tp / size_s
             rec = tp / size_t
-            f1 = 2 * prec * rec / (prec + rec)
-            if f1 > best[2]:
-                best = (prec, rec, f1)
-        ps.append(best[0])
-        rs.append(best[1])
-        fs.append(best[2])
-    k = len(sizes_s)
-    return sum(ps) / k, sum(rs) / k, sum(fs) / k
+            best = max(best, 2 * prec * rec / (prec + rec))
+        fs.append(best)
+    return sum(fs) / len(sizes_s)
 
 
 def brute_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
@@ -588,4 +583,25 @@ def spreadsheet_topsis(matrix: list[list[float]]) -> list[float]:
         dp = math.sqrt(sum((y[i][j] - pis[j]) ** 2 for j in range(k)))
         dn = math.sqrt(sum((y[i][j] - nis[j]) ** 2 for j in range(k)))
         out.append(dn / (dp + dn) if dp + dn > 0 else 0.5)
+    return out
+
+
+def per_pair_spearman(ranks: list[list[int]]) -> np.ndarray:
+    """Spearman correlation of each pair of criteria with the loop
+    `ranking.spearman_matrix` had before it became one product: the rank
+    columns of an alternatives x criteria table centred one pair at a time,
+    NaN where a column is constant. Results must be equal bit for bit."""
+    r = np.array(ranks, dtype=float)
+    k = r.shape[1]
+    out = np.full((k, k), np.nan)
+    for i in range(k):
+        for j in range(i, k):
+            xi, xj = r[:, i], r[:, j]
+            sx = xi - xi.mean()
+            sy = xj - xj.mean()
+            vx = float((sx ** 2).sum())
+            vy = float((sy ** 2).sum())
+            if vx == 0 or vy == 0:
+                continue
+            out[i, j] = out[j, i] = float((sx * sy).sum()) / math.sqrt(vx * vy)
     return out

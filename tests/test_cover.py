@@ -48,15 +48,15 @@ class TestMesoscopicProfile:
     def test_example(self):
         c = Cover.from_sets([{1, 2, 3}, {3, 4}])
         p = mesoscopic_profile(c)
-        assert sorted(p.community_sizes.samples) == [2, 3]
-        assert sorted(p.memberships.samples) == [1, 1, 1, 2]
-        assert p.overlap_sizes.samples.tolist() == [1]
+        assert sorted(p["CS"].samples) == [2, 3]
+        assert sorted(p["M"].samples) == [1, 1, 1, 2]
+        assert p["OS"].samples.tolist() == [1]
 
     def test_disjoint_partition(self):
         c = Cover.from_sets([{0, 1}, {2, 3}, {4}])
         p = mesoscopic_profile(c)
-        assert p.overlap_sizes is None
-        assert set(p.memberships.samples) == {1}
+        assert p["OS"] is None
+        assert set(p["M"].samples) == {1}
 
     def test_random_matches_pairwise_oracle(self):
         rng = random.Random(23)
@@ -64,9 +64,9 @@ class TestMesoscopicProfile:
             sets = random_cover_sets(rng, 100, 30)
             p = mesoscopic_profile(Cover.from_sets(sets))
             sizes, members, overlaps = brute_mesoscopic([frozenset(s) for s in sets])
-            assert sorted(p.community_sizes.samples) == sizes
-            assert sorted(p.memberships.samples) == members
-            got_overlaps = sorted(p.overlap_sizes.samples) if p.overlap_sizes else []
+            assert sorted(p["CS"].samples) == sizes
+            assert sorted(p["M"].samples) == members
+            got_overlaps = sorted(p["OS"].samples) if p["OS"] else []
             assert got_overlaps == overlaps
 
     def test_arbitrary_ids_match_pairwise_oracle(self):
@@ -75,9 +75,9 @@ class TestMesoscopicProfile:
             sets = arbitrary_ids(rng, random_cover_sets(rng, 100, 30))
             p = mesoscopic_profile(Cover.from_sets(sets))
             sizes, members, overlaps = brute_mesoscopic([frozenset(s) for s in sets])
-            assert sorted(p.community_sizes.samples) == sizes
-            assert sorted(p.memberships.samples) == members
-            got_overlaps = sorted(p.overlap_sizes.samples) if p.overlap_sizes else []
+            assert sorted(p["CS"].samples) == sizes
+            assert sorted(p["M"].samples) == members
+            got_overlaps = sorted(p["OS"].samples) if p["OS"] else []
             assert got_overlaps == overlaps
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -86,7 +86,7 @@ class TestMesoscopicProfile:
         rng = random.Random(seed)
         sets = random_cover_sets(rng, rng.randint(3, 50), rng.randint(1, 20))
         p = mesoscopic_profile(Cover.from_sets(sets))
-        assert sum(p.community_sizes.samples) == sum(p.memberships.samples)
+        assert sum(p["CS"].samples) == sum(p["M"].samples)
 
 
 class TestCommunityGraph:
@@ -134,7 +134,7 @@ class TestCommunityGraph:
             sets = random_cover_sets(rng, 50, 15)
             c = Cover.from_sets(sets)
             p = mesoscopic_profile(c)
-            n_overlaps = p.overlap_sizes.n if p.overlap_sizes else 0
+            n_overlaps = p["OS"].n if p["OS"] else 0
             assert n_overlaps == len(community_graph_edges(c))
 
     @given(st.integers(min_value=0, max_value=10**6))

@@ -4,6 +4,7 @@ seeded random graphs (duplicate edges, self-loops, isolated nodes, several
 components) and covers (repeated members, ids negative or beyond 2^40)."""
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,6 +170,35 @@ def test_triangles_equal_scipy():
     for g, a in graphs(8):
         want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
         assert triangles_per_node(g) == want
+
+
+def test_triangles_with_hubs_equal_scipy():
+    # dense and sparse graphs with up to three hubs, so that the (degree, id)
+    # order keeps edges at either end
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 80)
+        p = rng.uniform(0.02, 0.6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        for hub in rng.sample(range(n), rng.randint(0, min(3, n))):
+            edges += [(hub, v) for v in range(n) if v != hub and rng.random() < 0.8]
+        a = scipy_adjacency(n, edges)
+        want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
+        assert triangles_per_node(Graph(n, edges)) == want
+
+
+def test_triangles_of_a_star_take_little_memory():
+    # the hub's 3 000 neighbours make ~4.5 M pairs of them; each leaf comes
+    # first in (degree, id) order, so no node keeps two neighbours
+    g = Graph(3001, [(0, leaf) for leaf in range(1, 3001)])
+    tracemalloc.start()
+    try:
+        tri = triangles_per_node(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tri == [0] * 3001
+    assert peak < 16 * 2**20
 
 
 def test_component_labels_equal_scipy():

@@ -122,19 +122,19 @@ class TestGraphConstructor:
 
 class TestBasicProperties:
     def test_k5(self):
-        p = basic_properties(complete_graph(5))
-        assert p.rho == 1.0 and p.d == 1 and p.l_g == 1.0
-        assert p.c == 1.0 and p.avg_deg == 4.0 and p.max_deg == 4
+        p, _ = basic_properties(complete_graph(5))
+        assert p["rho"] == 1.0 and p["d"] == 1 and p["l_G"] == 1.0
+        assert p["C"] == 1.0 and p["avg_deg"] == 4.0 and p["max_deg"] == 4
 
     def test_star(self):
-        p = basic_properties(star_graph(5))
-        assert p.c == 0.0 and p.d == 2 and p.max_deg == 5
-        assert p.tau < 0
+        p, _ = basic_properties(star_graph(5))
+        assert p["C"] == 0.0 and p["d"] == 2 and p["max_deg"] == 5
+        assert p["tau"] < 0
 
     def test_er_graph_matches_brute_force(self):
         rng = random.Random(42)
         g, edges = random_graph(rng, 50, 0.1)
-        got = basic_properties(g).as_dict()
+        got, _ = basic_properties(g)
         want = brute_basic_properties(50, edges)
         for key in ("V", "E", "d", "max_deg"):
             assert got[key] == want[key]
@@ -152,16 +152,16 @@ class TestBasicProperties:
     def test_exact_mode_above_the_limit_samples_with_a_seed(self):
         # a binary tree: few BFS levels and few neighbour pairs
         n = EXACT_HOP_LIMIT + 1
-        p = basic_properties(Graph(n, [(i, (i - 1) // 2) for i in range(1, n)]),
-                             sources=2, seed=1)
-        assert p.hops.sampled and p.hops.source_count == 2
-        assert p.hops.distribution.n == 2 * n - 3
+        _, hops = basic_properties(Graph(n, [(i, (i - 1) // 2) for i in range(1, n)]),
+                                   sources=2, seed=1)
+        assert hops.sampled and hops.source_count == 2
+        assert hops.distribution.n == 2 * n - 3
 
     def test_hops_are_the_hop_distribution(self):
         rng = random.Random(44)
         g, _ = random_graph(rng, 30, 0.12)
-        assert basic_properties(g).hops == hop_distribution(g)
-        sampled = basic_properties(g, exact_paths=False, sources=6, seed=5).hops
+        assert basic_properties(g)[1] == hop_distribution(g)
+        _, sampled = basic_properties(g, exact_paths=False, sources=6, seed=5)
         assert sampled == hop_distribution(g, exact=False, sources=6, seed=5)
         assert sampled.sampled and sampled.source_count == 6
 

@@ -7,7 +7,7 @@ import pytest
 from covereval.cli import main
 from covereval.graph import EmpiricalDistribution
 from covereval.pipeline import (
-    EvaluationReport, PipelineError, RunConfig, emit_reports, run,
+    GROUP_PROPS, EvaluationReport, PipelineError, RunConfig, emit_reports, run,
 )
 from covereval.synthetic import (
     perturb_cover, planted_cover_network, write_cover, write_edge_list,
@@ -79,6 +79,12 @@ class TestColumnCounts:
         assert len(tables["clustering"]["criteria"]) == 3
         assert len(tables["all_topological"]["criteria"]) == 15
         assert len(tables["all_properties"]["criteria"]) == 24
+
+    def test_property_names_are_distinct(self):
+        # the rank columns are keyed by property name, so a name in two
+        # groups would overwrite a column
+        names = [p for props in GROUP_PROPS.values() for p in props]
+        assert len(names) == len(set(names)) == 24
 
     def test_rank_domain(self, report):
         m = 3
@@ -204,6 +210,25 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "kemeny" in out and "topsis" in out
+
+    def test_quality_and_clustering_print_the_report_entries(self, workspace, report,
+                                                             capsys):
+        # one producer per property: each subcommand prints exactly what
+        # report.json holds for the cover
+        data = json.loads(report.to_json())
+        covers = {"ground_truth": "gt.txt", "exact": "gt.txt", "near": "c1.txt",
+                  "far": "c2.txt"}
+        assert set(data["quality"]) == set(covers)
+        for name, path in covers.items():
+            assert main(["quality", "--network", str(workspace / "net.txt"),
+                         "--cover", str(workspace / path)]) == 0
+            assert json.loads(capsys.readouterr().out) == data["quality"][name]
+            if name == "ground_truth":
+                continue
+            assert main(["clustering", "--network", str(workspace / "net.txt"),
+                         "--truth", str(workspace / "gt.txt"),
+                         "--cover", str(workspace / path)]) == 0
+            assert json.loads(capsys.readouterr().out) == data["clustering"][name]
 
     def test_validation_error_exit_code(self, capsys):
         rc = main(["props", "--network", "/nonexistent-file"])

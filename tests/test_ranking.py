@@ -10,7 +10,7 @@ from covereval.ranking import (
     kemeny_consensus, rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
 
-from oracles import brute_kemeny, full_rescore_climb, spreadsheet_topsis
+from oracles import brute_kemeny, full_rescore_climb, per_pair_spearman, spreadsheet_topsis
 
 
 def table(alts, cols):
@@ -287,6 +287,26 @@ class TestSpearman:
         rt = table(["A", "B"], {"c1": [1, 2]})
         with pytest.raises(RankingError):
             spearman_matrix(rt)
+
+    def test_equals_per_pair_loop_exactly(self):
+        # bit for bit, NaN included, on tables with ties and constant
+        # columns; numpy's pairwise sum unrolls from 8 terms on, so m runs
+        # on both sides of it
+        rng = random.Random(233)
+        for _ in range(1000):
+            m, k = rng.randint(3, 16), rng.randint(1, 25)
+            cols = {}
+            for j in range(k):
+                kind = rng.random()
+                if kind < 0.1:
+                    cols[f"c{j}"] = [rng.randint(1, m)] * m
+                elif kind < 0.5:
+                    cols[f"c{j}"] = rng.sample(range(1, m + 1), m)
+                else:
+                    cols[f"c{j}"] = [rng.randint(1, m) for _ in range(m)]
+            rt = table([f"a{i}" for i in range(m)], cols)
+            want = per_pair_spearman([list(row) for row in rt.ranks])
+            assert np.array_equal(spearman_matrix(rt), want, equal_nan=True)
 
 
 class TestRankingTable:
