@@ -9,8 +9,10 @@ import warnings
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, row_of, row_pairs
+from .graph import expand, row_of, row_pairs, sum_in_order
 
+# _conditional_entropy takes its K1 x K2 table this many entries at a time
+ONMI_BLOCK_ENTRIES = 1 << 16
 # overlapping NMI, omega index and best-match F1, by their report names
 CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
 
@@ -64,10 +66,11 @@ def omega_index(c1: Cover, c2: Cover) -> float:
 
     pairs1, m1 = _co_memberships(c1)
     pairs2, m2 = _co_memberships(c2)
-    _, at1, at2 = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
+    at = np.searchsorted(pairs2, pairs1)  # where each pair of c1 is, or goes, among c2's
+    found = np.append(pairs2, -1)[at] == pairs1  # -1 is no pair's code
     # a pair listed by one cover only has differing counts
-    agree = int(np.count_nonzero(m1[at1] == m2[at2]))
-    omega_u = (m_pairs - (len(m1) + len(m2) - len(at1) - agree)) / m_pairs
+    agree = int(np.count_nonzero(m1[found] == m2[at[found]]))
+    omega_u = (m_pairs - (len(m1) + len(m2) - int(found.sum()) - agree)) / m_pairs
 
     # pairs per multiplicity, the t_0 class by subtraction; Python ints,
     # because the products below overflow int64 on large universes
@@ -84,17 +87,15 @@ def omega_index(c1: Cover, c2: Cover) -> float:
     return (omega_u - omega_e) / (1 - omega_e)
 
 
-def _h(w: int, n: int) -> float:
-    """Entropy contribution -w/n log2(w/n); 0 when w = 0."""
-    if w <= 0:
-        return 0.0
-    p = w / n
-    return -p * math.log2(p)
+def _entropy_table(n: int) -> np.ndarray:
+    """-w/n log2(w/n) for each count w = 0..n of n nodes, 0 at w = 0; by
+    math.log2, which np.log2 need not match in the last bit."""
+    p = np.arange(1, n + 1) / n
+    return np.concatenate(([0.0], -p * np.fromiter(map(math.log2, p.tolist()), float, n)))
 
 
 def _entropies(h: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """H(X) of each community indicator of the given sizes; `h[w]` is
-    `_h(w, n)` for w = 0..n."""
+    """H(X) of each community indicator of the given sizes, from `h`."""
     return h[sizes] + h[len(h) - 1 - sizes]
 
 
@@ -103,30 +104,30 @@ def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray
     """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to
     H(X_k). `overlap[k, l]` is |X_k & Y_l|. H*(X|Y) is the joint entropy of
     the two binary indicators minus H(Y), admitted only when the
-    information-theoretic constraint h(a)+h(d) >= h(b)+h(c) holds. One row
-    at a time, so memory stays linear in the number of communities."""
+    information-theoretic constraint h(a)+h(d) >= h(b)+h(c) holds. Rows go in
+    blocks of `ONMI_BLOCK_ENTRIES` entries, or one row; their minima add up in row order."""
     n = len(h) - 1
     hy = _entropies(h, sizes_y)
-    total = 0.0
-    for size_x, hx, d in zip(sizes_x.tolist(), _entropies(h, sizes_x).tolist(), overlap):
+    best = _entropies(h, sizes_x)
+    block = max(1, ONMI_BLOCK_ENTRIES // len(sizes_y))
+    for start in range(0, len(sizes_x), block):
+        size_x = sizes_x[start:start + block, None]
+        d = np.ascontiguousarray(overlap[start:start + block])  # table.T has strided rows
         ha = h[n - size_x - sizes_y + d]    # in neither
         hb = h[sizes_y - d]                 # only in y
         hc = h[size_x - d]                  # only in x
         hd = h[d]                           # in both
-        terms = (ha + hb + hc + hd - hy)[ha + hd >= hb + hc]
-        total += min(hx, terms.min().item()) if len(terms) else hx
-    return total
+        terms = np.where(ha + hd >= hb + hc, ha + hb + hc + hd - hy, np.inf)
+        np.minimum(best[start:start + block], terms.min(axis=1), out=best[start:start + block])
+    return sum_in_order(best)
 
 
 def onmi_max(c1: Cover, c2: Cover) -> float:
     """Overlapping NMI normalized by the larger cover entropy (McDaid et
     al.'s max-normalization over binary community indicators)."""
     c1, c2 = common_universe(c1, c2)
-    n = len(c1.nodes)
-    # every count is one of 0..n, so each entropy term is computed once
-    h = np.array([_h(w, n) for w in range(n + 1)])
-    sizes1 = c1.sizes
-    sizes2 = c2.sizes
+    h = _entropy_table(len(c1.nodes))
+    sizes1, sizes2 = c1.sizes, c2.sizes
     h1 = sum(_entropies(h, sizes1).tolist())
     h2 = sum(_entropies(h, sizes2).tolist())
     if h1 == 0.0 and h2 == 0.0:
@@ -135,9 +136,8 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
     rows, cols, counts = _contingency(c1, c2)
     table = np.zeros((len(sizes1), len(sizes2)), dtype=np.int64)
     table[rows, cols] = counts
-    h1c2 = _conditional_entropy(h, sizes1, sizes2, table)
-    h2c1 = _conditional_entropy(h, sizes2, sizes1, table.T)
-    mutual = 0.5 * ((h1 - h1c2) + (h2 - h2c1))
+    mutual = 0.5 * ((h1 - _conditional_entropy(h, sizes1, sizes2, table))
+                    + (h2 - _conditional_entropy(h, sizes2, sizes1, table.T)))
     return mutual / max(h1, h2)
 
 

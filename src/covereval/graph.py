@@ -136,27 +136,22 @@ class Graph:
         if outside.any():
             u, v = e[outside.argmax()].tolist()
             raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+        if original_labels is None:
+            original_labels = [str(i) for i in range(n)]
+        if len(original_labels) != n:
+            raise GraphError("original_labels length must equal node count")
         ends = np.concatenate([e, e[:, ::-1]])
-        self._adopt(*csr(ends[:, 0], ends[:, 1], n, n), original_labels)
+        self.indptr, self.indices = csr(ends[:, 0], ends[:, 1], n, n)
+        self.original_labels = tuple(original_labels)
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
                   original_labels: Sequence[str]) -> "Graph":
         """The graph with these CSR arrays, which must already be symmetric,
-        loop-free and sorted within each row."""
+        loop-free and sorted within each row, and one label per row."""
         g = cls.__new__(cls)
-        g._adopt(indptr, indices, original_labels)
+        g.indptr, g.indices, g.original_labels = indptr, indices, tuple(original_labels)
         return g
-
-    def _adopt(self, indptr: np.ndarray, indices: np.ndarray,
-               original_labels: Sequence[str] | None) -> None:
-        n = len(indptr) - 1
-        if original_labels is None:
-            original_labels = [str(i) for i in range(n)]
-        if len(original_labels) != n:
-            raise GraphError("original_labels length must equal node count")
-        self.indptr, self.indices = indptr, indices
-        self.original_labels = tuple(original_labels)
 
     @property
     def n(self) -> int:
@@ -299,26 +294,31 @@ def clustering_by_degree(g: Graph) -> list[tuple[int, float]]:
     return [(k, sum(vals) / len(vals)) for k, vals in sorted(by_k.items())]
 
 
+def sum_in_order(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ... left to right, as a Python loop adds
+    them (`np.sum` adds pairwise; `sum` compensates from Python 3.12)."""
+    return np.cumsum(np.concatenate(([0.0], terms)))[-1].item()
+
+
 def degree_assortativity(g: Graph) -> float:
-    """Pearson correlation of endpoint degrees over both edge orientations.
+    """Pearson correlation of endpoint degrees over both edge orientations,
+    each sum taken edge by edge in `g.edges()` order, (u, v) then (v, u).
     NaN when either marginal is constant."""
-    xs: list[int] = []
-    ys: list[int] = []
-    deg = g.degrees()
-    for u, v in g.edges():
-        xs.extend((deg[u], deg[v]))
-        ys.extend((deg[v], deg[u]))
-    if not xs:
+    rows = row_of(g.indptr)
+    upper = rows < g.indices
+    ends = np.stack((rows[upper], g.indices[upper]), axis=1).ravel()  # u, v of each edge
+    if not len(ends):
         return float("nan")
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    swapped = ends.reshape(-1, 2)[:, ::-1].ravel()  # v, u: the same mean degree
+    deg = np.diff(g.indptr)
+    mean = int(deg[ends].sum()) / len(ends)
+    dev = deg - mean
+    # Python's ** 2, the C library's pow, which dev * dev misses in the last bit now and then
+    square = np.array([(k - mean) ** 2 for k in range(deg.max() + 1)])[deg]
+    sxx, syy = sum_in_order(square[ends]), sum_in_order(square[swapped])
     if sxx == 0 or syy == 0:
         return float("nan")
-    return sxy / math.sqrt(sxx * syy)
+    return sum_in_order(dev[ends] * dev[swapped]) / math.sqrt(sxx * syy)
 
 
 def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:

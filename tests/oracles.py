@@ -115,6 +115,35 @@ def brute_local_clustering(n: int, edges: set[tuple[int, int]]) -> list[float]:
     return out
 
 
+def scalar_assortativity(n: int, edges: set[tuple[int, int]]) -> float:
+    """Degree assortativity with the per-edge loop `graph.degree_assortativity`
+    had before it summed arrays: the endpoint degrees edge by edge in
+    row-major order (u < v), (u, v) then (v, u); integer sums for the means;
+    each float sum added left to right from 0.0, as `sum` adds before Python
+    3.12. Results must be equal bit for bit, not just close."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    xs: list[int] = []
+    ys: list[int] = []
+    for u, v in sorted(edges):
+        xs.extend((deg[u], deg[v]))
+        ys.extend((deg[v], deg[u]))
+    if not xs:
+        return float("nan")
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxy = sxx = syy = 0.0
+    for x, y in zip(xs, ys):
+        sxy += (x - mx) * (y - my)
+        sxx += (x - mx) ** 2
+        syy += (y - my) ** 2
+    if sxx == 0 or syy == 0:
+        return float("nan")
+    return sxy / math.sqrt(sxx * syy)
+
+
 # ---------------------------------------------------------------- covers
 
 def algorithm1_community_graph(communities: list[set[int]]) -> set[tuple[int, int]]:

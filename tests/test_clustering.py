@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from covereval.clustering import _best_f1, f1_best_match, omega_index, onmi_max
+from covereval.clustering import (
+    _best_f1, _entropy_table, f1_best_match, omega_index, onmi_max,
+)
 from covereval.cover import Cover, CoverError
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
@@ -28,6 +30,28 @@ class TestOmegaIndex:
         c2 = cover({0}, {1}, {2}, {3})
         want = brute_omega([{0, 1, 2, 3}], [{0}, {1}, {2}, {3}])
         assert omega_index(c1, c2) == want == 0.0
+        # the cover with no co-member pairs on the other side
+        assert omega_index(c2, c1) == brute_omega([{0}, {1}, {2}, {3}], [{0, 1, 2, 3}]) == 0.0
+
+    def test_many_singletons_match_brute_force(self):
+        # covers with few or no co-member pairs: a pair of one cover past the
+        # last pair of the other, or with none to be found in
+        rng = random.Random(131)
+        for i in range(60):
+            n = rng.randint(2, 20)
+            covers = []
+            for _ in range(2):
+                sets = [{u} for u in range(n)]
+                if rng.random() < 0.7:
+                    sets += random_cover_sets(rng, n, rng.randint(1, 3), max_size=3)
+                rng.shuffle(sets)
+                covers.append(sets)
+            want = brute_omega(*covers)
+            if math.isnan(want):
+                with pytest.raises(CoverError):
+                    omega_index(*map(Cover.from_sets, covers))
+            else:
+                assert omega_index(*map(Cover.from_sets, covers)) == want, i
 
     def test_random_matches_brute_force(self):
         rng = random.Random(61)
@@ -157,21 +181,32 @@ class TestOnmiMax:
                     continue  # no common node, or the restriction emptied a cover
             assert got == scalar_onmi(s1, s2)
 
-    def test_one_entropy_per_count(self, monkeypatch):
+    def test_entropy_table_bit_for_bit(self):
+        for n in (1, 2, 3, 7, 60, 997, 2000):
+            want = [0.0] + [-(w / n) * math.log2(w / n) for w in range(1, n + 1)]
+            got = _entropy_table(n)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+    @pytest.mark.parametrize("entries", [1, 7])
+    def test_blocks_equal_scalar_formulas_exactly(self, monkeypatch, entries):
+        # one row per block, and 7 // 3 = 2 rows of a 5 x 3 table per block:
+        # blocks of 2, 2 and 1 rows (the transposed table: 7 // 5 = 1 row)
         from covereval import clustering
-        calls = []
-        real = clustering._h
-
-        def counting(w, n):
-            calls.append(w)
-            return real(w, n)
-
-        monkeypatch.setattr(clustering, "_h", counting)
-        rng = random.Random(113)
-        s1 = random_cover_sets(rng, 60, 25) + [set(range(60))]
-        s2 = random_cover_sets(rng, 60, 30) + [set(range(60))]
-        onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
-        assert 0 < len(calls) <= 60 + 1
+        rng = random.Random(137)
+        cases = []
+        for i in range(40):
+            n = rng.randint(4, 30)
+            s1 = random_cover_sets(rng, n, 4) + [set(range(n))]
+            s2 = random_cover_sets(rng, n, 2) + [set(range(n))]
+            cases.append((s1, s2) if i % 2 else (s2, s1))
+        for i in range(20):
+            n = rng.randint(4, 30)
+            cases.append((random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))],
+                          random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))]))
+        monkeypatch.setattr(clustering, "ONMI_BLOCK_ENTRIES", entries)
+        for s1, s2 in cases:
+            assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
 
 
 class TestF1BestMatch:

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from covereval.graph import (
     EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
-    basic_properties, clustering_by_degree, degree_distribution,
-    giant_component, hop_distribution, load_edge_list, local_clustering,
+    basic_properties, clustering_by_degree, degree_assortativity, degree_distribution,
+    giant_component, hop_distribution, load_edge_list, local_clustering, sum_in_order,
     transitivity,
 )
 
 from gen import random_graph
 from oracles import (
-    brute_basic_properties, brute_local_clustering, brute_sampled_hops,
+    brute_basic_properties, brute_local_clustering, brute_sampled_hops, scalar_assortativity,
     union_find_components,
 )
 
@@ -164,6 +164,62 @@ class TestBasicProperties:
         _, sampled = basic_properties(g, exact_paths=False, sources=6, seed=5)
         assert sampled == hop_distribution(g, exact=False, sources=6, seed=5)
         assert sampled.sampled and sampled.source_count == 6
+
+
+def bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+class TestDegreeAssortativity:
+    def test_equals_scalar_loop_exactly(self):
+        # bit for bit: tau is written to report.json, so a sum in another
+        # order would change the report while staying within 1e-9
+        rng = random.Random(47)
+        for i in range(80):
+            n = rng.randint(2, 60)
+            _, edges = random_graph(rng, n, rng.choice((0.05, 0.15, 0.4)))
+            hubs = rng.sample(range(n), rng.randint(0, min(3, n)))
+            edges |= {(min(h, v), max(h, v)) for h in hubs for v in range(n)
+                      if v != h and rng.random() < 0.7}
+            g = Graph(n, edges)
+            want = scalar_assortativity(n, edges)
+            got = degree_assortativity(g)
+            assert bits(got) == bits(want), (i, got, want)
+            if len(edges) and n > 1:
+                assert bits(basic_properties(g)[0]["tau"]) == bits(want)
+
+    @pytest.mark.parametrize("seed", [649, 726, 907])
+    def test_squares_are_pythons_pow(self, seed):
+        # graphs where Python's (k - mean) ** 2 differs from (k - mean) *
+        # (k - mean) in the last bit for some degree k
+        rng = random.Random(seed)
+        n = rng.randint(5, 40)
+        g, edges = random_graph(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        deg = g.degrees()
+        mean = sum(d * d for d in deg) / (2 * len(edges))
+        assert any((k - mean) ** 2 != (k - mean) * (k - mean) for k in deg if k)
+        assert bits(degree_assortativity(g)) == bits(scalar_assortativity(n, edges))
+
+    def test_sum_in_order(self):
+        rng = random.Random(53)
+        for size in (0, 1, 7, 8, 100, 1000):
+            terms = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(size)]
+            want = 0.0
+            for t in terms:
+                want += t
+            assert bits(sum_in_order(np.array(terms))) == bits(want)
+        assert bits(sum_in_order(np.array([-0.0, -0.0]))) == bits(0.0)
+
+    @pytest.mark.parametrize("n, edges", [
+        (5, {(u, v) for u in range(5) for v in range(u + 1, 5)}),   # K5
+        (6, {(i, i + 1) for i in range(5)} | {(0, 5)}),            # 6-cycle
+        (4, {(0, 1), (2, 3)}),                                      # perfect matching
+        (3, set()),                                                 # no edges
+        (0, set()),
+    ])
+    def test_nan_on_regular_and_edgeless_graphs(self, n, edges):
+        assert math.isnan(degree_assortativity(Graph(n, edges)))
+        assert math.isnan(scalar_assortativity(n, edges))
 
 
 class TestDegreeDistribution:
