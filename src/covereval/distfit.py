@@ -13,12 +13,13 @@ scale then in closed form; logistic and beta by Newton's method on their
 two score equations, in coordinates where the log-likelihood is concave;
 Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
 scipy's (`optimize`). Fitting imports nothing of scipy: the special
-functions are covereval's own (`special`). Every iterative fit reads the
-samples as their distinct values and counts, so one evaluation of a
-likelihood or score costs O(distinct values), not O(samples). Where one
-value holds at least half the samples the Cauchy likelihood has no maximum
-(Copas 1975; at exactly half it is bounded but only approached as the scale
-goes to 0), so the family is inapplicable there."""
+functions are covereval's own (`special`). Every fit reads the samples as
+their distinct values and counts, so a closed form, a start or one
+evaluation of a likelihood or score costs O(distinct values), not
+O(samples). Where one value holds at least half the samples the Cauchy
+likelihood has no maximum (Copas 1975; at exactly half it is bounded but
+only approached as the scale goes to 0), so the family is inapplicable
+there."""
 
 from __future__ import annotations
 
@@ -155,22 +156,39 @@ class FitReport:
     best: FittedDistribution
 
 
-def _check_support(family: Family, x: np.ndarray) -> str | None:
-    if family in POSITIVE_SUPPORT and x.min() <= 0:
+def _check_support(family: Family, values: np.ndarray) -> str | None:
+    if family in POSITIVE_SUPPORT and values[0] <= 0:
         return "requires strictly positive data"
-    if family is Family.POWER_LAW and np.all(x == x.min()):
+    if family is Family.POWER_LAW and len(values) == 1:
         return "all samples equal xmin; exponent undefined"
-    if family is Family.BETA and x.min() == x.max():
+    if family is Family.BETA and len(values) == 1:
         return "constant data; beta rescaling degenerate"
     return None
 
 
-def _quantile(x: np.ndarray, q: float) -> float:
-    """The q-quantile of the sorted samples x by linear interpolation, in
-    np.percentile's default method and operations (which import numpy.ma)."""
-    index = q * (len(x) - 1)
+def _moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """The mean and population standard deviation (the MLE's) over the values
+    times their counts, scaled by a power of two >= max |x|, which is exact and
+    keeps the variance from overflowing above ~1e154; one value has no spread,
+    though count * value / count may round off it."""
+    if len(values) == 1:
+        return float(values[0]), 0.0
+    n = float(counts.sum())
+    exponent = math.frexp(float(max(-values[0], values[-1])))[1]
+    scaled = np.ldexp(values, -exponent)
+    mean = float(counts @ scaled) / n
+    var = float(counts @ (scaled - mean) ** 2) / n
+    return math.ldexp(mean, exponent), math.ldexp(math.sqrt(var), exponent)
+
+
+def _quantile(data: EmpiricalDistribution, q: float) -> float:
+    """The q-quantile of the samples by linear interpolation, in
+    np.percentile's default method and operations (which import numpy.ma),
+    its two order statistics read off the cumulative counts."""
+    index = q * (data.n - 1)
     lo = math.floor(index)
-    a, b = float(x[lo]), float(x[min(lo + 1, len(x) - 1)])
+    ranks = [lo, min(lo + 1, data.n - 1)]
+    a, b = data.values[np.searchsorted(np.cumsum(data.counts), ranks, side="right")].tolist()
     frac = index - lo
     return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
 
@@ -358,39 +376,30 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     maximum."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
-    x = data.samples
-    reason = _check_support(family, x)
+    values, counts, n = data.values, data.counts, data.n
+    reason = _check_support(family, values)
     if reason:
         raise FitError(f"{family.value}: {reason}")
-    n = len(x)
-    # the mean and the population standard deviation (the MLE's), from the
-    # samples scaled by a power of two at least max |x|: the scaling is
-    # exact, and x.var() itself overflows above ~1e154
-    exponent = math.frexp(float(np.abs(x).max()))[1]
-    scaled = np.ldexp(x, -exponent)
-    mean = math.ldexp(float(scaled.mean()), exponent)
-    sd = math.ldexp(math.sqrt(float(scaled.var())), exponent)
+    lo, hi = float(values[0]), float(values[-1])
+    mean, sd = _moments(values, counts)
     rescale = None
     work = SolverWork()
 
     if family is Family.POWER_LAW:
-        xmin = float(x.min())
-        alpha = 1.0 + n / float(np.sum(np.log(x / xmin)))
-        params = (alpha, xmin)
+        alpha = 1.0 + n / float(counts @ np.log(values / lo))
+        params = (alpha, lo)
     elif family is Family.NORMAL:
         if sd == 0:
             raise FitError("N: zero variance")
         params = (mean, sd)
     elif family is Family.LOG_NORMAL:
-        logs = np.log(x)
-        s = float(logs.std())
+        log_mean, s = _moments(np.log(values), counts)
         if s == 0:
             raise FitError("LN: zero log variance")
-        params = (float(logs.mean()), s)
+        params = (log_mean, s)
     elif family is Family.EXPONENTIAL:
         params = (1.0 / mean,)
     elif family is Family.UNIFORM:
-        lo, hi = float(x.min()), float(x.max())
         params = (lo, hi)
     elif family is Family.GAMMA:
         if sd == 0:
@@ -401,27 +410,25 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
             raise FitError("WB: zero variance")
         params, work = _weibull_mle(data)
     elif family is Family.BETA:
-        lo, hi = float(x.min()), float(x.max())
         rescale = (lo, hi)
-        y = (data.values - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
-        w = data.counts / n
+        y = (values - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
+        w = counts / n
         m = float(w @ y)
         v = max(float(w @ (y - m) ** 2), 1e-12)
         common = max(m * (1 - m) / v - 1, 1e-3)
         a0, b0 = max(m * common, 1e-3), max((1 - m) * common, 1e-3)
         # the likelihood keeps y off {0, 1}, where the log-density diverges,
         # and leaves out the rescaling's constant -n log(span)
-        params, work = _beta_mle(np.clip(y, 1e-15, 1 - 1e-15), data.counts, (a0, b0))
+        params, work = _beta_mle(np.clip(y, 1e-15, 1 - 1e-15), counts, (a0, b0))
     elif family is Family.CAUCHY:
         # with k equal samples the log-likelihood holds (n - 2k) log(scale),
         # unbounded as the scale goes to 0 when 2k > n (Copas 1975); at
         # 2k = n it is bounded, but only approached as the scale goes to 0
-        if 2 * int(data.counts.max()) >= n:
+        if 2 * int(counts.max()) >= n:
             raise FitError("CA: one value holds at least half the samples; "
                            "the likelihood has no maximum")
-        q25, q50, q75 = (_quantile(x, q) for q in (0.25, 0.5, 0.75))
+        q25, q50, q75 = (_quantile(data, q) for q in (0.25, 0.5, 0.75))
         scale0 = max((q75 - q25) / 2.0, 1e-9)
-        values, counts = data.values, data.counts
 
         def mean_nll(theta):
             # the mean, not the sum, so that fatol bounds a per-sample value

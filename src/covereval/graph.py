@@ -3,6 +3,7 @@ per-node (microscopic) topological properties."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -71,53 +72,61 @@ def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # to sampled sources (a seed is then mandatory).
 EXACT_HOP_LIMIT = 20_000
 DEFAULT_HOP_SOURCES = 1_000
-# hop_distribution searches from at most this many / V roots at once (one
-# at least), which bounds the roots x V distances a search holds; its
-# frontiers take one bit per root and edge end
+# hop_counts searches from at most this many / V roots at once (one at
+# least), which bounds its frontiers to one bit per root and edge end
 BFS_BLOCK_ENTRIES = 1 << 22
 # the nine global properties, by their report names
 BASIC_PROPS = ("V", "E", "rho", "d", "l_G", "avg_deg", "max_deg", "tau", "C")
 
 
 class EmpiricalDistribution:
-    """Sorted multiset of finite real samples. ``samples`` is the sorted
-    float64 array; ``values`` holds the distinct samples, ``counts`` their
-    multiplicities and ``cdf`` the right-continuous ECDF at each of them.
-    All four are built once here and are read-only."""
+    """Multiset of finite real samples as its distinct ``values`` (increasing
+    float64), their ``counts`` and the right-continuous ECDF ``cdf`` at each
+    value, built once and read-only."""
 
-    __slots__ = ("samples", "values", "counts", "cdf")
+    __slots__ = ("values", "counts", "cdf")
 
     def __init__(self, samples: np.ndarray | Sequence[float]):
-        given = np.asarray(samples, dtype=np.float64)
-        x = np.sort(given)
-        x[x == 0] = given[given == 0]  # 0.0 and -0.0 stay in the given order
+        x = np.asarray(samples, dtype=np.float64)
         if len(x) == 0:
             raise ValueError("empirical distribution needs at least one sample")
         bad = x[~np.isfinite(x)]
         if len(bad):
             raise ValueError(f"empirical distribution needs finite samples, got {bad[0]}")
-        values, counts = np.unique(x, return_counts=True)
-        self.samples, self.values, self.counts = x, values, counts
-        self.cdf = np.cumsum(counts) / len(x)
-        for a in (self.samples, self.values, self.counts, self.cdf):
+        self._adopt(*np.unique(x, return_counts=True))
+
+    @classmethod
+    def from_counts(cls, values: np.ndarray, counts: np.ndarray) -> "EmpiricalDistribution":
+        """counts[i] samples equal to values[i], the values increasing, no count 0."""
+        d = cls.__new__(cls)
+        d._adopt(np.asarray(values, dtype=np.float64), np.asarray(counts, dtype=np.int64))
+        return d
+
+    def _adopt(self, values: np.ndarray, counts: np.ndarray) -> None:
+        self.values, self.counts = values, counts
+        self.cdf = np.cumsum(counts) / counts.sum()
+        for a in (self.values, self.counts, self.cdf):
             a.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalDistribution):
             return NotImplemented
-        return np.array_equal(self.samples, other.samples)
+        return (np.array_equal(self.values, other.values)
+                and np.array_equal(self.counts, other.counts))
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return int(self.counts.sum())
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample, increasing, built on each read; only the benchmark reads it."""
+        return np.repeat(self.values, self.counts)
 
 
 @dataclass(frozen=True)
 class HopSummary:
     distribution: EmpiricalDistribution
-    diameter: float
-    sampled: bool
-    source_count: int
 
 
 class Graph:
@@ -322,76 +331,60 @@ def degree_assortativity(g: Graph) -> float:
 
 
 def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:
-    """Hop distances from each root to every node, as a roots x V int32
-    array (-1 where unreachable), by breadth-first search from all roots at
-    once. Each node holds one bit per root, packed eight to a byte, for the
-    roots whose frontier it is on; a level ORs each node's neighbours' bits,
-    and the bits of roots that had not reached it yet form the next
-    frontier."""
-    degree = np.diff(g.indptr)
-    linked = degree > 0
+    """pairs[level]: the unordered pairs of distinct nodes, one of them a
+    root, at each hop distance below V (pairs[0] = 0), by breadth-first
+    search from a block of roots at once. Each node holds one bit per root, packed eight
+    to a byte, for the roots whose frontier it is on; a level ORs each
+    node's neighbours' bits, and the bits of roots that had not reached it
+    yet form the next frontier. A new bit at a non-root node is one pair; a
+    pair of roots is found from both ends, so it sets two bits at roots."""
+    in_roots = np.isin(np.arange(g.n), roots)
+    linked = np.diff(g.indptr) > 0
     starts = g.indptr[:-1][linked]
-    dist = np.full((g.n, len(roots)), -1, dtype=np.int32)  # node x root
-    dist[roots, np.arange(len(roots))] = 0
-    frontier = np.packbits(dist == 0, axis=1)
-    seen = frontier.copy()
-    level = 0
-    while frontier.any():
-        level += 1
-        gathered = frontier[g.indices]
-        frontier = np.zeros_like(seen)
-        # rows without neighbours are left out, so no reduceat segment is empty
-        frontier[linked] = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        frontier &= ~seen
-        seen |= frontier
-        dist[np.unpackbits(frontier, axis=1, count=len(roots)).view(bool)] = level
-    return dist.T
+    bits = np.zeros((g.n, 2), dtype=np.int64)  # the new bits per level, at roots and others
+    block = max(1, BFS_BLOCK_ENTRIES // g.n)
+    for start in range(0, len(roots), block):
+        part = roots[start:start + block]
+        bit = np.arange(len(part))
+        frontier = np.zeros((g.n, (len(part) + 7) // 8), dtype=np.uint8)
+        frontier[part, bit // 8] = 1 << bit % 8
+        seen = frontier.copy()
+        for level in itertools.count(1):
+            gathered = frontier[g.indices]
+            frontier = np.zeros_like(seen)
+            # rows without neighbours are left out, so no reduceat segment is empty
+            frontier[linked] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            frontier &= ~seen
+            found = np.bitwise_count(frontier).sum(axis=1, dtype=np.int64)
+            if not found.any():
+                break
+            seen |= frontier
+            bits[level] += found[in_roots].sum(), found[~in_roots].sum()
+    return bits[:, 1] + bits[:, 0] // 2
 
 
 def hop_distribution(g: Graph, exact: bool = True, sources: int = DEFAULT_HOP_SOURCES,
                      seed: int | None = None) -> HopSummary:
     """Pairwise hop-distance distribution on the giant component.
 
-    Exact mode enumerates every unordered reachable pair once. Sampled mode
-    runs BFS from `sources` seeded-uniform roots; with sources equal to the
-    component size it reduces to exact mode.
+    Exact mode counts every unordered reachable pair once. Sampled mode
+    counts the pairs that hold one of `sources` seeded-uniform roots; with
+    sources equal to the component size it reduces to exact mode.
     """
     gc = giant_component(g)
     if gc.n < 2:
         raise GraphError("giant component needs at least 2 nodes")
     if exact or sources >= gc.n:
         roots = np.arange(gc.n)
-        was_sampled = False
     else:
         if seed is None:
             raise GraphError("sampled hop mode requires a seed")
         if sources < 1:
             raise GraphError("sources must be >= 1")
         roots = np.array(sorted(random.Random(seed).sample(range(gc.n), sources)))
-        was_sampled = True
-    in_roots = np.zeros(gc.n, dtype=bool)
-    in_roots[roots] = True
-    # count each unordered pair once: skip (u, v) when v is a root <= u
-    # (that root already counted it, or v is u itself), so the i-th root
-    # keeps V - i - 1 distances; the roots go in blocks, so that memory stays
-    # bounded on large graphs, and each block's distances straight into one
-    # array
-    hops = np.empty(len(roots) * gc.n - len(roots) * (len(roots) + 1) // 2)
-    block = max(1, BFS_BLOCK_ENTRIES // gc.n)
-    kept = 0
-    for start in range(0, len(roots), block):
-        part = roots[start:start + block]
-        skip = in_roots & (np.arange(gc.n) <= part[:, None])
-        found = hop_counts(gc, part)[~skip]
-        hops[kept:kept + len(found)] = found
-        kept += len(found)
-    dist = EmpiricalDistribution(hops)
-    return HopSummary(
-        distribution=dist,
-        diameter=dist.values[-1].item(),
-        sampled=was_sampled,
-        source_count=len(roots),
-    )
+    pairs = hop_counts(gc, roots)
+    levels = np.flatnonzero(pairs)
+    return HopSummary(EmpiricalDistribution.from_counts(levels, pairs[levels]))
 
 
 def basic_properties(g: Graph, exact_paths: bool = True,
@@ -411,14 +404,13 @@ def basic_properties(g: Graph, exact_paths: bool = True,
         exact_paths = False
     hops = hop_distribution(g, exact=exact_paths, sources=sources, seed=seed)
     degs = g.degrees()
-    samples = hops.distribution.samples
+    levels, counts = hops.distribution.values, hops.distribution.counts
     props = dict(zip(BASIC_PROPS, (
         g.n,
         g.edge_count,
         2 * g.edge_count / (g.n * (g.n - 1)),
-        int(hops.diameter),
-        # hop counts are integers, so their sum is exact in any order
-        float(samples.sum()) / len(samples),
+        int(levels[-1]),
+        int(levels.astype(np.int64) @ counts) / hops.distribution.n,  # an exact integer sum
         sum(degs) / g.n,
         max(degs),
         degree_assortativity(g),

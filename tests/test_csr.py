@@ -1,7 +1,8 @@
 """The CSR kernels of graph, cover, quality and clustering against
 scipy.sparse and scipy.sparse.csgraph, which covereval no longer imports, on
 seeded random graphs (duplicate edges, self-loops, isolated nodes, several
-components) and covers (repeated members, ids negative or beyond 2^40)."""
+components) and covers (repeated members, ids negative or beyond 2^40); the
+hop distribution against the Floyd-Warshall oracles too."""
 
 import random
 import tracemalloc
@@ -21,7 +22,8 @@ from covereval.graph import (
 )
 from covereval.quality import intra_degrees
 
-from gen import arbitrary_ids, random_cover_sets
+from gen import arbitrary_ids, random_cover_sets, random_graph
+from oracles import brute_sampled_hops, union_find_components
 
 
 def messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -220,14 +222,27 @@ def test_giant_component_equals_scipy_slice():
         assert gc.original_labels == tuple(str(u) for u in best.tolist())
 
 
-def test_hop_counts_equal_scipy():
-    rng = random.Random(11)
-    for g, a in graphs(11):
-        roots = np.array(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
-        want = csgraph.shortest_path(a, unweighted=True, indices=roots)
-        got = hop_counts(g, roots)
-        assert got.shape == want.shape
-        assert np.array_equal(np.where(got < 0, np.inf, got), want)
+def scipy_pair_counts(a: sparse.csr_array, roots: np.ndarray) -> list[float]:
+    """The histogram of csgraph.shortest_path over the pairs of distinct
+    nodes that hold a root, by hop distance from 0 to V - 1: a pair of two
+    roots appears in both roots' rows, so each appearance counts one half."""
+    dist = csgraph.shortest_path(a, unweighted=True, indices=roots)
+    dist[np.arange(len(roots)), roots] = np.inf  # each root's distance to itself
+    reached = np.isfinite(dist)
+    in_roots = np.zeros(a.shape[0], dtype=bool)
+    in_roots[roots] = True
+    weight = np.where(in_roots, 0.5, 1.0)[np.nonzero(reached)[1]]
+    return np.bincount(dist[reached].astype(np.int64), weight, minlength=a.shape[0]).tolist()
+
+
+def test_hop_counts_equal_scipy(monkeypatch):
+    # the block bound only changes how many roots are searched at once
+    for entries in (1, 200, graph_module.BFS_BLOCK_ENTRIES):
+        monkeypatch.setattr(graph_module, "BFS_BLOCK_ENTRIES", entries)
+        rng = random.Random(11)
+        for g, a in graphs(11):
+            roots = np.array(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
+            assert hop_counts(g, roots).tolist() == scipy_pair_counts(a, roots)
 
 
 @pytest.mark.parametrize("entries", [1, 200, graph_module.BFS_BLOCK_ENTRIES])
@@ -240,6 +255,25 @@ def test_hop_distribution_in_blocks_equals_scipy(monkeypatch, entries):
             continue
         b = scipy_adjacency(gc.n, gc.edges())
         full = csgraph.shortest_path(b, unweighted=True)
-        want = full[np.triu_indices(gc.n, k=1)]
-        got = hop_distribution(g).distribution.samples
-        assert got.tolist() == sorted(want.tolist())
+        levels, counts = np.unique(full[np.triu_indices(gc.n, k=1)], return_counts=True)
+        got = hop_distribution(g).distribution
+        assert got.values.tolist() == levels.tolist()
+        assert got.counts.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+def test_hop_distribution_equals_floyd_warshall(exact):
+    # the pairs that hold one of the roots, drawn on the giant component of
+    # graphs that may fall apart; every node a root in exact mode
+    rng = random.Random(13)
+    for seed in range(40):
+        g, edges = random_graph(rng, rng.randint(2, 30), rng.choice([0.08, 0.15, 0.4]))
+        size = max(len(c) for c in union_find_components(g.n, edges))
+        if size < 2:
+            continue
+        sources = size if exact else rng.randint(1, size)
+        got = hop_distribution(g, exact=exact, sources=sources, seed=seed).distribution
+        levels, counts = np.unique(brute_sampled_hops(g.n, edges, sources, seed),
+                                   return_counts=True)
+        assert got.values.tolist() == levels.tolist()
+        assert got.counts.tolist() == counts.tolist()

@@ -143,6 +143,28 @@ class TestFitMle:
                     continue
             assert all(map(math.isfinite, fit.params + (fit.ks,))), family
 
+    @pytest.mark.parametrize("shape", ["hops", "seeded"])
+    def test_weighted_closed_forms_equal_the_per_sample_formulas(self, shape):
+        # heavily tied samples, hop distances at levels 1-6 (~1e6 samples)
+        # or seeded draws rounded to two decimals: the fits sum over the
+        # distinct values, numpy's formulas over every sample
+        if shape == "hops":
+            data = EmpiricalDistribution.from_counts(
+                np.arange(1, 7), np.array([4_100, 61_000, 402_000, 391_000, 130_000, 11_900]))
+        else:
+            data = dist(np.round(np.random.default_rng(31).lognormal(0.5, 0.8, 50_000), 2))
+        x = np.repeat(data.values, data.counts)
+        logs = np.log(x)
+        want = {
+            Family.NORMAL: (x.mean(), x.std()),
+            Family.LOG_NORMAL: (logs.mean(), logs.std()),
+            Family.POWER_LAW: (1 + len(x) / np.log(x / x.min()).sum(), x.min()),
+            Family.EXPONENTIAL: (1 / x.mean(),),
+        }
+        for family, params in want.items():
+            np.testing.assert_allclose(fit_mle(family, data).params, params, rtol=1e-14, atol=0,
+                                       err_msg=family.value)
+
     def test_numeric_families_are_local_maxima(self):
         rng = np.random.default_rng(113)
         x = np.abs(rng.normal(3, 1, 400)) + 0.5
@@ -490,7 +512,7 @@ class TestKsStatistic:
         data = dist([1, 2, 3, 4, 5])
         got = ks_statistic(fit, data)
         assert got == brute_ks(lambda x: fit.cdf(np.asarray([x]))[0],
-                               list(data.samples))
+                               np.repeat(data.values, data.counts).tolist())
 
     @pytest.mark.parametrize("family", FAMILY_ORDER, ids=lambda f: f.value)
     def test_fitted_family_equals_brute_force(self, family):
@@ -542,10 +564,14 @@ class TestBestFit:
         assert report.best.family is Family.NORMAL
 
     def test_constant_data_well_formed(self):
-        report = best_fit(dist([3, 3, 3, 3, 3]))
-        assert report.best.family is Family.UNIFORM
-        assert report.best.params == (3.0, 3.0) and report.best.ks == 0.0
-        assert isinstance(report.fits[FAMILY_ORDER.index(Family.POWER_LAW)], InapplicableFit)
+        # a count times a value over the count can round off the value
+        # (237 x 9.395020081555746), which must not leave a spread
+        for value, count in ((3, 5), (0.1, 7), (9.395020081555746, 237)):
+            report = best_fit(dist([value] * count))
+            assert report.best.family is Family.UNIFORM
+            assert report.best.params == (value, value) and report.best.ks == 0.0
+            fitted = {f.family for f in report.fits if not isinstance(f, InapplicableFit)}
+            assert fitted == {Family.EXPONENTIAL, Family.UNIFORM}
 
     def test_all_families_attempted(self):
         rng = np.random.default_rng(149)

@@ -20,6 +20,11 @@ from oracles import (
 )
 
 
+def samples(d) -> list[float]:
+    """Every sample of an EmpiricalDistribution, in increasing order."""
+    return np.repeat(d.values, d.counts).tolist()
+
+
 def complete_graph(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -154,7 +159,7 @@ class TestBasicProperties:
         n = EXACT_HOP_LIMIT + 1
         _, hops = basic_properties(Graph(n, [(i, (i - 1) // 2) for i in range(1, n)]),
                                    sources=2, seed=1)
-        assert hops.sampled and hops.source_count == 2
+        # the pairs that hold one of the two roots
         assert hops.distribution.n == 2 * n - 3
 
     def test_hops_are_the_hop_distribution(self):
@@ -163,7 +168,8 @@ class TestBasicProperties:
         assert basic_properties(g)[1] == hop_distribution(g)
         _, sampled = basic_properties(g, exact_paths=False, sources=6, seed=5)
         assert sampled == hop_distribution(g, exact=False, sources=6, seed=5)
-        assert sampled.sampled and sampled.source_count == 6
+        size = giant_component(g).n
+        assert sampled.distribution.n == 6 * (size - 1) - 15
 
 
 def bits(x: float) -> int:
@@ -224,17 +230,18 @@ class TestDegreeAssortativity:
 
 class TestDegreeDistribution:
     def test_k4(self):
-        assert degree_distribution(complete_graph(4)).samples.tolist() == [3, 3, 3, 3]
+        assert samples(degree_distribution(complete_graph(4))) == [3, 3, 3, 3]
 
     def test_p3(self):
-        assert degree_distribution(path_graph(3)).samples.tolist() == [1, 1, 2]
+        assert samples(degree_distribution(path_graph(3))) == [1, 1, 2]
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_handshake(self, seed):
         rng = random.Random(seed)
         g, edges = random_graph(rng, rng.randint(2, 30), rng.random())
-        assert sum(degree_distribution(g).samples) == 2 * len(edges)
+        d = degree_distribution(g)
+        assert d.values @ d.counts == 2 * len(edges)
 
 
 class TestClusteringByDegree:
@@ -280,21 +287,20 @@ class TestTransitivity:
 class TestHopDistribution:
     def test_p5(self):
         h = hop_distribution(path_graph(5))
-        assert sorted(h.distribution.samples) == [1, 1, 1, 1, 2, 2, 2, 3, 3, 4]
-        assert h.diameter == 4
+        assert samples(h.distribution) == [1, 1, 1, 1, 2, 2, 2, 3, 3, 4]
         assert h.distribution.values.tolist() == [1, 2, 3, 4]
         assert h.distribution.counts.tolist() == [4, 3, 2, 1]
 
     def test_k6(self):
         h = hop_distribution(complete_graph(6))
-        assert h.diameter == 1 and h.distribution.samples.tolist() == [1] * 15
+        assert samples(h.distribution) == [1] * 15
 
     def test_sampled_all_sources_equals_exact(self):
         rng = random.Random(3)
         g, _ = random_graph(rng, 20, 0.2)
         exact = hop_distribution(g, exact=True)
         sampled = hop_distribution(g, exact=False, sources=g.n, seed=1)
-        assert sampled.distribution.samples.tolist() == exact.distribution.samples.tolist()
+        assert sampled == exact
 
     def test_sampled_requires_seed(self):
         g = path_graph(10)
@@ -304,11 +310,10 @@ class TestHopDistribution:
     def test_sampled_subset_is_subset_of_exact(self):
         rng = random.Random(4)
         g, _ = random_graph(rng, 25, 0.15)
-        exact = list(hop_distribution(g, exact=True).distribution.samples)
-        sampled = hop_distribution(g, exact=False, sources=5, seed=9)
-        assert sampled.sampled and sampled.source_count == 5
-        for h in sampled.distribution.samples:
-            assert h in exact
+        exact = hop_distribution(g, exact=True).distribution
+        sampled = hop_distribution(g, exact=False, sources=5, seed=9).distribution
+        assert set(sampled.values.tolist()) <= set(exact.values.tolist())
+        assert sampled.n == 5 * (giant_component(g).n - 1) - 10
 
     def test_sampled_matches_floyd_warshall_oracle(self):
         # disconnected graphs too: the roots are drawn on the giant component
@@ -320,7 +325,7 @@ class TestHopDistribution:
                 continue
             sources = rng.randint(1, gn)
             got = hop_distribution(g, exact=False, sources=sources, seed=i)
-            assert list(got.distribution.samples) == brute_sampled_hops(
+            assert samples(got.distribution) == brute_sampled_hops(
                 g.n, edges, sources, seed=i)
 
     def test_pair_count(self):
@@ -387,20 +392,27 @@ class TestEmpiricalDistribution:
     def test_sorted_arrays_are_read_only(self):
         given = np.array([3.0, 1.0, 2.0, 2.0])
         d = EmpiricalDistribution(given)
-        assert d.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
-        assert d.values.tolist() == [1.0, 2.0, 3.0] and d.cdf.tolist() == [0.25, 0.75, 1.0]
-        for a in (d.samples, d.values, d.cdf):
+        assert d.values.tolist() == [1.0, 2.0, 3.0] and d.counts.tolist() == [1, 2, 1]
+        assert d.cdf.tolist() == [0.25, 0.75, 1.0]
+        for a in (d.values, d.counts, d.cdf):
             with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+                a[0] = 0
         given[1] = 9.0  # the caller's array is copied, not kept
-        assert d.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert d.values.tolist() == [1.0, 2.0, 3.0]
 
-    def test_equal_samples_keep_their_order(self):
-        # 0.0 and -0.0 are equal; they stay in the given order, as in
-        # Python's sorted, which the dumps and fitted minima print
+    def test_signed_zeros_merge(self):
+        # 0.0 and -0.0 are equal, so they are one value holding every zero
         x = np.random.default_rng(5).choice([0.0, -0.0, 1.0], 300)
-        got = EmpiricalDistribution(x).samples
-        assert np.signbit(got).tolist() == np.signbit(sorted(x.tolist())).tolist()
+        d = EmpiricalDistribution(x)
+        assert d.values.tolist() == [0.0, 1.0]
+        assert d.counts.tolist() == [int((x == 0).sum()), int((x == 1).sum())]
+
+    def test_from_counts_equals_the_samples(self):
+        x = [3.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        d = EmpiricalDistribution.from_counts(np.array([1, 2, 3]), np.array([1, 2, 3]))
+        assert d == EmpiricalDistribution(x) and d.n == 6
+        assert d.cdf.tolist() == EmpiricalDistribution(x).cdf.tolist()
+        assert d.values.dtype == np.float64 and samples(d) == sorted(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
