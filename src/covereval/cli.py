@@ -42,7 +42,7 @@ def cmd_community_graph(args) -> int:
     cover = _load_cover_for(args.cover, g)
     cg = build_community_graph(cover)
     lines = [f"{cg.graph.original_labels[u]} {cg.graph.original_labels[v]}"
-             for u, v in cg.graph.edges()]
+             for u, v in cg.graph.edges().tolist()]
     out = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
         Path(args.output).write_text(out)
@@ -111,10 +111,9 @@ def cmd_rank(args) -> int:
         (_, *criteria), *rows = (ln.split(",") for ln in lines)
         if len(rows) < 2 or not criteria:
             raise ValueError("need at least 2 alternatives and 1 criterion")
-        columns = {c: [int(cells[j]) for cells in rows]
-                   for j, c in enumerate(criteria, start=1)}
-        rt = RankingTable.from_columns([cells[0] for cells in rows], columns)
-    except (ValueError, IndexError) as exc:  # no header, a short row, a bad cell or rank
+        rt = RankingTable(tuple(cells[0] for cells in rows), tuple(criteria),
+                          tuple(tuple(map(int, cells[1:])) for cells in rows))
+    except ValueError as exc:  # no header, a bad cell, rank or row length, a repeated name
         print(f"error: {args.table}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     kc = kemeny_consensus(rt)

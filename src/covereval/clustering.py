@@ -128,8 +128,8 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
     c1, c2 = common_universe(c1, c2)
     h = _entropy_table(len(c1.nodes))
     sizes1, sizes2 = c1.sizes, c2.sizes
-    h1 = sum(_entropies(h, sizes1).tolist())
-    h2 = sum(_entropies(h, sizes2).tolist())
+    h1 = sum_in_order(_entropies(h, sizes1))
+    h2 = sum_in_order(_entropies(h, sizes2))
     if h1 == 0.0 and h2 == 0.0:
         return 1.0  # every community of both covers is the whole universe
 
@@ -151,7 +151,7 @@ def _best_f1(sizes_s: np.ndarray, sizes_t: np.ndarray, rows: np.ndarray,
     rec = tp / sizes_t[cols]
     best = np.zeros(len(sizes_s))
     np.maximum.at(best, rows, 2 * prec * rec / (prec + rec))
-    return sum(best.tolist()) / len(sizes_s)
+    return sum_in_order(best) / len(sizes_s)
 
 
 def f1_best_match(detected: Cover, truth: Cover) -> float:

@@ -4,7 +4,6 @@ property distributions, and community-graph construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ class Cover:
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
         sets = [list(s) for s in sets]
-        return cls([len(s) for s in sets], list(chain.from_iterable(sets)))
+        return cls([len(s) for s in sets], [u for s in sets for u in s])
 
     @property
     def communities(self) -> tuple[frozenset[int], ...]:
@@ -133,10 +132,10 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     )))
 
 
-def community_graph_edges(c: Cover) -> frozenset[tuple[int, int]]:
-    """Edges (i < j) between communities sharing at least one node."""
-    i, j = np.divmod(_overlaps(c)[0], len(c.sizes))
-    return frozenset(zip(i.tolist(), j.tolist()))
+def community_graph_edges(c: Cover) -> np.ndarray:
+    """Edges (i, j), i < j, between communities sharing at least one node,
+    as the rows of an (E, 2) int64 array in row-major order."""
+    return np.stack(np.divmod(_overlaps(c)[0], len(c.sizes)), axis=1)
 
 
 def build_community_graph(c: Cover) -> CommunityGraph:
@@ -146,7 +145,7 @@ def build_community_graph(c: Cover) -> CommunityGraph:
     community node, flagged explicitly."""
     k = len(c.sizes)
     edges = community_graph_edges(c)
-    if not edges:
+    if not len(edges):
         return CommunityGraph(graph=Graph(1, [], ["0"]), n_communities=k, degenerate=True)
     full = Graph(k, edges, [str(i) for i in range(k)])
     return CommunityGraph(graph=giant_component(full), n_communities=k, degenerate=False)

@@ -7,8 +7,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -137,9 +136,11 @@ class Graph:
 
     __slots__ = ("indptr", "indices", "original_labels")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
+    def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
-        e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        """`edges` is an (E, 2) integer array, or anything `np.asarray` reads
+        as one; self-loops are dropped and repeated edges count once."""
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         e = e[e[:, 0] != e[:, 1]]
         outside = ((e < 0) | (e >= n)).any(axis=1)
         if outside.any():
@@ -170,14 +171,16 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def degrees(self) -> list[int]:
-        return np.diff(self.indptr).tolist()
+    def degrees(self) -> np.ndarray:
+        """Each node's degree, int64."""
+        return np.diff(self.indptr)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every edge once as (u, v) with u < v, in row-major order."""
+    def edges(self) -> np.ndarray:
+        """Every edge once as a row (u, v) with u < v, in row-major order: an
+        (E, 2) int64 array."""
         rows = row_of(self.indptr)
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return np.stack((rows[upper], self.indices[upper]), axis=1)
 
     def label_map(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.original_labels)}
@@ -208,7 +211,7 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
         ends.append(label_ids.setdefault(tokens[1], len(label_ids)))
     if not label_ids:
         raise GraphError("empty edge list")
-    return Graph(len(label_ids), zip(ends[::2], ends[1::2]), list(label_ids))
+    return Graph(len(label_ids), np.reshape(ends, (-1, 2)), list(label_ids))
 
 
 def connected_components(g: Graph) -> np.ndarray:
@@ -247,8 +250,8 @@ def giant_component(g: Graph) -> Graph:
     best = np.flatnonzero(inside)
     new_id = np.cumsum(inside) - 1
     # a component's edges stay inside it, so its rows are all it needs
-    kept = np.repeat(inside, np.diff(g.indptr))
-    degrees = np.diff(g.indptr)[best]
+    kept = np.repeat(inside, g.degrees())
+    degrees = g.degrees()[best]
     return Graph._from_csr(np.concatenate(([0], np.cumsum(degrees))), new_id[g.indices[kept]],
                            [g.original_labels[u] for u in best.tolist()])
 
@@ -256,10 +259,10 @@ def giant_component(g: Graph) -> Graph:
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
     if g.n < 1:
         raise GraphError("empty graph")
-    return EmpiricalDistribution(np.diff(g.indptr))
+    return EmpiricalDistribution(g.degrees())
 
 
-def triangles_per_node(g: Graph) -> list[int]:
+def triangles_per_node(g: Graph) -> np.ndarray:
     """tri(u) = number of edges among u's neighbours. Each edge is kept at
     its end that comes first in (degree, id) order, so a node keeps at most
     sqrt(2E) neighbours (Latapy 2008, "Main-memory triangle computations for
@@ -267,40 +270,39 @@ def triangles_per_node(g: Graph) -> list[int]:
     triangle is then the one pair of its first corner's kept neighbours
     that is adjacent, found once among the sorted edge codes v * n + w, and
     credited to all three corners."""
-    degree = np.diff(g.indptr)
     rank = np.empty(g.n, dtype=np.int64)
-    rank[np.lexsort((np.arange(g.n), degree))] = np.arange(g.n)
+    rank[np.lexsort((np.arange(g.n), g.degrees()))] = np.arange(g.n)
     rows = row_of(g.indptr)
     kept = rank[rows] < rank[g.indices]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=g.n))))
     u, v, w = row_pairs(indptr, g.indices[kept])
     closed = in_sorted(rows * g.n + g.indices, v * g.n + w)
-    return np.bincount(np.concatenate((u[closed], v[closed], w[closed])),
-                       minlength=g.n).tolist()
+    return np.bincount(np.concatenate((u[closed], v[closed], w[closed])), minlength=g.n)
 
 
-def local_clustering(g: Graph) -> list[float]:
-    """c(u) = 2 tri(u) / (deg(u)(deg(u)-1)); 0 for degree < 2."""
-    tri = triangles_per_node(g)
-    return [2 * t / (d * (d - 1)) if d >= 2 else 0.0 for t, d in zip(tri, g.degrees())]
+def local_clustering(g: Graph) -> np.ndarray:
+    """c(u) = 2 tri(u) / (deg(u)(deg(u)-1)); 0 for degree < 2. Both are
+    exact integers, so each c(u) is their correctly rounded quotient."""
+    d = g.degrees()
+    return np.divide(2 * triangles_per_node(g), d * (d - 1), out=np.zeros(g.n), where=d >= 2)
 
 
 def transitivity(g: Graph) -> float:
     """Global clustering coefficient: 3 * triangles / connected triples."""
-    tri = triangles_per_node(g)
-    closed = sum(tri)  # = 3 * (#triangles)
-    triples = sum(d * (d - 1) // 2 for d in g.degrees())
+    closed = int(triangles_per_node(g).sum())  # = 3 * (#triangles)
+    d = g.degrees()
+    triples = int((d * (d - 1) // 2).sum())
     return closed / triples if triples > 0 else 0.0
 
 
-def clustering_by_degree(g: Graph) -> list[tuple[int, float]]:
-    """Mean local clustering per degree class, as sorted (k, mean c) pairs."""
+def clustering_by_degree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Mean local clustering per degree class: the degrees k that occur,
+    increasing, and for each the mean c over its nodes, their sum taken in
+    node order (a weighted `np.bincount` adds in input order)."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
-    by_k: dict[int, list[float]] = {}
-    for d, c in zip(g.degrees(), local_clustering(g)):
-        by_k.setdefault(d, []).append(c)
-    return [(k, sum(vals) / len(vals)) for k, vals in sorted(by_k.items())]
+    k, cls, size = np.unique(g.degrees(), return_inverse=True, return_counts=True)
+    return k, np.bincount(cls, weights=local_clustering(g)) / size
 
 
 def sum_in_order(terms: np.ndarray) -> float:
@@ -311,15 +313,13 @@ def sum_in_order(terms: np.ndarray) -> float:
 
 def degree_assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over both edge orientations,
-    each sum taken edge by edge in `g.edges()` order, (u, v) then (v, u).
-    NaN when either marginal is constant."""
-    rows = row_of(g.indptr)
-    upper = rows < g.indices
-    ends = np.stack((rows[upper], g.indices[upper]), axis=1).ravel()  # u, v of each edge
+    each sum taken edge by edge in the row order of `g.edges()`, (u, v) then
+    (v, u). NaN when either marginal is constant."""
+    ends = g.edges().ravel()  # u, v of each edge
     if not len(ends):
         return float("nan")
     swapped = ends.reshape(-1, 2)[:, ::-1].ravel()  # v, u: the same mean degree
-    deg = np.diff(g.indptr)
+    deg = g.degrees()
     mean = int(deg[ends].sum()) / len(ends)
     dev = deg - mean
     # Python's ** 2, the C library's pow, which dev * dev misses in the last bit now and then
@@ -339,7 +339,7 @@ def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:
     yet form the next frontier. A new bit at a non-root node is one pair; a
     pair of roots is found from both ends, so it sets two bits at roots."""
     in_roots = np.isin(np.arange(g.n), roots)
-    linked = np.diff(g.indptr) > 0
+    linked = g.degrees() > 0
     starts = g.indptr[:-1][linked]
     bits = np.zeros((g.n, 2), dtype=np.int64)  # the new bits per level, at roots and others
     block = max(1, BFS_BLOCK_ENTRIES // g.n)
@@ -403,7 +403,6 @@ def basic_properties(g: Graph, exact_paths: bool = True,
                              f"{g.n}; a seed enables sampling {sources} sources instead")
         exact_paths = False
     hops = hop_distribution(g, exact=exact_paths, sources=sources, seed=seed)
-    degs = g.degrees()
     levels, counts = hops.distribution.values, hops.distribution.counts
     props = dict(zip(BASIC_PROPS, (
         g.n,
@@ -411,8 +410,8 @@ def basic_properties(g: Graph, exact_paths: bool = True,
         2 * g.edge_count / (g.n * (g.n - 1)),
         int(levels[-1]),
         int(levels.astype(np.int64) @ counts) / hops.distribution.n,  # an exact integer sum
-        sum(degs) / g.n,
-        max(degs),
+        2 * g.edge_count / g.n,  # the degree sum is 2E
+        int(g.degrees().max()),
         degree_assortativity(g),
         transitivity(g),
     )))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .clustering import CLUSTERING_PROPS, clustering_scores
@@ -104,7 +104,10 @@ class RunConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        if not isinstance(doc.get("candidates"), list):
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise PipelineError(f"missing config keys: {missing}")
+        if not isinstance(doc["candidates"], list):
             raise PipelineError("candidates must be a list")
         for c in doc["candidates"]:
             if (not isinstance(c, dict) or set(c) != {"name", "cover_path"}
@@ -118,19 +121,11 @@ class RunConfig:
         for key in ("network_path", "ground_truth_path", "output_dir"):
             if key in doc:
                 doc[key] = str(base / doc[key])
+        doc["candidates"] = tuple((c["name"], str(base / c["cover_path"]))
+                                  for c in doc["candidates"])
+        doc.update((key, tuple(doc[key])) for key in ("property_groups", "mcdm") if key in doc)
         doc.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(
-            network_path=doc["network_path"],
-            ground_truth_path=doc["ground_truth_path"],
-            candidates=tuple((c["name"], str(base / c["cover_path"]))
-                             for c in doc["candidates"]),
-            property_groups=tuple(doc.get("property_groups", GROUP_PROPS)),
-            hop_mode=doc.get("hop_mode", "exact"),
-            sources=doc.get("sources", DEFAULT_HOP_SOURCES),
-            seed=doc.get("seed"),
-            mcdm=tuple(doc.get("mcdm", MCDM_METHODS)),
-            output_dir=doc.get("output_dir", "out"),
-        )
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -145,6 +140,11 @@ class EvaluationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _as_lists(x):
+    """`x` with every tuple in it a list, as JSON reads it back."""
+    return [_as_lists(v) for v in x] if isinstance(x, tuple) else x
 
 
 def _safe_float(x: float | None) -> float | None:
@@ -174,8 +174,9 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
         basic = {k: _safe_float(v) for k, v in props.items()}
         samples["DD"] = degree_distribution(g)
         if g.n >= 3:
-            curve = [v for _, v in clustering_by_degree(g) if v > 0]
-            samples["Av"] = EmpiricalDistribution(curve) if curve else None
+            _, curve = clustering_by_degree(g)
+            curve = curve[curve > 0]
+            samples["Av"] = EmpiricalDistribution(curve) if len(curve) else None
         samples["HD"] = hops.distribution
     samples.update(mesoscopic_profile(cover))
     quality = {k: _safe_float(v) for k, v in quality_report(network, cover).items()}
@@ -215,8 +216,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
                     continue
                 notes.extend(f"{n} failed {prop}; ranked last"
                              for n in names if evals[n].basic[prop] is None)
-            rt = rank_scalar(reference, {n: evals[n].basic for n in names})
-            columns.update((prop, rt.column(prop)) for prop in reference)
+            columns.update(rank_scalar(reference, {n: evals[n].basic for n in names}))
 
         for group in ("microscopic", "mesoscopic"):
             if group not in groups:
@@ -242,8 +242,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
                 }
 
         if "quality" in groups:
-            rt = rank_scalar(truth_eval.quality, {n: evals[n].quality for n in names})
-            columns.update((prop, rt.column(prop)) for prop in QUALITY_PROPS)
+            columns.update(rank_scalar(truth_eval.quality, {n: evals[n].quality for n in names}))
 
         clustering_values: dict[str, dict[str, float]] = {}
         if "clustering" in groups:
@@ -284,16 +283,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
         tables[table_name] = entry
 
     data = {
-        "config": {
-            "network_path": cfg.network_path,
-            "ground_truth_path": cfg.ground_truth_path,
-            "candidates": [list(c) for c in cfg.candidates],
-            "property_groups": list(cfg.property_groups),
-            "hop_mode": cfg.hop_mode,
-            "sources": cfg.sources,
-            "seed": cfg.seed,
-            "mcdm": list(cfg.mcdm),
-        },
+        "config": {k: _as_lists(v) for k, v in asdict(cfg).items() if k != "output_dir"},
         "community_graphs": {
             n: {
                 "n_communities": ev.cgraph.n_communities,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, in_sorted, row_of
+from .graph import Graph, GraphError, expand, in_sorted, row_of, sum_in_order
 
 
 # average degree, average ODF, Flake ODF, internal density, maximum ODF and
@@ -15,8 +15,7 @@ QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
 
 
 def _mean(per_community: np.ndarray) -> float:
-    # Python's sum adds left to right, in community order
-    return sum(per_community.tolist()) / len(per_community)
+    return sum_in_order(per_community) / len(per_community)
 
 
 def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
@@ -25,7 +24,7 @@ def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     looked up among the members' sorted codes community * V + node."""
     rows = row_of(c.indptr)
     members = c.nodes[c.indices]
-    owner, at = expand(g.indptr[members], np.diff(g.indptr)[members])
+    owner, at = expand(g.indptr[members], g.degrees()[members])
     inside = in_sorted(rows * g.n + members, rows[owner] * g.n + g.indices[at])
     return np.bincount(owner[inside], minlength=len(members))
 
@@ -44,7 +43,7 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     k = len(c.sizes)
     size = c.sizes
     rows = row_of(c.indptr)
-    total = np.diff(g.indptr)[c.nodes[c.indices]]
+    total = g.degrees()[c.nodes[c.indices]]
     intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
     e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints

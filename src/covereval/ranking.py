@@ -36,6 +36,10 @@ class RankingTable:
 
     def __post_init__(self):
         m = len(self.alternatives)
+        for kind, names in (("alternative", self.alternatives), ("criterion", self.criteria)):
+            repeated = sorted({x for x in names if names.count(x) > 1})
+            if repeated:
+                raise RankingError(f"repeated {kind} names: {repeated}")
         if len(self.ranks) != m:
             raise RankingError("rank row count must match alternatives")
         for row in self.ranks:
@@ -43,10 +47,6 @@ class RankingTable:
                 raise RankingError("rank column count must match criteria")
             if any(not 1 <= r <= m for r in row):
                 raise RankingError(f"ranks must lie in [1, {m}]")
-
-    def column(self, criterion: str) -> list[int]:
-        j = self.criteria.index(criterion)
-        return [row[j] for row in self.ranks]
 
     def matrix(self) -> np.ndarray:
         return np.array(self.ranks, dtype=float)
@@ -63,9 +63,11 @@ class RankingTable:
 
 
 def rank_scalar(reference: Mapping[str, float],
-                candidates: Mapping[str, Mapping[str, float | None]]) -> RankingTable:
+                candidates: Mapping[str, Mapping[str, float | None]]) -> dict[str, list[int]]:
     """Per property, rank candidates by ascending Manhattan distance to the
-    reference value. A missing value (None, a failed property) ranks last."""
+    reference value: {property: the candidates' ranks, in candidate order},
+    the properties in reference order. A missing value (None, a failed
+    property) ranks last."""
     alternatives = tuple(candidates)
     columns: dict[str, list[int]] = {}
     for prop, ref in reference.items():
@@ -81,7 +83,7 @@ def rank_scalar(reference: Mapping[str, float],
             else:
                 dists.append(abs(ref - val))
         columns[prop] = competition_ranks(dists, ascending=True)
-    return RankingTable.from_columns(alternatives, columns)
+    return columns
 
 
 @dataclass(frozen=True)

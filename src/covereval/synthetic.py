@@ -54,7 +54,7 @@ def planted_cover_network(n_nodes: int = 500, n_communities: int = 40,
                 v += 1
             edges.add((min(u, v), max(u, v)))
             touched.update((u, v))
-    graph = Graph(n_nodes, edges, [str(i) for i in range(n_nodes)])
+    graph = Graph(n_nodes, sorted(edges), [str(i) for i in range(n_nodes)])
     return graph, Cover.from_sets(communities)
 
 
@@ -80,7 +80,7 @@ def perturb_cover(cover: Cover, fraction: float, seed: int) -> Cover:
 def write_edge_list(graph: Graph, path) -> None:
     with open(path, "w") as fh:
         fh.write("# synthetic planted-cover network\n")
-        for u, v in graph.edges():
+        for u, v in graph.edges().tolist():
             fh.write(f"{graph.original_labels[u]} {graph.original_labels[v]}\n")
 
 

@@ -9,7 +9,7 @@ from covereval.graph import Graph
 
 def random_graph(rng: random.Random, n: int, p: float) -> tuple[Graph, set[tuple[int, int]]]:
     edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
-    return Graph(n, edges), edges
+    return Graph(n, sorted(edges)), edges
 
 
 def random_cover_sets(rng: random.Random, n: int, k: int,

@@ -12,6 +12,16 @@ import numpy as np
 from scipy import stats
 
 
+def loop_sum(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ... left to right, as `sum` adds floats
+    before Python 3.12; from 3.12 `sum` compensates, so an oracle that must
+    match the library bit for bit adds with this loop instead."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 # ---------------------------------------------------------------- graphs
 
 def floyd_warshall(n: int, edges: set[tuple[int, int]]) -> list[list[float]]:
@@ -272,7 +282,7 @@ def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
             rec = tp / size_t
             best = max(best, 2 * prec * rec / (prec + rec))
         fs.append(best)
-    return sum(fs) / len(sizes_s)
+    return loop_sum(fs) / len(sizes_s)
 
 
 def brute_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
@@ -347,8 +357,8 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
             total += best
         return total
 
-    h1 = sum(entropy(len(x)) for x in xs)
-    h2 = sum(entropy(len(y)) for y in ys)
+    h1 = loop_sum(entropy(len(x)) for x in xs)
+    h2 = loop_sum(entropy(len(y)) for y in ys)
     if h1 == 0.0 and h2 == 0.0:
         return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
     mutual = 0.5 * ((h1 - conditional(xs, ys)) + (h2 - conditional(ys, xs)))
@@ -379,12 +389,12 @@ def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]
         k = len(s)
         m_s = e_in2 // 2
         ad.append(2 * m_s / k)
-        ao.append(sum(fracs) / k)
+        ao.append(loop_sum(fracs) / k)
         fo.append(bad / k)
         idn.append(m_s / (k * (k - 1) / 2) if k >= 2 else 0.0)
         mo.append(max(fracs))
         om += m_s / m - ((2 * m_s + e_out) / (2 * m)) ** 2
-    mean = [sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
+    mean = [loop_sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
     return {"AD": mean[0], "AO": mean[1], "FO": mean[2], "ID": mean[3], "MO": mean[4],
             "OM": om}
 

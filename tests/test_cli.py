@@ -129,6 +129,21 @@ class TestRankCommand:
         assert captured.err == (f"error: {path}: "
                                 "need at least 2 alternatives and 1 criterion\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("alg,c1,c2\nA,1,2\nB,2,1\nA,3,3\n", "repeated alternative names: ['A']"),
+        ("alg,c1,c1\nA,1,2\nB,2,1\n", "repeated criterion names: ['c1']"),
+        ("alg,c1\nA,1,2\nB,2\n", "rank column count must match criteria"),
+    ], ids=["repeated-alternative", "repeated-criterion", "extra-cell"])
+    def test_inconsistent_table_is_an_input_error(self, tmp_path, capsys, text, message):
+        # each was once read silently: a name counted twice, a column
+        # overwritten, a cell ignored
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert main(["rank", "--table", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_aggregation_failure_stays_a_computation_error(self, tmp_path, capsys,
                                                             monkeypatch):
         # no valid table makes the aggregation fail, so one is made to

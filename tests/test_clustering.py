@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from covereval.clustering import (
-    _best_f1, _entropy_table, f1_best_match, omega_index, onmi_max,
+    _best_f1, _entropies, _entropy_table, f1_best_match, omega_index, onmi_max,
 )
 from covereval.cover import Cover, CoverError
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
 from oracles import (
-    adjusted_rand_index, brute_f1, brute_omega, brute_onmi, scalar_best_f1, scalar_onmi,
+    adjusted_rand_index, brute_f1, brute_omega, brute_onmi, loop_sum, scalar_best_f1,
+    scalar_onmi,
 )
 
 
@@ -306,3 +307,40 @@ class TestUniverseHandling:
     def test_disjoint_universes_rejected(self):
         with pytest.raises(CoverError):
             omega_index(cover({0, 1}), cover({5, 6}))
+
+
+class TestSumsInOrder:
+    """Each float sum adds left to right, as `sum` does before Python 3.12
+    (from 3.12 it compensates), so the last bits do not depend on the
+    interpreter. Most cases here are ones where the two rules differ."""
+
+    def test_cover_entropies(self):
+        rng = random.Random(251)
+        differ = 0
+        for _ in range(30):
+            n = rng.randint(20, 60)
+            s1 = random_cover_sets(rng, n, rng.randint(5, 30)) + [set(range(n))]
+            s2 = random_cover_sets(rng, n, rng.randint(5, 30)) + [set(range(n))]
+            h = _entropy_table(n)
+            for s in (s1, s2):
+                terms = _entropies(h, Cover.from_sets(s).sizes).tolist()
+                differ += math.fsum(terms) != loop_sum(terms)
+            assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
+        assert differ >= 10
+
+    def test_best_f1(self):
+        rng = random.Random(257)
+        differ = 0
+        for _ in range(30):
+            k = rng.randint(10, 40)
+            sizes_s = np.array([rng.randint(1, 50) for _ in range(k)])
+            sizes_t = np.array([rng.randint(1, 50) for _ in range(k)])
+            rows = np.arange(k)
+            cols = np.array(rng.sample(range(k), k))
+            tp = np.minimum(sizes_s[rows], sizes_t[cols])
+            tp = np.array([rng.randint(1, t) for t in tp.tolist()])
+            prec, rec = tp / sizes_s[rows], tp / sizes_t[cols]
+            terms = (2 * prec * rec / (prec + rec)).tolist()
+            differ += math.fsum(terms) != loop_sum(terms)
+            assert _best_f1(sizes_s, sizes_t, rows, cols, tp) == loop_sum(terms) / k
+        assert differ >= 10

@@ -171,7 +171,7 @@ def test_intra_degrees_equal_scipy():
 def test_triangles_equal_scipy():
     for g, a in graphs(8):
         want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
-        assert triangles_per_node(g) == want
+        assert triangles_per_node(g).tolist() == want
 
 
 def test_triangles_with_hubs_equal_scipy():
@@ -186,7 +186,7 @@ def test_triangles_with_hubs_equal_scipy():
             edges += [(hub, v) for v in range(n) if v != hub and rng.random() < 0.8]
         a = scipy_adjacency(n, edges)
         want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
-        assert triangles_per_node(Graph(n, edges)) == want
+        assert triangles_per_node(Graph(n, edges)).tolist() == want
 
 
 def test_triangles_of_a_star_take_little_memory():
@@ -199,7 +199,7 @@ def test_triangles_of_a_star_take_little_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tri == [0] * 3001
+    assert tri.tolist() == [0] * 3001
     assert peak < 16 * 2**20
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -514,6 +515,17 @@ class TestStrictConfig:
         path = _relative_config(workspace, tmp_path, candidates=candidates)
         with pytest.raises(PipelineError, match="candidates must be a list"):
             RunConfig.from_json(path)
+
+    @pytest.mark.parametrize("key", ["network_path", "ground_truth_path", "candidates"])
+    def test_missing_key_named(self, workspace, tmp_path, capsys, key):
+        path = _relative_config(workspace, tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg[key]
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(PipelineError, match=re.escape(f"missing config keys: ['{key}']")):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: missing config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("extra", [
         {"sources": "abc"}, {"sources": 2.7}, {"sources": True}, {"sources": None},

@@ -1,13 +1,15 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from covereval.cover import Cover, CoverError
 from covereval.graph import Graph, GraphError
-from covereval.quality import overlapping_modularity, quality_report
+from covereval.quality import _mean, overlapping_modularity, quality_report
 
 from gen import random_graph, random_partition
-from oracles import newman_modularity, scan_quality
+from oracles import loop_sum, newman_modularity, scan_quality
 
 
 def complete_graph(n):
@@ -218,3 +220,10 @@ class TestQualityReport:
         b = quality_report(g2, Cover.from_sets(sets2))
         for key in a:
             assert a[key] == pytest.approx(b[key], abs=1e-12)
+
+
+def test_mean_adds_left_to_right():
+    # 0.0 left to right, 1.0 compensated (`sum` from Python 3.12)
+    terms = [1e16, 1.0, -1e16]
+    assert math.fsum(terms) != loop_sum(terms) == 0.0
+    assert _mean(np.array(terms)) == loop_sum(terms) / 3

@@ -42,20 +42,19 @@ class TestCompetitionRanks:
 
 class TestRankScalar:
     def test_example(self):
-        rt = rank_scalar({"p": 10.0}, {"A": {"p": 9.0}, "B": {"p": 12.0},
-                                       "C": {"p": 10.0}})
-        assert rt.column("p") == [2, 3, 1]
+        ranks = rank_scalar({"p": 10.0}, {"A": {"p": 9.0}, "B": {"p": 12.0},
+                                          "C": {"p": 10.0}})
+        assert ranks == {"p": [2, 3, 1]}
 
     def test_all_equal_tie(self):
-        rt = rank_scalar({"p": 5.0}, {"A": {"p": 7.0}, "B": {"p": 7.0}})
-        assert rt.column("p") == [1, 1]
+        assert rank_scalar({"p": 5.0}, {"A": {"p": 7.0}, "B": {"p": 7.0}}) == {"p": [1, 1]}
 
     def test_shift_invariance(self):
         cand = {"A": {"p": 3.0}, "B": {"p": 8.0}, "C": {"p": 5.5}}
-        base = rank_scalar({"p": 6.0}, cand).column("p")
+        base = rank_scalar({"p": 6.0}, cand)
         shifted = rank_scalar(
             {"p": 106.0},
-            {k: {"p": v["p"] + 100.0} for k, v in cand.items()}).column("p")
+            {k: {"p": v["p"] + 100.0} for k, v in cand.items()})
         assert base == shifted
 
     def test_non_finite_rejected(self):
@@ -65,11 +64,10 @@ class TestRankScalar:
             rank_scalar({"p": 1.0}, {"A": {"p": math.inf}})
 
     def test_missing_value_ranks_last(self):
-        rt = rank_scalar({"p": 5.0, "q": 1.0},
-                         {"A": {"p": None, "q": 1.0}, "B": {"p": 100.0, "q": None},
-                          "C": {"p": None, "q": 2.0}, "D": {"p": 5.0, "q": 1.0}})
-        assert rt.column("p") == [3, 2, 3, 1]
-        assert rt.column("q") == [1, 4, 3, 1]
+        ranks = rank_scalar({"p": 5.0, "q": 1.0},
+                            {"A": {"p": None, "q": 1.0}, "B": {"p": 100.0, "q": None},
+                             "C": {"p": None, "q": 2.0}, "D": {"p": 5.0, "q": 1.0}})
+        assert list(ranks.items()) == [("p", [3, 2, 3, 1]), ("q", [1, 4, 3, 1])]
 
 
 class TestRankDistribution:
@@ -317,3 +315,9 @@ class TestRankingTable:
     def test_shape_enforced(self):
         with pytest.raises(RankingError):
             RankingTable(("A", "B"), ("c",), ((1,),))
+
+    def test_repeated_names_rejected(self):
+        with pytest.raises(RankingError, match=r"repeated alternative names: \['A'\]"):
+            RankingTable(("A", "B", "A"), ("c",), ((1,), (2,), (3,)))
+        with pytest.raises(RankingError, match=r"repeated criterion names: \['c'\]"):
+            RankingTable(("A", "B"), ("c", "d", "c"), ((1, 1, 2), (2, 2, 1)))
