@@ -192,7 +192,7 @@ def exit_code(command: Callable[[argparse.Namespace], int], args: argparse.Names
     try:
         return command(args)
     except (OSError, UnicodeDecodeError, GraphError, CoverError, PipelineError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FitError, RankingError, ArithmeticError) as exc:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, row_of, row_pairs, sum_in_order
+from .graph import expand, find_sorted, row_of, sum_in_order
 
 # _conditional_entropy takes its K1 x K2 table this many entries at a time
 ONMI_BLOCK_ENTRIES = 1 << 16
@@ -31,15 +31,6 @@ def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
     return c1.restricted_to(common), c2.restricted_to(common)
 
 
-def _co_memberships(c: Cover) -> tuple[np.ndarray, np.ndarray]:
-    """Every node pair i < j (positions in the cover's node ids) that some
-    community holds, as the increasing codes i * n + j, and the number of
-    communities holding it: the pairs of each community's members, counted.
-    Pairs that never co-occur are not listed."""
-    _, i, j = row_pairs(c.indptr, c.indices)
-    return np.unique(i * len(c.nodes) + j, return_counts=True)
-
-
 def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (k, l) of a community of `c1` and one of `c2` that share
     a node, by k, then l, and |C1_k & C2_l|: the pairs of each node's
@@ -57,17 +48,17 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def omega_index(c1: Cover, c2: Cover) -> float:
     """Chance-corrected agreement on per-pair co-membership multiplicity.
     Pairs never co-clustered in either cover are handled by complement
-    counting, never materializing all n(n-1)/2 pairs."""
+    counting, never materializing all n(n-1)/2 pairs. `c2` is the
+    reference: its pairs are built once and kept for the next candidate."""
     c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     if n < 2:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    pairs1, m1 = _co_memberships(c1)
-    pairs2, m2 = _co_memberships(c2)
-    at = np.searchsorted(pairs2, pairs1)  # where each pair of c1 is, or goes, among c2's
-    found = np.append(pairs2, -1)[at] == pairs1  # -1 is no pair's code
+    pairs1, m1 = c1.co_memberships()
+    pairs2, m2 = c2.reference_pairs()
+    at, found = find_sorted(pairs2, pairs1)  # each pair of c1 among c2's
     # a pair listed by one cover only has differing counts
     agree = int(np.count_nonzero(m1[found] == m2[at[found]]))
     omega_u = (m_pairs - (len(m1) + len(m2) - int(found.sum()) - agree)) / m_pairs

@@ -25,9 +25,10 @@ class Cover:
     ``nodes`` holds the sorted distinct member ids (int64; any values), and
     community i's members are ``nodes[indices[indptr[i]:indptr[i + 1]]]``
     in increasing order: ``indptr`` and ``indices`` are the communities x
-    nodes 0/1 incidence in CSR form."""
+    nodes 0/1 incidence in CSR form. A cover that is the reference of an
+    omega index also keeps its co-member pairs (`reference_pairs`)."""
 
-    __slots__ = ("nodes", "indptr", "indices")
+    __slots__ = ("nodes", "indptr", "indices", "_reference_pairs")
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -41,6 +42,7 @@ class Cover:
         self.nodes, cols = np.unique(members, return_inverse=True)
         rows = np.repeat(np.arange(len(sizes)), sizes)
         self.indptr, self.indices = csr(rows, cols, len(sizes), len(self.nodes))
+        self._reference_pairs = None
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -64,6 +66,23 @@ class Cover:
         j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
         increasing order."""
         return csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes))
+
+    def co_memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node pair i < j (positions in ``nodes``) that some community
+        holds, as the increasing codes i * n + j, and the number of
+        communities holding it: the pairs of each community's members,
+        counted. Pairs that never co-occur are not listed."""
+        _, i, j = row_pairs(self.indptr, self.indices)
+        return np.unique(i * len(self.nodes) + j, return_counts=True)
+
+    def reference_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`co_memberships()`, built on the first call and kept, read-only:
+        a run scores every candidate against the same reference."""
+        if self._reference_pairs is None:
+            self._reference_pairs = self.co_memberships()
+            for a in self._reference_pairs:
+                a.flags.writeable = False
+        return self._reference_pairs
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -59,12 +60,11 @@ def row_pairs(indptr: np.ndarray, indices: np.ndarray
     return rows[first], indices[first], indices[second]
 
 
-def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query is one of the increasing `values`."""
+def find_sorted(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query is, or would go, among the increasing non-negative
+    `values`, and whether it is there."""
     at = np.searchsorted(values, queries)
-    found = at < len(values)
-    found[found] = values[at[found]] == queries[found]
-    return found
+    return at, np.append(values, -1)[at] == queries  # -1 is no value
 
 
 # Exact all-pairs BFS above this node count gets too expensive; fall back
@@ -189,29 +189,47 @@ class Graph:
         return f"Graph(V={self.n}, E={self.edge_count})"
 
 
+# str.splitlines' line breaks other than "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# up to 512 lines, each blank, a '#' comment or two tokens, of a text
+# whose only line break is "\n" (so [^\S\n] is whitespace inside a line); a
+# match keeps backtracking state for every line it repeats over, so a text
+# is matched a block of lines at a time
+_EDGE_LINES = re.compile(r"(?:[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*|#.*)?(?:\n|\Z)){0,512}")
+# a '#' line with the line break before it
+_COMMENT = re.compile(r"\n[^\S\n]*#.*")
+
+
 def load_edge_list(text: str | bytes | IO) -> Graph:
     """Parse a SNAP-style edge list: one edge per line, two
     whitespace-separated labels, '#' lines ignored. Self-loops and
     duplicate edges are dropped; labels get dense ids in first-appearance
-    order."""
+    order. Lines are those of `str.splitlines` and tokens those of
+    `str.split`; the first line that is neither blank, nor a comment, nor
+    two tokens is an `EdgeListParseError`."""
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        text = "\n".join(text.splitlines())
     label_ids: dict[str, int] = {}
-    ends: list[int] = []  # the two ids of each edge in turn
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(lineno, line)
-        ends.append(label_ids.setdefault(tokens[0], len(label_ids)))
-        ends.append(label_ids.setdefault(tokens[1], len(label_ids)))
+    ends: list[np.ndarray] = []  # the two ids of each edge in turn, a block at a time
+    pos = 0
+    while pos < len(text):  # the lines before `pos` are whole and good
+        end = _EDGE_LINES.match(text, pos).end()
+        if end == pos:
+            raise EdgeListParseError(text.count("\n", 0, pos) + 1,
+                                     text[pos:].partition("\n")[0])
+        block = text[pos:end]
+        tokens = (_COMMENT.sub("", "\n" + block) if "#" in block else block).split()
+        new = itertools.filterfalse(label_ids.__contains__, dict.fromkeys(tokens))
+        label_ids.update(zip(new, itertools.count(len(label_ids))))
+        ends.append(np.fromiter(map(label_ids.__getitem__, tokens), np.int64, len(tokens)))
+        pos = end
     if not label_ids:
         raise GraphError("empty edge list")
-    return Graph(len(label_ids), np.reshape(ends, (-1, 2)), list(label_ids))
+    return Graph(len(label_ids), np.concatenate(ends).reshape(-1, 2), list(label_ids))
 
 
 def connected_components(g: Graph) -> np.ndarray:
@@ -276,7 +294,7 @@ def triangles_per_node(g: Graph) -> np.ndarray:
     kept = rank[rows] < rank[g.indices]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=g.n))))
     u, v, w = row_pairs(indptr, g.indices[kept])
-    closed = in_sorted(rows * g.n + g.indices, v * g.n + w)
+    _, closed = find_sorted(rows * g.n + g.indices, v * g.n + w)
     return np.bincount(np.concatenate((u[closed], v[closed], w[closed])), minlength=g.n)
 
 

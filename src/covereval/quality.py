@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, in_sorted, row_of, sum_in_order
+from .graph import Graph, GraphError, expand, find_sorted, row_of, sum_in_order
 
 
 # average degree, average ODF, Flake ODF, internal density, maximum ODF and
@@ -20,13 +20,18 @@ def _mean(per_community: np.ndarray) -> float:
 
 def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     """Each member's neighbours inside its community, member by member as
-    the cover's CSR arrays list them: every (community, neighbour) pair is
-    looked up among the members' sorted codes community * V + node."""
+    the cover's CSR arrays list them. Each edge (u, v), u < v, is looked up
+    once, from u's side: every (community, neighbour above u) pair is
+    searched among the members' sorted codes community * V + node, and a
+    hit counts for u and for the member it lands on."""
     rows = row_of(c.indptr)
     members = c.nodes[c.indices]
-    owner, at = expand(g.indptr[members], g.degrees()[members])
-    inside = in_sorted(rows * g.n + members, rows[owner] * g.n + g.indices[at])
-    return np.bincount(owner[inside], minlength=len(members))
+    codes = rows * g.n + members
+    above = np.bincount(g.edges()[:, 0], minlength=g.n)[members]  # neighbours above u
+    owner, entry = expand(g.indptr[members + 1] - above, above)
+    queries = rows[owner] * g.n + g.indices[entry]
+    at, inside = find_sorted(codes, queries)
+    return np.bincount(np.concatenate((owner[inside], at[inside])), minlength=len(members))
 
 
 def quality_report(g: Graph, c: Cover) -> dict[str, float]:

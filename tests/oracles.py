@@ -11,6 +11,8 @@ from itertools import chain, combinations, permutations
 import numpy as np
 from scipy import stats
 
+from covereval.graph import EdgeListParseError, Graph, GraphError
+
 
 def loop_sum(terms) -> float:
     """0.0 + terms[0] + terms[1] + ... left to right, as `sum` adds floats
@@ -23,6 +25,29 @@ def loop_sum(terms) -> float:
 
 
 # ---------------------------------------------------------------- graphs
+
+def loop_edge_list(text: str | bytes) -> Graph:
+    """`graph.load_edge_list` one line at a time: the lines of
+    `str.splitlines`, each stripped; blank and '#' lines skipped, any other
+    must split into two tokens, whose labels get ids in first-appearance
+    order."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    label_ids: dict[str, int] = {}
+    ends: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(lineno, line)
+        ends.append(label_ids.setdefault(tokens[0], len(label_ids)))
+        ends.append(label_ids.setdefault(tokens[1], len(label_ids)))
+    if not label_ids:
+        raise GraphError("empty edge list")
+    return Graph(len(label_ids), np.reshape(ends, (-1, 2)), list(label_ids))
+
 
 def floyd_warshall(n: int, edges: set[tuple[int, int]]) -> list[list[float]]:
     dist = [[math.inf] * n for _ in range(n)]

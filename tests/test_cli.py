@@ -157,6 +157,23 @@ class TestRankCommand:
         assert capsys.readouterr().err == "computation error: aggregation failed\n"
 
 
+class TestExitCode:
+    def test_key_error_is_not_an_input_error(self, tmp_path, capsys, monkeypatch):
+        """No input path raises KeyError, so one is a program fault: it
+        propagates with its traceback instead of printing `error: 'x'` and
+        exiting 1."""
+        def faulty_report(g, cover):
+            return {}["AD"]
+
+        monkeypatch.setattr(cli, "quality_report", faulty_report)
+        (tmp_path / "net.txt").write_text("a b\nb c\n")
+        (tmp_path / "cover.txt").write_text("a b c\n")
+        with pytest.raises(KeyError):
+            main(["quality", "--network", str(tmp_path / "net.txt"),
+                  "--cover", str(tmp_path / "cover.txt")])
+        assert capsys.readouterr().err == ""
+
+
 class TestImports:
     def test_runtime_loads_no_scipy(self, tmp_path):
         """The CLI loads numpy and the standard library only: no scipy module

@@ -5,10 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from covereval import cover as cover_module, pipeline
 from covereval.clustering import (
-    _best_f1, _entropies, _entropy_table, f1_best_match, omega_index, onmi_max,
+    _best_f1, _entropies, _entropy_table, clustering_scores, f1_best_match, omega_index,
+    onmi_max,
 )
 from covereval.cover import Cover, CoverError
+from covereval.pipeline import RunConfig, run
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
 from oracles import (
@@ -101,6 +104,67 @@ class TestOmegaIndex:
     def test_tiny_universe_rejected(self):
         with pytest.raises(CoverError):
             omega_index(cover({0}), cover({0}))
+
+
+def restricted(sets, ids):
+    """The non-empty parts of `sets` inside `ids`, as `common_universe` keeps them."""
+    return [s & ids for s in sets if s & ids]
+
+
+class TestReferencePairs:
+    """`omega_index` builds the reference's co-member pairs once and keeps
+    them on it; a restricted reference is a new cover with its own."""
+
+    def test_truth_pairs_built_once_per_run(self, tmp_path, monkeypatch):
+        rng = random.Random(41)
+        n = 40
+        truth = random_cover_sets(rng, n, 6) + [set(range(n))]
+        candidates = {f"c{i}": random_cover_sets(rng, n, 5) + [set(range(n))]
+                      for i in range(3)}
+        candidates["fewer"] = restricted(random_cover_sets(rng, n, 5), set(range(5, n)))
+        edges = [(u, u + 1) for u in range(n - 1)] + [(u, (7 * u + 3) % n) for u in range(n)]
+        (tmp_path / "net.txt").write_text("".join(f"{u} {v}\n" for u, v in edges))
+        for name, sets in [("truth", truth), *candidates.items()]:
+            (tmp_path / f"{name}.txt").write_text(
+                "".join(" ".join(map(str, sorted(s))) + "\n" for s in sets))
+        cfg = RunConfig(network_path=str(tmp_path / "net.txt"),
+                        ground_truth_path=str(tmp_path / "truth.txt"),
+                        candidates=tuple((name, str(tmp_path / f"{name}.txt"))
+                                         for name in candidates),
+                        property_groups=("clustering",))
+
+        pair_lists = []  # the indptr of each cover whose pairs are listed
+        real_row_pairs = cover_module.row_pairs
+        monkeypatch.setattr(cover_module, "row_pairs", lambda indptr, indices: (
+            pair_lists.append(indptr), real_row_pairs(indptr, indices))[1])
+        loaded = []
+        real_load_cover = pipeline.load_cover
+        monkeypatch.setattr(pipeline, "load_cover", lambda *args: (
+            loaded.append(real_load_cover(*args)), loaded[-1])[1])
+        oi = {name: scores["OI"] for name, scores in run(cfg).data["clustering"].items()}
+
+        # three candidates over the truth's ids, one over fewer
+        assert sum(p is loaded[0].indptr for p in pair_lists) == 1
+        for name, sets in candidates.items():
+            ids = set().union(*sets) & set(range(n))
+            assert oi[name] == brute_omega(sets, restricted(truth, ids))
+
+    def test_restricted_reference_has_its_own_pairs(self):
+        rng = random.Random(43)
+        n = 30
+        sets = random_cover_sets(rng, n, 5) + [set(range(n))]
+        truth = Cover.from_sets(sets)
+        full = random_cover_sets(rng, n, 4) + [set(range(n))]
+        assert omega_index(Cover.from_sets(full), truth) == brute_omega(full, sets)
+        kept = truth.reference_pairs()
+        ids = set(range(4, n))
+        fewer = restricted(random_cover_sets(rng, n, 4), ids) + [ids]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the restriction to shared ids
+            got = omega_index(Cover.from_sets(fewer), truth)
+            scores = clustering_scores(Cover.from_sets(fewer), truth)
+        assert got == scores["OI"] == brute_omega(fewer, restricted(sets, ids))
+        assert truth.reference_pairs() is kept
 
 
 class TestOnmiMax:

@@ -173,8 +173,18 @@ class TestCoverMatrix:
         assert c.communities == (frozenset({-3, 2**45}), frozenset({7}), frozenset({-3, 7}))
 
     def test_only_state_is_the_matrix(self):
-        c = Cover.from_sets([{0, 1}])
-        assert Cover.__slots__ == ("nodes", "indptr", "indices") and not hasattr(c, "__dict__")
+        """Besides the incidence, a cover holds only the co-member pairs
+        derived from it, and only once it served as an omega reference."""
+        c = Cover.from_sets([{0, 1, 2}, {1, 2}])
+        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_reference_pairs")
+        assert not hasattr(c, "__dict__") and c._reference_pairs is None
+        c.co_memberships()
+        assert c._reference_pairs is None
+        codes, counts = c.reference_pairs()
+        assert c._reference_pairs is not None and c.reference_pairs()[0] is codes
+        assert (codes.tolist(), counts.tolist()) == ([1, 2, 5], [1, 1, 2])
+        with pytest.raises(ValueError):
+            codes[0] = 0  # read-only: every candidate reads the same arrays
 
     def test_load_cover_equals_from_sets(self):
         g = load_edge_list("a b\nb c\nc d\nd e\n")

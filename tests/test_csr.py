@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from covereval import graph as graph_module
-from covereval.clustering import _co_memberships, _contingency, common_universe
+from covereval.clustering import _contingency, common_universe
 from covereval.cover import Cover, CoverError, _overlaps
 from covereval.graph import (
     Graph, connected_components, giant_component, hop_counts, hop_distribution,
@@ -133,9 +133,9 @@ def test_co_memberships_equal_scipy():
         want.sort_indices()
         n = len(c.nodes)
         rows = np.repeat(np.arange(n), np.diff(want.indptr))
-        codes, counts = _co_memberships(c)
-        assert codes.tolist() == (rows * n + want.indices).tolist()
-        assert counts.tolist() == want.data.tolist()
+        for codes, counts in (c.co_memberships(), c.reference_pairs()):
+            assert codes.tolist() == (rows * n + want.indices).tolist()
+            assert counts.tolist() == want.data.tolist()
 
 
 def test_contingency_equals_scipy():

@@ -1,6 +1,7 @@
 """Hypothesis fuzzing of the edge-list and cover loaders and of the CLI's
 exit-code contract: bad input is reported as an input error (exit 1 with an
-`error:` line), never as a traceback."""
+`error:` line), never as a traceback. The edge-list loader is also checked
+against the one-line-at-a-time loop it replaced (`oracles.loop_edge_list`)."""
 
 import io
 import tempfile
@@ -8,12 +9,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covereval.cli import EXIT_OK, EXIT_VALIDATION, main
 from covereval.cover import CoverError, load_cover
 from covereval.graph import GraphError, load_edge_list
+
+from oracles import loop_edge_list
 
 # labels that a small network defines, mixed with ones it does not and with
 # comment markers; most generated files are well-formed over the labels 0-5,
@@ -45,6 +48,49 @@ def test_load_edge_list_returns_or_raises_graph_error(text):
     except GraphError:
         return
     assert g.n >= 1 and g.edge_count == len(list(g.edges()))
+
+
+# every line break of str.splitlines ("\r\n" is one), and whitespace that
+# is not one
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                          "\x85", "\u2028", "\u2029"])
+GAPS = st.text(alphabet=" \t\x1f\xa0\u3000", min_size=1, max_size=2)
+LEAD = GAPS | st.just("")
+WORDS = st.text(alphabet="ab#\u00e9", min_size=1, max_size=3)
+# an edge (its first token not a comment), a comment, a blank line, or any
+# tokens at all; most lines are good, so that many texts parse
+GOOD_LINES = st.one_of(
+    st.tuples(LEAD, WORDS.filter(lambda w: w[0] != "#"), GAPS, WORDS, LEAD).map("".join),
+    st.tuples(LEAD, st.just("#"), st.text(alphabet="ab# \t\x1f", max_size=4)).map("".join),
+    LEAD)
+LINES = GOOD_LINES | GOOD_LINES | GOOD_LINES | st.tuples(
+    LEAD, st.lists(WORDS, max_size=4), GAPS, LEAD).map(lambda p: p[0] + p[2].join(p[1]) + p[3])
+EDGE_TEXTS = st.one_of(
+    st.tuples(st.lists(st.tuples(LINES, BREAKS), max_size=8), LINES | st.just("")).map(
+        lambda p: "".join(line + br for line, br in p[0]) + p[1]),
+    st.text(alphabet="ab# \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029"))
+
+
+def load_outcome(load, text):
+    """The graph's arrays and labels, or the error's type, line and message."""
+    try:
+        g = load(text)
+    except GraphError as exc:
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g.original_labels
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=EDGE_TEXTS, as_bytes=st.booleans())
+@example(text="  # indented\na #b\n", as_bytes=False)
+@example(text="a b\r\n\r\nc\r\nd e", as_bytes=False)
+@example(text="a b\x85c d e\u2029", as_bytes=True)
+@example(text="a\x1fb\n\xa0\nb\xa0c", as_bytes=False)
+@example(text="a b\r", as_bytes=False)
+def test_load_edge_list_equals_the_line_loop(text, as_bytes):
+    if as_bytes:
+        text = text.encode()
+    assert load_outcome(load_edge_list, text) == load_outcome(loop_edge_list, text)
 
 
 @settings(max_examples=300, deadline=None)

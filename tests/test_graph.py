@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covereval import graph
 from covereval.graph import (
     EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
     basic_properties, clustering_by_degree, degree_assortativity, degree_distribution,
@@ -15,8 +17,8 @@ from covereval.graph import (
 
 from gen import random_graph
 from oracles import (
-    brute_basic_properties, brute_local_clustering, brute_sampled_hops, scalar_assortativity,
-    union_find_components,
+    brute_basic_properties, brute_local_clustering, brute_sampled_hops, loop_edge_list,
+    scalar_assortativity, union_find_components,
 )
 
 
@@ -73,6 +75,37 @@ class TestLoadEdgeList:
                     pairs.add(frozenset((a, b)))
             assert g.n == len(labels)
             assert g.edge_count == len(pairs)
+
+    @pytest.mark.parametrize("bad", [None, 512, 513, 1300])
+    def test_long_texts_equal_the_line_loop(self, bad):
+        """Texts longer than one 512-line match: a malformed line after the
+        first block is found at its line, a comment or '\\r\\n' at a
+        block's edge is parsed as the loop parses it."""
+        rng = random.Random(bad)
+        lines = [f"{rng.randrange(300)} {rng.randrange(300)}" for _ in range(1500)]
+        for at in (0, 511, 512, 1023, 1499):
+            lines[at] = "  # comment " + lines[at]
+        if bad is not None:
+            lines[bad - 1] = "7 8 9"
+        for text in ("\n".join(lines), "\r\n".join(lines) + "\r\n"):
+            try:
+                g = load_edge_list(text)
+            except EdgeListParseError as exc:
+                with pytest.raises(EdgeListParseError) as want:
+                    loop_edge_list(text)
+                assert (exc.lineno, str(exc)) == (want.value.lineno, str(want.value)) \
+                    and exc.lineno == bad
+                continue
+            want = loop_edge_list(text)
+            assert bad is None and g.original_labels == want.original_labels
+            assert np.array_equal(g.indptr, want.indptr)
+            assert np.array_equal(g.indices, want.indices)
+
+    def test_other_breaks_are_the_rest_of_splitlines_breaks(self):
+        # a text without them is matched as it is, with "\n" its only break
+        breaks = {c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{c}b".splitlines()) == 2}
+        assert breaks == set(graph._OTHER_BREAKS) | {"\n"}
 
     def test_label_round_trip(self):
         g = load_edge_list("x y\ny z\n")

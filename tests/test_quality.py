@@ -190,17 +190,30 @@ class TestQualityReport:
             assert rep["FO"] == pytest.approx(fo / k, abs=1e-12)
 
     def test_equals_member_scan_exactly(self):
-        # isolated nodes, singletons, duplicate and whole-graph communities
+        # isolated nodes, singletons, duplicate and whole-graph communities; a
+        # member of many communities, a community without an inner edge and a
+        # hub adjacent to every node, so that each inner edge, found from its
+        # lower end, is counted at both ends
         rng = random.Random(67)
         done = 0
         while done < 40:
             n = rng.randint(2, 40)
             g, edges = random_graph(rng, n, rng.choice([0.05, 0.2, 0.6]))
+            if rng.random() < 0.5:
+                hub = rng.randrange(n)
+                edges |= {(min(hub, v), max(hub, v)) for v in range(n) if v != hub}
+                g = Graph(n, sorted(edges))
             if g.edge_count == 0:
                 continue
             sets = [set(rng.sample(range(n), rng.randint(1, n)))
                     for _ in range(rng.randint(1, 8))]
-            sets += [set(sets[0]), set(range(n)), {rng.randrange(n)}]
+            shared = rng.randrange(n)
+            sets += [s | {shared} for s in sets]
+            apart: set[int] = set()
+            for u in rng.sample(range(n), n):
+                if all((min(u, v), max(u, v)) not in edges for v in apart):
+                    apart.add(u)
+            sets += [set(sets[0]), set(range(n)), {rng.randrange(n)}, apart]
             assert quality_report(g, Cover.from_sets(sets)) == scan_quality(
                 n, edges, sets)
             for s in sets:
