@@ -11,9 +11,10 @@ form; the gamma shape by Newton's method on its 1-D score equation and the
 Weibull shape by a safeguarded Newton's method on its profile score, each
 scale then in closed form; logistic and beta by Newton's method on their
 two score equations, in coordinates where the log-likelihood is concave;
-Cauchy by a Nelder-Mead simplex search, covereval's own exact port of
-scipy's (`optimize`). Fitting imports nothing of scipy: the special
-functions are covereval's own (`special`). Every fit reads the samples as
+Cauchy by its reweighted fixed point, ended by Newton's method. The three
+two-parameter fits share one Newton solver (`optimize.minimize`). Fitting
+imports nothing of scipy: the special functions are covereval's own
+(`special`). Every fit reads the samples as
 their distinct values and counts, so a closed form, a start or one
 evaluation of a likelihood or score costs O(distinct values), not
 O(samples). Where one value holds at least half the samples the Cauchy
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -38,6 +38,7 @@ from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 
 MIN_SAMPLES = 5
 BETA_EPS = 1e-9
+CAUCHY_EM_STEPS = 10_000
 
 
 class FitError(ValueError):
@@ -70,23 +71,6 @@ POSITIVE_SUPPORT = {
     Family.WEIBULL, Family.EXPONENTIAL,
 }
 
-# scipy's constant, in the precision scipy computes it
-_LOG_PI = 1.1447298858494002
-# math.exp overflows exactly above this
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _cauchy_logpdf(z):
-    # log1p(z^2) is the more precise form below 1; the other cannot overflow
-    absz = np.abs(z)
-    near = absz < 1
-    far = ~near
-    out = np.empty_like(absz)
-    out[far] = -_LOG_PI - (2 * np.log(absz[far]) + np.log1p((1 / absz[far]) ** 2))
-    out[near] = -_LOG_PI - np.log1p(absz[near] ** 2)
-    return out
-
-
 class SolverWork(NamedTuple):
     """What an iterative fit did: its solver's iterations, its evaluations
     of the objective or score, and whether it stopped at an iteration or
@@ -94,6 +78,12 @@ class SolverWork(NamedTuple):
     iterations: int = 0
     evaluations: int = 0
     capped: bool = False
+
+
+def _work(res: optimize.Minimum, steps: int = 0) -> SolverWork:
+    """The work of a Newton minimization, after `steps` steps of another
+    iteration that each took one evaluation."""
+    return SolverWork(steps + res.nit, steps + res.nfev, not res.success)
 
 
 @dataclass(frozen=True)
@@ -181,53 +171,18 @@ def _moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     return math.ldexp(mean, exponent), math.ldexp(math.sqrt(var), exponent)
 
 
-def _quantile(data: EmpiricalDistribution, q: float) -> float:
-    """The q-quantile of the samples by linear interpolation, in
-    np.percentile's default method and operations (which import numpy.ma),
-    its two order statistics read off the cumulative counts."""
-    index = q * (data.n - 1)
+def _quantile(values: np.ndarray, counts: np.ndarray, q: float) -> float:
+    """The q-quantile of the values repeated by their counts, by linear
+    interpolation, in np.percentile's default method and operations (which
+    import numpy.ma), its two order statistics read off the cumulative
+    counts."""
+    cum = np.cumsum(counts)
+    index = q * (int(cum[-1]) - 1)
     lo = math.floor(index)
-    ranks = [lo, min(lo + 1, data.n - 1)]
-    a, b = data.values[np.searchsorted(np.cumsum(data.counts), ranks, side="right")].tolist()
+    ranks = [lo, min(lo + 1, int(cum[-1]) - 1)]
+    a, b = values[np.searchsorted(cum, ranks, side="right")].tolist()
     frac = index - lo
     return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
-
-
-def _newton(evaluate, theta: tuple[float, float], maxiter: int = 100
-            ) -> tuple[tuple[float, float], SolverWork]:
-    """Maximize a strictly concave function of two parameters by Newton's
-    method from `theta`. `evaluate(theta)` returns the value, the gradient
-    (g0, g1) and the Hessian (h00, h01, h11) there, or None outside the
-    domain. A step is halved until it ends in the domain and raises the
-    value, or keeps it within rounding while the gradient shrinks: near the
-    maximum the rise falls below the value's rounding well before the
-    gradient falls to its own. The iterates stop when the Newton decrement
-    g'(-H)^-1 g, twice the rise a step predicts, is below 1e-30, or stops
-    falling once below 1e-12 (the gradient is down to rounding), or when no
-    halved step is accepted."""
-    value, grad, hess = evaluate(theta)
-    evaluations, last = 1, math.inf
-    for iteration in range(maxiter):
-        (g0, g1), (h00, h01, h11) = grad, hess
-        det = h00 * h11 - h01 * h01
-        s0, s1 = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
-        decrement = g0 * s0 + g1 * s1
-        if not decrement > 1e-30 or last <= decrement < 1e-12:
-            return theta, SolverWork(iteration, evaluations)
-        last, norm, t = decrement, g0 * g0 + g1 * g1, 1.0
-        for _ in range(60):
-            trial = (theta[0] + t * s0, theta[1] + t * s1)
-            point = evaluate(trial)
-            evaluations += 1
-            if point is not None and (point[0] > value or (
-                    point[0] >= value - 1e-12 * (1 + abs(value))
-                    and point[1][0] ** 2 + point[1][1] ** 2 < norm)):
-                break
-            t /= 2
-        else:
-            return theta, SolverWork(iteration, evaluations)
-        theta, (value, grad, hess) = trial, point
-    return theta, SolverWork(maxiter, evaluations, capped=True)
 
 
 def _logistic_mle(data: EmpiricalDistribution, mean: float, sd: float
@@ -249,13 +204,14 @@ def _logistic_mle(data: EmpiricalDistribution, mean: float, sd: float
         e = np.exp(-np.abs(z))
         d1 = w * np.sign(z) * (1 - e) / (1 + e)  # w times -g'(z) = tanh(z / 2)
         d2 = w * 2 * e / (1 + e) ** 2  # w times -g''(z)
-        value = math.log(alpha) - float(w @ (np.abs(z) + 2 * np.log1p(e)))
-        return (value, (1 / alpha - float(d1 @ u), float(d1.sum())),
-                (-1 / alpha ** 2 - float(d2 @ (u * u)), float(d2 @ u),
-                 -float(d2.sum())))
+        value = float(w @ (np.abs(z) + 2 * np.log1p(e))) - math.log(alpha)
+        return (value, (float(d1 @ u) - 1 / alpha, -float(d1.sum())),
+                (1 / alpha ** 2 + float(d2 @ (u * u)), -float(d2 @ u),
+                 float(d2.sum())))
 
-    (alpha, beta), work = _newton(evaluate, (math.pi / math.sqrt(3), 0.0))
-    return (mean + sd * beta / alpha, sd / alpha), work
+    res = optimize.minimize(evaluate, (math.pi / math.sqrt(3), 0.0), maxiter=100)
+    alpha, beta = res.x
+    return (mean + sd * beta / alpha, sd / alpha), _work(res)
 
 
 def _beta_mle(y: np.ndarray, counts: np.ndarray, init: tuple[float, float]
@@ -274,11 +230,59 @@ def _beta_mle(y: np.ndarray, counts: np.ndarray, init: tuple[float, float]
             return None
         psi_a, psi_b, psi_ab = digamma(a), digamma(b), digamma(a + b)
         tri_a, tri_b, tri_ab = trigamma(a), trigamma(b), trigamma(a + b)
-        value = (a - 1) * s1 + (b - 1) * s2 - betaln(a, b)
-        return (value, (s1 - psi_a + psi_ab, s2 - psi_b + psi_ab),
-                (tri_ab - tri_a, tri_ab, tri_ab - tri_b))
+        value = betaln(a, b) - ((a - 1) * s1 + (b - 1) * s2)
+        return (value, (psi_a - s1 - psi_ab, psi_b - s2 - psi_ab),
+                (tri_a - tri_ab, -tri_ab, tri_b - tri_ab))
 
-    return _newton(evaluate, init)
+    res = optimize.minimize(evaluate, init, maxiter=100)
+    return res.x, _work(res)
+
+
+def _cauchy_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], SolverWork]:
+    """The fixed point of the iteratively reweighted means, with weights
+    1 / (1 + z^2), z = (x - loc) / scale: loc the weighted mean, scale^2
+    the weighted mean square about it. It is EM for the Cauchy as a scale
+    mixture of normals, with the scale's expanded-parameter step (Liu, Rubin
+    & Wu 1998, Biometrika 85:755), and it reaches the unique maximum from
+    any start where no value holds half the samples (Kent & Tyler 1991, Ann.
+    Stat. 19:2102). It runs from the quartile start until a step moves loc
+    and scale by at most 1e-6 of the scale, then Newton's method on the mean
+    negative log-likelihood log(scale) + mean log(1 + z^2) in (loc,
+    log scale) ends it, in a few steps. The values are divided by a power
+    of two >= max |x|, which is exact and keeps every square finite."""
+    exponent = math.frexp(float(max(-data.values[0], data.values[-1])))[1]
+    x = np.ldexp(data.values, -exponent)
+    w = data.counts / data.n
+    q25, q50, q75 = (_quantile(x, data.counts, q) for q in (0.25, 0.5, 0.75))
+    loc, scale = q50, (q75 - q25) / 2 or (x[-1] - x[0]) / 2
+    for steps in range(1, CAUCHY_EM_STEPS + 1):
+        if not scale > 1e-150:  # below, z^2 could overflow
+            raise FitError("CA: the scale falls below 1e-150 of the largest |x|")
+        weights = w / (1 + ((x - loc) / scale) ** 2)
+        total = float(weights.sum())
+        new_loc = float(weights @ x) / total
+        new_scale = math.sqrt(float(weights @ (x - new_loc) ** 2) / total)
+        moved = max(abs(new_loc - loc), abs(new_scale - scale))
+        loc, scale = new_loc, new_scale
+        if moved <= 1e-6 * scale:
+            break
+
+    def evaluate(theta):
+        # log(scale) + log(1 + z^2) = log(d^2 + scale^2) - log(scale)
+        loc, tau = theta
+        if not abs(tau) < 350:  # scale^2 stays a normal double
+            return None
+        s2 = math.exp(2 * tau)
+        d = x - loc
+        p = 1 / (d * d + s2)
+        wp, wp2 = w * p, w * p * p
+        return (-float(w @ np.log(p)) - tau, (-2 * float(wp @ d), 2 * s2 * float(wp.sum()) - 1),
+                (2 * float(wp2 @ (s2 - d * d)), 4 * s2 * float(wp2 @ d),
+                 4 * s2 * float(wp2 @ (d * d))))
+
+    res = optimize.minimize(evaluate, (loc, math.log(scale)), maxiter=100)
+    loc, tau = res.x
+    return (math.ldexp(loc, exponent), math.ldexp(math.exp(tau), exponent)), _work(res, steps)
 
 
 def _gamma_mle(data: EmpiricalDistribution, mean: float
@@ -370,10 +374,10 @@ def _weibull_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], Solv
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     """MLE fit of one family. Closed forms where they exist, a 1-D equation
     for the gamma and Weibull shapes, Newton's method on the two score
-    equations for logistic and beta, and a simplex search for Cauchy, the
-    iterative fits from moment-matched or quantile starts. Raises FitError
-    when the family is inapplicable to the data or its likelihood has no
-    maximum."""
+    equations for logistic and beta, and a fixed point then Newton's method
+    for Cauchy, the iterative fits from moment-matched or quantile starts.
+    Raises FitError when the family is inapplicable to the data or its
+    likelihood has no maximum."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
     values, counts, n = data.values, data.counts, data.n
@@ -427,29 +431,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         if 2 * int(counts.max()) >= n:
             raise FitError("CA: one value holds at least half the samples; "
                            "the likelihood has no maximum")
-        q25, q50, q75 = (_quantile(data, q) for q in (0.25, 0.5, 0.75))
-        scale0 = max((q75 - q25) / 2.0, 1e-9)
-
-        def mean_nll(theta):
-            # the mean, not the sum, so that fatol bounds a per-sample value
-            # whose rounding does not grow with n; the scale is exp(theta[1]),
-            # and one beyond the largest double has no likelihood
-            if not theta[1] <= _LOG_MAX:
-                return math.inf
-            z = (values - theta[0]) / math.exp(theta[1])
-            nll = theta[1] - float(counts @ _cauchy_logpdf(z)) / n
-            return nll if math.isfinite(nll) else math.inf
-
-        # near the largest double a simplex centroid can overflow; the
-        # objective scores such a vertex inf
-        with np.errstate(over="ignore"):
-            res = optimize.minimize(mean_nll, [float(q50), math.log(scale0)], xatol=1e-10,
-                                    fatol=1e-12, maxiter=2000, maxfev=4000)
-        # a finite minimum has a finite scale
-        if not math.isfinite(res.fun):
-            raise FitError(f"CA: optimizer failed at (loc, log scale) {res.x.tolist()}")
-        params = (res.x[0], math.exp(res.x[1]))
-        work = SolverWork(res.nit, res.nfev, not res.success)
+        params, work = _cauchy_mle(data)
     elif family is Family.LOGISTIC:
         if sd == 0:
             raise FitError("LO: zero variance")

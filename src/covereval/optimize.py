@@ -1,118 +1,62 @@
-"""The Nelder-Mead simplex search the Cauchy fit uses, ported from scipy
-1.17.1 so that importing covereval does not import `scipy.optimize`, which
-takes 0.1-0.16 s on a 2-vCPU x86-64 machine.
-
-`minimize` is the Nelder-Mead simplex (Nelder & Mead 1965) of
-`scipy.optimize.minimize(method="Nelder-Mead")` without bounds, adaptive
-coefficients or a given initial simplex. It does the same floating-point
-operations in the same order as scipy, so it returns the same bits: every
-reorder, stopping rule and evaluation cap below is scipy's, kept on
-purpose."""
+"""Newton's method for the two-parameter fits: logistic, beta and, from the
+end of its fixed-point iteration, Cauchy. Each passes `minimize` its
+objective, a negated mean log-likelihood, with its gradient and Hessian."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 
 class Minimum(NamedTuple):
-    x: np.ndarray
+    x: tuple[float, float]
     fun: float
-    nfev: int
-    nit: int  # iterations, counted from 1 as scipy counts them
-    success: bool  # False when the evaluation or iteration cap stopped it
+    nfev: int  # evaluations of the objective, its gradient and Hessian
+    nit: int  # Newton steps taken
+    success: bool  # False at the iteration cap or where the Hessian is not
+    # positive definite, which a convex objective's is
 
 
-class _Capped(Exception):
-    """The evaluation cap was reached; the current iteration is abandoned."""
+Point = tuple[float, tuple[float, float], tuple[float, float, float]]
 
 
-def _reorder(sim, fsim):
-    """The vertices and their values, best first."""
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
-def minimize(fun: Callable[[np.ndarray], float], x0, *, xatol: float,
-             fatol: float, maxiter: int, maxfev: int) -> Minimum:
-    """Minimize `fun` from `x0` by the Nelder-Mead simplex. It stops when
-    every vertex lies within `xatol` of the best one and every value within
-    `fatol` of its value, after `maxiter` iterations, or at the `maxfev`-th
-    evaluation, abandoning that iteration midway."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = len(x0)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Capped
-        nfev += 1
-        return float(fun(np.copy(x)))
-
-    # the initial simplex steps each coordinate by 5 %, or to 0.00025 from 0
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Capped:
-        pass
-    # argsort is not a stable sort, so a second reorder of sorted values can
-    # still move ties; scipy reorders twice here
-    sim, fsim = _reorder(sim, fsim)
-    sim, fsim = _reorder(sim, fsim)
-
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            # np.max propagates NaN, which compares false: no convergence
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+def minimize(evaluate: Callable[[tuple[float, float]], Point | None],
+             x0: tuple[float, float], *, maxiter: int) -> Minimum:
+    """Minimize a strictly convex function of two parameters by Newton's
+    method from `x0`. `evaluate(x)` returns the value, the gradient
+    (g0, g1) and the Hessian (h00, h01, h11) there, or None outside the
+    domain. A step is halved until it ends in the domain and lowers the
+    value, or keeps it within rounding while the gradient shrinks: near the
+    minimum the fall drops below the value's rounding well before the
+    gradient drops to its own. The iterates stop when the Newton decrement
+    g'H^-1 g, twice the fall a step predicts, is below 1e-30, or stops
+    falling once below 1e-12 (the gradient is down to rounding), or when no
+    halved step is accepted. They stop without success where the Hessian
+    is not positive definite, which rounding can make it only for an
+    ill-conditioned convex function."""
+    x = x0
+    value, grad, hess = evaluate(x)
+    nfev, last = 1, math.inf
+    for nit in range(maxiter):
+        (g0, g1), (h00, h01, h11) = grad, hess
+        det = h00 * h11 - h01 * h01
+        if not (h00 > 0 and det > 0):
+            return Minimum(x, value, nfev, nit, False)
+        s0, s1 = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+        decrement = -(g0 * s0 + g1 * s1)
+        if not decrement > 1e-30 or last <= decrement < 1e-12:
+            return Minimum(x, value, nfev, nit, True)
+        last, norm, t = decrement, g0 * g0 + g1 * g1, 1.0
+        for _ in range(60):
+            trial = (x[0] + t * s0, x[1] + t * s1)
+            point = evaluate(trial)
+            nfev += 1
+            if point is not None and (point[0] < value or (
+                    point[0] <= value + 1e-12 * (1 + abs(value))
+                    and point[1][0] ** 2 + point[1][1] ** 2 < norm)):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]  # reflection
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]  # expansion
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-            iterations += 1
-        except _Capped:
-            pass
-        sim, fsim = _reorder(sim, fsim)
-
-    return Minimum(sim[0], np.min(fsim), nfev, iterations,
-                   nfev < maxfev and iterations < maxiter)
-
+            t /= 2
+        else:
+            return Minimum(x, value, nfev, nit, True)
+        x, (value, grad, hess) = trial, point
+    return Minimum(x, value, nfev, maxiter, False)

@@ -114,21 +114,44 @@ def _log1pmx(t: np.ndarray) -> np.ndarray:
 
 def _fraction(coefficients, shape: tuple[int, ...]) -> np.ndarray:
     """The continued fraction a_1 / (b_1 + a_2 / (b_2 + ...)), where
-    `coefficients(i)` gives (a_i, b_i), scalars or arrays of `shape`. It is
-    evaluated from the back over its first n terms, for n = 8, 16, 32, ...,
-    until doubling n changes no element by more than 2^-52 of it. From the
-    back, a near-zero denominator of an early convergent, which Lentz's
-    forward method divides by, never enters."""
-    last, n = None, 8
+    `coefficients(i)` gives the sequences of a_i and of b_i for an array of
+    indices i, each term a scalar or an array broadcastable to `shape`. It
+    is evaluated from the back over its first n terms, for n = 8, 16, 32,
+    ..., until doubling n changes no element by more than 2^-52 of it. One
+    backward pass evaluates every n up to its depth: the value over the
+    first n terms joins the pass when i reaches n. The first pass is 64
+    deep, each later one twice as deep as the last, and the coefficients
+    are built for at most 2^16 entries at a time. From the back, a
+    near-zero denominator of an early convergent, which Lentz's forward
+    method divides by, never enters."""
+    block = max(1, 2 ** 16 // max(1, math.prod(shape)))
+    depth = 64
     while True:
-        value = np.zeros(shape)
-        for i in range(n, 0, -1):
-            a_i, b_i = coefficients(i)
-            value = a_i / (b_i + value)
-        if n >= _MAX_TERMS or (
-                last is not None and (np.abs(value - last) <= 2 * _EPS * np.abs(value)).all()):
-            return value
-        last, n = value, 2 * n
+        levels = [8 << k for k in range((depth // 8).bit_length())]
+        value = np.zeros((len(levels),) + shape)
+        joined = len(levels)  # value[joined:] is in the pass
+        for top in range(depth, 0, -block):
+            low = max(top - block, 0)
+            a, b = coefficients(np.arange(low + 1, top + 1))
+            for i, a_i, b_i in zip(range(top, low, -1), a[::-1], b[::-1]):
+                if joined and levels[joined - 1] == i:
+                    joined -= 1
+                    live = value[joined:]
+                np.add(b_i, live, out=live)
+                np.divide(a_i, live, out=live)
+        for k in range(1, len(levels)):
+            if levels[k] >= _MAX_TERMS or (
+                    np.abs(value[k] - value[k - 1]) <= 2 * _EPS * np.abs(value[k])).all():
+                return value[k]
+        depth *= 2
+
+
+def _gamma_fraction(a: float, shifted: np.ndarray) -> np.ndarray:
+    """The continued fraction of Q(a, x) that `gammainc` states, given
+    shifted = x - a - 1."""
+    def coefficients(i):
+        return np.where(i == 1, 1.0, -(i - 1) * (i - 1 - a)).tolist(), shifted + 2 * i[:, None]
+    return _fraction(coefficients, shifted.shape)
 
 
 def gammainc(a: float, x: np.ndarray) -> np.ndarray:
@@ -162,8 +185,7 @@ def gammainc(a: float, x: np.ndarray) -> np.ndarray:
         if n % 4 == 0 and (term * ratio <= _EPS * total * (1 - ratio)).all():
             break
     shifted = xs[~low] - a - 1
-    fraction = _fraction(lambda i: (1.0 if i == 1 else -(i - 1) * (i - 1 - a), shifted + 2 * i),
-                         shifted.shape)
+    fraction = _gamma_fraction(a, shifted)
     result = np.empty_like(xs)
     result[low] = front[low] * total
     result[~low] = 1 - a * front[~low] * fraction
@@ -177,16 +199,16 @@ def _beta_fraction(a: float, b: float, x: np.ndarray, flip: np.ndarray) -> np.nd
     + m) x / ((a + 2m)(a + 2m + 1)), which gives I_x(a, b) = x^a (1 - x)^b F
     / (a B(a, b)) and converges fast below x = (a + 1) / (a + b + 2); a and
     b trade places where `flip` is set."""
+    s, r = np.where(flip, b, a), np.where(flip, a, b)
+
     def coefficients(i):
-        if i == 1:
-            return 1.0, 1.0
-        m, odd = divmod(i - 1, 2)
-        sides = ((a, b), (b, a))
-        if odd:
-            d = [-(s + m) * (s + r + m) / ((s + 2 * m) * (s + 2 * m + 1)) for s, r in sides]
-        else:
-            d = [m * (r - m) / ((s + 2 * m - 1) * (s + 2 * m)) for s, r in sides]
-        return np.where(flip, d[1], d[0]) * x, 1.0
+        m = ((i - 1) // 2)[:, None]
+        odd, even = i % 2 == 0, (i % 2 == 1) & (i > 1)  # i - 1 = 2m + 1, or 2m > 0
+        rows = np.ones((len(i),) + x.shape)
+        mo, me = m[odd], m[even]
+        rows[odd] = -(s + mo) * (s + r + mo) / ((s + 2 * mo) * (s + 2 * mo + 1)) * x
+        rows[even] = me * (r - me) / ((s + 2 * me - 1) * (s + 2 * me)) * x
+        return rows, [1.0] * len(i)
     return _fraction(coefficients, x.shape)
 
 

@@ -453,6 +453,44 @@ def brute_ks(cdf, samples: list[float]) -> float:
     return best
 
 
+def loop_fraction(coefficients, shape: tuple[int, ...]) -> np.ndarray:
+    """`special._fraction` one level at a time: the fraction's first n terms
+    from the back, for n = 8, 16, 32, ..., each pass calling
+    `coefficients(i)` for one i, until doubling n changes no element by
+    more than 2^-52 of it."""
+    last, n = None, 8
+    while True:
+        value = np.zeros(shape)
+        for i in range(n, 0, -1):
+            a_i, b_i = coefficients(i)
+            value = a_i / (b_i + value)
+        if n >= 1_000_000 or (
+                last is not None and (np.abs(value - last) <= 2 ** -52 * np.abs(value)).all()):
+            return value
+        last, n = value, 2 * n
+
+
+def loop_gamma_fraction(a: float, shifted: np.ndarray) -> np.ndarray:
+    """`special._gamma_fraction` by `loop_fraction`, a scalar i at a time."""
+    return loop_fraction(lambda i: (1.0 if i == 1 else -(i - 1) * (i - 1 - a), shifted + 2 * i),
+                         shifted.shape)
+
+
+def loop_beta_fraction(a: float, b: float, x: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """`special._beta_fraction` by `loop_fraction`, a scalar i at a time."""
+    def coefficients(i):
+        if i == 1:
+            return 1.0, 1.0
+        m, odd = divmod(i - 1, 2)
+        sides = ((a, b), (b, a))
+        if odd:
+            d = [-(s + m) * (s + r + m) / ((s + 2 * m) * (s + 2 * m + 1)) for s, r in sides]
+        else:
+            d = [m * (r - m) / ((s + 2 * m - 1) * (s + 2 * m)) for s, r in sides]
+        return np.where(flip, d[1], d[0]) * x, 1.0
+    return loop_fraction(coefficients, x.shape)
+
+
 def mp_gammainc(a: float, x: float) -> float:
     """The regularized lower incomplete gamma function P(a, x) in 50-digit
     arithmetic (mpmath)."""

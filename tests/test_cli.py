@@ -25,7 +25,7 @@ class TestFitCommand:
         assert lines[0] == "family,params,ks" and len(lines) == 11
 
     def test_samples_near_the_largest_double(self, tmp_path, capsys):
-        # the Cauchy simplex tries scales beyond the largest double here
+        # squares of these samples, or of their spread, overflow unscaled
         path = tmp_path / "samples.txt"
         path.write_text("1e307 5e307 1e308 1.5e308 1.7e308 1.79e308\n")
         with warnings.catch_warnings():

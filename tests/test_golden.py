@@ -38,6 +38,11 @@ distances to be counted per level: only `report.json` changed, in the last
 bits, by the power-law exponent of CS (1.2e-16 relative), the logistic
 scale of HD (2.0e-16) and one KS statistic of the log-normal DD (5.3e-15),
 with every family and rank the same.
+They did not move when Cauchy came to be fitted by its reweighted fixed
+point and Newton's method, and logistic and beta by the same Newton
+solver: the instance fits Cauchy four times, but no property selects it,
+so no Cauchy parameter or KS statistic is written, and logistic and beta
+kept their bits.
 """
 
 import hashlib

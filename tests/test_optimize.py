@@ -1,91 +1,72 @@
-"""The Nelder-Mead port in `covereval.optimize` against its scipy original,
-bit for bit, on the objectives the Cauchy fits build and on a few plain
-functions. The guard that the CLI imports no scipy is in test_cli.py."""
+"""The Newton solver in `covereval.optimize` that the logistic, beta and
+Cauchy fits share: its step on a quadratic, its step halving, its stopping
+rules. The fits' own tests are in test_distfit.py; the guard that the CLI
+imports no scipy is in test_cli.py."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import optimize as scipy_optimize
 
-from covereval import distfit, optimize
-from covereval.distfit import Family, fit_mle
-from covereval.graph import EmpiricalDistribution
+from covereval import optimize
 
-OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
-
-
-def fit_samples(rng):
-    """Seeded samples of Cauchy, logistic and beta shape, on which Cauchy
-    searches a simplex; every third is rounded, so it has ties."""
-    for trial in range(42):
-        n = int(rng.integers(5, 90))
-        x = [rng.standard_cauchy(n) * 2 + 8, rng.logistic(3, 2, n),
-             rng.beta(0.7, 2, n) * 5 + 0.1][trial % 3]
-        x = np.abs(x) + 0.05
-        if trial % 3 == 2:
-            x = np.round(x) + 1
-        yield x
+# a convex quadratic 1/2 (x - m)' A (x - m) + 3 with its minimum at m
+A = np.array([[4.0, 1.0], [1.0, 2.0]])
+M = np.array([1.5, -0.25])
 
 
-def recorded_calls(monkeypatch):
-    """Fit Cauchy to the seeded samples and return the (args, kwargs) of
-    each call the fits make to `optimize.minimize`."""
+def quadratic(x):
+    d = np.array(x) - M
+    g = A @ d
+    return 0.5 * float(d @ g) + 3.0, (float(g[0]), float(g[1])), (A[0, 0], A[0, 1], A[1, 1])
+
+
+def log_barrier(calls):
+    """x0 - log x0 + x1^2 / 2, minimal at (1, 0) and defined for x0 > 0
+    only; records every point it is asked for."""
+    def evaluate(x):
+        calls.append(x)
+        if not x[0] > 0:
+            return None
+        return (x[0] - math.log(x[0]) + x[1] ** 2 / 2, (1 - 1 / x[0], x[1]),
+                (1 / x[0] ** 2, 0.0, 1.0))
+    return evaluate
+
+
+def test_one_step_on_a_convex_quadratic():
+    # the Newton step lands on the minimum; the decrement there is 0
+    res = optimize.minimize(quadratic, (-7.0, 11.0), maxiter=100)
+    assert res.x == pytest.approx(tuple(M), abs=1e-15)
+    assert res.fun == pytest.approx(3.0, abs=1e-15)
+    assert (res.nit, res.nfev, res.success) == (1, 2, True)
+
+
+def test_a_step_that_leaves_the_domain_is_halved():
+    # from (10, 2) the first Newton step is (-90, -2), to (-80, 0), outside
+    # the domain; halved four times it ends inside, at (4.375, 1.875), and
+    # lowers the value
     calls = []
-    original = optimize.minimize
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(optimize, "minimize", record)
-        for x in fit_samples(np.random.default_rng(1009)):
-            try:
-                fit_mle(Family.CAUCHY, EmpiricalDistribution(x))
-            except distfit.FitError:
-                pass
-    return calls
+    res = optimize.minimize(log_barrier(calls), (10.0, 2.0), maxiter=100)
+    assert np.array(calls[1:6]) == pytest.approx(np.array(
+        [(-80.0, 0.0), (-35.0, 1.0), (-12.5, 1.5), (-1.25, 1.75), (4.375, 1.875)]))
+    assert res.success and res.nfev == len(calls) > res.nit + 4
+    assert res.x == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
-def assert_same_minimum(fun, x0, maxfev, maxiter=OPTIONS["maxiter"]):
-    options = {**OPTIONS, "maxiter": maxiter, "maxfev": maxfev}
-    want = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
-    got = optimize.minimize(fun, x0, **options)
-    assert np.array_equal(got.x, want.x)
-    assert got.fun == want.fun or (math.isnan(got.fun) and math.isnan(want.fun))
-    assert (got.nfev, got.nit, got.success) == (want.nfev, want.nit, want.success)
-    return got
+def test_not_a_success_at_the_iteration_cap():
+    calls = []
+    res = optimize.minimize(log_barrier(calls), (10.0, 2.0), maxiter=2)
+    assert (res.nit, res.success) == (2, False)
+    assert res.nfev == len(calls)
+    # the value fell at each step, from 10 - log 10 + 2 at the start
+    assert res.fun < 10 - math.log(10) + 2
+    assert res.x[0] > 0
 
 
-@pytest.mark.parametrize("maxfev", [7, 50, 4000])
-def test_minimize_equals_scipy_on_the_fit_objectives(monkeypatch, maxfev):
-    calls = recorded_calls(monkeypatch)
-    assert len(calls) >= 40
-    capped = 0
-    for (fun, x0), _ in calls:
-        capped += not assert_same_minimum(fun, x0, maxfev).success
-    # 7 evaluations stop every search; 4 000 let every one converge
-    if maxfev == 7:
-        assert capped == len(calls)
-    if maxfev == 4000:
-        assert capped == 0
+def test_not_a_success_where_the_function_is_not_convex():
+    # at a saddle of x0^2 - x1^2 the Newton step would climb in x1
+    def saddle(x):
+        return x[0] ** 2 - x[1] ** 2, (2 * x[0], -2 * x[1]), (2.0, 0.0, -2.0)
 
-
-def test_minimize_equals_scipy_at_the_iteration_cap(monkeypatch):
-    calls = recorded_calls(monkeypatch)
-    for (fun, x0), _ in calls[::4]:
-        assert not assert_same_minimum(fun, x0, 4000, maxiter=25).success
-
-
-@pytest.mark.parametrize("maxfev", [7, 50, 4000])
-def test_minimize_equals_scipy_where_the_objective_is_inf(maxfev):
-    def walled(t):
-        return math.inf if t[0] < 0.3 else (t[0] - 1) ** 2 + (t[1] + 2) ** 2
-
-    # where every vertex is inf, inf - inf is NaN in the convergence test
-    with np.errstate(invalid="ignore"):
-        for x0 in ([0.0, 0.0], [0.31, 5.0], [2.0, 0.0], [0.0, 1.0]):
-            assert_same_minimum(walled, x0, maxfev)
-        got = assert_same_minimum(lambda t: math.inf, [1.0, 2.0], maxfev)
-    assert not got.success and got.nfev == maxfev
+    res = optimize.minimize(saddle, (1.0, 0.5), maxiter=100)
+    assert (res.x, res.nit, res.nfev, res.success) == ((1.0, 0.5), 0, 1, False)

@@ -12,7 +12,9 @@ from scipy import special as sc
 
 from covereval import special
 
-from oracles import mp_betainc, mp_betaln, mp_gammainc
+from oracles import (
+    loop_beta_fraction, loop_gamma_fraction, mp_betainc, mp_betaln, mp_gammainc,
+)
 
 SHAPES = np.geomspace(1e-3, 1e6, 10).tolist() + [0.5, 1.0, 2.0, 9.99, 10.0, 10.01]
 DIGAMMA_ROOT = 1.4616321449683623
@@ -55,6 +57,20 @@ def test_betainc_equals_scipy(a):
         got = special.betainc(a, b, x)
         assert ((got >= 0) & (got <= 1)).all()
         assert_close(got, sc.betainc(a, b, x), lambda v: mp_betainc(a, b, v), x)
+
+
+@pytest.mark.parametrize("a", SHAPES)
+def test_fractions_equal_the_level_by_level_loop(a, monkeypatch):
+    # one backward pass over every level gives the bits of one pass per
+    # level with a coefficient call per term, over the same sweep
+    x = gamma_arguments(a)
+    beta = [(b, beta_arguments(a, b)) for b in SHAPES[::2]]
+    want = (special.gammainc(a, x), [special.betainc(a, b, y) for b, y in beta])
+    monkeypatch.setattr(special, "_gamma_fraction", loop_gamma_fraction)
+    monkeypatch.setattr(special, "_beta_fraction", loop_beta_fraction)
+    assert np.array_equal(special.gammainc(a, x), want[0])
+    for (b, y), got in zip(beta, want[1]):
+        assert np.array_equal(special.betainc(a, b, y), got), b
 
 
 def test_betainc_is_symmetric():
