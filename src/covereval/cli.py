@@ -34,7 +34,7 @@ def _load_graph(path: str):
 
 
 def _load_cover_for(path: str, graph):
-    return load_cover(Path(path).read_text(), graph.label_map())
+    return load_cover(Path(path).read_text(), graph)
 
 
 def cmd_community_graph(args) -> int:

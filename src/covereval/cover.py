@@ -4,11 +4,13 @@ property distributions, and community-graph construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import EmpiricalDistribution, Graph, csr, giant_component, row_of, row_pairs
+from .graph import (
+    EmpiricalDistribution, Graph, Tokens, csr, giant_component, read_only, row_of, row_pairs,
+)
 
 
 # community sizes, node memberships and pairwise overlap sizes, by their
@@ -25,10 +27,12 @@ class Cover:
     ``nodes`` holds the sorted distinct member ids (int64; any values), and
     community i's members are ``nodes[indices[indptr[i]:indptr[i + 1]]]``
     in increasing order: ``indptr`` and ``indices`` are the communities x
-    nodes 0/1 incidence in CSR form. A cover that is the reference of an
-    omega index also keeps its co-member pairs (`reference_pairs`)."""
+    nodes 0/1 incidence in CSR form. A cover also keeps what is derived
+    from the incidence once it is asked for: its transpose (`transposed`),
+    its communities' overlaps (`overlaps`) and, as the reference of an
+    omega index, its co-member pairs (`reference_pairs`)."""
 
-    __slots__ = ("nodes", "indptr", "indices", "_reference_pairs")
+    __slots__ = ("nodes", "indptr", "indices", "_reference_pairs", "_transposed", "_overlaps")
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -42,7 +46,7 @@ class Cover:
         self.nodes, cols = np.unique(members, return_inverse=True)
         rows = np.repeat(np.arange(len(sizes)), sizes)
         self.indptr, self.indices = csr(rows, cols, len(sizes), len(self.nodes))
-        self._reference_pairs = None
+        self._reference_pairs = self._transposed = self._overlaps = None
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -64,8 +68,22 @@ class Cover:
     def transposed(self) -> tuple[np.ndarray, np.ndarray]:
         """The incidence transposed, nodes x communities, in CSR form: node
         j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
-        increasing order."""
-        return csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes))
+        increasing order. Built on the first call and kept, read-only: the
+        overlaps and every clustering metric read it."""
+        if self._transposed is None:
+            self._transposed = read_only(
+                *csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes)))
+        return self._transposed
+
+    def overlaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every overlapping pair i < j of the communities, as the increasing
+        codes i * K + j, and |C_i & C_j| for each: the pairs of each node's
+        communities, counted. Built on the first call and kept, read-only:
+        the community graph and the overlap sizes both read it."""
+        if self._overlaps is None:
+            _, i, j = row_pairs(*self.transposed())
+            self._overlaps = read_only(*np.unique(i * len(self.sizes) + j, return_counts=True))
+        return self._overlaps
 
     def co_memberships(self) -> tuple[np.ndarray, np.ndarray]:
         """Every node pair i < j (positions in ``nodes``) that some community
@@ -79,9 +97,7 @@ class Cover:
         """`co_memberships()`, built on the first call and kept, read-only:
         a run scores every candidate against the same reference."""
         if self._reference_pairs is None:
-            self._reference_pairs = self.co_memberships()
-            for a in self._reference_pairs:
-                a.flags.writeable = False
+            self._reference_pairs = read_only(*self.co_memberships())
         return self._reference_pairs
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
@@ -104,38 +120,20 @@ class CommunityGraph:
     degenerate: bool  # all communities disjoint; giant forced to one node
 
 
-def load_cover(text: str | bytes | IO, label_map: Mapping[str, int]) -> Cover:
+def load_cover(text: str | bytes | IO, network: Graph) -> Cover:
     """Parse a SNAP-style community file (one community per line,
-    whitespace-separated node labels, '#' comments). Labels resolve through
-    the graph's label map; unknown labels are an error."""
-    if hasattr(text, "read"):
-        text = text.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    sizes: list[int] = []
-    members: list[int] = []
-    unknown: list[str] = []
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        sizes.append(len(tokens))  # all members, unless some label is unknown
-        for tok in tokens:
-            if tok in label_map:
-                members.append(label_map[tok])
-            else:
-                unknown.append(tok)
-    if unknown:
-        raise CoverError(f"cover references unknown node labels: {sorted(set(unknown))}")
-    return Cover(sizes, members)
-
-
-def _overlaps(c: Cover) -> tuple[np.ndarray, np.ndarray]:
-    """Every overlapping pair i < j of the cover's communities, as the
-    increasing codes i * K + j, and |C_i & C_j| for each: the pairs of
-    each node's communities, counted."""
-    _, i, j = row_pairs(*c.transposed())
-    return np.unique(i * len(c.sizes) + j, return_counts=True)
+    whitespace-separated node labels, '#' comments), lines and tokens as
+    `load_edge_list` reads them. Labels resolve to the nodes of `network`
+    that have them; unknown labels are an error."""
+    tokens = Tokens(text)
+    table, node = network.label_index()
+    members = node[tokens.ids(table)[1]]  # an unknown label's id -1 gives -1
+    unknown = np.flatnonzero(members < 0)
+    if len(unknown):
+        raise CoverError("cover references unknown node labels: "
+                         f"{sorted(set(tokens.strings(unknown)))}")
+    heads = np.flatnonzero(tokens.first)
+    return Cover(np.diff(heads, append=len(members)), members)
 
 
 def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
@@ -143,7 +141,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     distributions, keyed by `MESO_PROPS`, computed on the full cover (before
     any pruning); the overlap sizes are None when no two communities
     overlap."""
-    _, overlaps = _overlaps(c)
+    _, overlaps = c.overlaps()
     return dict(zip(MESO_PROPS, (
         EmpiricalDistribution(c.sizes),
         EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
@@ -154,7 +152,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
 def community_graph_edges(c: Cover) -> np.ndarray:
     """Edges (i, j), i < j, between communities sharing at least one node,
     as the rows of an (E, 2) int64 array in row-major order."""
-    return np.stack(np.divmod(_overlaps(c)[0], len(c.sizes)), axis=1)
+    return np.stack(np.divmod(c.overlaps()[0], len(c.sizes)), axis=1)
 
 
 def build_community_graph(c: Cover) -> CommunityGraph:

@@ -116,7 +116,11 @@ class FittedDistribution:
                 return (x >= lo).astype(float)
             return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         if f is Family.CAUCHY:
-            return np.arctan2(1, (p[0] - x) / p[1]) / np.pi
+            # loc, x and scale divided by one power of two >= each of them,
+            # which is exact, so that loc - x cannot overflow
+            exponent = math.frexp(max(float(np.abs(x).max(initial=0.0)), abs(p[0]), p[1]))[1]
+            loc, scale = math.ldexp(p[0], -exponent), math.ldexp(p[1], -exponent)
+            return np.arctan2(1, (loc - np.ldexp(x, -exponent)) / scale) / np.pi
         if f is Family.LOGISTIC:
             return expit((x - p[0]) / p[1])
         if f is Family.NORMAL:

@@ -60,6 +60,15 @@ def row_pairs(indptr: np.ndarray, indices: np.ndarray
     return rows[first], indices[first], indices[second]
 
 
+def read_only(*arrays: np.ndarray | None) -> tuple[np.ndarray | None, ...]:
+    """The arrays (None passed through), made read-only: what is built once
+    and shared by every reader."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
+
+
 def find_sorted(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each query is, or would go, among the increasing non-negative
     `values`, and whether it is there."""
@@ -104,8 +113,7 @@ class EmpiricalDistribution:
     def _adopt(self, values: np.ndarray, counts: np.ndarray) -> None:
         self.values, self.counts = values, counts
         self.cdf = np.cumsum(counts) / counts.sum()
-        for a in (self.values, self.counts, self.cdf):
-            a.flags.writeable = False
+        read_only(self.values, self.counts, self.cdf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalDistribution):
@@ -132,9 +140,11 @@ class Graph:
     """Immutable undirected simple graph. Node ids are dense 0..V-1; the
     neighbours of node u are ``indices[indptr[u]:indptr[u + 1]]``, in
     increasing order (the symmetric 0/1 adjacency in CSR form), and
-    ``original_labels[i]`` maps back to the source label."""
+    ``original_labels[i]`` maps back to the source label. A graph loaded
+    from an edge list, or that a cover was loaded against, also keeps its
+    labels' keys (`label_index`)."""
 
-    __slots__ = ("indptr", "indices", "original_labels")
+    __slots__ = ("indptr", "indices", "original_labels", "_label_index")
 
     def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
@@ -153,6 +163,7 @@ class Graph:
         ends = np.concatenate([e, e[:, ::-1]])
         self.indptr, self.indices = csr(ends[:, 0], ends[:, 1], n, n)
         self.original_labels = tuple(original_labels)
+        self._label_index = None
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
@@ -161,6 +172,7 @@ class Graph:
         loop-free and sorted within each row, and one label per row."""
         g = cls.__new__(cls)
         g.indptr, g.indices, g.original_labels = indptr, indices, tuple(original_labels)
+        g._label_index = None
         return g
 
     @property
@@ -182,8 +194,19 @@ class Graph:
         upper = rows < self.indices
         return np.stack((rows[upper], self.indices[upper]), axis=1)
 
-    def label_map(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.original_labels)}
+    def label_index(self) -> tuple[tuple, np.ndarray]:
+        """The `_label_ids` table of the labels, and the node at each of its
+        ids (-1 where no label ends, and at index -1), built on the first
+        call and kept, read-only: every cover of a run is looked up in it.
+        A repeated label is the last node that has it."""
+        if self._label_index is None:
+            raw = [label.encode("utf-8", "surrogatepass") for label in self.original_labels]
+            lens = np.fromiter(map(len, raw), np.int64, len(raw))
+            table, ids = _label_ids(b"".join(raw) + b" " * 8, np.cumsum(lens) - lens, lens)
+            node = np.full(ids.max(initial=-1) + 2, -1)
+            np.maximum.at(node, ids, np.arange(len(ids)))
+            self._label_index = table, read_only(node)[0]
+        return self._label_index
 
     def __repr__(self) -> str:
         return f"Graph(V={self.n}, E={self.edge_count})"
@@ -191,13 +214,120 @@ class Graph:
 
 # str.splitlines' line breaks other than "\n"
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# up to 512 lines, each blank, a '#' comment or two tokens, of a text
-# whose only line break is "\n" (so [^\S\n] is whitespace inside a line); a
-# match keeps backtracking state for every line it repeats over, so a text
-# is matched a block of lines at a time
-_EDGE_LINES = re.compile(r"(?:[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*|#.*)?(?:\n|\Z)){0,512}")
-# a '#' line with the line break before it
-_COMMENT = re.compile(r"\n[^\S\n]*#.*")
+# the bytes of a label that one word of its key holds
+WORD_BYTES = 7
+
+
+class Tokens:
+    """The whitespace-separated tokens of a text, less the lines whose first
+    token starts with '#': token i is bytes ``starts[i]`` to ``starts[i] +
+    lens[i] - 1`` of ``data``, the text's UTF-8 bytes followed by eight
+    spaces, and ``first[i]`` says whether it opens its line. Lines are those
+    of `str.splitlines` and tokens those of `str.split`: a text with a
+    non-ASCII character or a line break other than "\\n" is read with its
+    lines joined by "\\n" and its other whitespace made " ", which keeps
+    both. ``source`` is the text as given, decoded, for quoting a line."""
+
+    __slots__ = ("source", "data", "starts", "lens", "first")
+
+    def __init__(self, text: str | bytes | IO):
+        if hasattr(text, "read"):
+            text = text.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        self.source = text
+        if not text.isascii() or any(map(text.__contains__, _OTHER_BREAKS)):
+            text = re.sub(r"[^\S\n]", " ", "\n".join(text.splitlines()))
+        self.data = text.encode("utf-8", "surrogatepass") + b" " * 8
+        b = np.frombuffer(self.data, np.uint8)
+        # whitespace is now " ", "\n", "\t" or "\x1f"
+        bounds = np.flatnonzero(np.diff((b == 32) | (b == 10) | (b == 9) | (b == 31),
+                                        prepend=True))
+        starts = bounds[::2]
+        first = np.zeros(len(starts) + 1, dtype=bool)
+        first[np.searchsorted(starts, np.flatnonzero(b == 10))] = True
+        first[0] = True
+        first = first[:-1]
+        comment = first & (b[starts] == ord("#"))
+        if comment.any():  # drop every token of a line that a '#' token opens
+            keep = ~comment[first][np.cumsum(first) - 1]
+            bounds = bounds.reshape(-1, 2)[keep].ravel()
+            starts, first = bounds[::2], first[keep]
+        self.starts, self.lens, self.first = starts, bounds[1::2] - starts, first
+
+    def strings(self, which: np.ndarray) -> list[str]:
+        """The tokens at the indices `which`, in that order, as strings."""
+        _, at = expand(self.starts[which], self.lens[which] + 1)  # each with the space after it
+        return (np.frombuffer(self.data, np.uint8)[at].tobytes()
+                .decode("utf-8", "surrogatepass").split())
+
+    def ids(self, table: tuple | None = None) -> tuple[tuple, np.ndarray]:
+        """`_label_ids` of the tokens."""
+        return _label_ids(self.data, self.starts, self.lens, table)
+
+
+def _words(data: bytes, starts: np.ndarray, lens: np.ndarray, j: int) -> np.ndarray:
+    """Word j of each label's key: the label's bytes 7j to 7j + 6, those past
+    its end zero, in the low seven bytes, and the number of its bytes from 7j
+    on, at most 8, in the top byte, which tells labels that differ only in
+    length apart. `data` must hold 8 bytes from every start on."""
+    left = lens - WORD_BYTES * j
+    read = np.ndarray((len(data) - 7,), "<i8", data, strides=(1,))  # the 8 bytes from each offset
+    low = read[starts + WORD_BYTES * j] & ((1 << 8 * np.minimum(left, WORD_BYTES)) - 1)
+    return low | np.minimum(left, 8) << 8 * WORD_BYTES
+
+
+def _rank(keys: np.ndarray, among: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`among`, each key's position in it and whether the key is there; with
+    `among` None, the distinct keys, increasing, are `among`."""
+    if among is None:
+        among, at = np.unique(keys, return_inverse=True)
+        return among, at, np.ones(len(keys), dtype=bool)
+    order = np.argsort(keys)  # increasing queries are found faster
+    at, found = np.empty_like(keys), np.empty(len(keys), dtype=bool)
+    at[order], found[order] = find_sorted(among, keys[order])
+    return among, at, found
+
+
+def _label_ids(data: bytes, starts: np.ndarray, lens: np.ndarray, table: tuple | None = None
+               ) -> tuple[tuple, np.ndarray]:
+    """Exact ids for the labels at bytes starts[i] .. starts[i] + lens[i] - 1
+    of `data`: equal ids for equal bytes. A label of at most 7 bytes has the
+    rank of its one key word among the table's first words; a longer one
+    the rank of (its rank after word j - 1, word j) among the table's pairs
+    for word j, past the ids of the words before. Without a `table`, one is
+    built from these labels and returned with their ids; with one, a label
+    that no label of the table equals has id -1. A built table is
+    read-only."""
+    rounds = []
+    ids = np.full(len(starts), -1)
+    alive, prefix, offset = np.arange(len(starts)), None, 0
+    for j in itertools.count():
+        if not len(alive) or table is not None and j == len(table):
+            break
+        words, pairs = (None, None) if table is None else table[j]
+        words, at, found = _rank(_words(data, starts[alive], lens[alive], j), words)
+        if j:
+            pairs, at, known = _rank(prefix * len(words) + at, pairs)
+            found &= known
+        rounds.append(read_only(words, pairs))
+        last = lens[alive] <= WORD_BYTES * (j + 1)
+        ids[alive[found & last]] = offset + at[found & last]
+        offset += len(words if pairs is None else pairs)
+        alive, prefix = alive[found & ~last], at[found & ~last]
+    return tuple(rounds) if table is None else table, ids
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's rank in order of first appearance among `ids` (-1 for an
+    id that does not appear, and at index -1), and where each rank first
+    appears."""
+    first = np.full(ids.max(initial=-1) + 1, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.sort(first[first < len(ids)])
+    rank = np.full(len(first) + 1, -1)
+    rank[ids[seen]] = np.arange(len(seen))
+    return rank, seen
 
 
 def load_edge_list(text: str | bytes | IO) -> Graph:
@@ -207,29 +337,20 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     order. Lines are those of `str.splitlines` and tokens those of
     `str.split`; the first line that is neither blank, nor a comment, nor
     two tokens is an `EdgeListParseError`."""
-    if hasattr(text, "read"):
-        text = text.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    if any(map(text.__contains__, _OTHER_BREAKS)):
-        text = "\n".join(text.splitlines())
-    label_ids: dict[str, int] = {}
-    ends: list[np.ndarray] = []  # the two ids of each edge in turn, a block at a time
-    pos = 0
-    while pos < len(text):  # the lines before `pos` are whole and good
-        end = _EDGE_LINES.match(text, pos).end()
-        if end == pos:
-            raise EdgeListParseError(text.count("\n", 0, pos) + 1,
-                                     text[pos:].partition("\n")[0])
-        block = text[pos:end]
-        tokens = (_COMMENT.sub("", "\n" + block) if "#" in block else block).split()
-        new = itertools.filterfalse(label_ids.__contains__, dict.fromkeys(tokens))
-        label_ids.update(zip(new, itertools.count(len(label_ids))))
-        ends.append(np.fromiter(map(label_ids.__getitem__, tokens), np.int64, len(tokens)))
-        pos = end
-    if not label_ids:
+    tokens = Tokens(text)
+    first = tokens.first
+    if len(first) % 2 or not first[::2].all() or first[1::2].any():
+        heads = np.flatnonzero(first)
+        bad = tokens.starts[heads[np.diff(heads, append=len(first)) != 2][0]]
+        lineno = tokens.data.count(b"\n", 0, bad) + 1
+        raise EdgeListParseError(lineno, tokens.source.splitlines()[lineno - 1])
+    if not len(first):
         raise GraphError("empty edge list")
-    return Graph(len(label_ids), np.concatenate(ends).reshape(-1, 2), list(label_ids))
+    table, ids = tokens.ids()
+    rank, seen = _first_appearance(ids)
+    g = Graph(len(seen), rank[ids].reshape(-1, 2), tokens.strings(seen))
+    g._label_index = table, read_only(rank)[0]  # the table of its distinct labels
+    return g
 
 
 def connected_components(g: Graph) -> np.ndarray:

@@ -187,9 +187,8 @@ def run(cfg: RunConfig) -> EvaluationReport:
     """Execute the full evaluation workflow and assemble the report."""
     try:
         network = load_edge_list(Path(cfg.network_path).read_text())
-        label_map = network.label_map()
-        truth = load_cover(Path(cfg.ground_truth_path).read_text(), label_map)
-        covers = {name: load_cover(Path(path).read_text(), label_map)
+        truth = load_cover(Path(cfg.ground_truth_path).read_text(), network)
+        covers = {name: load_cover(Path(path).read_text(), network)
                   for name, path in cfg.candidates}
     except (OSError, GraphError, ValueError) as exc:
         raise PipelineError(f"input loading failed: {exc}") from exc

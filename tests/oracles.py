@@ -11,6 +11,7 @@ from itertools import chain, combinations, permutations
 import numpy as np
 from scipy import stats
 
+from covereval.cover import Cover, CoverError
 from covereval.graph import EdgeListParseError, Graph, GraphError
 
 
@@ -47,6 +48,33 @@ def loop_edge_list(text: str | bytes) -> Graph:
     if not label_ids:
         raise GraphError("empty edge list")
     return Graph(len(label_ids), np.reshape(ends, (-1, 2)), list(label_ids))
+
+
+def loop_cover(text: str | bytes, network: Graph) -> Cover:
+    """`cover.load_cover` one token at a time: the lines of
+    `str.splitlines`, each split by `str.split`; blank lines and lines whose
+    first token starts with '#' skipped, any other a community whose tokens
+    resolve through a dict from label to node (the last node of a repeated
+    label); unknown labels are an error that lists them sorted."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    label_map = {label: i for i, label in enumerate(network.original_labels)}
+    sizes: list[int] = []
+    members: list[int] = []
+    unknown: list[str] = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        sizes.append(len(tokens))
+        for tok in tokens:
+            if tok in label_map:
+                members.append(label_map[tok])
+            else:
+                unknown.append(tok)
+    if unknown:
+        raise CoverError(f"cover references unknown node labels: {sorted(set(unknown))}")
+    return Cover(sizes, members)
 
 
 def floyd_warshall(n: int, edges: set[tuple[int, int]]) -> list[list[float]]:

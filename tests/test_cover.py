@@ -27,26 +27,26 @@ def four_node_graph():
 class TestLoadCover:
     def test_basic(self):
         g = four_node_graph()
-        c = load_cover("1 2 3\n3 4\n", g.label_map())
+        c = load_cover("1 2 3\n3 4\n", g)
         assert len(c.communities) == 2
-        node3 = g.label_map()["3"]
+        node3 = g.original_labels.index("3")
         assert sum(node3 in comm for comm in c.communities) == 2
 
     def test_dedup_within_line(self):
         g = four_node_graph()
-        c = load_cover("1 1 2\n", g.label_map())
+        c = load_cover("1 1 2\n", g)
         assert c.communities == (frozenset({0, 1}),)
 
     def test_unknown_labels_listed(self):
         g = four_node_graph()
         with pytest.raises(CoverError) as e:
-            load_cover("1 99\n2 98\n", g.label_map())
+            load_cover("1 99\n2 98\n", g)
         assert "98" in str(e.value) and "99" in str(e.value)
 
     def test_zero_communities(self):
         g = four_node_graph()
         with pytest.raises(CoverError):
-            load_cover("# nothing\n", g.label_map())
+            load_cover("# nothing\n", g)
 
 
 class TestMesoscopicProfile:
@@ -173,11 +173,15 @@ class TestCoverMatrix:
         assert c.communities == (frozenset({-3, 2**45}), frozenset({7}), frozenset({-3, 7}))
 
     def test_only_state_is_the_matrix(self):
-        """Besides the incidence, a cover holds only the co-member pairs
-        derived from it, and only once it served as an omega reference."""
+        """Besides the incidence, a cover holds only what is derived from
+        it, each part only once it is first asked for: the co-member pairs
+        once it served as an omega reference, the transpose and the
+        overlaps."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}])
-        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_reference_pairs")
-        assert not hasattr(c, "__dict__") and c._reference_pairs is None
+        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_reference_pairs",
+                                   "_transposed", "_overlaps")
+        assert not hasattr(c, "__dict__")
+        assert c._reference_pairs is None and c._transposed is None and c._overlaps is None
         c.co_memberships()
         assert c._reference_pairs is None
         codes, counts = c.reference_pairs()
@@ -186,9 +190,26 @@ class TestCoverMatrix:
         with pytest.raises(ValueError):
             codes[0] = 0  # read-only: every candidate reads the same arrays
 
+    def test_transpose_and_overlaps_built_once(self):
+        """The community graph, the overlap sizes and every clustering
+        metric read the same read-only arrays."""
+        c = Cover.from_sets([{0, 1, 2}, {1, 2}, {2, 3}])
+        ptr, comm = c.transposed()
+        assert c.transposed()[1] is comm and c._transposed[0] is ptr
+        assert (ptr.tolist(), comm.tolist()) == ([0, 1, 3, 6, 7], [0, 0, 1, 0, 1, 2, 2])
+        assert c._overlaps is None
+        community_graph_edges(c)
+        codes, sizes = c._overlaps
+        mesoscopic_profile(c)
+        assert c.overlaps()[0] is codes and c.overlaps()[1] is sizes
+        assert (codes.tolist(), sizes.tolist()) == ([1, 2, 5], [2, 1, 1])
+        for a in (ptr, comm, codes, sizes):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_load_cover_equals_from_sets(self):
         g = load_edge_list("a b\nb c\nc d\nd e\n")
-        loaded = load_cover("e d d\n# skip\n\n  b a\n", g.label_map())
+        loaded = load_cover("e d d\n# skip\n\n  b a\n", g)
         built = Cover.from_sets([{4, 3}, {1, 0}])
         assert np.array_equal(loaded.nodes, built.nodes)
         assert np.array_equal(loaded.indptr, built.indptr)

@@ -15,7 +15,7 @@ from scipy.sparse import csgraph
 
 from covereval import graph as graph_module
 from covereval.clustering import _contingency, common_universe
-from covereval.cover import Cover, CoverError, _overlaps
+from covereval.cover import Cover, CoverError
 from covereval.graph import (
     Graph, connected_components, giant_component, hop_counts, hop_distribution,
     triangles_per_node,
@@ -122,7 +122,7 @@ def test_overlaps_equal_scipy():
         want.sort_indices()
         k = len(c.communities)
         rows = np.repeat(np.arange(k), np.diff(want.indptr))
-        codes, counts = _overlaps(c)
+        codes, counts = c.overlaps()
         assert codes.tolist() == (rows * k + want.indices).tolist()
         assert counts.tolist() == want.data.tolist()
 

@@ -301,6 +301,29 @@ class TestShapeEquations:
             with pytest.raises(FitError, match="below 1e-150"):
                 fit_mle(Family.CAUCHY, dist([-1, 0, 1e-200, 2e-200, 3e-200, 1]))
 
+    def test_cauchy_cdf_near_the_largest_double(self):
+        # loc - x overflows unscaled here; the CDF takes it on loc, x and
+        # scale divided by one power of two >= max |x|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(Family.CAUCHY, dist([-1.79e308, -1.7e308, 1e308, 1.7e308, 1.79e308]))
+            cdf = fit.cdf(np.array([-1.79e308, 0.0, 1.79e308]))
+        assert 0.0 < fit.ks < 1.0 and 0.0 < cdf[0] < cdf[1] < cdf[2] < 1.0
+
+    def test_cauchy_cdf_scaling_keeps_every_bit(self):
+        # dividing by a power of two is exact, so wherever the unscaled
+        # formula does not overflow it gives the same bits
+        rng = np.random.default_rng(83)
+        for magnitude in (1e-300, 1e-3, 1.0, 7.0, 1e5, 1e300):
+            loc, scale = float(rng.normal()) * magnitude, float(rng.random() + 0.01) * magnitude
+            x = rng.standard_cauchy(50) * magnitude
+            fit = FittedDistribution(Family.CAUCHY, (loc, scale), ks=0.0, n=50)
+            assert np.array_equal(fit.cdf(x), np.arctan2(1, (loc - x) / scale) / np.pi)
+        # loc and scale far above every x
+        fit = FittedDistribution(Family.CAUCHY, (1e300, 1e290), ks=0.0, n=1)
+        x = np.array([-1e-10, 0.0, 3.5])
+        assert np.array_equal(fit.cdf(x), np.arctan2(1, (1e300 - x) / 1e290) / np.pi)
+
     def test_cauchy_likelihood_at_exactly_half_peaks_at_zero_scale(self):
         # With k = n/2 samples at v the log-likelihood is bounded by its
         # scale -> 0 limit at loc = v, -n log(pi) - sum_{x != v} log (x - v)^2;

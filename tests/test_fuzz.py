@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of the edge-list and cover loaders and of the CLI's
 exit-code contract: bad input is reported as an input error (exit 1 with an
-`error:` line), never as a traceback. The edge-list loader is also checked
-against the one-line-at-a-time loop it replaced (`oracles.loop_edge_list`)."""
+`error:` line), never as a traceback. The edge-list and cover loaders are
+also checked against the loops they replaced (`oracles.loop_edge_list`,
+`oracles.loop_cover`)."""
 
 import io
 import tempfile
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from covereval.cli import EXIT_OK, EXIT_VALIDATION, main
 from covereval.cover import CoverError, load_cover
-from covereval.graph import GraphError, load_edge_list
+from covereval.graph import Graph, GraphError, load_edge_list
 
-from oracles import loop_edge_list
+from oracles import loop_cover, loop_edge_list
 
 # labels that a small network defines, mixed with ones it does not and with
 # comment markers; most generated files are well-formed over the labels 0-5,
@@ -87,17 +88,70 @@ def load_outcome(load, text):
 @example(text="a b\x85c d e\u2029", as_bytes=True)
 @example(text="a\x1fb\n\xa0\nb\xa0c", as_bytes=False)
 @example(text="a b\r", as_bytes=False)
+@example(text="abcdefghijklmnop abcdefghijklmnopq\nabcdefghijklmnopq abcdefgh\n", as_bytes=False)
+@example(text="\u00e9\u00e9\u00fc \u00fc\n\u0430\u0431\u0432 \U0001f600\n", as_bytes=True)
+@example(text="a a\x00\na\x00\x00 a\x00\nabcdefg\x00 abcdefg\n", as_bytes=False)
+@example(text="x #\n# y\n#\ty #z\n", as_bytes=False)
 def test_load_edge_list_equals_the_line_loop(text, as_bytes):
     if as_bytes:
         text = text.encode()
     assert load_outcome(load_edge_list, text) == load_outcome(loop_edge_list, text)
 
 
+# network labels: past one 7-byte key word, multi-byte, differing only in
+# length or by a trailing NUL, '#' labels, and now and then one that no
+# token can equal (empty, or holding whitespace); a label may repeat
+LONG_WORDS = st.text(alphabet="ab#\x00\u00e9\U0001f600", min_size=1, max_size=18)
+NETWORK_LABELS = st.lists(LONG_WORDS | WORDS | st.text(max_size=3), min_size=1, max_size=8)
+
+
+@st.composite
+def labelled_covers(draw):
+    """A network's labels and a cover text over them and other words,
+    its lines, gaps and breaks as in EDGE_TEXTS."""
+    labels = draw(NETWORK_LABELS)
+    tokens = st.sampled_from([lab for lab in labels if lab.split() == [lab]] or ["a"])
+    token_lines = st.tuples(LEAD, st.lists(tokens | tokens | LONG_WORDS, max_size=4), GAPS,
+                            LEAD).map(lambda p: p[0] + p[2].join(p[1]) + p[3])
+    lines = token_lines | token_lines | token_lines | LINES
+    text = draw(st.tuples(st.lists(st.tuples(lines, BREAKS), max_size=6), lines | st.just(""))
+                .map(lambda p: "".join(line + br for line, br in p[0]) + p[1]))
+    return labels, text
+
+
+def cover_outcome(load, text, network):
+    """The cover's arrays, or the error's type and message."""
+    try:
+        c = load(text, network)
+    except CoverError as exc:
+        return type(exc), str(exc)
+    return c.nodes.tolist(), c.indptr.tolist(), c.indices.tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=labelled_covers(), as_bytes=st.booleans())
+@example(case=(["abcdefghijklmnop", "abcdefghijklmnopq", "abcdefgh"],
+               "abcdefghijklmnopq abcdefgh\nabcdefghijklmnop abcdefghijklmnopqr\n"), as_bytes=False)
+@example(case=(["\u00e9\u00e9\u00fc", "\u00fc", "\U0001f600"],
+               "\u00fc \u00e9\u00e9\u00fc\n\U0001f600 \u00e9\n"), as_bytes=True)
+@example(case=(["a", "a\x00", "abcdefg\x00", "abcdefg"],
+               "a a\x00\nabcdefg\x00 abcdefg a\x00\x00\n"), as_bytes=False)
+@example(case=(["x", "#", "#z"], "x #\n# x\n x #z\n"), as_bytes=False)
+@example(case=(["a", "b c", "", "a"], "a\nb c\n"), as_bytes=False)
+@example(case=(["aaaaaaa1", "bbbbbbb2"], "aaaaaaa2 bbbbbbb1\n"), as_bytes=False)
+def test_load_cover_equals_the_token_loop(case, as_bytes):
+    labels, text = case
+    network = Graph(len(labels), [], labels)
+    if as_bytes:
+        text = text.encode()
+    assert cover_outcome(load_cover, text, network) == cover_outcome(loop_cover, text, network)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=TEXTS)
 def test_load_cover_returns_or_raises_cover_error(text):
     try:
-        c = load_cover(text, {str(i): i for i in range(6)})
+        c = load_cover(text, Graph(6, []))  # the labels 0-5
     except CoverError:
         return
     assert set(c.nodes.tolist()) <= set(range(6))

@@ -107,10 +107,22 @@ class TestLoadEdgeList:
                   if len(f"a{c}b".splitlines()) == 2}
         assert breaks == set(graph._OTHER_BREAKS) | {"\n"}
 
+    def test_label_index_is_the_one_of_its_labels(self):
+        # the edge list keeps the key table of its tokens; a graph built from
+        # the same labels builds the same table on first use
+        for text in ("1 2\n2 3\n", "abcdefghijklmnop abcdefghijklmnopq\nabcdefgh x\n",
+                     "\u00e9 \u00fc\na a\x00\n" + "y" * 40 + " z\n"):
+            g = load_edge_list(text)
+            table, node = g.label_index()
+            want_table, want_node = Graph(g.n, g.edges(), g.original_labels).label_index()
+            assert np.array_equal(node, want_node) and len(table) == len(want_table)
+            for got, want in zip(table, want_table):
+                assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, want))
+            assert g.label_index()[1] is node and not node.flags.writeable
+
     def test_label_round_trip(self):
         g = load_edge_list("x y\ny z\n")
         assert g.original_labels == ("x", "y", "z")
-        assert g.label_map() == {"x": 0, "y": 1, "z": 2}
 
 
 class TestGraphConstructor:
@@ -150,7 +162,7 @@ class TestGraphConstructor:
     def test_empty_graph(self):
         g = Graph(0, [])
         assert (g.n, g.edge_count, g.edges().shape, g.degrees().tolist()) == (0, 0, (0, 2), [])
-        assert g.original_labels == () and g.label_map() == {}
+        assert g.original_labels == ()
 
     def test_labels_length_checked(self):
         with pytest.raises(GraphError, match="original_labels length"):

@@ -268,7 +268,7 @@ class TestSinglePass:
         from covereval.cover import Cover, community_graph_edges, load_cover
         from covereval.graph import Graph, load_edge_list
         net = load_edge_list((workspace / "net.txt").read_text())
-        truth = load_cover((workspace / "gt.txt").read_text(), net.label_map())
+        truth = load_cover((workspace / "gt.txt").read_text(), net)
         low = frozenset(range(net.n // 2))
         split = Cover.from_sets(part for c in truth.communities
                                 for part in (c & low, c - low) if part)
@@ -278,7 +278,7 @@ class TestSinglePass:
         cfg = json.loads((workspace / "cfg.json").read_text())
         cfg["candidates"].append({"name": "split", "cover_path": str(tmp_path / "split.txt")})
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        covers = [truth] + [load_cover(Path(c["cover_path"]).read_text(), net.label_map())
+        covers = [truth] + [load_cover(Path(c["cover_path"]).read_text(), net)
                             for c in cfg["candidates"]]
         pieces = [len(union_find_components(len(c.communities), community_graph_edges(c)))
                   for c in covers]
@@ -330,7 +330,7 @@ class TestSinglePass:
         labels = net.original_labels
         (tmp_path / "partial.txt").write_text("".join(
             " ".join(labels[u] for u in sorted(c) if u % 5) + "\n"
-            for c in load_cover((workspace / "c1.txt").read_text(), net.label_map()).communities
+            for c in load_cover((workspace / "c1.txt").read_text(), net).communities
             if any(u % 5 for u in c)))
         cfg = json.loads((workspace / "cfg.json").read_text())
         cfg["candidates"].append({"name": "partial",
