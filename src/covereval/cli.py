@@ -30,11 +30,11 @@ EXIT_COMPUTATION = 2
 
 
 def _load_graph(path: str):
-    return load_edge_list(Path(path).read_text())
+    return load_edge_list(Path(path).read_bytes())
 
 
 def _load_cover_for(path: str, graph):
-    return load_cover(Path(path).read_text(), graph)
+    return load_cover(Path(path).read_bytes(), graph)
 
 
 def cmd_community_graph(args) -> int:
@@ -45,7 +45,7 @@ def cmd_community_graph(args) -> int:
              for u, v in cg.graph.edges().tolist()]
     out = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
-        Path(args.output).write_text(out)
+        Path(args.output).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
     if cg.degenerate:
@@ -63,7 +63,7 @@ def cmd_props(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    tokens = Path(args.samples).read_text().split()
+    tokens = Path(args.samples).read_text(encoding="utf-8").split()
     try:
         data = EmpiricalDistribution([float(tok) for tok in tokens])
     except ValueError as exc:  # a non-numeric token, no samples, NaN or inf
@@ -106,7 +106,7 @@ def cmd_clustering(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    lines = [ln for ln in Path(args.table).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in Path(args.table).read_text(encoding="utf-8").splitlines() if ln.strip()]
     try:
         (_, *criteria), *rows = (ln.split(",") for ln in lines)
         if len(rows) < 2 or not criteria:
@@ -191,7 +191,7 @@ def exit_code(command: Callable[[argparse.Namespace], int], args: argparse.Names
     `computation error:` line and EXIT_COMPUTATION."""
     try:
         return command(args)
-    except (OSError, UnicodeDecodeError, GraphError, CoverError, PipelineError,
+    except (OSError, UnicodeError, GraphError, CoverError, PipelineError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,24 +7,22 @@ in the same operations, so the values can differ from scipy's in the last
 bits; the tests hold them to 1e-14.
 
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
-form; the gamma shape by Newton's method on its 1-D score equation and the
-Weibull shape by a safeguarded Newton's method on its profile score, each
-scale then in closed form; logistic and beta by Newton's method on their
-two score equations, in coordinates where the log-likelihood is concave;
-Cauchy by its reweighted fixed point, ended by Newton's method. The three
-two-parameter fits share one Newton solver (`optimize.minimize`). Fitting
-imports nothing of scipy: the special functions are covereval's own
-(`special`). Every fit reads the samples as
+form; gamma, Weibull, logistic and beta by Newton's method on both
+parameters at once, each in coordinates where its mean negative
+log-likelihood is strictly convex; Cauchy by its reweighted fixed point,
+ended by Newton's method. Every iterative fit calls one Newton solver,
+`optimize.minimize`, once. Fitting imports nothing of scipy: the special
+functions are covereval's own (`special`). Every fit reads the samples as
 their distinct values and counts, so a closed form, a start or one
 evaluation of a likelihood or score costs O(distinct values), not
 O(samples). Where one value holds at least half the samples the Cauchy
 likelihood has no maximum (Copas 1975; at exactly half it is bounded but
 only approached as the scale goes to 0), so the family is inapplicable
-there."""
+there, and a fit with a parameter or KS statistic that is not finite, or a
+scale that is not positive, is inapplicable too."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -291,97 +289,76 @@ def _cauchy_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], Solve
 
 def _gamma_mle(data: EmpiricalDistribution, mean: float
                ) -> tuple[tuple[float, float], SolverWork]:
-    """The shape solves log a - digamma(a) = log(mean) - mean(log x), by
-    Newton's method from Minka's approximation ("Estimating a Gamma
-    distribution", 2002); the scale is mean / a. The left side is convex and
-    decreasing, so from the first step on the iterates rise to the root.
-    They stop when the relative step falls below 1e-14, or when the steps
-    stop shrinking: near a large root, rounding in log a - digamma(a) moves
-    the root by more than that."""
+    """Newton's method in the natural parameters (a, beta) of the samples
+    divided by their mean, where the mean negative log-likelihood
+    lgamma(a) - a log(beta) + (a - 1) s + beta, s = log(mean) - mean(log x),
+    is strictly convex: its Hessian [[trigamma(a), -1/beta], [-1/beta,
+    a/beta^2]] has determinant (a trigamma(a) - 1) / beta^2 > 0. It starts
+    from Minka's approximation of the shape ("Estimating a Gamma
+    distribution", 2002) with beta = a; the scale is mean / beta. From a
+    shape of ~1e15 on, the determinant can round to 0 or below, and the fit
+    stops where it is, capped."""
     s = math.log(mean) - float(data.counts @ np.log(data.values)) / data.n
     if not s > 0:
         raise FitError("GM: samples too close to constant")
     a = (3 - s + math.sqrt((s - 3) ** 2 + 24 * s)) / (12 * s)
-    last = math.inf
-    for evaluations in itertools.count(1):
-        # for large a the slope can round to 0, which ends the iterates
-        slope = 1 / a - trigamma(a)
-        step = (math.log(a) - digamma(a) - s) / slope if slope else math.inf
-        if not abs(step) < last:
-            return (a, mean / a), SolverWork(evaluations - 1, evaluations)
-        last = abs(step)
-        a = a - step if step < a else a / 2  # the shape stays positive
-        if last <= 1e-14 * a:
-            return (a, mean / a), SolverWork(evaluations, evaluations)
 
+    def evaluate(theta):
+        a, beta = theta
+        if not (a > 0 and beta > 0):
+            return None
+        log_beta = math.log(beta)
+        return (math.lgamma(a) - a * log_beta + (a - 1) * s + beta,
+                (digamma(a) - log_beta + s, 1 - a / beta),
+                (trigamma(a), -1 / beta, a / beta ** 2))
 
-def _weibull_score(k: float, d: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """The Weibull profile score in the shape k,
-    1/k + mean(d) - sum(x^k d) / sum(x^k), and its slope, -1/k^2 minus the
-    variance of d under the weights x^k, over the distinct values' counts
-    and d = log x - max(log x). Powers are taken relative to max(x), so
-    x^k = exp(k d) lies in (0, 1] and cannot overflow."""
-    w = counts * np.exp(k * d)
-    total = float(w.sum())
-    mean_w = float(w @ d) / total
-    score = 1 / k + float(counts @ d) / float(counts.sum()) - mean_w
-    return score, -1 / k ** 2 - float(w @ (d - mean_w) ** 2) / total
+    res = optimize.minimize(evaluate, (a, a), maxiter=100)
+    a, beta = res.x
+    return (a, mean / beta), _work(res)
 
 
 def _weibull_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], SolverWork]:
-    """The shape k is the root of the profile score, which falls from +inf
-    at k -> 0 to mean(log x) - max(log x) < 0 at k -> inf; the scale is
-    mean(x^k)^(1/k). The root is bracketed by doubling, then found by
-    Newton's method inside the bracket: a step that would leave it bisects
-    it instead, and every evaluation narrows it. The iterates stop when a
-    step falls to 4 ulp of k, or after 100 steps, which counts as capped."""
+    """Newton's method in (k, b = k log(scale)) on the samples divided by
+    their maximum, d = log x <= 0, where the mean negative log-likelihood
+    -log k - (k - 1) mean(d) + b + mean(e^(k d - b)) is strictly convex:
+    the last term is the exponential of an affine function, and by
+    Cauchy-Schwarz the Hessian is positive definite. It starts from the
+    shape of the Gumbel spread of log x, k = pi / sqrt(6 var(d)), with
+    b = log mean(e^(k d)), where b's score is 0. Powers of x / max(x) lie in
+    (0, 1] and cannot overflow."""
     d = np.log(data.values)
-    top = float(d.max())
-    d -= top  # d <= 0, and mean(d) < 0 as the samples are not all equal
-    counts = data.counts
-    # the weighted mean of d is at most 0, so score(k) >= 1/k + mean(d),
-    # which is -mean(d) > 0 at the first lower end; each doubling keeps
-    # score(lo) > 0 and the bracket [lo, 2 lo]
-    lo = -0.5 * data.n / float(counts @ d)
-    score, slope = _weibull_score(2 * lo, d, counts)
-    evaluations, at_lo = 1, None
-    while score > 0:
-        lo, at_lo = 2 * lo, (score, slope)
-        if not math.isfinite(lo):
-            raise FitError("WB: no root of the shape equation")
-        score, slope = _weibull_score(2 * lo, d, counts)
-        evaluations += 1
-    k = hi = 2 * lo
-    # start from the end whose Newton step is the shorter
-    if at_lo is not None and abs(at_lo[0] / at_lo[1]) < abs(score / slope):
-        k, (score, slope) = lo, at_lo
-    capped = False
-    for iteration in range(1, 101):
-        step = score / slope
-        if abs(step) > 4 * math.ulp(k) and not lo < k - step < hi:
-            step = k - (lo + hi) / 2
-        k -= step
-        if abs(step) <= 4 * math.ulp(k):
-            break
-        score, slope = _weibull_score(k, d, counts)
-        evaluations += 1
-        if score > 0:
-            lo = k
-        else:
-            hi = k
-    else:
-        capped = True
-    scale = math.exp(top + math.log(float(np.exp(k * d) @ counts) / data.n) / k)
-    return (k, scale), SolverWork(iteration, evaluations, capped)
+    top = float(d[-1])
+    d -= top
+    _, spread = _moments(d, data.counts)
+    if spread == 0:  # distinct values whose logs round to one
+        raise FitError("WB: zero log variance")
+    w = data.counts / data.n
+    mean_d = float(w @ d)
+
+    def evaluate(theta):
+        k, b = theta
+        if not (k > 0 and b > -700):  # e^(k d - b) <= e^-b stays finite
+            return None
+        e = w * np.exp(k * d - b)
+        de = e * d
+        total, first = float(e.sum()), float(de.sum())
+        return (b - math.log(k) - (k - 1) * mean_d + total,
+                (first - 1 / k - mean_d, 1 - total),
+                (1 / k ** 2 + float(de @ d), -first, total))
+
+    k = math.pi / (math.sqrt(6) * spread)
+    res = optimize.minimize(evaluate, (k, math.log(float(w @ np.exp(k * d)))), maxiter=100)
+    k, b = res.x
+    return (k, math.exp(top + b / k)), _work(res)
 
 
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
-    """MLE fit of one family. Closed forms where they exist, a 1-D equation
-    for the gamma and Weibull shapes, Newton's method on the two score
-    equations for logistic and beta, and a fixed point then Newton's method
-    for Cauchy, the iterative fits from moment-matched or quantile starts.
-    Raises FitError when the family is inapplicable to the data or its
-    likelihood has no maximum."""
+    """MLE fit of one family. Closed forms where they exist, Newton's method
+    on both parameters for gamma, Weibull, logistic and beta, and a fixed
+    point then Newton's method for Cauchy, the iterative fits from moment,
+    quantile or approximate starts. Raises FitError when the family is
+    inapplicable to the data, its likelihood has no maximum, or the fit is
+    not finite."""
     if data.n < MIN_SAMPLES:
         raise FitError(f"need at least {MIN_SAMPLES} samples, got {data.n}")
     values, counts, n = data.values, data.counts, data.n
@@ -444,8 +421,15 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         raise FitError(f"unknown family {family}")
 
     params = tuple(float(p) for p in params)
-    fit = FittedDistribution(family=family, params=params, ks=0.0, n=n, rescale=rescale)
-    return replace(fit, ks=ks_statistic(fit, data), work=work)
+    fit = FittedDistribution(family=family, params=params, ks=0.0, n=n, rescale=rescale,
+                             work=work)
+    # every family's last parameter but uniform's is positive: a scale, a
+    # rate, a shape or xmin; no KS is computed from a fit where it is not
+    if not (all(map(math.isfinite, params)) and (family is Family.UNIFORM or params[-1] > 0)
+            and math.isfinite(ks := ks_statistic(fit, data))):
+        raise FitError(f"{family.value}: a parameter or the KS statistic is not finite, "
+                       "or the scale is not positive")
+    return replace(fit, ks=ks)
 
 
 def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:

@@ -1,6 +1,7 @@
-"""Newton's method for the two-parameter fits: logistic, beta and, from the
-end of its fixed-point iteration, Cauchy. Each passes `minimize` its
-objective, a negated mean log-likelihood, with its gradient and Hessian."""
+"""Newton's method for every iterative fit: gamma, Weibull, logistic, beta
+and, from the end of its fixed-point iteration, Cauchy. Each passes
+`minimize` its objective, a negated mean log-likelihood in coordinates
+where it is strictly convex, with its gradient and Hessian."""
 
 from __future__ import annotations
 

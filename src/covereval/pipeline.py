@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -98,7 +99,7 @@ class RunConfig:
         to the file's directory; `overrides` (None = keep the file's value)
         are used as given, so a relative `output_dir` override stays relative
         to the current directory."""
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_bytes())
         if not isinstance(doc, dict):
             raise PipelineError(f"{path}: a config must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(cls)}
@@ -186,9 +187,9 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
 def run(cfg: RunConfig) -> EvaluationReport:
     """Execute the full evaluation workflow and assemble the report."""
     try:
-        network = load_edge_list(Path(cfg.network_path).read_text())
-        truth = load_cover(Path(cfg.ground_truth_path).read_text(), network)
-        covers = {name: load_cover(Path(path).read_text(), network)
+        network = load_edge_list(Path(cfg.network_path).read_bytes())
+        truth = load_cover(Path(cfg.ground_truth_path).read_bytes(), network)
+        covers = {name: load_cover(Path(path).read_bytes(), network)
                   for name, path in cfg.candidates}
     except (OSError, GraphError, ValueError) as exc:
         raise PipelineError(f"input loading failed: {exc}") from exc
@@ -322,8 +323,11 @@ def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text)
+        # a file name is its UTF-8 bytes whatever the filesystem encoding:
+        # under an ASCII one, fsdecode escapes them, and open() and print()
+        # give them back
+        path = out / os.fsdecode(name.encode("utf-8"))
+        path.write_text(text, encoding="utf-8")
         written.append(path)
 
     def write_csv(name: str, rows) -> None:

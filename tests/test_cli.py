@@ -40,6 +40,14 @@ class TestFitCommand:
                 values = [float(p) for p in params.split(";")] + [float(ks)]
                 assert all(map(math.isfinite, values)), family
 
+    def test_weibull_without_log_spread_is_inapplicable(self, tmp_path, capsys):
+        # distinct samples whose logs are one double: no Weibull shape
+        path = tmp_path / "samples.txt"
+        path.write_text("1e300 1e300 1e300 1e300 1.0000000000000002e300\n")
+        assert main(["fit", "--samples", str(path)]) == EXIT_OK
+        rows = {row[0]: row[1] for row in csv.reader(capsys.readouterr().out.splitlines())}
+        assert rows["WB"] == "inapplicable (WB: zero log variance)"
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "3x"])
     def test_bad_sample_is_an_input_error(self, tmp_path, capsys, token):
         path = tmp_path / "samples.txt"
@@ -172,6 +180,56 @@ class TestExitCode:
             main(["quality", "--network", str(tmp_path / "net.txt"),
                   "--cover", str(tmp_path / "cover.txt")])
         assert capsys.readouterr().err == ""
+
+
+class TestEncoding:
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale, with UTF-8 mode and locale coercion off,
+        Python's default encoding is ASCII. The inputs are still read as
+        UTF-8 and the outputs written as UTF-8, so `quality` on node labels
+        and `run` on a candidate name with an "é" exit 0, and print and
+        write the bytes they do in UTF-8 mode."""
+        from covereval.synthetic import perturb_cover, planted_cover_network
+
+        graph, truth = planted_cover_network(n_nodes=120, n_communities=12, seed=3)
+
+        def cover_text(cover):
+            return "".join(" ".join(f"{u}é" for u in sorted(c)) + "\n"
+                           for c in cover.communities)
+
+        (tmp_path / "net.txt").write_text(
+            "".join(f"{u}é {v}é\n" for u, v in graph.edges().tolist()), encoding="utf-8")
+        (tmp_path / "gt.txt").write_text(cover_text(truth), encoding="utf-8")
+        (tmp_path / "far.txt").write_text(cover_text(perturb_cover(truth, 0.3, seed=4)),
+                                          encoding="utf-8")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "network_path": "net.txt", "ground_truth_path": "gt.txt",
+            "candidates": [{"name": "exact", "cover_path": "gt.txt"},
+                           {"name": "lointé", "cover_path": "far.txt"}]},
+            ensure_ascii=False), encoding="utf-8")
+        src = str(Path(covereval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def outputs(env, out):
+            printed = [subprocess.run(
+                [sys.executable, "-m", "covereval.cli", *args], cwd=tmp_path, env=env,
+                capture_output=True) for args in (
+                    ["quality", "--network", "net.txt", "--cover", "far.txt"],
+                    ["run", "--config", "cfg.json", "--output", out])]
+            written = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+            return [(res.returncode, res.stdout.replace(out.encode(), b"OUT"), res.stderr)
+                    for res in printed], written
+
+        c_locale = {**env, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        encoding = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=c_locale, capture_output=True, text=True, check=True).stdout.strip()
+        assert encoding.lower().replace("-", "") != "utf8"
+        printed, written = outputs(c_locale, "out_c")
+        assert [code for code, _, _ in printed] == [EXIT_OK, EXIT_OK]
+        assert (printed, written) == outputs({**env, "PYTHONUTF8": "1"}, "out_utf8")
+        assert "dist_lointé_CS.csv" in written and "lointé".encode() in written["quality.csv"]
 
 
 class TestImports:

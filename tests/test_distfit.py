@@ -11,8 +11,7 @@ from scipy import optimize, special as sc, stats
 from covereval import distfit
 from covereval.distfit import (
     BETA_EPS, FAMILY_ORDER, POSITIVE_SUPPORT, Family, FitError,
-    FittedDistribution, InapplicableFit, SolverWork,
-    _weibull_score, best_fit, fit_mle, ks_statistic,
+    FittedDistribution, InapplicableFit, SolverWork, best_fit, fit_mle, ks_statistic,
 )
 from covereval.graph import EmpiricalDistribution
 
@@ -23,6 +22,20 @@ def dist(values):
     return EmpiricalDistribution(values)
 
 
+@pytest.fixture
+def objectives(monkeypatch):
+    """Every (evaluate, x0) that a fit passes optimize.minimize, in order."""
+    calls = []
+    minimize = distfit.optimize.minimize
+
+    def record(evaluate, x0, **options):
+        calls.append((evaluate, np.array(x0)))
+        return minimize(evaluate, x0, **options)
+
+    monkeypatch.setattr(distfit.optimize, "minimize", record)
+    return calls
+
+
 def log_likelihood(fit, x):
     """The fit's log-likelihood of the samples x, summed per sample with
     scipy.stats."""
@@ -30,10 +43,10 @@ def log_likelihood(fit, x):
 
 
 # Two fixed samples and every family's fitted params and KS on them
-# (numpy 2.4.6, covereval's own special functions): gamma and Weibull are
-# the Newton roots of their shape equations, logistic and beta the Newton
-# solutions of their score equations, Cauchy its reweighted fixed point
-# ended by Newton's method, each summed over the distinct values. In TIES one value
+# (numpy 2.4.6, covereval's own special functions): gamma, Weibull, logistic
+# and beta are Newton's method on their two-parameter likelihoods, Cauchy its
+# reweighted fixed point ended by Newton's method, all through one solver
+# (`optimize.minimize`), each summed over the distinct values. In TIES one value
 # holds more than half the samples: the Cauchy likelihood has no maximum
 # there, so the family is inapplicable and its entry is the reason.
 TIES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 7]
@@ -45,19 +58,19 @@ RECORDED = {
         "BE": ((0.056298658235051924, 0.18909451712483114), 0.379814944162276),
         "CA": "CA: one value holds at least half the samples; the likelihood has no maximum",
         "E": ((0.5,), 0.3934693402873666),
-        "GM": ((2.305932243581426, 0.8673281730488873), 0.3618586345855215),
+        "GM": ((2.3059322435814282, 0.8673281730488864), 0.36185863458552153),
         "LO": ((1.6776733465511842, 0.7943233706390093), 0.30122654979446),
         "LN": ((0.460915427081268, 0.6286917011858486), 0.36826172782725897),
         "N": ((2.0, 1.61245154965971), 0.3324282738011247),
         "U": ((1.0, 7.0), 0.6),
-        "WB": ((1.4212726004155405, 2.2287800942723974), 0.326067904599562),
+        "WB": ((1.42127260041554, 2.2287800942723965), 0.32606790459956175),
     },
     "REAL": {
         "PL": ((1.6705245997844758, 0.42), 0.23856054212483527),
         "BE": ((0.24881188928462433, 0.37376098374111744), 0.2763087845418427),
         "CA": ((1.6103439603408058, 0.8500952537513278), 0.19740490484807466),
         "E": ((0.39173789173789175,), 0.154663083477864),
-        "GM": ((1.7440533052205036, 1.463675029361862), 0.09754482712371881),
+        "GM": ((1.744053305220503, 1.4636750293618623), 0.09754482712371887),
         "LO": ((2.195744263130585, 1.0926173624796713), 0.16448614126718247),
         "LN": ((0.6238690260751718, 0.7979385524004876), 0.0559988689324849),
         "N": ((2.5527272727272727, 2.1400556106159776), 0.17300646873148562),
@@ -142,6 +155,23 @@ class TestFitMle:
                     continue
             assert all(map(math.isfinite, fit.params + (fit.ks,))), family
 
+    def test_non_finite_fits_are_inapplicable(self):
+        # subnormal samples: the logistic scale rounds to 0, where the KS
+        # would be NaN, and the exponential rate to inf; both families are
+        # inapplicable, with no numpy warning, and every other fit is finite
+        data = dist([5e-324, 1e-323, 1.5e-323, 5e-324, 1e-323, 1e-323])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in (Family.LOGISTIC, Family.EXPONENTIAL):
+                with pytest.raises(FitError, match=f"^{family.value}: .* not finite"):
+                    fit_mle(family, data)
+            report = best_fit(data)
+        inapplicable = {f.family for f in report.fits if isinstance(f, InapplicableFit)}
+        assert {Family.LOGISTIC, Family.EXPONENTIAL} <= inapplicable
+        for fit in report.fits:
+            if not isinstance(fit, InapplicableFit):
+                assert all(map(math.isfinite, fit.params + (fit.ks,))), fit.family
+
     @pytest.mark.parametrize("shape", ["hops", "seeded"])
     def test_weighted_closed_forms_equal_the_per_sample_formulas(self, shape):
         # heavily tied samples, hop distances at levels 1-6 (~1e6 samples)
@@ -210,7 +240,8 @@ def positive_samples(rng):
 
 
 class TestShapeEquations:
-    """Gamma and Weibull are fitted by solving their 1-D shape equations;
+    """The gamma and Weibull fits solve the shape equations of the maximum
+    likelihood, though Newton's method runs on both parameters at once;
     Cauchy is inapplicable where its likelihood has no maximum."""
 
     def test_gamma_solves_its_score_equation(self):
@@ -252,6 +283,24 @@ class TestShapeEquations:
         with pytest.raises(FitError, match="too close to constant"):
             fit_mle(Family.GAMMA, dist([1.0] * 4 + [1.0 + 2.2e-16]))
 
+    def test_gamma_shape_of_near_constant_samples(self):
+        # samples within ~1e-7 of each other: the shape is ~1e14, about
+        # mean^2 / var, not below 1. The rounding of s and of the score,
+        # ~1e-15 against s ~ 5e-15, leaves the shape known to a factor of
+        # ~2. The fit is read without its KS, which takes seconds there
+        rng = np.random.default_rng(449)
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * (1 + 1e-7 * rng.standard_normal(60))
+            a, gamma_scale = distfit._gamma_mle(dist(x), float(x.mean()))[0]
+            assert 1 / 4 < a / (x.mean() ** 2 / x.var()) < 4
+            assert a * gamma_scale == pytest.approx(x.mean(), rel=1e-6)
+
+    def test_weibull_inapplicable_when_every_log_is_equal(self):
+        # distinct samples whose logs are one double leave no spread to
+        # start the shape from
+        with pytest.raises(FitError, match="WB: zero log variance"):
+            fit_mle(Family.WEIBULL, dist([1e300] * 4 + [1.0000000000000002e300]))
+
     def test_weibull_finite_over_twelve_decades(self):
         rng = np.random.default_rng(421)
         for x in (np.geomspace(1e-6, 1e6, 50),
@@ -260,20 +309,6 @@ class TestShapeEquations:
             fit = fit_mle(Family.WEIBULL, dist(x))
             assert all(math.isfinite(p) and p > 0 for p in fit.params)
             assert math.isfinite(log_likelihood(fit, np.sort(x)))
-
-    def test_weibull_newton_stays_in_its_bracket(self, monkeypatch):
-        # Newton's method on arctan diverges from farther than ~1.39 from
-        # the root; with that in place of the profile score, the steps that
-        # would leave the bracket bisect it, and the root is still found
-        data = dist(REAL)
-        d = np.log(data.values / data.values.max())
-        unit = -0.5 * data.n / float(data.counts @ d)  # the first lower end
-        root = 11 * unit  # doubling brackets it as [8 unit, 16 unit]
-        monkeypatch.setattr(distfit, "_weibull_score", lambda k, d, counts: (
-            math.atan((root - k) / unit), -1 / unit / (1 + ((root - k) / unit) ** 2)))
-        fit = fit_mle(Family.WEIBULL, data)
-        assert fit.params[0] == pytest.approx(root, rel=1e-12)
-        assert 0 < fit.work.iterations <= fit.work.evaluations and not fit.work.capped
 
     def test_cauchy_inapplicable_when_one_value_holds_more_than_half(self):
         rng = np.random.default_rng(431)
@@ -454,18 +489,10 @@ class TestScoreEquations:
                 [start, (0.0, 0.0), (start[0] + 1, start[1] - 1), (start[0] - 1, start[1] + 1)])
             assert beta_ll(*fit.params, y) >= searched - 1e-9
 
-    def test_weighted_cauchy_objective_equals_the_per_sample_sum(self, monkeypatch):
+    def test_weighted_cauchy_objective_equals_the_per_sample_sum(self, objectives):
         # Newton's method minimizes the mean negative log-likelihood in (loc,
         # log scale) of the values divided by 2^e >= max |x|, without its
         # constant log(pi); its gradient and Hessian are the value's
-        objectives = []
-        original = distfit.optimize.minimize
-
-        def record(evaluate, x0, **options):
-            objectives.append((evaluate, np.array(x0)))
-            return original(evaluate, x0, **options)
-
-        monkeypatch.setattr(distfit.optimize, "minimize", record)
         rng = np.random.default_rng(523)
         for trial in range(30):
             x = np.round(rng.standard_cauchy(int(rng.integers(5, 150))) * 3 + 1)
@@ -545,28 +572,72 @@ class TestScoreEquations:
                 assert moved.params[1] / abs(a) == pytest.approx(scale, rel=1e-10)
                 assert moved.ks == pytest.approx(fit.ks, abs=1e-10)
 
-    def test_weighted_weibull_score_equals_the_per_sample_sum(self):
+    def test_weighted_weibull_score_equals_the_per_sample_sum(self, objectives):
+        # the objective, its gradient (the score, negated) and its Hessian,
+        # summed over the distinct values, against the sums over the
+        # samples x / max(x): with d = log x - max(log x) and e = e^(k d - b),
+        # -log k - (k - 1) mean d + b + mean e, its derivatives in (k, b)
         for x in tied_samples(np.random.default_rng(541)):
-            if x.min() <= 0:
+            if x.min() <= 0 or np.ptp(np.log(x)) == 0:
                 continue
-            data = dist(x)
-            k, _ = fit_mle(Family.WEIBULL, data).params
-            d = np.log(data.values)
-            d -= d.max()
-            logs = np.log(x)
+            objectives.clear()
+            fit_mle(Family.WEIBULL, dist(x))
+            (evaluate, (k, b)), = objectives
+            d = np.log(x) - np.log(x).max()
+            for kk, bb in ((k, b), (k / 3, b - 1), (2 * k, b + 0.5), (3 * k, b - 0.3)):
+                e = np.exp(kk * d - bb)
+                want = (-math.log(kk) - (kk - 1) * d.mean() + bb + e.mean(),
+                        (-1 / kk - d.mean() + (d * e).mean(), 1 - e.mean()),
+                        (1 / kk ** 2 + (d * d * e).mean(), -(d * e).mean(), e.mean()))
+                value, grad, hess = evaluate((kk, bb))
+                # the terms' size, so a derivative near 0 is compared fairly
+                size = 1 / kk + float(np.abs(d).max()) * (1 + float(e.max()))
+                assert value == pytest.approx(want[0], rel=1e-12, abs=1e-12 * size)
+                assert grad == pytest.approx(want[1], rel=1e-12, abs=1e-12 * size)
+                assert hess == pytest.approx(want[2], rel=1e-12, abs=1e-12 * size * size)
 
-            def want(kk):
-                xk = np.exp(kk * (logs - logs.max()))
-                return 1 / kk + logs.mean() - float(xk @ logs) / float(xk.sum())
+    @pytest.mark.parametrize("family", [Family.GAMMA, Family.WEIBULL], ids=lambda f: f.value)
+    def test_objective_is_strictly_convex_with_its_derivatives(self, family, objectives):
+        # at random points about each fit's start, the gradient equals
+        # central differences of the value and the Hessian those of the
+        # gradient, and the Hessian is positive definite: the convexity
+        # that Newton's method relies on; steps of 1e-6 of each coordinate's
+        # unit, the shape and beta relative, b absolute
+        rng = np.random.default_rng(601 if family is Family.GAMMA else 607)
+        points = 0
+        for x in positive_samples(rng):
+            objectives.clear()
+            try:
+                fit_mle(family, dist(x))
+            except FitError:
+                continue
+            (evaluate, x0), = objectives
+            for _ in range(5):
+                if family is Family.GAMMA:
+                    theta = x0 * np.exp(rng.normal(0.0, 1.0, 2))
+                    units = theta
+                else:
+                    theta = x0 * (math.exp(rng.normal(0.0, 1.0)), 1.0) + (0.0, rng.normal(0.0, 1.0))
+                    units = np.array([theta[0], 1.0])
+                value, grad, hess = evaluate(tuple(theta))
+                h00, h01, h11 = hess
+                assert h00 > 0 and h00 * h11 - h01 * h01 > 0
+                hess = np.array([[h00, h01], [h01, h11]])
+                for i in range(2):
+                    step = 1e-6 * units * np.eye(2)[i]
+                    up, down = evaluate(tuple(theta + step)), evaluate(tuple(theta - step))
+                    # the value's rounding, over the step
+                    slack = 1e-16 * max(abs(up[0]), 1.0) / 1e-6
+                    assert grad[i] * units[i] == pytest.approx(
+                        (up[0] - down[0]) / 2e-6, rel=1e-6, abs=1e-8 + 10 * slack)
+                    slopes = (np.array(up[1]) - np.array(down[1])) / 2e-6 * units
+                    assert hess[i] * units[i] * units == pytest.approx(
+                        slopes, rel=1e-5, abs=1e-8 * np.abs(hess[i] * units[i] * units).max())
+                points += 1
+        assert points >= 100
 
-            for kk in (k / 3, k / 2, 2 * k, 3 * k):
-                score, slope = _weibull_score(kk, d, data.counts)
-                # the terms' size, so a score near 0 is compared fairly
-                size = 1 / kk + float(np.abs(logs).max())
-                assert score == pytest.approx(want(kk), rel=1e-12, abs=1e-12 * size)
-                h = 1e-5 * kk
-                assert slope == pytest.approx((want(kk + h) - want(kk - h)) / (2 * h),
-                                              rel=1e-6)
+
+ITERATIVE = (Family.BETA, Family.CAUCHY, Family.GAMMA, Family.LOGISTIC, Family.WEIBULL)
 
 
 class TestSolverWork:
@@ -574,8 +645,7 @@ class TestSolverWork:
 
     def test_iterative_fits_record_their_work(self):
         data = dist(REAL)
-        for family in (Family.BETA, Family.CAUCHY, Family.GAMMA, Family.LOGISTIC,
-                       Family.WEIBULL):
+        for family in ITERATIVE:
             work = fit_mle(family, data).work
             assert 0 < work.iterations <= work.evaluations, family
             assert not work.capped, family
@@ -592,17 +662,17 @@ class TestSolverWork:
         minimize = distfit.optimize.minimize
         monkeypatch.setattr(distfit.optimize, "minimize",
                             lambda evaluate, x0, maxiter: minimize(evaluate, x0, maxiter=1))
-        for family in (Family.BETA, Family.LOGISTIC):
+        for family in (Family.BETA, Family.GAMMA, Family.LOGISTIC, Family.WEIBULL):
             assert fit_mle(family, data).work[::2] == (1, True)
         # the fixed-point steps, then one Newton step
         work = fit_mle(Family.CAUCHY, data).work
         assert work.capped and work.iterations < steps
 
     def test_two_parameter_fits_share_one_solver(self, monkeypatch):
-        # one call to optimize.minimize per logistic, beta and applicable
-        # Cauchy fit, and none by any other family; a benchmark counts the
-        # work of every fit by wrapping that one name, and reads each
-        # result's nfev and success
+        # one call to optimize.minimize per logistic, beta, applicable
+        # Cauchy, gamma and Weibull fit, and none by a closed form; a
+        # benchmark counts the work of every fit by wrapping that one name,
+        # and reads each result's nfev and success
         calls = []
         minimize = distfit.optimize.minimize
 
@@ -616,13 +686,16 @@ class TestSolverWork:
             for family in FAMILY_ORDER:
                 before = len(calls)
                 try:
-                    fit_mle(family, dist(x))
+                    fit = fit_mle(family, dist(x))
                 except FitError:
                     assert len(calls) == before, family
                     continue
-                solved = family in (Family.BETA, Family.CAUCHY, Family.LOGISTIC)
+                solved = family in ITERATIVE
                 assert len(calls) - before == solved, family
-        assert len(calls) == 8
+                if solved:
+                    res = calls[-1]
+                    assert fit.work.evaluations - res.nfev == fit.work.iterations - res.nit
+        assert len(calls) == 14
         assert all(isinstance(res.nfev, int) and res.nfev > 0 and res.success is True
                    for res in calls)
 
