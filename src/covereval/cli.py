@@ -125,16 +125,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = RunConfig.from_json(
-        args.config,
-        seed=args.seed,
-        hop_mode=args.hop_mode,
-        sources=args.sources,
-        output_dir=args.output,
-    )
-    report = run(cfg)
-    written = emit_reports(report, cfg.output_dir)
-    for path in written:
+    cfg = RunConfig.from_json(args.config, seed=args.seed, hop_mode=args.hop_mode,
+                              sources=args.sources, output_dir=args.output)
+    for path in emit_reports(run(cfg), cfg.output_dir):
         print(path)
     return EXIT_OK
 

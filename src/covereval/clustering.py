@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, find_sorted, row_of, sum_in_order
+from .graph import expand, find_sorted, row_of
 
 # _conditional_entropy takes its K1 x K2 table this many entries at a time
 ONMI_BLOCK_ENTRIES = 1 << 16
@@ -96,7 +96,7 @@ def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray
     H(X_k). `overlap[k, l]` is |X_k & Y_l|. H*(X|Y) is the joint entropy of
     the two binary indicators minus H(Y), admitted only when the
     information-theoretic constraint h(a)+h(d) >= h(b)+h(c) holds. Rows go in
-    blocks of `ONMI_BLOCK_ENTRIES` entries, or one row; their minima add up in row order."""
+    blocks of `ONMI_BLOCK_ENTRIES` entries, or one row; `math.fsum` adds the row minima."""
     n = len(h) - 1
     hy = _entropies(h, sizes_y)
     best = _entropies(h, sizes_x)
@@ -110,7 +110,7 @@ def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray
         hd = h[d]                           # in both
         terms = np.where(ha + hd >= hb + hc, ha + hb + hc + hd - hy, np.inf)
         np.minimum(best[start:start + block], terms.min(axis=1), out=best[start:start + block])
-    return sum_in_order(best)
+    return math.fsum(best.tolist())
 
 
 def onmi_max(c1: Cover, c2: Cover) -> float:
@@ -119,8 +119,8 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
     c1, c2 = common_universe(c1, c2)
     h = _entropy_table(len(c1.nodes))
     sizes1, sizes2 = c1.sizes, c2.sizes
-    h1 = sum_in_order(_entropies(h, sizes1))
-    h2 = sum_in_order(_entropies(h, sizes2))
+    h1 = math.fsum(_entropies(h, sizes1).tolist())
+    h2 = math.fsum(_entropies(h, sizes2).tolist())
     if h1 == 0.0 and h2 == 0.0:
         return 1.0  # every community of both covers is the whole universe
 
@@ -142,7 +142,7 @@ def _best_f1(sizes_s: np.ndarray, sizes_t: np.ndarray, rows: np.ndarray,
     rec = tp / sizes_t[cols]
     best = np.zeros(len(sizes_s))
     np.maximum.at(best, rows, 2 * prec * rec / (prec + rec))
-    return sum_in_order(best) / len(sizes_s)
+    return math.fsum(best.tolist()) / len(sizes_s)
 
 
 def f1_best_match(detected: Cover, truth: Cover) -> float:

@@ -32,15 +32,12 @@ import numpy as np
 
 from . import optimize
 from .graph import EmpiricalDistribution
+from .optimize import FitError
 from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 
 MIN_SAMPLES = 5
 BETA_EPS = 1e-9
 CAUCHY_EM_STEPS = 10_000
-
-
-class FitError(ValueError):
-    pass
 
 
 class Family(str, Enum):
@@ -102,27 +99,19 @@ class FittedDistribution:
         p = self.params
         if f is Family.POWER_LAW:
             alpha, xmin = p
-            out = np.where(x < xmin, 0.0, 1.0 - (np.maximum(x, xmin) / xmin) ** (1.0 - alpha))
-            return out
+            return np.where(x < xmin, 0.0, 1.0 - (np.maximum(x, xmin) / xmin) ** (1.0 - alpha))
         if f is Family.BETA:
-            lo, hi = self.rescale
-            y = (x - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
-            return betainc(p[0], p[1], np.clip(y, 0.0, 1.0))
+            return betainc(p[0], p[1], np.clip(_beta_y(x, *self.rescale), 0.0, 1.0))
         if f is Family.UNIFORM:
-            lo, hi = p
-            if hi == lo:
-                return (x >= lo).astype(float)
+            if p[1] == p[0]:
+                return (x >= p[0]).astype(float)
+            _, x, (lo, hi) = _unit_scaled(x, *p)
             return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        if f is Family.CAUCHY:
-            # loc, x and scale divided by one power of two >= each of them,
-            # which is exact, so that loc - x cannot overflow
-            exponent = math.frexp(max(float(np.abs(x).max(initial=0.0)), abs(p[0]), p[1]))[1]
-            loc, scale = math.ldexp(p[0], -exponent), math.ldexp(p[1], -exponent)
-            return np.arctan2(1, (loc - np.ldexp(x, -exponent)) / scale) / np.pi
-        if f is Family.LOGISTIC:
-            return expit((x - p[0]) / p[1])
-        if f is Family.NORMAL:
-            return ndtr((x - p[0]) / p[1])
+        if f in (Family.CAUCHY, Family.LOGISTIC, Family.NORMAL):
+            _, x, (loc, scale) = _unit_scaled(x, *p)
+            if f is Family.CAUCHY:
+                return np.arctan2(1, (loc - x) / scale) / np.pi
+            return (expit if f is Family.LOGISTIC else ndtr)((x - loc) / scale)
         positive = np.maximum(x, 0.0)  # the other families are 0 below 0
         if f is Family.EXPONENTIAL:
             return -np.expm1(-p[0] * positive)
@@ -158,6 +147,20 @@ def _check_support(family: Family, values: np.ndarray) -> str | None:
     return None
 
 
+def _unit_scaled(x: np.ndarray, *params: float) -> tuple[int, np.ndarray, tuple[float, ...]]:
+    """e, x / 2^e and each param / 2^e, where 2^e > every |x| and |param|:
+    no difference of two quotients overflows, and the divisions change no
+    bit of a sum, difference or quotient of them that is not subnormal."""
+    e = math.frexp(max([float(np.abs(x).max(initial=0.0)), *map(abs, params)]))[1]
+    return e, np.ldexp(x, -e), tuple(math.ldexp(p, -e) for p in params)
+
+
+def _beta_y(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The beta fit's map (x - lo + BETA_EPS) / (hi - lo + 2 BETA_EPS) into (0, 1)."""
+    _, x, (lo, hi, eps) = _unit_scaled(x, lo, hi, BETA_EPS)
+    return (x - lo + eps) / (hi - lo + 2 * eps)
+
+
 def _moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """The mean and population standard deviation (the MLE's) over the values
     times their counts, scaled by a power of two >= max |x|, which is exact and
@@ -166,8 +169,7 @@ def _moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     if len(values) == 1:
         return float(values[0]), 0.0
     n = float(counts.sum())
-    exponent = math.frexp(float(max(-values[0], values[-1])))[1]
-    scaled = np.ldexp(values, -exponent)
+    exponent, scaled, _ = _unit_scaled(values)
     mean = float(counts @ scaled) / n
     var = float(counts @ (scaled - mean) ** 2) / n
     return math.ldexp(mean, exponent), math.ldexp(math.sqrt(var), exponent)
@@ -195,7 +197,8 @@ def _logistic_mle(data: EmpiricalDistribution, mean: float, sd: float
     log-density, is concave (Pratt 1981, JASA 76:103). The samples are
     standardised first, u = (x - mean) / sd, so the moment start
     loc = mean, scale = sd sqrt(3) / pi is alpha = pi / sqrt(3), beta = 0."""
-    u = (data.values - mean) / sd
+    _, x, (loc, scale) = _unit_scaled(data.values, mean, sd)
+    u = (x - loc) / scale
     w = data.counts / data.n
 
     def evaluate(theta):
@@ -252,8 +255,7 @@ def _cauchy_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], Solve
     negative log-likelihood log(scale) + mean log(1 + z^2) in (loc,
     log scale) ends it, in a few steps. The values are divided by a power
     of two >= max |x|, which is exact and keeps every square finite."""
-    exponent = math.frexp(float(max(-data.values[0], data.values[-1])))[1]
-    x = np.ldexp(data.values, -exponent)
+    exponent, x, _ = _unit_scaled(data.values)
     w = data.counts / data.n
     q25, q50, q75 = (_quantile(x, data.counts, q) for q in (0.25, 0.5, 0.75))
     loc, scale = q50, (q75 - q25) / 2 or (x[-1] - x[0]) / 2
@@ -367,6 +369,8 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         raise FitError(f"{family.value}: {reason}")
     lo, hi = float(values[0]), float(values[-1])
     mean, sd = _moments(values, counts)
+    if sd == 0 and family in (Family.NORMAL, Family.GAMMA, Family.WEIBULL, Family.LOGISTIC):
+        raise FitError(f"{family.value}: zero variance")
     rescale = None
     work = SolverWork()
 
@@ -374,8 +378,6 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
         alpha = 1.0 + n / float(counts @ np.log(values / lo))
         params = (alpha, lo)
     elif family is Family.NORMAL:
-        if sd == 0:
-            raise FitError("N: zero variance")
         params = (mean, sd)
     elif family is Family.LOG_NORMAL:
         log_mean, s = _moments(np.log(values), counts)
@@ -387,16 +389,12 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     elif family is Family.UNIFORM:
         params = (lo, hi)
     elif family is Family.GAMMA:
-        if sd == 0:
-            raise FitError("GM: zero variance")
         params, work = _gamma_mle(data, mean)
     elif family is Family.WEIBULL:
-        if sd == 0:
-            raise FitError("WB: zero variance")
         params, work = _weibull_mle(data)
     elif family is Family.BETA:
         rescale = (lo, hi)
-        y = (values - lo + BETA_EPS) / (hi - lo + 2 * BETA_EPS)
+        y = _beta_y(values, lo, hi)
         w = counts / n
         m = float(w @ y)
         v = max(float(w @ (y - m) ** 2), 1e-12)
@@ -414,8 +412,6 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
                            "the likelihood has no maximum")
         params, work = _cauchy_mle(data)
     elif family is Family.LOGISTIC:
-        if sd == 0:
-            raise FitError("LO: zero variance")
         params, work = _logistic_mle(data, mean, sd)
     else:
         raise FitError(f"unknown family {family}")

@@ -76,6 +76,16 @@ def find_sorted(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np
     return at, np.append(values, -1)[at] == queries  # -1 is no value
 
 
+def group_sums(groups: np.ndarray, terms: np.ndarray, k: int) -> np.ndarray:
+    """Each group's sum of its terms, groups 0..k-1, added in increasing
+    order (`np.bincount` adds in input order) and so independent of the
+    input order: one float sort ranks the terms, one integer sort groups them."""
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[np.argsort(terms)] = np.arange(len(terms))
+    order = np.argsort(groups * len(terms) + rank)
+    return np.bincount(groups[order], terms[order], k)
+
+
 # Exact all-pairs BFS above this node count gets too expensive; fall back
 # to sampled sources (a seed is then mandatory).
 EXACT_HOP_LIMIT = 20_000
@@ -436,37 +446,30 @@ def transitivity(g: Graph) -> float:
 
 def clustering_by_degree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Mean local clustering per degree class: the degrees k that occur,
-    increasing, and for each the mean c over its nodes, their sum taken in
-    node order (a weighted `np.bincount` adds in input order)."""
+    increasing, and for each the mean c over its nodes."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
     k, cls, size = np.unique(g.degrees(), return_inverse=True, return_counts=True)
-    return k, np.bincount(cls, weights=local_clustering(g)) / size
-
-
-def sum_in_order(terms: np.ndarray) -> float:
-    """0.0 + terms[0] + terms[1] + ... left to right, as a Python loop adds
-    them (`np.sum` adds pairwise; `sum` compensates from Python 3.12)."""
-    return np.cumsum(np.concatenate(([0.0], terms)))[-1].item()
+    return k, group_sums(cls, local_clustering(g), len(k)) / size
 
 
 def degree_assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over both edge orientations,
-    each sum taken edge by edge in the row order of `g.edges()`, (u, v) then
-    (v, u). NaN when either marginal is constant."""
-    ends = g.edges().ravel()  # u, v of each edge
+    which give both ends the same terms: 2 sum_edges dev(u) dev(v) / sum_ends
+    dev^2, each sum correctly rounded (`math.fsum`) and so independent of
+    the edge order. NaN where the denominator is 0."""
+    ends = g.edges()
     if not len(ends):
         return float("nan")
-    swapped = ends.reshape(-1, 2)[:, ::-1].ravel()  # v, u: the same mean degree
     deg = g.degrees()
-    mean = int(deg[ends].sum()) / len(ends)
+    mean = int(deg[ends].sum()) / ends.size
     dev = deg - mean
     # Python's ** 2, the C library's pow, which dev * dev misses in the last bit now and then
     square = np.array([(k - mean) ** 2 for k in range(deg.max() + 1)])[deg]
-    sxx, syy = sum_in_order(square[ends]), sum_in_order(square[swapped])
-    if sxx == 0 or syy == 0:
+    spread = math.fsum(square[ends].ravel().tolist())
+    if spread == 0:
         return float("nan")
-    return sum_in_order(dev[ends] * dev[swapped]) / math.sqrt(sxx * syy)
+    return 2 * math.fsum((dev[ends[:, 0]] * dev[ends[:, 1]]).tolist()) / spread
 
 
 def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ import math
 from typing import Callable, NamedTuple
 
 
+class FitError(ValueError):
+    """A family that cannot be fitted to the samples."""
+
+
 class Minimum(NamedTuple):
     x: tuple[float, float]
     fun: float
@@ -26,17 +30,19 @@ def minimize(evaluate: Callable[[tuple[float, float]], Point | None],
     """Minimize a strictly convex function of two parameters by Newton's
     method from `x0`. `evaluate(x)` returns the value, the gradient
     (g0, g1) and the Hessian (h00, h01, h11) there, or None outside the
-    domain. A step is halved until it ends in the domain and lowers the
-    value, or keeps it within rounding while the gradient shrinks: near the
-    minimum the fall drops below the value's rounding well before the
-    gradient drops to its own. The iterates stop when the Newton decrement
-    g'H^-1 g, twice the fall a step predicts, is below 1e-30, or stops
-    falling once below 1e-12 (the gradient is down to rounding), or when no
-    halved step is accepted. They stop without success where the Hessian
-    is not positive definite, which rounding can make it only for an
-    ill-conditioned convex function."""
-    x = x0
-    value, grad, hess = evaluate(x)
+    domain, where `x0` must not lie (a `FitError`). A step is halved until
+    it ends in the domain and lowers the value, or keeps it within rounding
+    while the gradient shrinks: near the minimum the fall drops below the
+    value's rounding well before the gradient drops to its own. The iterates
+    stop when the Newton decrement g'H^-1 g, twice the fall a step predicts,
+    is below 1e-30, or stops falling once below 1e-12 (the gradient is down
+    to rounding), or when no halved step is accepted. They stop without
+    success where the Hessian is not positive definite, which rounding can
+    make it only for an ill-conditioned convex function."""
+    x, point = x0, evaluate(x0)
+    if point is None:
+        raise FitError(f"the start {x0} is outside the likelihood's domain")
+    value, grad, hess = point
     nfev, last = 1, math.inf
     for nit in range(maxiter):
         (g0, g1), (h00, h01, h11) = grad, hess

@@ -148,9 +148,10 @@ def _as_lists(x):
     return [_as_lists(v) for v in x] if isinstance(x, tuple) else x
 
 
-def _safe_float(x: float | None) -> float | None:
-    if x is None:
-        return None
+def _finite(x: int | float | None) -> int | float | None:
+    """`x` as the report writes it: an int as is, a float if finite, else None."""
+    if x is None or _is_int(x):
+        return x
     x = float(x)
     return x if math.isfinite(x) else None
 
@@ -159,7 +160,7 @@ def _safe_float(x: float | None) -> float | None:
 class _CoverEval:
     """Everything computed for one cover (ground truth or candidate)."""
     cgraph: CommunityGraph
-    basic: dict[str, float | None]
+    basic: dict[str, int | float | None]
     samples: dict[str, EmpiricalDistribution | None]  # microscopic, then mesoscopic
     quality: dict[str, float | None]
 
@@ -167,12 +168,12 @@ class _CoverEval:
 def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
     cg = build_community_graph(cover)
     g = cg.graph
-    basic: dict[str, float | None] = dict.fromkeys(BASIC_PROPS)
+    basic: dict[str, int | float | None] = dict.fromkeys(BASIC_PROPS)
     samples: dict[str, EmpiricalDistribution | None] = dict.fromkeys(MICRO_PROPS)
     if not cg.degenerate:
         props, hops = basic_properties(g, exact_paths=(cfg.hop_mode == "exact"),
                                        sources=cfg.sources, seed=cfg.seed)
-        basic = {k: _safe_float(v) for k, v in props.items()}
+        basic = {k: _finite(v) for k, v in props.items()}
         samples["DD"] = degree_distribution(g)
         if g.n >= 3:
             _, curve = clustering_by_degree(g)
@@ -180,7 +181,7 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
             samples["Av"] = EmpiricalDistribution(curve) if len(curve) else None
         samples["HD"] = hops.distribution
     samples.update(mesoscopic_profile(cover))
-    quality = {k: _safe_float(v) for k, v in quality_report(network, cover).items()}
+    quality = {k: _finite(v) for k, v in quality_report(network, cover).items()}
     return _CoverEval(cgraph=cg, basic=basic, samples=samples, quality=quality)
 
 
@@ -238,7 +239,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
                     "family": dr.family,
                     "reference_ks": dr.reference_fit.ks,
                     "reference_params": list(dr.reference_fit.params),
-                    "candidate_ks": {n: _safe_float(dr.candidate_ks[n]) for n in names},
+                    "candidate_ks": {n: _finite(dr.candidate_ks[n]) for n in names},
                 }
 
         if "quality" in groups:
@@ -274,12 +275,12 @@ def run(cfg: RunConfig) -> EvaluationReport:
                                "score": kc.score, "exact": kc.exact}
         if "topsis" in cfg.mcdm and len(names) >= 2:
             ts = topsis(rt)
-            entry["topsis"] = {"closeness": {n: _safe_float(c)
+            entry["topsis"] = {"closeness": {n: _finite(c)
                                              for n, c in ts.closeness.items()},
                                "ranks": ts.ranks}
         if len(names) >= 3:
             corr = spearman_matrix(rt)
-            entry["spearman"] = [[_safe_float(v) for v in row] for row in corr]
+            entry["spearman"] = [[_finite(v) for v in row] for row in corr]
         tables[table_name] = entry
 
     data = {
@@ -293,7 +294,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
             for n, ev in all_evals.items()
         },
         "quality": {n: ev.quality for n, ev in all_evals.items()},
-        "clustering": {n: {k: _safe_float(v) for k, v in vals.items()}
+        "clustering": {n: {k: _finite(v) for k, v in vals.items()}
                        for n, vals in clustering_values.items()},
         "distribution_fits": fit_meta,
         "tables": tables,

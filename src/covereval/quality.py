@@ -3,10 +3,12 @@ per-community scores, and overlapping modularity."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, find_sorted, row_of, sum_in_order
+from .graph import Graph, GraphError, expand, find_sorted, group_sums, row_of
 
 
 # average degree, average ODF, Flake ODF, internal density, maximum ODF and
@@ -15,7 +17,7 @@ QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
 
 
 def _mean(per_community: np.ndarray) -> float:
-    return sum_in_order(per_community) / len(per_community)
+    return math.fsum(per_community.tolist()) / len(per_community)
 
 
 def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
@@ -38,8 +40,9 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
     density) plus overlapping modularity, keyed by `QUALITY_PROPS`, from
-    every member's degree and intra-degree. Members stay in id order, and a weighted `np.bincount`
-    adds in input order."""
+    every member's degree and intra-degree. No sum depends on the order of
+    the members or communities: `math.fsum` is correctly rounded,
+    `group_sums` adds in increasing order, and integer weights add exactly."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
     m = g.edge_count
@@ -53,16 +56,13 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
     e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints
     volume = np.bincount(rows, total, k)  # 2 e_in + e_out
-    q_ov = 0.0
-    for inside, share in zip((e_in / m).tolist(), (volume / (2 * m)).tolist()):
-        q_ov += inside - share ** 2
     return dict(zip(QUALITY_PROPS, (
         _mean(2 * e_in / size),
-        _mean(np.bincount(rows, fracs, k) / size),
+        _mean(group_sums(rows, fracs, k) / size),
         _mean(np.bincount(rows, intra < total / 2, k) / size),
         _mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k), where=size >= 2)),
         _mean(np.maximum.reduceat(fracs, c.indptr[:-1])),
-        q_ov,
+        math.fsum((e_in / m - (volume / (2 * m)) ** 2).tolist()),
     )))
 
 

@@ -44,3 +44,26 @@ def arbitrary_ids(rng: random.Random, sets: list[set[int]]) -> list[set[int]]:
                 else rng.randrange(-1000, 0))
     rename = dict(zip(nodes, rng.sample(sorted(ids), len(nodes))))
     return [{rename[u] for u in s} for s in sets]
+
+
+def relabelled_texts(rng: random.Random, edges: list[tuple[int, int]],
+                     covers: list[list[set[int]]]) -> tuple[str, list[str]]:
+    """An edge list and cover files for the same structure, written another
+    way: every node renamed injectively (some names longer than the 7 bytes
+    one word of a label's key holds), the edge lines shuffled and each
+    turned round or not, and each cover's communities and their members
+    shuffled."""
+    nodes = sorted({u for e in edges for u in e})
+    names: set[str] = set()
+    while len(names) < len(nodes):
+        names.add(rng.choice(("n", "v-", "a-long-node-name-")) + str(rng.randrange(10 ** 6)))
+    rename = dict(zip(nodes, rng.sample(sorted(names), len(nodes))))
+    lines = [(rename[u], rename[v]) if rng.random() < 0.5 else (rename[v], rename[u])
+             for u, v in edges]
+    rng.shuffle(lines)
+    texts = []
+    for cover in covers:
+        communities = [rng.sample([rename[u] for u in c], len(c)) for c in cover]
+        rng.shuffle(communities)
+        texts.append("".join(" ".join(c) + "\n" for c in communities))
+    return "".join(f"{a} {b}\n" for a, b in lines), texts

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -15,12 +16,18 @@ from covereval.cover import Cover, CoverError
 from covereval.graph import EdgeListParseError, Graph, GraphError
 
 
-def loop_sum(terms) -> float:
-    """0.0 + terms[0] + terms[1] + ... left to right, as `sum` adds floats
-    before Python 3.12; from 3.12 `sum` compensates, so an oracle that must
-    match the library bit for bit adds with this loop instead."""
+def exact_sum(terms) -> float:
+    """The exact sum of the floats, as a fraction, rounded once to the
+    nearest float: what `math.fsum` returns, whatever the order of the
+    terms and the Python version."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def sorted_sum(terms) -> float:
+    """0.0 + the terms in increasing order, added one at a time left to
+    right: what `graph.group_sums` adds for one group."""
     total = 0.0
-    for t in terms:
+    for t in sorted(terms):
         total += t
     return total
 
@@ -180,10 +187,10 @@ def brute_local_clustering(n: int, edges: set[tuple[int, int]]) -> list[float]:
 
 def scalar_assortativity(n: int, edges: set[tuple[int, int]]) -> float:
     """Degree assortativity with the per-edge loop `graph.degree_assortativity`
-    had before it summed arrays: the endpoint degrees edge by edge in
-    row-major order (u < v), (u, v) then (v, u); integer sums for the means;
-    each float sum added left to right from 0.0, as `sum` adds before Python
-    3.12. Results must be equal bit for bit, not just close."""
+    had before it summed arrays: the endpoint degrees edge by edge, (u, v)
+    then (v, u); integer sums for the means; the covariance and both
+    variances as exact sums rounded once. Results must be equal bit for bit,
+    not just close."""
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
@@ -197,11 +204,9 @@ def scalar_assortativity(n: int, edges: set[tuple[int, int]]) -> float:
         return float("nan")
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
-    sxy = sxx = syy = 0.0
-    for x, y in zip(xs, ys):
-        sxy += (x - mx) * (y - my)
-        sxx += (x - mx) ** 2
-        syy += (y - my) ** 2
+    sxy = exact_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = exact_sum((x - mx) ** 2 for x in xs)
+    syy = exact_sum((y - my) ** 2 for y in ys)
     if sxx == 0 or syy == 0:
         return float("nan")
     return sxy / math.sqrt(sxx * syy)
@@ -323,8 +328,8 @@ def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
     """Mean best-match F1 from source to target communities with the
     scalar loop `clustering._best_f1` had before it read only the
     contingency's nonzeros: every cell in column order, a strictly higher
-    F1 replaces the best. Results must be equal bit for bit, not just
-    close."""
+    F1 replaces the best; the bests added exactly, rounded once. Results
+    must be equal bit for bit, not just close."""
     fs = []
     for size_s, row in zip(sizes_s, overlap):
         best = 0.0
@@ -335,7 +340,7 @@ def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
             rec = tp / size_t
             best = max(best, 2 * prec * rec / (prec + rec))
         fs.append(best)
-    return loop_sum(fs) / len(sizes_s)
+    return exact_sum(fs) / len(sizes_s)
 
 
 def brute_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
@@ -375,9 +380,9 @@ def brute_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
 def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
     """Overlapping NMI with the scalar arithmetic `clustering.onmi_max` had
     before it read its entropies from a table: the same `h`, the same
-    additions in the same order, the contingency counted by set
-    intersection, one pair of communities at a time. Results must be equal
-    bit for bit, not just close."""
+    per-pair additions, the contingency counted by set intersection, one
+    pair of communities at a time, and every sum over communities exact,
+    rounded once. Results must be equal bit for bit, not just close."""
     common = set().union(*c1) & set().union(*c2)
     xs = [c & common for c in c1 if c & common]
     ys = [c & common for c in c2 if c & common]
@@ -393,7 +398,7 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
         return h(size) + h(n - size)
 
     def conditional(src, dst):
-        total = 0.0
+        bests = []
         for x in src:
             hx = entropy(len(x))
             best = hx
@@ -407,11 +412,11 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
                 term = h(a) + h(b) + h(c) + h(d) - entropy(len(y))
                 if term < best:
                     best = term
-            total += best
-        return total
+            bests.append(best)
+        return exact_sum(bests)
 
-    h1 = loop_sum(entropy(len(x)) for x in xs)
-    h2 = loop_sum(entropy(len(y)) for y in ys)
+    h1 = exact_sum(entropy(len(x)) for x in xs)
+    h2 = exact_sum(entropy(len(y)) for y in ys)
     if h1 == 0.0 and h2 == 0.0:
         return 1.0 if set(map(frozenset, xs)) == set(map(frozenset, ys)) else 0.0
     mutual = 0.5 * ((h1 - conditional(xs, ys)) + (h2 - conditional(ys, xs)))
@@ -420,16 +425,16 @@ def scalar_onmi(c1: list[set[int]], c2: list[set[int]]) -> float:
 
 def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]]):
     """The six quality values by scanning every member's edges, with the
-    float operations of `quality.quality_report` in the same order (members
-    in id order, communities in cover order), so results are equal bit for
-    bit: AD, AO, FO, ID, MO and OM."""
+    per-member and per-community float operations of
+    `quality.quality_report`, each community's out-degree fractions added
+    in increasing order and every sum over communities exact, rounded once,
+    so results are equal bit for bit: AD, AO, FO, ID, MO and OM."""
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
     m = len(edges)
-    ad, ao, fo, idn, mo = [], [], [], [], []
-    om = 0.0
+    ad, ao, fo, idn, mo, om = [], [], [], [], [], []
     for s in communities:
         fracs, bad, e_in2, e_out = [], 0, 0, 0
         for u in sorted(s):
@@ -442,14 +447,15 @@ def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]
         k = len(s)
         m_s = e_in2 // 2
         ad.append(2 * m_s / k)
-        ao.append(loop_sum(fracs) / k)
+        ao.append(sorted_sum(fracs) / k)
         fo.append(bad / k)
         idn.append(m_s / (k * (k - 1) / 2) if k >= 2 else 0.0)
         mo.append(max(fracs))
-        om += m_s / m - ((2 * m_s + e_out) / (2 * m)) ** 2
-    mean = [loop_sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
+        share = (2 * m_s + e_out) / (2 * m)
+        om.append(m_s / m - share * share)
+    mean = [exact_sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
     return {"AD": mean[0], "AO": mean[1], "FO": mean[2], "ID": mean[3], "MO": mean[4],
-            "OM": om}
+            "OM": exact_sum(om)}
 
 
 def brute_sampled_hops(n: int, edges: set[tuple[int, int]], sources: int,

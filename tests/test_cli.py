@@ -40,6 +40,22 @@ class TestFitCommand:
                 values = [float(p) for p in params.split(";")] + [float(ks)]
                 assert all(map(math.isfinite, values)), family
 
+    def test_samples_that_span_past_the_largest_double(self, tmp_path, capsys):
+        # hi - lo and x - loc overflow unscaled: beta's start was NaN and
+        # crashed the solver, and uniform was made inapplicable
+        path = tmp_path / "samples.txt"
+        path.write_text("1e308 -1e308 0 1 2 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--samples", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("# best: ") and len(captured.err.splitlines()) == 1
+        rows = {row[0]: row[1:] for row in csv.reader(captured.out.splitlines()[1:])}
+        for family in ("BE", "LO", "N", "U"):
+            params, ks = rows[family]
+            assert all(map(math.isfinite, map(float, [*params.split(";"), ks]))), family
+        assert rows["U"][0] == "-1e+308;1e+308"
+
     def test_weibull_without_log_spread_is_inapplicable(self, tmp_path, capsys):
         # distinct samples whose logs are one double: no Weibull shape
         path = tmp_path / "samples.txt"

@@ -15,7 +15,7 @@ from covereval.pipeline import RunConfig, run
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
 from oracles import (
-    adjusted_rand_index, brute_f1, brute_omega, brute_onmi, loop_sum, scalar_best_f1,
+    adjusted_rand_index, brute_f1, brute_omega, brute_onmi, exact_sum, scalar_best_f1,
     scalar_onmi,
 )
 
@@ -373,10 +373,16 @@ class TestUniverseHandling:
             omega_index(cover({0, 1}), cover({5, 6}))
 
 
-class TestSumsInOrder:
-    """Each float sum adds left to right, as `sum` does before Python 3.12
-    (from 3.12 it compensates), so the last bits do not depend on the
-    interpreter. Most cases here are ones where the two rules differ."""
+def left_to_right(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ..., one addition at a time."""
+    return float(np.cumsum([0.0, *terms])[-1])
+
+
+class TestOrderFreeSums:
+    """Each float sum over communities is the exact sum rounded once
+    (`math.fsum`), so it depends neither on the order of the communities nor
+    on the interpreter (`sum` compensates from Python 3.12). Most cases here
+    are ones where a left-to-right sum would round differently."""
 
     def test_cover_entropies(self):
         rng = random.Random(251)
@@ -388,8 +394,11 @@ class TestSumsInOrder:
             h = _entropy_table(n)
             for s in (s1, s2):
                 terms = _entropies(h, Cover.from_sets(s).sizes).tolist()
-                differ += math.fsum(terms) != loop_sum(terms)
-            assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
+                differ += exact_sum(terms) != left_to_right(terms)
+            want = scalar_onmi(s1, s2)
+            assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == want
+            shuffled = [rng.sample(s, len(s)) for s in (s1, s2)]
+            assert onmi_max(*(Cover.from_sets(s) for s in shuffled)) == want
         assert differ >= 10
 
     def test_best_f1(self):
@@ -405,6 +414,11 @@ class TestSumsInOrder:
             tp = np.array([rng.randint(1, t) for t in tp.tolist()])
             prec, rec = tp / sizes_s[rows], tp / sizes_t[cols]
             terms = (2 * prec * rec / (prec + rec)).tolist()
-            differ += math.fsum(terms) != loop_sum(terms)
-            assert _best_f1(sizes_s, sizes_t, rows, cols, tp) == loop_sum(terms) / k
+            differ += exact_sum(terms) != left_to_right(terms)
+            assert _best_f1(sizes_s, sizes_t, rows, cols, tp) == exact_sum(terms) / k
+            # the source communities in another order
+            perm = np.array(rng.sample(range(k), k))
+            moved = np.empty_like(sizes_s)
+            moved[perm] = sizes_s
+            assert _best_f1(moved, sizes_t, perm[rows], cols, tp) == exact_sum(terms) / k
         assert differ >= 10

@@ -48,6 +48,17 @@ Newton solver, on both parameters at once: only `report.json` changed, in
 the last bits, by the Weibull fits of Av (shape by 1.9e-16 relative, three
 KS statistics by at most 8.9e-16) and of M (one KS statistic, 3.0e-16),
 with every family and rank the same.
+All four were re-recorded together when no float sum came to depend on
+the order of its terms (`math.fsum`, or each group's terms added in
+increasing order for the Av class means and the AO sums) and V, E, d and
+max_deg came to be written as JSON integers: `report.json`, `quality.csv`,
+`clustering.csv` (the `fitted` instance writes none) and the
+`dist_*_Av.csv` dumps changed, in the last bits: tau by at most 1.4e-14
+relative, NMI by 9.5e-16, F1 by 6.2e-16, the quality scores by at most
+5.9e-16, the Av class means by at most 2.1e-16 and the one Av KS statistic
+of `near` that moved by 8.9e-16. Two Av class means of `near` that were
+equal now differ in the last bit, so its Av dump has one more row. Every
+family, rank, table and note stayed the same.
 """
 
 import hashlib
@@ -103,7 +114,7 @@ def emitted_digests(workdir, candidates,
 
 EXACT = {
     "report.json":
-        "406a4167f2b143a27cbf3ca8e724d522a587f1f33bd42e53dbe28d26ef584b07",
+        "91fecf89493d60f7de70219c3bb91905ee3ed79dcd9e4608513fa976d84ed822",
     "ranking_basic.csv":
         "c0fc65592f177dfd328ff06e08f201c6c9324d20b5e93bee5a25e8d4bd1925ce",
     "spearman_basic.csv":
@@ -117,11 +128,11 @@ EXACT = {
     "spearman_quality.csv":
         "917dacc700bb80a3a934689fcfab2ca4938fc712664a9be3a4705da2efd9f963",
     "quality.csv":
-        "c66ae401b903059c6ee271cddb409ccc9586b82dd1f122438904fa53040e10c0",
+        "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
-        "b17c7b7aecf47e540ee81d487439e0dc751d28c3b87377bdf29a3c446319e148",
+        "c980c5aa5f3b900c440c1881500083c01deddb033da7f444c9a5edfdacfcb388",
     "dist_exact_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -133,7 +144,7 @@ EXACT = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "7d526aa1ec497f80daf466458e629e8a9337ca15e1ba5745a7d1d85516c919f2",
+        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -145,7 +156,7 @@ EXACT = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -157,7 +168,7 @@ EXACT = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "31c69461da0d506b91b0e83ff9b94747adad249e83843e9f723268d8c51096ff",
+        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":
@@ -172,7 +183,7 @@ EXACT = {
 
 SAMPLED = {
     "report.json":
-        "a1371529b9e2e5b4614b3cec001b4ecff2ac84842315d5304422f65d2839e291",
+        "484fa4a07cdf5d1fae4fccaf71bf7003bfa26dc16607f48109c795998150ea30",
     "ranking_basic.csv":
         "de97c9970500dd8e0cc3a772f31265efdfff2fa21a01ce4296d2bab3616a95b9",
     "spearman_basic.csv":
@@ -186,11 +197,11 @@ SAMPLED = {
     "spearman_quality.csv":
         "917dacc700bb80a3a934689fcfab2ca4938fc712664a9be3a4705da2efd9f963",
     "quality.csv":
-        "c66ae401b903059c6ee271cddb409ccc9586b82dd1f122438904fa53040e10c0",
+        "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
-        "b17c7b7aecf47e540ee81d487439e0dc751d28c3b87377bdf29a3c446319e148",
+        "c980c5aa5f3b900c440c1881500083c01deddb033da7f444c9a5edfdacfcb388",
     "dist_exact_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -202,7 +213,7 @@ SAMPLED = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "7d526aa1ec497f80daf466458e629e8a9337ca15e1ba5745a7d1d85516c919f2",
+        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -214,7 +225,7 @@ SAMPLED = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -226,7 +237,7 @@ SAMPLED = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "31c69461da0d506b91b0e83ff9b94747adad249e83843e9f723268d8c51096ff",
+        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":
@@ -242,7 +253,7 @@ SAMPLED = {
 
 SPLIT_PARTIAL = {
     "report.json":
-        "f75230c16771ab1d2e0329f9c5a8ac3b42e34d8be37c345a372e2f05b0c20afb",
+        "fe2516f39ae27ab4956438505fd9092f7524420f2046c7cec3bced44a1d2124e",
     "ranking_basic.csv":
         "5e1c0dfda563338e854ad1c0bdac7f252ea3fd3e0d54926d355564b2708fc564",
     "spearman_basic.csv":
@@ -256,11 +267,11 @@ SPLIT_PARTIAL = {
     "spearman_quality.csv":
         "62bb400d0a0fef1e265e5f79d20292f92a353dd02f7425e706fdff758e66f27a",
     "quality.csv":
-        "7acf46449b426d2ca0f435ebaece013d55abc6802732fd97cf4cf5a35ad1f39c",
+        "1354c4c14e9bcf8a36555aa60756c85dbb43a8dcaf06ea841262df6fa420908c",
     "clustering.csv":
-        "3e2f48064a2d58cf04a982135af102e36ac0b7c547a2e36e4b09d70e6da628f4",
+        "6c1cdc9d2c9cc4cc576d8f2a4868d7f0ac35a250ea23844b6040cc9ccbf99016",
     "dist_exact_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -272,7 +283,7 @@ SPLIT_PARTIAL = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_ground_truth_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -284,7 +295,7 @@ SPLIT_PARTIAL = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_partial_Av.csv":
-        "13301b13ab8b56608e8508c9a4bc19e77d3eaf8e20a31a481f57a49aa93fceac",
+        "7d4f2011245423063069349c5e5d75990738767a32e58571cb0cf98ffb60f5c2",
     "dist_partial_CS.csv":
         "0f4db5b75edd9d608f9b56d9b94b50bc1c15c58cad1a5ac1b75df7893e58d839",
     "dist_partial_DD.csv":
@@ -296,7 +307,7 @@ SPLIT_PARTIAL = {
     "dist_partial_OS.csv":
         "4e038154248cf67f02e99661dfa66aebda8a9d5ad2180d1131e51df2a0d13fa2",
     "dist_split_Av.csv":
-        "459d4bda30c81f6da20914763874aa826da5f0da9c077621e1152d47e9e0d1b9",
+        "45999b0785680d25cef87f84a3309137aec808d63a1155e17087545615febe7e",
     "dist_split_CS.csv":
         "ebd0c8e0f276343b9176ab77a0e68d78456dfc99f5aedd0b49fe4293d0fdb56f",
     "dist_split_DD.csv":
@@ -312,7 +323,7 @@ SPLIT_PARTIAL = {
 
 FITTED = {
     "report.json":
-        "acd5329e0572fa30c95500be99419e96bd737608b9cba7be45a3a35e95edf630",
+        "c08b9fbff137b6b045c07aacfc594cb6fc712591f652c627095ce3695dd8e358",
     "ranking_mesoscopic.csv":
         "8738eb4181c05c6f311d00d960f28f2a9a56d91a3b0a1a6f6511e97b6da65016",
     "spearman_mesoscopic.csv":
@@ -322,9 +333,9 @@ FITTED = {
     "spearman_microscopic.csv":
         "b30b8699af46215cc71e1f45c4a3e74334ef318ab9767cefeb35ae25be2fa801",
     "quality.csv":
-        "c66ae401b903059c6ee271cddb409ccc9586b82dd1f122438904fa53040e10c0",
+        "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "dist_exact_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -336,7 +347,7 @@ FITTED = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "7d526aa1ec497f80daf466458e629e8a9337ca15e1ba5745a7d1d85516c919f2",
+        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -348,7 +359,7 @@ FITTED = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "cafad0d05df6b0547b74f8cd1a14962bab45453dcaa4fbba4702db9a7d8b3a99",
+        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -360,7 +371,7 @@ FITTED = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "31c69461da0d506b91b0e83ff9b94747adad249e83843e9f723268d8c51096ff",
+        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":

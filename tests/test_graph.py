@@ -11,14 +11,14 @@ from covereval import graph
 from covereval.graph import (
     EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
     basic_properties, clustering_by_degree, degree_assortativity, degree_distribution,
-    giant_component, hop_distribution, load_edge_list, local_clustering, sum_in_order,
+    giant_component, group_sums, hop_distribution, load_edge_list, local_clustering,
     transitivity,
 )
 
 from gen import random_graph
 from oracles import (
     brute_basic_properties, brute_local_clustering, brute_sampled_hops, loop_edge_list,
-    scalar_assortativity, union_find_components,
+    scalar_assortativity, sorted_sum, union_find_components,
 )
 
 
@@ -223,8 +223,9 @@ def bits(x: float) -> int:
 
 class TestDegreeAssortativity:
     def test_equals_scalar_loop_exactly(self):
-        # bit for bit: tau is written to report.json, so a sum in another
-        # order would change the report while staying within 1e-9
+        # bit for bit: tau is written to report.json. The oracle keeps both
+        # orientations and divides by sqrt(sxx * syy), so this also checks
+        # that one variance and twice the edge sum give the same bits
         rng = random.Random(47)
         for i in range(80):
             n = rng.randint(2, 60)
@@ -250,16 +251,6 @@ class TestDegreeAssortativity:
         mean = sum(d * d for d in deg) / (2 * len(edges))
         assert any((k - mean) ** 2 != (k - mean) * (k - mean) for k in deg if k)
         assert bits(degree_assortativity(g)) == bits(scalar_assortativity(n, edges))
-
-    def test_sum_in_order(self):
-        rng = random.Random(53)
-        for size in (0, 1, 7, 8, 100, 1000):
-            terms = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(size)]
-            want = 0.0
-            for t in terms:
-                want += t
-            assert bits(sum_in_order(np.array(terms))) == bits(want)
-        assert bits(sum_in_order(np.array([-0.0, -0.0]))) == bits(0.0)
 
     @pytest.mark.parametrize("n, edges", [
         (5, {(u, v) for u in range(5) for v in range(u + 1, 5)}),   # K5
@@ -300,7 +291,7 @@ class TestClusteringByDegree:
 
     def test_matches_triangle_oracle(self):
         # bit for bit: each c(u) is one division of exact integers, and each
-        # class mean a left-to-right sum over the class's nodes in id order
+        # class mean the sum of the class's values in increasing order
         # divided by their count
         rng = random.Random(7)
         for _ in range(100):
@@ -308,16 +299,30 @@ class TestClusteringByDegree:
             g, edges = random_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
             want = brute_local_clustering(n, edges)
             assert [bits(c) for c in local_clustering(g).tolist()] == [bits(c) for c in want]
-            totals: dict[int, float] = {}
-            sizes: dict[int, int] = {}
+            classes: dict[int, list[float]] = {}
             for u, c in enumerate(want):
-                d = int(g.degrees()[u])
-                totals[d] = totals.get(d, 0.0) + c
-                sizes[d] = sizes.get(d, 0) + 1
+                classes.setdefault(int(g.degrees()[u]), []).append(c)
             k, mean = clustering_by_degree(g)
-            assert k.tolist() == sorted(totals)
-            assert [bits(m) for m in mean.tolist()] == [bits(totals[d] / sizes[d])
-                                                         for d in sorted(totals)]
+            assert k.tolist() == sorted(classes)
+            assert [bits(m) for m in mean.tolist()] == [
+                bits(sorted_sum(classes[d]) / len(classes[d])) for d in sorted(classes)]
+
+    def test_group_sums(self):
+        # each group's terms added in increasing order, whatever their order
+        # in the input; equal values (0.0 and -0.0 among them) in any order
+        rng = random.Random(53)
+        for size in (0, 1, 7, 8, 100, 1000):
+            k = rng.randint(1, 12)
+            groups = [rng.randrange(k) for _ in range(size)]
+            terms = [rng.choice((0.0, -0.0, 1.5, rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)))
+                     for _ in range(size)]
+            want = [bits(sorted_sum(t for g, t in zip(groups, terms) if g == i))
+                    for i in range(k)]
+            for _ in range(3):
+                got = group_sums(np.array(groups, dtype=np.int64), np.array(terms), k)
+                assert [bits(x) for x in got.tolist()] == want
+                order = rng.sample(range(size), size)
+                groups, terms = [groups[i] for i in order], [terms[i] for i in order]
 
 
 class TestTransitivity:

@@ -70,3 +70,10 @@ def test_not_a_success_where_the_function_is_not_convex():
 
     res = optimize.minimize(saddle, (1.0, 0.5), maxiter=100)
     assert (res.x, res.nit, res.nfev, res.success) == ((1.0, 0.5), 0, 1, False)
+
+
+def test_a_start_outside_the_domain_is_a_fit_error():
+    calls = []
+    with pytest.raises(optimize.FitError, match="outside"):
+        optimize.minimize(log_barrier(calls), (-1.0, 0.0), maxiter=100)
+    assert calls == [(-1.0, 0.0)]

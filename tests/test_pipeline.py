@@ -119,6 +119,14 @@ class TestDeterminismAndSerialization:
         for name in files:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_counts_are_integers(self, report):
+        # V, E, d and max_deg are written as `covereval props` prints them
+        for name, entry in report.data["community_graphs"].items():
+            basic = entry["basic"]
+            assert all(type(basic[p]) is int for p in ("V", "E", "d", "max_deg")), name
+            assert all(type(basic[p]) is float for p in ("rho", "l_G", "avg_deg", "C")), name
+        assert re.search(r'"V": \d+,\n', report.to_json())
+
     def test_json_round_trip(self, report):
         assert json.loads(report.to_json()) == report.data
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -9,7 +8,7 @@ from covereval.graph import Graph, GraphError
 from covereval.quality import _mean, overlapping_modularity, quality_report
 
 from gen import random_graph, random_partition
-from oracles import loop_sum, newman_modularity, scan_quality
+from oracles import exact_sum, newman_modularity, scan_quality
 
 
 def complete_graph(n):
@@ -235,8 +234,7 @@ class TestQualityReport:
             assert a[key] == pytest.approx(b[key], abs=1e-12)
 
 
-def test_mean_adds_left_to_right():
-    # 0.0 left to right, 1.0 compensated (`sum` from Python 3.12)
-    terms = [1e16, 1.0, -1e16]
-    assert math.fsum(terms) != loop_sum(terms) == 0.0
-    assert _mean(np.array(terms)) == loop_sum(terms) / 3
+def test_mean_is_correctly_rounded():
+    # the exact sum 1.0 in every order; left to right gives 0.0 or 1.0
+    for terms in ([1e16, 1.0, -1e16], [1e16, -1e16, 1.0], [1.0, -1e16, 1e16]):
+        assert _mean(np.array(terms)) == exact_sum(terms) / 3 == 1 / 3
