@@ -14,13 +14,13 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from .clustering import clustering_scores
+from .clustering import clustering_scores, common_universe
 from .cover import CoverError, build_community_graph, load_cover
 from .distfit import FitError, InapplicableFit, best_fit
 from .graph import (
     DEFAULT_HOP_SOURCES, EmpiricalDistribution, GraphError, basic_properties, load_edge_list,
 )
-from .pipeline import PipelineError, RunConfig, emit_reports, run
+from .pipeline import PipelineError, RunConfig, emit_reports, jsonable, run
 from .quality import quality_report
 from .ranking import RankingError, RankingTable, kemeny_consensus, topsis
 
@@ -37,10 +37,16 @@ def _load_cover_for(path: str, graph):
     return load_cover(Path(path).read_bytes(), graph)
 
 
+def _print_json(doc) -> int:
+    """Print `doc` as report.json writes it (indented, keys sorted, every
+    non-finite float null) and return EXIT_OK."""
+    print(json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False))
+    return EXIT_OK
+
+
 def cmd_community_graph(args) -> int:
     g = _load_graph(args.network)
-    cover = _load_cover_for(args.cover, g)
-    cg = build_community_graph(cover)
+    cg = build_community_graph(_load_cover_for(args.cover, g))
     lines = [f"{cg.graph.original_labels[u]} {cg.graph.original_labels[v]}"
              for u, v in cg.graph.edges().tolist()]
     out = "\n".join(lines) + ("\n" if lines else "")
@@ -58,8 +64,7 @@ def cmd_props(args) -> int:
     g = _load_graph(args.network)
     props, _ = basic_properties(g, exact_paths=(args.hop_mode == "exact"),
                                 sources=args.sources, seed=args.seed)
-    print(json.dumps(props, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_json(props)
 
 
 def cmd_fit(args) -> int:
@@ -84,25 +89,23 @@ def cmd_fit(args) -> int:
 
 def cmd_quality(args) -> int:
     g = _load_graph(args.network)
-    cover = _load_cover_for(args.cover, g)
-    print(json.dumps(quality_report(g, cover), indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_json(quality_report(g, _load_cover_for(args.cover, g)))
 
 
 def cmd_clustering(args) -> int:
     g = _load_graph(args.network)
     truth = _load_cover_for(args.truth, g)
-    # each warning (the common-universe restriction) as one line, also
-    # before an error
+    # each warning (the common-universe restriction, which names dropped
+    # nodes by label) as one line, also before an error
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            scores = clustering_scores(_load_cover_for(args.cover, g), truth)
+            pair = common_universe(_load_cover_for(args.cover, g), truth, g.original_labels)
+            scores = clustering_scores(*pair)
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-    print(json.dumps(scores, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_json(scores)
 
 
 def cmd_rank(args) -> int:
@@ -118,10 +121,8 @@ def cmd_rank(args) -> int:
         return EXIT_VALIDATION
     kc = kemeny_consensus(rt)
     ts = topsis(rt)
-    out = {"kemeny": {"order": list(kc.order), "score": kc.score, "exact": kc.exact},
-           "topsis": {"closeness": ts.closeness, "ranks": ts.ranks}}
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_json({"kemeny": {"order": kc.order, "score": kc.score, "exact": kc.exact},
+                        "topsis": {"closeness": ts.closeness, "ranks": ts.ranks}})
 
 
 def cmd_run(args) -> int:

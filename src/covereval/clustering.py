@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -17,15 +18,19 @@ ONMI_BLOCK_ENTRIES = 1 << 16
 CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
 
 
-def common_universe(c1: Cover, c2: Cover) -> tuple[Cover, Cover]:
+def common_universe(c1: Cover, c2: Cover, labels: Sequence[str] | None = None
+                    ) -> tuple[Cover, Cover]:
     """The two covers over the same node ids: as given when their ids are
-    equal, else both restricted to the ids they share."""
+    equal, else both restricted to the ids they share, with a warning that
+    names the dropped nodes, sorted, by their `labels` where given."""
     if np.array_equal(c1.nodes, c2.nodes):
         return c1, c2
     common = np.intersect1d(c1.nodes, c2.nodes, assume_unique=True)
     if not len(common):
         raise CoverError("covers share no nodes")
     dropped = np.setxor1d(c1.nodes, c2.nodes, assume_unique=True).tolist()
+    if labels is not None:
+        dropped = sorted(labels[u] for u in dropped)
     warnings.warn(f"covers restricted to common universe; dropped nodes {dropped[:20]}"
                   + ("..." if len(dropped) > 20 else ""))
     return c1.restricted_to(common), c2.restricted_to(common)
@@ -46,10 +51,12 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def omega_index(c1: Cover, c2: Cover) -> float:
-    """Chance-corrected agreement on per-pair co-membership multiplicity.
-    Pairs never co-clustered in either cover are handled by complement
-    counting, never materializing all n(n-1)/2 pairs. `c2` is the
-    reference: its pairs are built once and kept for the next candidate."""
+    """Chance-corrected agreement on per-pair co-membership multiplicity:
+    (P A - sum a_t b_t) / (P^2 - sum a_t b_t) of the P node pairs, A of them
+    agreeing, and a_t, b_t of multiplicity t in each cover; 1.0 where the
+    denominator is 0. Pairs never co-clustered in either cover are counted
+    by complement, never materializing all P pairs. `c2` is the reference:
+    its pairs are built once and kept for the next candidate."""
     c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     if n < 2:
@@ -60,22 +67,17 @@ def omega_index(c1: Cover, c2: Cover) -> float:
     pairs2, m2 = c2.reference_pairs()
     at, found = find_sorted(pairs2, pairs1)  # each pair of c1 among c2's
     # a pair listed by one cover only has differing counts
-    agree = int(np.count_nonzero(m1[found] == m2[at[found]]))
-    omega_u = (m_pairs - (len(m1) + len(m2) - int(found.sum()) - agree)) / m_pairs
+    same = int(np.count_nonzero(m1[found] == m2[at[found]]))
+    agree = m_pairs - (len(m1) + len(m2) - int(found.sum()) - same)
 
     # pairs per multiplicity, the t_0 class by subtraction; Python ints,
     # because the products below overflow int64 on large universes
-    size1 = np.bincount(m1, minlength=1).tolist()
-    size2 = np.bincount(m2, minlength=1).tolist()
-    size1[0] = m_pairs - len(m1)
-    size2[0] = m_pairs - len(m2)
-    omega_e = sum(a * b for a, b in zip(size1, size2)) / (m_pairs ** 2)
-
-    if omega_e == 1.0:
-        if omega_u == 1.0:
-            return 1.0
-        raise CoverError("degenerate covers: expected agreement is 1")
-    return (omega_u - omega_e) / (1 - omega_e)
+    size1, size2 = ([m_pairs - len(m), *np.bincount(m)[1:].tolist()] for m in (m1, m2))
+    expected = sum(a * b for a, b in zip(size1, size2))
+    # expected = m_pairs^2 only where every pair has one multiplicity in both
+    # covers, and then agree = m_pairs
+    spread = m_pairs * m_pairs - expected
+    return (m_pairs * agree - expected) / spread if spread else 1.0
 
 
 def _entropy_table(n: int) -> np.ndarray:
@@ -136,12 +138,11 @@ def _best_f1(sizes_s: np.ndarray, sizes_t: np.ndarray, rows: np.ndarray,
              cols: np.ndarray, tp: np.ndarray) -> float:
     """Mean best-match F1 from source communities to target communities;
     `tp[i]` = |S_rows[i] & T_cols[i]| > 0, every other pair is disjoint. A
-    community's best match is its target of highest F1; one that meets no
-    target scores 0."""
-    prec = tp / sizes_s[rows]
-    rec = tp / sizes_t[cols]
+    pair's F1 is 2 tp / (|S| + |T|), one division of exact integers; a
+    community's best match is its target of highest F1, and one that meets
+    no target scores 0."""
     best = np.zeros(len(sizes_s))
-    np.maximum.at(best, rows, 2 * prec * rec / (prec + rec))
+    np.maximum.at(best, rows, 2 * tp / (sizes_s[rows] + sizes_t[cols]))
     return math.fsum(best.tolist()) / len(sizes_s)
 
 

@@ -4,7 +4,6 @@ per-node (microscopic) topological properties."""
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -76,14 +75,12 @@ def find_sorted(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np
     return at, np.append(values, -1)[at] == queries  # -1 is no value
 
 
-def group_sums(groups: np.ndarray, terms: np.ndarray, k: int) -> np.ndarray:
-    """Each group's sum of its terms, groups 0..k-1, added in increasing
-    order (`np.bincount` adds in input order) and so independent of the
-    input order: one float sort ranks the terms, one integer sort groups them."""
-    rank = np.empty(len(terms), dtype=np.int64)
-    rank[np.argsort(terms)] = np.arange(len(terms))
-    order = np.argsort(groups * len(terms) + rank)
-    return np.bincount(groups[order], terms[order], k)
+def int_sums(groups: np.ndarray, terms: np.ndarray, k: int) -> list[int]:
+    """Each group's sum of its integer terms, groups 0..k-1, as Python ints:
+    exact where every sum fits in int64."""
+    sums = np.zeros(k, dtype=np.int64)
+    np.add.at(sums, groups, terms)
+    return sums.tolist()
 
 
 # Exact all-pairs BFS above this node count gets too expensive; fall back
@@ -429,13 +426,6 @@ def triangles_per_node(g: Graph) -> np.ndarray:
     return np.bincount(np.concatenate((u[closed], v[closed], w[closed])), minlength=g.n)
 
 
-def local_clustering(g: Graph) -> np.ndarray:
-    """c(u) = 2 tri(u) / (deg(u)(deg(u)-1)); 0 for degree < 2. Both are
-    exact integers, so each c(u) is their correctly rounded quotient."""
-    d = g.degrees()
-    return np.divide(2 * triangles_per_node(g), d * (d - 1), out=np.zeros(g.n), where=d >= 2)
-
-
 def transitivity(g: Graph) -> float:
     """Global clustering coefficient: 3 * triangles / connected triples."""
     closed = int(triangles_per_node(g).sum())  # = 3 * (#triangles)
@@ -445,31 +435,33 @@ def transitivity(g: Graph) -> float:
 
 
 def clustering_by_degree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Mean local clustering per degree class: the degrees k that occur,
-    increasing, and for each the mean c over its nodes."""
+    """Mean local clustering c(u) = 2 tri(u) / (d(d - 1)), 0 below degree 2,
+    per degree class: the degrees k that occur, increasing, and for each
+    2 sum tri / (k(k - 1) size), one division of exact integers."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
     k, cls, size = np.unique(g.degrees(), return_inverse=True, return_counts=True)
-    return k, group_sums(cls, local_clustering(g), len(k)) / size
+    tri = int_sums(cls, triangles_per_node(g), len(k))
+    return k, np.array([2 * t / (d * (d - 1) * s) if d >= 2 else 0.0
+                        for d, t, s in zip(k.tolist(), tri, size.tolist())])
 
 
 def degree_assortativity(g: Graph) -> float:
     """Pearson correlation of endpoint degrees over both edge orientations,
-    which give both ends the same terms: 2 sum_edges dev(u) dev(v) / sum_ends
-    dev^2, each sum correctly rounded (`math.fsum`) and so independent of
-    the edge order. NaN where the denominator is 0."""
-    ends = g.edges()
-    if not len(ends):
-        return float("nan")
-    deg = g.degrees()
-    mean = int(deg[ends].sum()) / ends.size
-    dev = deg - mean
-    # Python's ** 2, the C library's pow, which dev * dev misses in the last bit now and then
-    square = np.array([(k - mean) ** 2 for k in range(deg.max() + 1)])[deg]
-    spread = math.fsum(square[ends].ravel().tolist())
-    if spread == 0:
-        return float("nan")
-    return 2 * math.fsum((dev[ends[:, 0]] * dev[ends[:, 1]]).tolist()) / spread
+    in Newman's closed form ("Assortative mixing in networks", PRL 89:208701,
+    2002, eq. 4) over the M = 2E edge ends: (M P - S1^2) / (M S2 - S1^2),
+    where P sums d(u) d(v) over the ends (u, v), S1 = sum d^2 and S2 = sum d^3
+    over the nodes; one division of exact integers, NaN where the
+    denominator is 0. Each sum is taken per degree class in int64, and times
+    the class's degree in Python ints, which cannot overflow."""
+    d = g.degrees()
+    k, cls, size = np.unique(d, return_inverse=True, return_counts=True)
+    far = int_sums(cls[row_of(g.indptr)], d[g.indices], len(k))  # neighbours' degrees
+    m, k = 2 * g.edge_count, k.tolist()
+    s1, s2 = (sum(a ** j * c for a, c in zip(k, size.tolist())) for j in (2, 3))
+    p = sum(a * f for a, f in zip(k, far))
+    spread = m * s2 - s1 * s1
+    return (m * p - s1 * s1) / spread if spread else float("nan")
 
 
 def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:

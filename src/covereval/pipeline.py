@@ -143,17 +143,16 @@ class EvaluationReport:
         return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _as_lists(x):
-    """`x` with every tuple in it a list, as JSON reads it back."""
-    return [_as_lists(v) for v in x] if isinstance(x, tuple) else x
-
-
-def _finite(x: int | float | None) -> int | float | None:
-    """`x` as the report writes it: an int as is, a float if finite, else None."""
-    if x is None or _is_int(x):
-        return x
-    x = float(x)
-    return x if math.isfinite(x) else None
+def jsonable(x):
+    """`x` as the report writes it: every float in it a float if finite,
+    else None, and every tuple a list, as JSON reads it back."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else None
+    return x
 
 
 @dataclass
@@ -173,7 +172,7 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
     if not cg.degenerate:
         props, hops = basic_properties(g, exact_paths=(cfg.hop_mode == "exact"),
                                        sources=cfg.sources, seed=cfg.seed)
-        basic = {k: _finite(v) for k, v in props.items()}
+        basic = jsonable(props)
         samples["DD"] = degree_distribution(g)
         if g.n >= 3:
             _, curve = clustering_by_degree(g)
@@ -181,7 +180,7 @@ def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
             samples["Av"] = EmpiricalDistribution(curve) if len(curve) else None
         samples["HD"] = hops.distribution
     samples.update(mesoscopic_profile(cover))
-    quality = {k: _finite(v) for k, v in quality_report(network, cover).items()}
+    quality = jsonable(quality_report(network, cover))
     return _CoverEval(cgraph=cg, basic=basic, samples=samples, quality=quality)
 
 
@@ -239,7 +238,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
                     "family": dr.family,
                     "reference_ks": dr.reference_fit.ks,
                     "reference_params": list(dr.reference_fit.params),
-                    "candidate_ks": {n: _finite(dr.candidate_ks[n]) for n in names},
+                    "candidate_ks": {n: dr.candidate_ks[n] for n in names},
                 }
 
         if "quality" in groups:
@@ -275,16 +274,13 @@ def run(cfg: RunConfig) -> EvaluationReport:
                                "score": kc.score, "exact": kc.exact}
         if "topsis" in cfg.mcdm and len(names) >= 2:
             ts = topsis(rt)
-            entry["topsis"] = {"closeness": {n: _finite(c)
-                                             for n, c in ts.closeness.items()},
-                               "ranks": ts.ranks}
+            entry["topsis"] = {"closeness": ts.closeness, "ranks": ts.ranks}
         if len(names) >= 3:
-            corr = spearman_matrix(rt)
-            entry["spearman"] = [[_finite(v) for v in row] for row in corr]
+            entry["spearman"] = spearman_matrix(rt).tolist()
         tables[table_name] = entry
 
-    data = {
-        "config": {k: _as_lists(v) for k, v in asdict(cfg).items() if k != "output_dir"},
+    data = jsonable({
+        "config": {k: v for k, v in asdict(cfg).items() if k != "output_dir"},
         "community_graphs": {
             n: {
                 "n_communities": ev.cgraph.n_communities,
@@ -294,12 +290,11 @@ def run(cfg: RunConfig) -> EvaluationReport:
             for n, ev in all_evals.items()
         },
         "quality": {n: ev.quality for n, ev in all_evals.items()},
-        "clustering": {n: {k: _finite(v) for k, v in vals.items()}
-                       for n, vals in clustering_values.items()},
+        "clustering": clustering_values,
         "distribution_fits": fit_meta,
         "tables": tables,
         "notes": sorted(set(notes)),
-    }
+    })
     samples = {n: {p: s for p, s in ev.samples.items() if s is not None}
                for n, ev in all_evals.items()}
     return EvaluationReport(data=data, samples=samples)

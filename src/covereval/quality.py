@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, find_sorted, group_sums, row_of
+from .graph import Graph, GraphError, expand, find_sorted, int_sums, row_of
 
 
 # average degree, average ODF, Flake ODF, internal density, maximum ODF and
@@ -18,6 +18,16 @@ QUALITY_PROPS = ("AD", "AO", "FO", "ID", "MO", "OM")
 
 def _mean(per_community: np.ndarray) -> float:
     return math.fsum(per_community.tolist()) / len(per_community)
+
+
+def group_sums(groups: np.ndarray, terms: np.ndarray, k: int) -> np.ndarray:
+    """Each group's sum of its terms, groups 0..k-1, added in increasing
+    order (`np.bincount` adds in input order) and so independent of the
+    input order: one float sort ranks the terms, one integer sort groups them."""
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[np.argsort(terms)] = np.arange(len(terms))
+    order = np.argsort(groups * len(terms) + rank)
+    return np.bincount(groups[order], terms[order], k)
 
 
 def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
@@ -40,9 +50,9 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
     density) plus overlapping modularity, keyed by `QUALITY_PROPS`, from
-    every member's degree and intra-degree. No sum depends on the order of
-    the members or communities: `math.fsum` is correctly rounded,
-    `group_sums` adds in increasing order, and integer weights add exactly."""
+    every member's degree and intra-degree. No value depends on the order
+    of the members or communities: `math.fsum` is correctly rounded,
+    `group_sums` adds in increasing order, and OM divides exact integers."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
     m = g.edge_count
@@ -54,20 +64,20 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     total = g.degrees()[c.nodes[c.indices]]
     intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
-    e_in = np.bincount(rows, intra, k) / 2  # every inside edge has two inside endpoints
-    volume = np.bincount(rows, total, k)  # 2 e_in + e_out
+    inside = np.bincount(rows, intra, k)  # twice the edges inside, exact
+    volume = int_sums(rows, total, k)  # inside plus the edge ends leaving
     return dict(zip(QUALITY_PROPS, (
-        _mean(2 * e_in / size),
+        _mean(inside / size),
         _mean(group_sums(rows, fracs, k) / size),
         _mean(np.bincount(rows, intra < total / 2, k) / size),
-        _mean(np.divide(e_in, size * (size - 1) / 2, out=np.zeros(k), where=size >= 2)),
+        _mean(np.divide(inside, size * (size - 1), out=np.zeros(k), where=size >= 2)),
         _mean(np.maximum.reduceat(fracs, c.indptr[:-1])),
-        math.fsum((e_in / m - (volume / (2 * m)) ** 2).tolist()),
+        (2 * m * int(intra.sum()) - sum(v * v for v in volume)) / (4 * m * m),
     )))
 
 
 def overlapping_modularity(g: Graph, c: Cover) -> float:
     """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2,
-    where e_out counts the edge endpoints leaving the community. Overlapping
-    nodes contribute to every community containing them."""
+    where e_out counts the edge endpoints leaving the community, as one
+    division of exact integers; a node counts in every community it is in."""
     return quality_report(g, c)["OM"]

@@ -1,14 +1,31 @@
-"""Seeded random fixtures shared across test modules."""
+"""Seeded random fixtures and Hypothesis strategies shared across test
+modules."""
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from covereval.graph import Graph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> tuple[Graph, set[tuple[int, int]]]:
     edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph(n, sorted(edges)), edges
+
+
+@st.composite
+def graphs(draw, min_nodes: int = 0, max_nodes: int = 40
+           ) -> tuple[Graph, set[tuple[int, int]]]:
+    """A graph drawn by Hypothesis, with its edge set: random pairs, and
+    hubs joined to many nodes, so that the degrees spread."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n)) if n else []
+    for hub in draw(st.lists(node, max_size=3)) if n else []:
+        pairs += [(hub, v) for v in draw(st.sets(node))]
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
     return Graph(n, sorted(edges)), edges
 
 

@@ -25,7 +25,7 @@ def exact_sum(terms) -> float:
 
 def sorted_sum(terms) -> float:
     """0.0 + the terms in increasing order, added one at a time left to
-    right: what `graph.group_sums` adds for one group."""
+    right: what `quality.group_sums` adds for one group."""
     total = 0.0
     for t in sorted(terms):
         total += t
@@ -169,28 +169,28 @@ def brute_basic_properties(n: int, edges: set[tuple[int, int]]) -> dict[str, flo
     }
 
 
-def brute_local_clustering(n: int, edges: set[tuple[int, int]]) -> list[float]:
+def brute_clustering_by_degree(n: int, edges: set[tuple[int, int]]) -> dict[int, float]:
+    """Each degree's mean local clustering, from the triangles counted pair
+    by pair: the exact mean of the Fractions 2 links / (d(d - 1)), 0 below
+    degree 2, of the class's nodes, rounded once."""
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    out = []
+    classes: dict[int, list[Fraction]] = {}
     for u in range(n):
         d = len(adj[u])
-        if d < 2:
-            out.append(0.0)
-            continue
         links = sum(1 for a, b in combinations(sorted(adj[u]), 2) if b in adj[a])
-        out.append(2 * links / (d * (d - 1)))
-    return out
+        classes.setdefault(d, []).append(Fraction(2 * links, d * (d - 1)) if d >= 2
+                                         else Fraction(0))
+    return {d: float(sum(cs) / len(cs)) for d, cs in sorted(classes.items())}
 
 
 def scalar_assortativity(n: int, edges: set[tuple[int, int]]) -> float:
-    """Degree assortativity with the per-edge loop `graph.degree_assortativity`
-    had before it summed arrays: the endpoint degrees edge by edge, (u, v)
-    then (v, u); integer sums for the means; the covariance and both
-    variances as exact sums rounded once. Results must be equal bit for bit,
-    not just close."""
+    """Degree assortativity straight from its definition, edge by edge: the
+    Pearson correlation of the endpoint degrees over (u, v) and (v, u), in
+    Fractions, rounded once. Results must be equal bit for bit, not just
+    close."""
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
@@ -202,14 +202,16 @@ def scalar_assortativity(n: int, edges: set[tuple[int, int]]) -> float:
         ys.extend((deg[v], deg[u]))
     if not xs:
         return float("nan")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxy = exact_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = exact_sum((x - mx) ** 2 for x in xs)
-    syy = exact_sum((y - my) ** 2 for y in ys)
+    mx = Fraction(sum(xs), len(xs))
+    my = Fraction(sum(ys), len(ys))
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
     if sxx == 0 or syy == 0:
         return float("nan")
-    return sxy / math.sqrt(sxx * syy)
+    # sxx = syy: both orientations give every end the same terms
+    assert sxx == syy
+    return float(sxy / sxx)
 
 
 # ---------------------------------------------------------------- covers
@@ -240,7 +242,8 @@ def brute_mesoscopic(communities: list[set[int]]):
 # ---------------------------------------------------------------- metrics
 
 def brute_omega(c1: list[set[int]], c2: list[set[int]]) -> float:
-    """Literal all-pairs multiplicity enumeration of the Omega index."""
+    """Literal all-pairs multiplicity enumeration of the Omega index, in
+    Fractions, rounded once; 1.0 where the expected agreement is 1."""
     universe = sorted(set().union(*c1) | set().union(*c2))
     n = len(universe)
     m_pairs = n * (n - 1) // 2
@@ -254,11 +257,12 @@ def brute_omega(c1: list[set[int]], c2: list[set[int]]) -> float:
     for u, v in combinations(universe, 2):
         t1[mult(c1, u, v)].add((u, v))
         t2[mult(c2, u, v)].add((u, v))
-    omega_u = sum(len(t1[j] & t2[j]) for j in range(maxk + 1)) / m_pairs
-    omega_e = sum(len(t1[j]) * len(t2[j]) for j in range(maxk + 1)) / m_pairs ** 2
-    if omega_e == 1.0:
-        return 1.0 if omega_u == 1.0 else float("nan")
-    return (omega_u - omega_e) / (1 - omega_e)
+    omega_u = Fraction(sum(len(t1[j] & t2[j]) for j in range(maxk + 1)), m_pairs)
+    omega_e = Fraction(sum(len(t1[j]) * len(t2[j]) for j in range(maxk + 1)), m_pairs ** 2)
+    if omega_e == 1:
+        assert omega_u == 1
+        return 1.0
+    return float((omega_u - omega_e) / (1 - omega_e))
 
 
 def adjusted_rand_index(labels1: list[int], labels2: list[int]) -> float:
@@ -325,21 +329,21 @@ def brute_f1(detected: list[set[int]], truth: list[set[int]]) -> float:
 
 def scalar_best_f1(sizes_s: list[int], sizes_t: list[int],
                    overlap: list[list[int]]) -> float:
-    """Mean best-match F1 from source to target communities with the
-    scalar loop `clustering._best_f1` had before it read only the
-    contingency's nonzeros: every cell in column order, a strictly higher
-    F1 replaces the best; the bests added exactly, rounded once. Results
-    must be equal bit for bit, not just close."""
+    """Mean best-match F1 from source to target communities from every
+    cell of the contingency: each F1 the exact 2 p r / (p + r) of precision
+    p = tp / |S| and recall r = tp / |T|, in Fractions, the best of a row
+    rounded once; the bests added exactly, rounded once. Results must be
+    equal bit for bit, not just close."""
     fs = []
     for size_s, row in zip(sizes_s, overlap):
-        best = 0.0
+        best = Fraction(0)
         for size_t, tp in zip(sizes_t, row):
             if tp == 0:
                 continue
-            prec = tp / size_s
-            rec = tp / size_t
+            prec = Fraction(tp, size_s)
+            rec = Fraction(tp, size_t)
             best = max(best, 2 * prec * rec / (prec + rec))
-        fs.append(best)
+        fs.append(float(best))
     return exact_sum(fs) / len(sizes_s)
 
 
@@ -428,7 +432,8 @@ def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]
     per-member and per-community float operations of
     `quality.quality_report`, each community's out-degree fractions added
     in increasing order and every sum over communities exact, rounded once,
-    so results are equal bit for bit: AD, AO, FO, ID, MO and OM."""
+    and OM summed in Fractions and rounded once, so results are equal bit
+    for bit: AD, AO, FO, ID, MO and OM."""
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
@@ -451,11 +456,10 @@ def scan_quality(n: int, edges: set[tuple[int, int]], communities: list[set[int]
         fo.append(bad / k)
         idn.append(m_s / (k * (k - 1) / 2) if k >= 2 else 0.0)
         mo.append(max(fracs))
-        share = (2 * m_s + e_out) / (2 * m)
-        om.append(m_s / m - share * share)
+        om.append(Fraction(m_s, m) - Fraction(2 * m_s + e_out, 2 * m) ** 2)
     mean = [exact_sum(vals) / len(communities) for vals in (ad, ao, fo, idn, mo)]
     return {"AD": mean[0], "AO": mean[1], "FO": mean[2], "ID": mean[3], "MO": mean[4],
-            "OM": exact_sum(om)}
+            "OM": float(sum(om))}
 
 
 def brute_sampled_hops(n: int, edges: set[tuple[int, int]], sources: int,

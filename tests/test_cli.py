@@ -102,6 +102,15 @@ class TestPropsCommand:
         assert captured.err.startswith(f"error: exact hop mode is limited to {EXACT_HOP_LIMIT} "
                                        f"nodes, got {EXACT_HOP_LIMIT + 1}; a seed enables ")
 
+    def test_nan_is_written_as_null(self, tmp_path, capsys):
+        # a 4-cycle is regular, so its assortativity is undefined
+        path = tmp_path / "net.txt"
+        path.write_text("a b\nb c\nc d\nd a\n")
+        assert main(["props", "--network", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out, parse_constant=pytest.fail)["tau"] is None
+        assert '"tau": null' in out
+
 
 class TestClusteringCommand:
     def test_restriction_warning_is_one_line(self, tmp_path):
@@ -122,6 +131,20 @@ class TestClusteringCommand:
         assert out.stderr.startswith("warning: covers restricted to common universe; ")
         assert len(out.stderr.splitlines()) == 1 and ".py:" not in out.stderr
         assert set(json.loads(out.stdout)) == {"NMI", "OI", "F1-score"}
+
+    @pytest.mark.parametrize("lines", [["alice bob", "bob carol", "carol dave", "dave erin"],
+                                       ["dave erin", "carol dave", "bob carol", "alice bob"]])
+    def test_restriction_warning_names_dropped_labels(self, tmp_path, capsys, lines):
+        # the cover leaves erin out; her id follows the edge list's line order
+        # and her label does not
+        (tmp_path / "net.txt").write_text("\n".join(lines) + "\n")
+        (tmp_path / "truth.txt").write_text("alice bob carol\ndave erin\n")
+        (tmp_path / "cand.txt").write_text("alice bob\ncarol dave\n")
+        assert main(["clustering", "--network", str(tmp_path / "net.txt"),
+                     "--truth", str(tmp_path / "truth.txt"),
+                     "--cover", str(tmp_path / "cand.txt")]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: covers restricted to common universe; dropped nodes ['erin']\n")
 
 
 class TestRankCommand:

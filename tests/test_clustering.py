@@ -1,14 +1,17 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covereval import cover as cover_module, pipeline
 from covereval.clustering import (
-    _best_f1, _entropies, _entropy_table, clustering_scores, f1_best_match, omega_index,
-    onmi_max,
+    _best_f1, _entropies, _entropy_table, clustering_scores, common_universe, f1_best_match,
+    omega_index, onmi_max,
 )
 from covereval.cover import Cover, CoverError
 from covereval.pipeline import RunConfig, run
@@ -50,12 +53,7 @@ class TestOmegaIndex:
                     sets += random_cover_sets(rng, n, rng.randint(1, 3), max_size=3)
                 rng.shuffle(sets)
                 covers.append(sets)
-            want = brute_omega(*covers)
-            if math.isnan(want):
-                with pytest.raises(CoverError):
-                    omega_index(*map(Cover.from_sets, covers))
-            else:
-                assert omega_index(*map(Cover.from_sets, covers)) == want, i
+            assert omega_index(*map(Cover.from_sets, covers)) == brute_omega(*covers), i
 
     def test_random_matches_brute_force(self):
         rng = random.Random(61)
@@ -360,6 +358,46 @@ class TestF1BestMatch:
             assert 0.0 <= f1_best_match(Cover.from_sets(s1), Cover.from_sets(s2)) <= 1.0
 
 
+@st.composite
+def cover_pairs(draw) -> tuple[list[set[int]], list[set[int]]]:
+    """Two covers drawn by Hypothesis over nodes 0..n-1, each of up to 8
+    communities, which may repeat; their universes may differ."""
+    node = st.integers(min_value=0, max_value=draw(st.integers(min_value=1, max_value=20)))
+    community = st.sets(node, min_size=1)
+    return tuple(draw(st.lists(community, min_size=1, max_size=8)) for _ in range(2))
+
+
+class TestExactQuotients:
+    """OI and every best-match F1 term are one division of exact integers,
+    so they equal the Fraction oracles' values rounded once, bit for bit."""
+
+    @given(cover_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_omega(self, case):
+        s1, s2 = case
+        ids = set().union(*s1) & set().union(*s2)
+        assume(len(ids) >= 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the common-universe restriction
+            got = omega_index(Cover.from_sets(s1), Cover.from_sets(s2))
+        assert got == brute_omega(restricted(s1, ids), restricted(s2, ids))
+
+    @given(cover_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_best_f1(self, case):
+        s1, s2 = case
+        ids = set().union(*s1) & set().union(*s2)
+        assume(ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = f1_best_match(Cover.from_sets(s1), Cover.from_sets(s2))
+        d, t = restricted(s1, ids), restricted(s2, ids)
+        overlap = [[len(x & y) for y in t] for x in d]
+        assert got == 0.5 * (scalar_best_f1([len(x) for x in d], [len(y) for y in t], overlap)
+                             + scalar_best_f1([len(y) for y in t], [len(x) for x in d],
+                                              [list(col) for col in zip(*overlap)]))
+
+
 class TestUniverseHandling:
     def test_restriction_warns(self):
         c1 = cover({0, 1, 2})
@@ -367,6 +405,13 @@ class TestUniverseHandling:
         with pytest.warns(UserWarning):
             v = omega_index(c1, c2)
         assert v == 1.0  # on {1, 2} both covers agree completely
+
+    def test_restriction_warning_names_labels_sorted(self):
+        # nodes 0, 2 and 3 are dropped; by id they would read d, b, a
+        with pytest.warns(UserWarning, match=r"dropped nodes \['a', 'b', 'd'\]$"):
+            common_universe(cover({0, 1, 2}), cover({1, 3}), ["d", "c", "b", "a"])
+        with pytest.warns(UserWarning, match=r"dropped nodes \[0, 2, 3\]$"):
+            common_universe(cover({0, 1, 2}), cover({1, 3}))
 
     def test_disjoint_universes_rejected(self):
         with pytest.raises(CoverError):
@@ -412,8 +457,8 @@ class TestOrderFreeSums:
             cols = np.array(rng.sample(range(k), k))
             tp = np.minimum(sizes_s[rows], sizes_t[cols])
             tp = np.array([rng.randint(1, t) for t in tp.tolist()])
-            prec, rec = tp / sizes_s[rows], tp / sizes_t[cols]
-            terms = (2 * prec * rec / (prec + rec)).tolist()
+            terms = [float(Fraction(2 * t, a + b)) for t, a, b in zip(
+                tp.tolist(), sizes_s[rows].tolist(), sizes_t[cols].tolist())]
             differ += exact_sum(terms) != left_to_right(terms)
             assert _best_f1(sizes_s, sizes_t, rows, cols, tp) == exact_sum(terms) / k
             # the source communities in another order

@@ -10,55 +10,11 @@ distribution is fitted and their digests do not depend on the optimizer;
 the `dist_*` sample dumps are written for every cover whatever the groups.
 The `fitted` instance runs the microscopic and mesoscopic groups, so it pins
 the fitting path too: every family's MLE and KS statistic on the sample
-distributions, and the family each property selects. Its digests depend on
-the fitting method. They were re-recorded on purpose when gamma and Weibull
-moved from the simplex search to their 1-D shape equations and Cauchy
-stopped searching where its likelihood has no maximum (ROADMAP item 2): only
-`report.json` changed, by the two Weibull fits it selects (parameters by
-at most 1e-7, KS by at most 4e-9), with every family and rank the same.
-They were re-recorded again when logistic and beta moved to Newton's method
-on their score equations and every iterative fit came to sum over distinct
-values: only `report.json` changed, by its two selected logistic fits
-(parameters by at most 5.1e-9 relative, KS by at most 1.0e-8) and, in the
-last bits, its two Weibull fits, with every family and rank the same.
-They were re-recorded a third time when the Weibull shape moved to Newton's
-method and each CDF became one numpy expression, no longer laid out as
-scipy.stats lays it out: only `report.json` changed, in the last bits, by
-its Weibull fit of Av (parameters by at most 1.9e-16 relative, KS by
-5.9e-16) and the KS statistics of its log-normal DD (at most 1.7e-15
-relative), with every family and rank the same.
-They were re-recorded a fourth time when covereval's own incomplete gamma
-and beta functions, digamma, trigamma and normal CDF replaced
-`scipy.special`: only `report.json` changed, by four KS statistics in the
-last bits (the Weibull fits of Av by at most 8.9e-16 relative, one
-log-normal fit of DD by 6.6e-16), with every family and rank the same.
-They were re-recorded a fifth time when the closed forms and the moment
-starts came to sum over distinct values and their counts, and the hop
-distances to be counted per level: only `report.json` changed, in the last
-bits, by the power-law exponent of CS (1.2e-16 relative), the logistic
-scale of HD (2.0e-16) and one KS statistic of the log-normal DD (5.3e-15),
-with every family and rank the same.
-They did not move when Cauchy came to be fitted by its reweighted fixed
-point and Newton's method, and logistic and beta by the same Newton
-solver: the instance fits Cauchy four times, but no property selects it,
-so no Cauchy parameter or KS statistic is written, and logistic and beta
-kept their bits.
-They were re-recorded a sixth time when gamma and Weibull moved to the same
-Newton solver, on both parameters at once: only `report.json` changed, in
-the last bits, by the Weibull fits of Av (shape by 1.9e-16 relative, three
-KS statistics by at most 8.9e-16) and of M (one KS statistic, 3.0e-16),
-with every family and rank the same.
-All four were re-recorded together when no float sum came to depend on
-the order of its terms (`math.fsum`, or each group's terms added in
-increasing order for the Av class means and the AO sums) and V, E, d and
-max_deg came to be written as JSON integers: `report.json`, `quality.csv`,
-`clustering.csv` (the `fitted` instance writes none) and the
-`dist_*_Av.csv` dumps changed, in the last bits: tau by at most 1.4e-14
-relative, NMI by 9.5e-16, F1 by 6.2e-16, the quality scores by at most
-5.9e-16, the Av class means by at most 2.1e-16 and the one Av KS statistic
-of `near` that moved by 8.9e-16. Two Av class means of `near` that were
-equal now differ in the last bit, so its Av dump has one more row. Every
-family, rank, table and note stayed the same.
+distributions, and the family each property selects.
+
+A change that moves a value on purpose re-records the digests and says in
+CHANGES.md which files and values moved, and by how much: that file keeps
+the history of every re-record.
 """
 
 import hashlib
@@ -114,7 +70,7 @@ def emitted_digests(workdir, candidates,
 
 EXACT = {
     "report.json":
-        "91fecf89493d60f7de70219c3bb91905ee3ed79dcd9e4608513fa976d84ed822",
+        "2788cf80281196eaa0c06a9a42ef74f6155c49902797e551fdad0e503ffa1455",
     "ranking_basic.csv":
         "c0fc65592f177dfd328ff06e08f201c6c9324d20b5e93bee5a25e8d4bd1925ce",
     "spearman_basic.csv":
@@ -130,9 +86,9 @@ EXACT = {
     "quality.csv":
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
-        "c980c5aa5f3b900c440c1881500083c01deddb033da7f444c9a5edfdacfcb388",
+        "ce808f46026af1005b9da6cf2683f95c341f7e126170a8b833789b517b8f5992",
     "dist_exact_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -144,7 +100,7 @@ EXACT = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
+        "fe86f4a0146098d943eb44a198d1b78ddc3da2daa59d6b57848d773c38650d36",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -156,7 +112,7 @@ EXACT = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -168,7 +124,7 @@ EXACT = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
+        "0e54de3f68c482f1ab4d8149727cfd0f01fec8cb95f2e2d7a88ad6023d1e6391",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":
@@ -183,7 +139,7 @@ EXACT = {
 
 SAMPLED = {
     "report.json":
-        "484fa4a07cdf5d1fae4fccaf71bf7003bfa26dc16607f48109c795998150ea30",
+        "1a1518c43507bc641a7019ba8816064a8a5ce9ab6dcff33c02af71f7b75ec2f3",
     "ranking_basic.csv":
         "de97c9970500dd8e0cc3a772f31265efdfff2fa21a01ce4296d2bab3616a95b9",
     "spearman_basic.csv":
@@ -199,9 +155,9 @@ SAMPLED = {
     "quality.csv":
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
-        "c980c5aa5f3b900c440c1881500083c01deddb033da7f444c9a5edfdacfcb388",
+        "ce808f46026af1005b9da6cf2683f95c341f7e126170a8b833789b517b8f5992",
     "dist_exact_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -213,7 +169,7 @@ SAMPLED = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
+        "fe86f4a0146098d943eb44a198d1b78ddc3da2daa59d6b57848d773c38650d36",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -225,7 +181,7 @@ SAMPLED = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -237,7 +193,7 @@ SAMPLED = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
+        "0e54de3f68c482f1ab4d8149727cfd0f01fec8cb95f2e2d7a88ad6023d1e6391",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":
@@ -253,7 +209,7 @@ SAMPLED = {
 
 SPLIT_PARTIAL = {
     "report.json":
-        "fe2516f39ae27ab4956438505fd9092f7524420f2046c7cec3bced44a1d2124e",
+        "04c35d28bc0fb538d0d11ae5e1b229e3cf77d11a35971b36cdcb1e74e97e18f9",
     "ranking_basic.csv":
         "5e1c0dfda563338e854ad1c0bdac7f252ea3fd3e0d54926d355564b2708fc564",
     "spearman_basic.csv":
@@ -269,9 +225,9 @@ SPLIT_PARTIAL = {
     "quality.csv":
         "1354c4c14e9bcf8a36555aa60756c85dbb43a8dcaf06ea841262df6fa420908c",
     "clustering.csv":
-        "6c1cdc9d2c9cc4cc576d8f2a4868d7f0ac35a250ea23844b6040cc9ccbf99016",
+        "62c7cb7debafe580f589d0c76325980ed61f432603f4fd3c8a1da96135f2461a",
     "dist_exact_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -283,7 +239,7 @@ SPLIT_PARTIAL = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_ground_truth_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -295,7 +251,7 @@ SPLIT_PARTIAL = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_partial_Av.csv":
-        "7d4f2011245423063069349c5e5d75990738767a32e58571cb0cf98ffb60f5c2",
+        "bcf199161293facef3ce10682fccc31fd17696b40a0742ce3654d704a328da36",
     "dist_partial_CS.csv":
         "0f4db5b75edd9d608f9b56d9b94b50bc1c15c58cad1a5ac1b75df7893e58d839",
     "dist_partial_DD.csv":
@@ -307,7 +263,7 @@ SPLIT_PARTIAL = {
     "dist_partial_OS.csv":
         "4e038154248cf67f02e99661dfa66aebda8a9d5ad2180d1131e51df2a0d13fa2",
     "dist_split_Av.csv":
-        "45999b0785680d25cef87f84a3309137aec808d63a1155e17087545615febe7e",
+        "6cf25e8f16261ab29f33826a39f9684373fc25363c103ddc356d0eca40fc03f5",
     "dist_split_CS.csv":
         "ebd0c8e0f276343b9176ab77a0e68d78456dfc99f5aedd0b49fe4293d0fdb56f",
     "dist_split_DD.csv":
@@ -323,7 +279,7 @@ SPLIT_PARTIAL = {
 
 FITTED = {
     "report.json":
-        "c08b9fbff137b6b045c07aacfc594cb6fc712591f652c627095ce3695dd8e358",
+        "650d553810693ea83ef2dbdfd0ac70e0b850058a9065953818226b00bacf2252",
     "ranking_mesoscopic.csv":
         "8738eb4181c05c6f311d00d960f28f2a9a56d91a3b0a1a6f6511e97b6da65016",
     "spearman_mesoscopic.csv":
@@ -335,7 +291,7 @@ FITTED = {
     "quality.csv":
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "dist_exact_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_exact_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_exact_DD.csv":
@@ -347,7 +303,7 @@ FITTED = {
     "dist_exact_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_far_Av.csv":
-        "beeabd7b20fd4839731defb351b960111a933650a70017370c3e59b134fb0480",
+        "fe86f4a0146098d943eb44a198d1b78ddc3da2daa59d6b57848d773c38650d36",
     "dist_far_CS.csv":
         "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
     "dist_far_DD.csv":
@@ -359,7 +315,7 @@ FITTED = {
     "dist_far_OS.csv":
         "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
     "dist_ground_truth_Av.csv":
-        "f2ebe42d311fa3cb69fd8c6b4b88e9730efea0595546e165dc506dfc8bf17de0",
+        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_ground_truth_CS.csv":
         "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
     "dist_ground_truth_DD.csv":
@@ -371,7 +327,7 @@ FITTED = {
     "dist_ground_truth_OS.csv":
         "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
     "dist_near_Av.csv":
-        "d9c4751a8e8c4d2df12d44c2af873b77901f7a806f870e5c2688bfb975ca8e99",
+        "0e54de3f68c482f1ab4d8149727cfd0f01fec8cb95f2e2d7a88ad6023d1e6391",
     "dist_near_CS.csv":
         "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
     "dist_near_DD.csv":

@@ -1,14 +1,17 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covereval.cover import Cover, CoverError
 from covereval.graph import Graph, GraphError
-from covereval.quality import _mean, overlapping_modularity, quality_report
+from covereval.quality import _mean, group_sums, overlapping_modularity, quality_report
 
-from gen import random_graph, random_partition
-from oracles import exact_sum, newman_modularity, scan_quality
+from gen import graphs, random_graph, random_partition
+from oracles import exact_sum, newman_modularity, scan_quality, sorted_sum
 
 
 def complete_graph(n):
@@ -59,7 +62,7 @@ class TestCommunityStats:
                         for u, v in edges if (u in s) != (v in s))
             m = len(edges)
             assert qr["AD"] == 2 * m_s / len(s)
-            assert qr["OM"] == m_s / m - ((2 * m_s + e_out) / (2 * m)) ** 2
+            assert qr["OM"] == float(Fraction(m_s, m) - Fraction(2 * m_s + e_out, 2 * m) ** 2)
 
 
 class TestScoreFunctions:
@@ -135,6 +138,15 @@ class TestOverlappingModularity:
             cover = Cover.from_sets([set(rng.sample(range(n), rng.randint(1, n)))
                                      for _ in range(rng.randint(1, 6))])
             assert quality_report(g, cover)["OM"] == overlapping_modularity(g, cover)
+
+    @given(graphs(min_nodes=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_correctly_rounded_quotient(self, case, data):
+        g, edges = case
+        assume(edges)
+        community = st.sets(st.integers(min_value=0, max_value=g.n - 1), min_size=1)
+        sets = data.draw(st.lists(community, min_size=1, max_size=8))
+        assert quality_report(g, Cover.from_sets(sets)) == scan_quality(g.n, edges, sets)
 
     def test_quality_report_edgeless_rejected(self):
         with pytest.raises(GraphError):
@@ -238,3 +250,25 @@ def test_mean_is_correctly_rounded():
     # the exact sum 1.0 in every order; left to right gives 0.0 or 1.0
     for terms in ([1e16, 1.0, -1e16], [1e16, -1e16, 1.0], [1.0, -1e16, 1e16]):
         assert _mean(np.array(terms)) == exact_sum(terms) / 3 == 1 / 3
+
+
+def bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def test_group_sums():
+    # each group's terms added in increasing order, whatever their order
+    # in the input; equal values (0.0 and -0.0 among them) in any order
+    rng = random.Random(53)
+    for size in (0, 1, 7, 8, 100, 1000):
+        k = rng.randint(1, 12)
+        groups = [rng.randrange(k) for _ in range(size)]
+        terms = [rng.choice((0.0, -0.0, 1.5, rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)))
+                 for _ in range(size)]
+        want = [bits(sorted_sum(t for g, t in zip(groups, terms) if g == i))
+                for i in range(k)]
+        for _ in range(3):
+            got = group_sums(np.array(groups, dtype=np.int64), np.array(terms), k)
+            assert [bits(x) for x in got.tolist()] == want
+            order = rng.sample(range(size), size)
+            groups, terms = [groups[i] for i in order], [terms[i] for i in order]
