@@ -7,15 +7,15 @@ in the same operations, so the values can differ from scipy's in the last
 bits; the tests hold them to 1e-14.
 
 The MLEs: power law, normal, log-normal, exponential and uniform in closed
-form; gamma, Weibull, logistic and beta by Newton's method on both
-parameters at once, each in coordinates where its mean negative
-log-likelihood is strictly convex; Cauchy by its reweighted fixed point,
-ended by Newton's method. Every iterative fit calls one Newton solver,
-`optimize.minimize`, once. Fitting imports nothing of scipy: the special
-functions are covereval's own (`special`). Every fit reads the samples as
-their distinct values and counts, so a closed form, a start or one
-evaluation of a likelihood or score costs O(distinct values), not
-O(samples). Where one value holds at least half the samples the Cauchy
+form; gamma, Weibull, logistic, beta and Cauchy by Newton's method on both
+parameters at once, the first four in coordinates where their mean
+negative log-likelihood is strictly convex, Cauchy in (loc, log scale),
+where its only stationary point is its minimum. Every iterative fit calls
+one Newton solver, `optimize.minimize`, once. Fitting imports nothing of
+scipy: the special functions are covereval's own (`special`). Every fit
+reads the samples as their distinct values and counts, so a closed form, a
+start or one evaluation of a likelihood or score costs O(distinct values),
+not O(samples). Where one value holds at least half the samples the Cauchy
 likelihood has no maximum (Copas 1975; at exactly half it is bounded but
 only approached as the scale goes to 0), so the family is inapplicable
 there, and a fit with a parameter or KS statistic that is not finite, or a
@@ -37,7 +37,6 @@ from .special import betainc, betaln, digamma, expit, gammainc, ndtr, trigamma
 
 MIN_SAMPLES = 5
 BETA_EPS = 1e-9
-CAUCHY_EM_STEPS = 10_000
 
 
 class Family(str, Enum):
@@ -53,13 +52,9 @@ class Family(str, Enum):
     WEIBULL = "WB"
 
 
-# Fixed tie-break order: power law first, then the remaining families in
-# their canonical report order.
-FAMILY_ORDER = (
-    Family.POWER_LAW, Family.BETA, Family.CAUCHY, Family.EXPONENTIAL,
-    Family.GAMMA, Family.LOGISTIC, Family.LOG_NORMAL, Family.NORMAL,
-    Family.UNIFORM, Family.WEIBULL,
-)
+# Fixed tie-break order, which is also the report order: Family's
+# declaration order, power law first.
+FAMILY_ORDER = tuple(Family)
 
 POSITIVE_SUPPORT = {
     Family.POWER_LAW, Family.LOG_NORMAL, Family.GAMMA,
@@ -75,10 +70,9 @@ class SolverWork(NamedTuple):
     capped: bool = False
 
 
-def _work(res: optimize.Minimum, steps: int = 0) -> SolverWork:
-    """The work of a Newton minimization, after `steps` steps of another
-    iteration that each took one evaluation."""
-    return SolverWork(steps + res.nit, steps + res.nfev, not res.success)
+def _work(res: optimize.Minimum) -> SolverWork:
+    """The work of a Newton minimization."""
+    return SolverWork(res.nit, res.nfev, not res.success)
 
 
 @dataclass(frozen=True)
@@ -244,49 +238,40 @@ def _beta_mle(y: np.ndarray, counts: np.ndarray, init: tuple[float, float]
 
 
 def _cauchy_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], SolverWork]:
-    """The fixed point of the iteratively reweighted means, with weights
-    1 / (1 + z^2), z = (x - loc) / scale: loc the weighted mean, scale^2
-    the weighted mean square about it. It is EM for the Cauchy as a scale
-    mixture of normals, with the scale's expanded-parameter step (Liu, Rubin
-    & Wu 1998, Biometrika 85:755), and it reaches the unique maximum from
-    any start where no value holds half the samples (Kent & Tyler 1991, Ann.
-    Stat. 19:2102). It runs from the quartile start until a step moves loc
-    and scale by at most 1e-6 of the scale, then Newton's method on the mean
-    negative log-likelihood log(scale) + mean log(1 + z^2) in (loc,
-    log scale) ends it, in a few steps. The values are divided by a power
-    of two >= max |x|, which is exact and keeps every square finite."""
+    """Newton's method on the mean negative log-likelihood
+    log(scale) + mean log(1 + z^2), z = (x - loc) / scale, in (loc,
+    log scale), from the quartile start: loc the median, scale half the
+    interquartile range, or half the range where that is 0. The likelihood
+    is not concave, but where no value holds half the samples its only
+    stationary point is its maximum (Copas 1975, Biometrika 62:701), which a
+    solver that never climbs reaches. The values are divided by a power of
+    two >= max |x|, which is exact and keeps every square finite."""
     exponent, x, _ = _unit_scaled(data.values)
     w = data.counts / data.n
     q25, q50, q75 = (_quantile(x, data.counts, q) for q in (0.25, 0.5, 0.75))
-    loc, scale = q50, (q75 - q25) / 2 or (x[-1] - x[0]) / 2
-    for steps in range(1, CAUCHY_EM_STEPS + 1):
-        if not scale > 1e-150:  # below, z^2 could overflow
-            raise FitError("CA: the scale falls below 1e-150 of the largest |x|")
-        weights = w / (1 + ((x - loc) / scale) ** 2)
-        total = float(weights.sum())
-        new_loc = float(weights @ x) / total
-        new_scale = math.sqrt(float(weights @ (x - new_loc) ** 2) / total)
-        moved = max(abs(new_loc - loc), abs(new_scale - scale))
-        loc, scale = new_loc, new_scale
-        if moved <= 1e-6 * scale:
-            break
+    scale = (q75 - q25) / 2 or (x[-1] - x[0]) / 2
 
     def evaluate(theta):
-        # log(scale) + log(1 + z^2) = log(d^2 + scale^2) - log(scale)
+        # log(scale) + log(1 + z^2) = log(d^2 + scale^2) - log(scale); with
+        # p = 1 / (d^2 + scale^2), q = scale^2 p and r = d^2 p, which lie in
+        # [0, 1], no term of a derivative exceeds 1 / scale^2
         loc, tau = theta
         if not abs(tau) < 350:  # scale^2 stays a normal double
             return None
         s2 = math.exp(2 * tau)
         d = x - loc
         p = 1 / (d * d + s2)
-        wp, wp2 = w * p, w * p * p
-        return (-float(w @ np.log(p)) - tau, (-2 * float(wp @ d), 2 * s2 * float(wp.sum()) - 1),
-                (2 * float(wp2 @ (s2 - d * d)), 4 * s2 * float(wp2 @ d),
-                 4 * s2 * float(wp2 @ (d * d))))
+        wp, q, r = w * p, s2 * p, d * d * p
+        wpd = wp * d
+        return (-float(w @ np.log(p)) - tau, (-2 * float(wpd.sum()), 2 * float(w @ q) - 1),
+                (2 * float(wp @ (q - r)), 4 * float(wpd @ q), 4 * float(w @ (q * r))))
 
-    res = optimize.minimize(evaluate, (loc, math.log(scale)), maxiter=100)
-    loc, tau = res.x
-    return (math.ldexp(loc, exponent), math.ldexp(math.exp(tau), exponent)), _work(res, steps)
+    if scale > 1e-150:  # below, z^2 could overflow
+        res = optimize.minimize(evaluate, (q50, math.log(scale)), maxiter=100)
+        (loc, tau), scale = res.x, math.exp(res.x[1])
+    if not scale > 1e-150:  # at the start, or where the solver ended
+        raise FitError("CA: the scale falls below 1e-150 of the largest |x|")
+    return (math.ldexp(loc, exponent), math.ldexp(scale, exponent)), _work(res)
 
 
 def _gamma_mle(data: EmpiricalDistribution, mean: float
@@ -298,8 +283,8 @@ def _gamma_mle(data: EmpiricalDistribution, mean: float
     a/beta^2]] has determinant (a trigamma(a) - 1) / beta^2 > 0. It starts
     from Minka's approximation of the shape ("Estimating a Gamma
     distribution", 2002) with beta = a; the scale is mean / beta. From a
-    shape of ~1e15 on, the determinant can round to 0 or below, and the fit
-    stops where it is, capped."""
+    shape of ~1e15 on, the determinant can round to 0 or below, and the
+    solver takes its shifted step there."""
     s = math.log(mean) - float(data.counts @ np.log(data.values)) / data.n
     if not s > 0:
         raise FitError("GM: samples too close to constant")
@@ -356,9 +341,8 @@ def _weibull_mle(data: EmpiricalDistribution) -> tuple[tuple[float, float], Solv
 
 def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
     """MLE fit of one family. Closed forms where they exist, Newton's method
-    on both parameters for gamma, Weibull, logistic and beta, and a fixed
-    point then Newton's method for Cauchy, the iterative fits from moment,
-    quantile or approximate starts. Raises FitError when the family is
+    on both parameters for gamma, Weibull, logistic, beta and Cauchy, from
+    moment, quantile or approximate starts. Raises FitError when the family is
     inapplicable to the data, its likelihood has no maximum, or the fit is
     not finite."""
     if data.n < MIN_SAMPLES:

@@ -112,6 +112,24 @@ def _log1pmx(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series(ratio, limit) -> np.ndarray:
+    """1 + sum_(n >= 1) prod_(k < n) ratio(k), elementwise over arrays of
+    positive ratios that tend monotonically to `limit`, or fall to 0 with
+    limit 0. No later ratio exceeds r, the larger of the last ratio and the
+    limit, so the tail after a term is at most term r / (1 - r) while r < 1.
+    Terms are added until that bound is within 2^-53 of every sum, checked
+    every 4 terms, or _MAX_TERMS are in."""
+    term = total = 1.0
+    for k in range(_MAX_TERMS):
+        r = ratio(k)
+        term = term * r
+        total = total + term
+        bound = np.maximum(r, limit)
+        if k % 4 == 3 and (term * bound <= _EPS * total * (1 - bound)).all():
+            break
+    return total
+
+
 def _fraction(coefficients, shape: tuple[int, ...]) -> np.ndarray:
     """The continued fraction a_1 / (b_1 + a_2 / (b_2 + ...)), where
     `coefficients(i)` gives the sequences of a_i and of b_i for an array of
@@ -176,14 +194,7 @@ def gammainc(a: float, x: np.ndarray) -> np.ndarray:
 
     low = xs < a + 1
     xl = xs[low]
-    term = np.ones_like(xl)
-    total = np.ones_like(xl)
-    for n in range(1, _MAX_TERMS):
-        ratio = xl / (a + n)  # falling, so the tail is below term ratio / (1 - ratio)
-        term = term * ratio
-        total = total + term
-        if n % 4 == 0 and (term * ratio <= _EPS * total * (1 - ratio)).all():
-            break
+    total = _series(lambda k: xl / (a + (k + 1)), 0.0)  # the ratios fall
     shifted = xs[~low] - a - 1
     fraction = _gamma_fraction(a, shifted)
     result = np.empty_like(xs)
@@ -214,19 +225,9 @@ def _beta_fraction(a: float, b: float, x: np.ndarray, flip: np.ndarray) -> np.nd
 
 def _beta_series(a: float, b: float, x: np.ndarray, flip: np.ndarray) -> np.ndarray:
     """The same F as a series of positive terms, sum_n prod_(k < n)
-    x (a + b + k) / (a + 1 + k). The ratios tend monotonically to x, so the
-    tail after a term is at most term r / (1 - r), r the larger of the last
-    ratio and x."""
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(_MAX_TERMS):
-        ratio = np.where(flip, (a + b + k) / (b + 1 + k), (a + b + k) / (a + 1 + k)) * x
-        term = term * ratio
-        total = total + term
-        bound = np.maximum(ratio, x)
-        if k % 4 == 3 and (term * bound <= _EPS * total * (1 - bound)).all():
-            break
-    return total
+    x (a + b + k) / (a + 1 + k), whose ratios tend monotonically to x."""
+    return _series(lambda k: np.where(flip, (a + b + k) / (b + 1 + k),
+                                      (a + b + k) / (a + 1 + k)) * x, x)
 
 
 def betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ def log_likelihood(fit, x):
 
 # Two fixed samples and every family's fitted params and KS on them
 # (numpy 2.4.6, covereval's own special functions): gamma, Weibull, logistic
-# and beta are Newton's method on their two-parameter likelihoods, Cauchy its
-# reweighted fixed point ended by Newton's method, all through one solver
+# and beta are Newton's method on their two-parameter likelihoods, Cauchy
+# Newton's method from its quartile start, all through one solver
 # (`optimize.minimize`), each summed over the distinct values. In TIES one value
 # holds more than half the samples: the Cauchy likelihood has no maximum
 # there, so the family is inapplicable and its entry is the reason.
@@ -68,7 +68,7 @@ RECORDED = {
     "REAL": {
         "PL": ((1.6705245997844758, 0.42), 0.23856054212483527),
         "BE": ((0.24881188928462433, 0.37376098374111744), 0.2763087845418427),
-        "CA": ((1.6103439603408058, 0.8500952537513278), 0.19740490484807466),
+        "CA": ((1.6103439603408056, 0.8500952537513278), 0.19740490484807469),
         "E": ((0.39173789173789175,), 0.154663083477864),
         "GM": ((1.744053305220503, 1.4636750293618623), 0.09754482712371887),
         "LO": ((2.195744263130585, 1.0926173624796713), 0.16448614126718247),
@@ -329,8 +329,8 @@ class TestShapeEquations:
                 fit_mle(Family.CAUCHY, dist(x))
 
     def test_cauchy_inapplicable_below_the_smallest_scale(self):
-        # half the samples within 2e-200 of 0: the fitted scale falls below
-        # 1e-150 of the largest |x|, where its squares would overflow
+        # four of six samples within 3e-200 of 0: the quartile start's scale
+        # is below 1e-150 of the largest |x|, where squares would overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FitError, match="below 1e-150"):
@@ -438,9 +438,9 @@ def best_simplex(objective, starts):
 
 
 class TestScoreEquations:
-    """Logistic and beta are fitted by Newton's method on their two score
-    equations; every iterative fit sums over the distinct values with their
-    counts, which must equal the sum over the samples."""
+    """Logistic, beta and Cauchy are fitted by Newton's method on their two
+    score equations; every iterative fit sums over the distinct values with
+    their counts, which must equal the sum over the samples."""
 
     # Newton's method converges quadratically; with a wrong Hessian the fits
     # still reach the root, but in several times as many steps
@@ -535,6 +535,7 @@ class TestScoreEquations:
             assert abs((w * (x - loc) / scale).mean()) <= 1e-10
             assert abs(w.mean() - 0.5) <= 1e-10
             assert not fit.work.capped
+            assert fit.work.iterations <= self.MAX_STEPS
             fitted += 1
         assert fitted >= 30
 
@@ -657,16 +658,14 @@ class TestSolverWork:
             assert fit_mle(family, data).work == SolverWork(0, 0, False), family
 
     def test_caps_are_recorded(self, monkeypatch):
+        # every iterative fit, Cauchy's included, is one Newton solve, so one
+        # step is all its work
         data = dist(REAL)
-        steps = fit_mle(Family.CAUCHY, data).work.iterations
         minimize = distfit.optimize.minimize
         monkeypatch.setattr(distfit.optimize, "minimize",
                             lambda evaluate, x0, maxiter: minimize(evaluate, x0, maxiter=1))
-        for family in (Family.BETA, Family.GAMMA, Family.LOGISTIC, Family.WEIBULL):
-            assert fit_mle(family, data).work[::2] == (1, True)
-        # the fixed-point steps, then one Newton step
-        work = fit_mle(Family.CAUCHY, data).work
-        assert work.capped and work.iterations < steps
+        for family in ITERATIVE:
+            assert fit_mle(family, data).work[::2] == (1, True), family
 
     def test_two_parameter_fits_share_one_solver(self, monkeypatch):
         # one call to optimize.minimize per logistic, beta, applicable
@@ -700,10 +699,10 @@ class TestSolverWork:
                    for res in calls)
 
     def test_cauchy_converges_on_large_tied_samples(self):
-        # 12 800 samples of four values: the fixed point and Newton's method
-        # read the mean log-likelihood, whose rounding does not grow with n.
-        # Then 4 001 samples, 2 000 of them one value, where the fixed point
-        # converges slowly and Newton's method must not start too early
+        # 12 800 samples of four values: Newton's method reads the mean
+        # log-likelihood, whose rounding does not grow with n. Then 4 001
+        # samples, 2 000 of them one value, where the likelihood is far from
+        # concave about the quartile start and its peak is narrow
         rng = np.random.default_rng(571)
         for x in (np.repeat([1.0, 2.0, 3.0, 4.0], [3840, 5760, 2560, 640]),
                   np.concatenate(([3.0] * 2000, rng.normal(5.0, 2.0, 2001))),
@@ -714,6 +713,26 @@ class TestSolverWork:
             w = 1 / (1 + ((x - fit.params[0]) / fit.params[1]) ** 2)
             assert abs((w * (x - fit.params[0]) / fit.params[1]).mean()) <= 1e-10
             assert abs(w.mean() - 0.5) <= 1e-10
+        # half the samples within 2e-300 of 0: the likelihood rises towards
+        # its supremum as the scale falls to 0 at loc 0, within 1e-12 of it
+        # from a scale of ~1e-6 on; the fit stops on that plateau, converged
+        x = np.array([0, 1e-300, 2e-300, 1, 2, 3])
+        fit = fit_mle(Family.CAUCHY, dist(x))
+        assert not fit.work.capped
+        supremum = -float(np.mean(stats.cauchy.logpdf(x, 0.0, 1e-20)))
+        assert -float(np.mean(stats.cauchy.logpdf(x, *fit.params))) == pytest.approx(
+            supremum, rel=1e-12)
+
+    def test_cauchy_reaches_a_narrow_cluster(self):
+        # 11 of 20 samples within 10 e of 0: the peak's scale is about 9.63 e,
+        # far below the quartile start's ~0.1; on the way down the likelihood
+        # is nearly linear in the log scale, where the Hessian is near
+        # singular and the Newton step huge
+        for e in (1e-10, 1e-20, 1e-40, 1e-60):
+            x = [-4, -3, -2, -1, *(k * e for k in range(11)), 1, 2, 3, 4, 5]
+            fit = fit_mle(Family.CAUCHY, dist(x))
+            assert not fit.work.capped
+            assert np.array(fit.params) / e == pytest.approx((5.0, 9.629578435857), rel=1e-9)
 
     def test_work_is_not_part_of_the_fit(self):
         fit = fit_mle(Family.LOGISTIC, dist(REAL))

@@ -1,7 +1,8 @@
-"""The Newton solver in `covereval.optimize` that the logistic, beta and
-Cauchy fits share: its step on a quadratic, its step halving, its stopping
-rules. The fits' own tests are in test_distfit.py; the guard that the CLI
-imports no scipy is in test_cli.py."""
+"""The Newton solver in `covereval.optimize` that every iterative fit
+shares: its step on a quadratic, its step halving and cut, its shifted
+step where the function is not convex, its stopping rules. The fits' own
+tests are in test_distfit.py; the guard that the CLI imports no scipy is
+in test_cli.py."""
 
 import math
 
@@ -63,13 +64,56 @@ def test_not_a_success_at_the_iteration_cap():
     assert res.x[0] > 0
 
 
-def test_not_a_success_where_the_function_is_not_convex():
-    # at a saddle of x0^2 - x1^2 the Newton step would climb in x1
-    def saddle(x):
-        return x[0] ** 2 - x[1] ** 2, (2 * x[0], -2 * x[1]), (2.0, 0.0, -2.0)
+def test_steps_through_points_where_the_function_is_not_convex():
+    # x0^2 / 2 + log(1 + x1^2) is concave in x1 beyond |x1| = 1, where a
+    # Newton step would climb; the shifted Hessian's step descends, every
+    # accepted step lowers the value, and the iterates reach the minimum at 0
+    def bowl(x):
+        q = 1 + x[1] ** 2
+        return (x[0] ** 2 / 2 + math.log(q), (x[0], 2 * x[1] / q),
+                (1.0, 0.0, 2 * (1 - x[1] ** 2) / q ** 2))
 
-    res = optimize.minimize(saddle, (1.0, 0.5), maxiter=100)
-    assert (res.x, res.nit, res.nfev, res.success) == ((1.0, 0.5), 0, 1, False)
+    res = optimize.minimize(bowl, (0.5, 5.0), maxiter=100)
+    assert res.success and res.x == pytest.approx((0.0, 0.0), abs=1e-12)
+    values = [optimize.minimize(bowl, (0.5, 5.0), maxiter=k).fun for k in range(res.nit + 1)]
+    assert all(later < earlier for earlier, later in zip(values, values[1:]))
+
+
+def test_not_a_success_where_the_function_falls_without_bound():
+    # x0^2 / 2 - log(1 + x1^2) falls without bound as |x1| grows; from its
+    # concave part the iterates walk off in x1 until the iteration cap
+    def funnel(x):
+        q = 1 + x[1] ** 2
+        return (x[0] ** 2 / 2 - math.log(q), (x[0], -2 * x[1] / q),
+                (1.0, 0.0, -2 * (1 - x[1] ** 2) / q ** 2))
+
+    res = optimize.minimize(funnel, (1.0, 0.5), maxiter=100)
+    assert (res.nit, res.success) == (100, False)
+    assert abs(res.x[1]) > 1e6 and res.fun < -20
+
+
+def test_a_step_is_cut_to_a_hundred_times_the_point():
+    # x0^2 / 2 + 1e-30 x1^2 / 2 - x1 has its minimum at x1 = 1e30, a Newton
+    # step away from the start (0, 0); the step is cut to 100 times the
+    # point's size, or 200, so the iterates grow about a hundredfold a step
+    calls = []
+
+    def shallow(x):
+        calls.append(x)
+        return (x[0] ** 2 / 2 + 1e-30 * x[1] ** 2 / 2 - x[1], (x[0], 1e-30 * x[1] - 1),
+                (1.0, 0.0, 1e-30))
+
+    res = optimize.minimize(shallow, (0.0, 0.0), maxiter=100)
+    assert calls[1] == (0.0, 200.0) and calls[2] == (0.0, 20200.0)
+    assert res.success and res.x[1] == pytest.approx(1e30, rel=1e-12)
+    assert res.nit < 20
+
+
+def test_not_a_success_where_the_hessian_is_zero():
+    # a plane has no Newton step
+    res = optimize.minimize(lambda x: (x[0] + x[1], (1.0, 1.0), (0.0, 0.0, 0.0)), (1.0, 2.0),
+                            maxiter=100)
+    assert (res.x, res.nit, res.nfev, res.success) == ((1.0, 2.0), 0, 1, False)
 
 
 def test_a_start_outside_the_domain_is_a_fit_error():

@@ -73,6 +73,17 @@ def test_fractions_equal_the_level_by_level_loop(a, monkeypatch):
         assert np.array_equal(special.betainc(a, b, y), got), b
 
 
+def test_series_sums_to_its_closed_form():
+    # the series that both incomplete functions sum below their switch: a
+    # geometric series, ratios r equal to their limit, sums to 1 / (1 - r);
+    # the exponential series, ratios x / (k + 1) falling to 0, to e^x
+    r = np.array([0.0, 0.1, 0.5, 0.9, 0.99])
+    np.testing.assert_allclose(special._series(lambda k: r, r), 1 / (1 - r), rtol=1e-12)
+    x = np.array([1e-300, 0.5, 3.0, 30.0])
+    np.testing.assert_allclose(special._series(lambda k: x / (k + 1), 0.0), np.exp(x),
+                               rtol=1e-14)
+
+
 def test_betainc_is_symmetric():
     # I_x(a, b) = 1 - I_(1-x)(b, a), from either side of the switch
     rng = np.random.default_rng(3)
