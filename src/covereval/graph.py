@@ -149,9 +149,10 @@ class Graph:
     increasing order (the symmetric 0/1 adjacency in CSR form), and
     ``original_labels[i]`` maps back to the source label. A graph loaded
     from an edge list, or that a cover was loaded against, also keeps its
-    labels' keys (`label_index`)."""
+    labels' keys (`label_index`), and a graph that `giant_component` returned
+    that it is connected."""
 
-    __slots__ = ("indptr", "indices", "original_labels", "_label_index")
+    __slots__ = ("indptr", "indices", "original_labels", "_label_index", "_connected")
 
     def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
@@ -171,6 +172,7 @@ class Graph:
         self.indptr, self.indices = csr(ends[:, 0], ends[:, 1], n, n)
         self.original_labels = tuple(original_labels)
         self._label_index = None
+        self._connected = False
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
@@ -180,6 +182,7 @@ class Graph:
         g = cls.__new__(cls)
         g.indptr, g.indices, g.original_labels = indptr, indices, tuple(original_labels)
         g._label_index = None
+        g._connected = False
         return g
 
     @property
@@ -383,12 +386,18 @@ def connected_components(g: Graph) -> np.ndarray:
 
 def giant_component(g: Graph) -> Graph:
     """Induced subgraph of the largest component; ties pick the component
-    with the smallest minimum node id. A connected `g` is returned as is."""
+    with the smallest minimum node id. A connected `g` is returned as is.
+    The graph returned records that it is connected, so that a second call
+    on it, as `hop_distribution` makes on a community graph, labels no
+    components again."""
     if g.n == 0:
         raise GraphError("empty graph")
+    if g._connected:
+        return g
     component = connected_components(g)
     count = np.bincount(component)
     if len(count) == 1:
+        g._connected = True
         return g
     # components are numbered in order of their smallest node, so the first
     # largest one is the tie rule
@@ -398,8 +407,10 @@ def giant_component(g: Graph) -> Graph:
     # a component's edges stay inside it, so its rows are all it needs
     kept = np.repeat(inside, g.degrees())
     degrees = g.degrees()[best]
-    return Graph._from_csr(np.concatenate(([0], np.cumsum(degrees))), new_id[g.indices[kept]],
-                           [g.original_labels[u] for u in best.tolist()])
+    gc = Graph._from_csr(np.concatenate(([0], np.cumsum(degrees))), new_id[g.indices[kept]],
+                         [g.original_labels[u] for u in best.tolist()])
+    gc._connected = True
+    return gc
 
 
 def degree_distribution(g: Graph) -> EmpiricalDistribution:

@@ -132,8 +132,9 @@ class RunConfig:
 @dataclass(frozen=True)
 class EvaluationReport:
     """JSON-serializable result bundle; bit-for-bit reproducible for a
-    fixed config + seed. `samples` holds the sample dumps per cover and
-    property, which emit_reports writes and the JSON leaves out."""
+    fixed config + seed. `samples` holds the sample dumps per cover for
+    the microscopic and mesoscopic properties of the selected groups only,
+    which emit_reports writes and the JSON leaves out."""
 
     data: dict
     samples: dict[str, dict[str, EmpiricalDistribution]] = field(
@@ -160,26 +161,36 @@ class _CoverEval:
     """Everything computed for one cover (ground truth or candidate)."""
     cgraph: CommunityGraph
     basic: dict[str, int | float | None]
-    samples: dict[str, EmpiricalDistribution | None]  # microscopic, then mesoscopic
+    # the selected groups' microscopic, then mesoscopic properties; None
+    # where the cover has no such sample
+    samples: dict[str, EmpiricalDistribution | None]
     quality: dict[str, float | None]
 
 
 def _evaluate_cover(cover: Cover, network: Graph, cfg: RunConfig) -> _CoverEval:
+    """The community graph, its basic properties and the quality on every
+    config (the report holds them whatever the groups); the samples of the
+    selected groups' properties only."""
     cg = build_community_graph(cover)
     g = cg.graph
+    wanted = {p for group in cfg.property_groups for p in GROUP_PROPS[group]}
     basic: dict[str, int | float | None] = dict.fromkeys(BASIC_PROPS)
-    samples: dict[str, EmpiricalDistribution | None] = dict.fromkeys(MICRO_PROPS)
+    samples: dict[str, EmpiricalDistribution | None] = dict.fromkeys(
+        p for p in MICRO_PROPS if p in wanted)
     if not cg.degenerate:
         props, hops = basic_properties(g, exact_paths=(cfg.hop_mode == "exact"),
                                        sources=cfg.sources, seed=cfg.seed)
         basic = jsonable(props)
-        samples["DD"] = degree_distribution(g)
-        if g.n >= 3:
+        if "DD" in wanted:
+            samples["DD"] = degree_distribution(g)
+        if "Av" in wanted and g.n >= 3:
             _, curve = clustering_by_degree(g)
             curve = curve[curve > 0]
             samples["Av"] = EmpiricalDistribution(curve) if len(curve) else None
-        samples["HD"] = hops.distribution
-    samples.update(mesoscopic_profile(cover))
+        if "HD" in wanted:
+            samples["HD"] = hops.distribution
+    if wanted.intersection(MESO_PROPS):
+        samples.update(mesoscopic_profile(cover))
     quality = jsonable(quality_report(network, cover))
     return _CoverEval(cgraph=cg, basic=basic, samples=samples, quality=quality)
 

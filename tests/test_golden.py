@@ -7,10 +7,12 @@ nodes out) in exact mode.
 A refactor of the metric code must leave these bytes unchanged. The first
 three instances run the basic, quality and clustering groups, so no
 distribution is fitted and their digests do not depend on the optimizer;
-the `dist_*` sample dumps are written for every cover whatever the groups.
-The `fitted` instance runs the microscopic and mesoscopic groups, so it pins
-the fitting path too: every family's MLE and KS statistic on the sample
-distributions, and the family each property selects.
+the `dist_*` sample dumps are written only for the microscopic and
+mesoscopic properties of the selected groups, so these instances write
+none. The `fitted` instance runs the microscopic and mesoscopic groups, so
+it pins the fitting path and every dump too: every family's MLE and KS
+statistic on the sample distributions, and the family each property
+selects.
 
 A change that moves a value on purpose re-records the digests and says in
 CHANGES.md which files and values moved, and by how much: that file keeps
@@ -87,54 +89,6 @@ EXACT = {
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
         "ce808f46026af1005b9da6cf2683f95c341f7e126170a8b833789b517b8f5992",
-    "dist_exact_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_exact_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_exact_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_exact_HD.csv":
-        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
-    "dist_exact_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_exact_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_far_Av.csv":
-        "fe86f4a0146098d943eb44a198d1b78ddc3da2daa59d6b57848d773c38650d36",
-    "dist_far_CS.csv":
-        "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
-    "dist_far_DD.csv":
-        "fd4797498d0b3a006b470381932142f8a8c879f4da4ff7f80cc5ee28431d934e",
-    "dist_far_HD.csv":
-        "396a7654cac0a41d936ca1faa00fe0befe01ec89ffa6d5c84fe7e31c7eb51167",
-    "dist_far_M.csv":
-        "de5e7234454acd0c86b1db71cb5d0844d807eb6950808fbbdc7f492d8a13d52f",
-    "dist_far_OS.csv":
-        "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
-    "dist_ground_truth_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_ground_truth_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_ground_truth_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_ground_truth_HD.csv":
-        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
-    "dist_ground_truth_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_ground_truth_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_near_Av.csv":
-        "0e54de3f68c482f1ab4d8149727cfd0f01fec8cb95f2e2d7a88ad6023d1e6391",
-    "dist_near_CS.csv":
-        "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
-    "dist_near_DD.csv":
-        "042a34326c35fb9fb11e4d171de5070a38e9066a9a524078208d7fd450b28c16",
-    "dist_near_HD.csv":
-        "357094574cf27961b55412dd63d4efc9c120e36fa732f563fee7e442d3a5b5cb",
-    "dist_near_M.csv":
-        "6bbc23dccc8093fcfe40ece90e74717f180ef087089b50622003b66997d30cae",
-    "dist_near_OS.csv":
-        "d2437a2baf81a73b83973139477e4a4888ca40efacb35e4323f417c8906d1409",
 }
 
 SAMPLED = {
@@ -156,54 +110,6 @@ SAMPLED = {
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
     "clustering.csv":
         "ce808f46026af1005b9da6cf2683f95c341f7e126170a8b833789b517b8f5992",
-    "dist_exact_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_exact_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_exact_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_exact_HD.csv":
-        "75ec1e6649a60d5edb4c47bbee13a4903c79cdb93b2ff47024fdd12f96e7fdde",
-    "dist_exact_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_exact_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_far_Av.csv":
-        "fe86f4a0146098d943eb44a198d1b78ddc3da2daa59d6b57848d773c38650d36",
-    "dist_far_CS.csv":
-        "5904dfdd2a1e947395fa50fbcbf07db6a4c132d1acca45f0d510c645957837f8",
-    "dist_far_DD.csv":
-        "fd4797498d0b3a006b470381932142f8a8c879f4da4ff7f80cc5ee28431d934e",
-    "dist_far_HD.csv":
-        "31d86dd19f05eba0184e5435c2326ca7eecd4180750fe932cb90dfc6645ce672",
-    "dist_far_M.csv":
-        "de5e7234454acd0c86b1db71cb5d0844d807eb6950808fbbdc7f492d8a13d52f",
-    "dist_far_OS.csv":
-        "3c3315c6076fb02cf04f9fe91785a5cf2d547c1acd4e743aa0b20860ac65ab9e",
-    "dist_ground_truth_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_ground_truth_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_ground_truth_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_ground_truth_HD.csv":
-        "75ec1e6649a60d5edb4c47bbee13a4903c79cdb93b2ff47024fdd12f96e7fdde",
-    "dist_ground_truth_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_ground_truth_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_near_Av.csv":
-        "0e54de3f68c482f1ab4d8149727cfd0f01fec8cb95f2e2d7a88ad6023d1e6391",
-    "dist_near_CS.csv":
-        "7c7e478d95c742d2e46dd6c2f4097bc92d94a60a26be94a1e12acb1128e8344c",
-    "dist_near_DD.csv":
-        "042a34326c35fb9fb11e4d171de5070a38e9066a9a524078208d7fd450b28c16",
-    "dist_near_HD.csv":
-        "5d8936a56abc9ed797e761faaac302bfd0dcba729bc4f6c65407185f1c76c2c8",
-    "dist_near_M.csv":
-        "6bbc23dccc8093fcfe40ece90e74717f180ef087089b50622003b66997d30cae",
-    "dist_near_OS.csv":
-        "d2437a2baf81a73b83973139477e4a4888ca40efacb35e4323f417c8906d1409",
 }
 
 
@@ -226,54 +132,6 @@ SPLIT_PARTIAL = {
         "1354c4c14e9bcf8a36555aa60756c85dbb43a8dcaf06ea841262df6fa420908c",
     "clustering.csv":
         "62c7cb7debafe580f589d0c76325980ed61f432603f4fd3c8a1da96135f2461a",
-    "dist_exact_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_exact_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_exact_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_exact_HD.csv":
-        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
-    "dist_exact_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_exact_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_ground_truth_Av.csv":
-        "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
-    "dist_ground_truth_CS.csv":
-        "ef39b0443a9446f0a9eca0b6d908a22457af24a5d4185c2fc8c95aa8d8cec870",
-    "dist_ground_truth_DD.csv":
-        "49c13b267ff7f594ba726e9fe6aa9c81ea7acbad85e07228ae7fcc0f6e5ae7b3",
-    "dist_ground_truth_HD.csv":
-        "3489eab922e1f5c6919e07f6536d1db3dccbc5af8420b0a4a51a401440947386",
-    "dist_ground_truth_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_ground_truth_OS.csv":
-        "98b785da6a72f3cd657687cfb3ca2e1b2d0e46ac42a262a073fc795ddd22dd7b",
-    "dist_partial_Av.csv":
-        "bcf199161293facef3ce10682fccc31fd17696b40a0742ce3654d704a328da36",
-    "dist_partial_CS.csv":
-        "0f4db5b75edd9d608f9b56d9b94b50bc1c15c58cad1a5ac1b75df7893e58d839",
-    "dist_partial_DD.csv":
-        "87a6c27bd4398e832a19575ebe854ee31df80f88c6a7b56f4c49f40fe69973d7",
-    "dist_partial_HD.csv":
-        "d16d0e691fc9b4dd69f541bef297c114c252a48975ebaea868be44f2074984d7",
-    "dist_partial_M.csv":
-        "16139a34e8d17cc5a70f1791f5435cb5374ad3ad90bae79d691ce818e880fe8b",
-    "dist_partial_OS.csv":
-        "4e038154248cf67f02e99661dfa66aebda8a9d5ad2180d1131e51df2a0d13fa2",
-    "dist_split_Av.csv":
-        "6cf25e8f16261ab29f33826a39f9684373fc25363c103ddc356d0eca40fc03f5",
-    "dist_split_CS.csv":
-        "ebd0c8e0f276343b9176ab77a0e68d78456dfc99f5aedd0b49fe4293d0fdb56f",
-    "dist_split_DD.csv":
-        "51293ff3752eaf8d3047e3225179b15c25892a7a787b7440928306327f2d5a66",
-    "dist_split_HD.csv":
-        "89dbf35b9730737b7b4573afa6ba557d4a8c08df9797a1be66258162fd7f387a",
-    "dist_split_M.csv":
-        "c241d44cb488200bfa92cd9c96ce1ba64e42f11f5260a43d88366fce5d2276b8",
-    "dist_split_OS.csv":
-        "958c846a5ee593bd2c9b0d265789b3366634a9cdd6a90e3a086d6015f79af3c2",
 }
 
 

@@ -434,6 +434,26 @@ class TestGiantComponent:
         gc2 = giant_component(gc)
         assert gc2.n == gc.n and gc2.edge_count == gc.edge_count
 
+    def test_components_labelled_once(self, monkeypatch):
+        """A graph that `giant_component` returned, sliced or as is, is not
+        labelled again: not by a second call, nor by the hop search on a
+        community graph."""
+        calls = []
+        labelling = graph.connected_components
+        monkeypatch.setattr(graph, "connected_components",
+                            lambda g: calls.append(g.n) or labelling(g))
+        two = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        gc = giant_component(two)
+        assert giant_component(gc) is gc and calls == [7]
+        path = path_graph(5)
+        assert giant_component(path) is path and giant_component(path) is path
+        assert calls == [7, 5]
+        _, truth = planted_cover_network(n_nodes=60, n_communities=8, seed=1)
+        cg = build_community_graph(truth).graph
+        calls.clear()
+        assert hop_distribution(cg) == hop_distribution(Graph(cg.n, cg.edges()))
+        assert calls == [cg.n]  # the rebuilt graph's, not the community graph's
+
 
 class TestEmpiricalDistribution:
     def test_ecdf_right_continuous(self):

@@ -157,6 +157,26 @@ class TestDeterminismAndSerialization:
         names = {p.name for p in written}
         assert "quality.csv" in names and "clustering.csv" in names
         assert not any(n.startswith("ranking_all") for n in names)
+        # no samples are taken for the groups left out, so no dump is written
+        assert not any(rep.samples.values())
+        assert not any(n.startswith("dist_") for n in names)
+
+    @pytest.mark.parametrize("groups", [
+        ("quality", "clustering"), ("basic",), ("microscopic",), ("mesoscopic",)])
+    def test_groups_select_the_dumps_not_the_values(self, workspace, report, tmp_path, groups):
+        """The groups decide which `dist_*` dumps are written, those of their
+        microscopic and mesoscopic properties, and no value that the report
+        holds for every config."""
+        rep = run(RunConfig.from_json(workspace / "cfg.json", property_groups=groups))
+        written = {p.name for p in emit_reports(rep, tmp_path / "out")}
+        sampled = [p for g in groups if g in ("microscopic", "mesoscopic")
+                   for p in GROUP_PROPS[g]]
+        assert {n for n in written if n.startswith("dist_")} == {
+            f"dist_{cover}_{p}.csv" for cover in report.samples for p in sampled}
+        got = json.loads((tmp_path / "out" / "report.json").read_bytes())
+        every = json.loads(report.to_json())
+        for block in ("community_graphs", "quality"):
+            assert got[block] == every[block]
 
 
 class TestSampledHopMode:
@@ -368,6 +388,7 @@ class TestSinglePass:
         assert len(built) == 2 + 2
 
     def test_samples_are_a_field(self, report):
+        # the all-groups run takes every microscopic and mesoscopic sample
         assert set(report.samples) == {"ground_truth", "exact", "near", "far"}
         for dists in report.samples.values():
             assert set(dists) == {"DD", "Av", "HD", "CS", "M", "OS"}
