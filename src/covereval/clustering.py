@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, find_sorted, row_of
+from .graph import expand, find_sorted, row_of, row_pairs
 
 # _conditional_entropy takes its K1 x K2 table this many entries at a time
 ONMI_BLOCK_ENTRIES = 1 << 16
@@ -50,29 +50,82 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return codes // width, codes % width, counts
 
 
+def _multi_member_pairs(c: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """Every node pair i < j (positions in ``nodes``) of two nodes that each
+    belong to two or more communities and share one, as the increasing
+    codes i * n + j, and the number of communities holding it: the pairs of
+    each community's multi-member nodes, counted. Every pair that two or
+    more communities hold is among them."""
+    ptr, _ = c.transposed()
+    keep = (np.diff(ptr) >= 2)[c.indices]
+    _, i, j = row_pairs(np.concatenate(([0], np.cumsum(keep)))[c.indptr], c.indices[keep])
+    return np.unique(i * len(c.nodes) + j, return_counts=True)
+
+
+def _multiplicities(c: Cover, listed: tuple[np.ndarray, np.ndarray], i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+    """How many communities of `c` hold each node pair (i, j), i < j: its
+    count in `listed`, the cover's `_multi_member_pairs`, where both nodes
+    belong to two or more communities, else whether the one community of
+    one node holds the other."""
+    codes, counts = listed
+    ptr, comm = c.transposed()
+    n = len(c.nodes)
+    at, found = find_sorted(codes, i * n + j)
+    m = np.append(counts, 0)[at] * found
+    degree = np.diff(ptr)
+    lone = degree[i] == 1
+    single = np.flatnonzero(lone | (degree[j] == 1))
+    u = np.where(lone[single], i[single], j[single])  # the node of one community
+    v = np.where(lone[single], j[single], i[single])
+    _, m[single] = find_sorted(row_of(c.indptr) * n + c.indices, comm[ptr[u]] * n + v)
+    return m
+
+
+def _pair_classes(c: Cover, m: np.ndarray, m_pairs: int) -> list[int]:
+    """How many of the `m_pairs` node pairs 0, 1, 2, ... communities of `c`
+    hold, from `m`, the multiplicities of the heavy pairs: 2 or more
+    counted among them, the co-member pairs as Sum_k C(|C_k|, 2) less the
+    heavy pairs' surplus, and 0 by complement. Python ints, because the
+    products of omega's expected agreement overflow int64 on large
+    universes."""
+    heavier = np.bincount(m)[2:].tolist()
+    sizes = c.sizes
+    members = int((sizes * (sizes - 1) // 2).sum()) - int(np.maximum(m - 1, 0).sum())
+    return [m_pairs - members, members - sum(heavier), *heavier]
+
+
 def omega_index(c1: Cover, c2: Cover) -> float:
     """Chance-corrected agreement on per-pair co-membership multiplicity:
     (P A - sum a_t b_t) / (P^2 - sum a_t b_t) of the P node pairs, A of them
     agreeing, and a_t, b_t of multiplicity t in each cover; 1.0 where the
-    denominator is 0. Pairs never co-clustered in either cover are counted
-    by complement, never materializing all P pairs. `c2` is the reference:
-    its pairs are built once and kept for the next candidate."""
+    denominator is 0. The counts are sums over the communities and the
+    contingency, corrected on the heavy pairs, those that two or more
+    communities of either cover hold; every other pair is held by at most
+    one community of each. Only the heavy pairs are listed, found among
+    the nodes of two or more communities, never all P pairs nor every
+    co-member pair. Every sum is of int64 terms, exact below 2^63."""
     c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     if n < 2:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    pairs1, m1 = c1.co_memberships()
-    pairs2, m2 = c2.reference_pairs()
-    at, found = find_sorted(pairs2, pairs1)  # each pair of c1 among c2's
-    # a pair listed by one cover only has differing counts
-    same = int(np.count_nonzero(m1[found] == m2[at[found]]))
-    agree = m_pairs - (len(m1) + len(m2) - int(found.sum()) - same)
+    listed1, listed2 = _multi_member_pairs(c1), _multi_member_pairs(c2)
+    heavy = np.sort(np.concatenate([codes[counts >= 2] for codes, counts in (listed1, listed2)]))
+    heavy = heavy[np.diff(heavy, prepend=-1) != 0]
+    i, j = np.divmod(heavy, n)
+    m1, m2 = _multiplicities(c1, listed1, i, j), _multiplicities(c2, listed2, i, j)
+    size1, size2 = _pair_classes(c1, m1, m_pairs), _pair_classes(c2, m2, m_pairs)
 
-    # pairs per multiplicity, the t_0 class by subtraction; Python ints,
-    # because the products below overflow int64 on large universes
-    size1, size2 = ([m_pairs - len(m), *np.bincount(m)[1:].tolist()] for m in (m1, m2))
+    # Sum_p m1(p) m2(p) = Sum_kl C(|C1_k & C2_l|, 2); off the heavy pairs
+    # each term is 1 where both covers hold the pair, once each, else 0
+    _, _, cells = _contingency(c1, c2)
+    light = int((cells * (cells - 1) // 2).sum()) - int((m1 * m2).sum())
+    both = light + int(np.count_nonzero(m1 * m2))  # pairs both covers hold
+    same = light + int(np.count_nonzero(m1 == m2))  # ... equally often
+    # the pairs neither cover holds, by inclusion-exclusion, and `same`
+    agree = size1[0] + size2[0] - m_pairs + both + same
     expected = sum(a * b for a, b in zip(size1, size2))
     # expected = m_pairs^2 only where every pair has one multiplicity in both
     # covers, and then agree = m_pairs

@@ -28,11 +28,10 @@ class Cover:
     community i's members are ``nodes[indices[indptr[i]:indptr[i + 1]]]``
     in increasing order: ``indptr`` and ``indices`` are the communities x
     nodes 0/1 incidence in CSR form. A cover also keeps what is derived
-    from the incidence once it is asked for: its transpose (`transposed`),
-    its communities' overlaps (`overlaps`) and, as the reference of an
-    omega index, its co-member pairs (`reference_pairs`)."""
+    from the incidence once it is asked for: its transpose (`transposed`)
+    and its communities' overlaps (`overlaps`)."""
 
-    __slots__ = ("nodes", "indptr", "indices", "_reference_pairs", "_transposed", "_overlaps")
+    __slots__ = ("nodes", "indptr", "indices", "_transposed", "_overlaps")
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -46,7 +45,7 @@ class Cover:
         self.nodes, cols = np.unique(members, return_inverse=True)
         rows = np.repeat(np.arange(len(sizes)), sizes)
         self.indptr, self.indices = csr(rows, cols, len(sizes), len(self.nodes))
-        self._reference_pairs = self._transposed = self._overlaps = None
+        self._transposed = self._overlaps = None
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -84,21 +83,6 @@ class Cover:
             _, i, j = row_pairs(*self.transposed())
             self._overlaps = read_only(*np.unique(i * len(self.sizes) + j, return_counts=True))
         return self._overlaps
-
-    def co_memberships(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every node pair i < j (positions in ``nodes``) that some community
-        holds, as the increasing codes i * n + j, and the number of
-        communities holding it: the pairs of each community's members,
-        counted. Pairs that never co-occur are not listed."""
-        _, i, j = row_pairs(self.indptr, self.indices)
-        return np.unique(i * len(self.nodes) + j, return_counts=True)
-
-    def reference_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """`co_memberships()`, built on the first call and kept, read-only:
-        a run scores every candidate against the same reference."""
-        if self._reference_pairs is None:
-            self._reference_pairs = read_only(*self.co_memberships())
-        return self._reference_pairs
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covereval import cover as cover_module, pipeline
 from covereval.clustering import (
     _best_f1, _entropies, _entropy_table, clustering_scores, common_universe, f1_best_match,
     omega_index, onmi_max,
@@ -25,6 +25,11 @@ from oracles import (
 
 def cover(*sets):
     return Cover.from_sets([set(s) for s in sets])
+
+
+def restricted(sets, ids):
+    """The non-empty parts of `sets` inside `ids`, as `common_universe` keeps them."""
+    return [s & ids for s in sets if s & ids]
 
 
 class TestOmegaIndex:
@@ -56,15 +61,36 @@ class TestOmegaIndex:
             assert omega_index(*map(Cover.from_sets, covers)) == brute_omega(*covers), i
 
     def test_random_matches_brute_force(self):
+        # covers over one universe; pairs that three or more communities of
+        # both covers hold; a community repeated verbatim; one node in every
+        # community; partitions, which no pair is held twice in; and covers
+        # over different ids, restricted to the ones they share
         rng = random.Random(61)
-        for _ in range(30):
+        for i in range(90):
             n = rng.randint(4, 25)
-            s1 = random_cover_sets(rng, n, rng.randint(1, 8))
-            s2 = random_cover_sets(rng, n, rng.randint(1, 8))
-            s1.append(set(range(n)))  # force the same universe
-            s2.append(set(range(n)))
-            got = omega_index(Cover.from_sets(s1), Cover.from_sets(s2))
-            assert got == brute_omega([set(x) for x in s1], [set(x) for x in s2])
+            s1 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
+            s2 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
+            kind = i % 6
+            if kind == 1:
+                block = set(rng.sample(range(n), rng.randint(2, 4)))
+                for s in (s1, s2):
+                    s += [block | set(rng.sample(range(n), rng.randint(0, 4)))
+                          for _ in range(rng.randint(3, 5))]
+            elif kind == 2:
+                s1 += [set(s1[0])] * rng.randint(1, 3)
+                s2.append(set(s2[-2]))
+            elif kind == 3:
+                hub = rng.randrange(n)
+                s1, s2 = ([c | {hub} for c in s] for s in (s1, s2))
+            elif kind == 4:
+                s1, s2 = (random_partition(rng, n, rng.randint(1, 5)) for _ in range(2))
+            elif kind == 5:
+                s2 = [{u + 2 for u in c} for c in s2]
+            ids = set().union(*s1) & set().union(*s2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the restriction to shared ids
+                got = omega_index(Cover.from_sets(s1), Cover.from_sets(s2))
+            assert got == brute_omega(restricted(s1, ids), restricted(s2, ids)), i
 
     def test_symmetry(self):
         rng = random.Random(67)
@@ -99,21 +125,8 @@ class TestOmegaIndex:
             assert got == brute_omega(r1, r2)
             assert got == omega_index(Cover.from_sets(s1), Cover.from_sets(s2))
 
-    def test_tiny_universe_rejected(self):
-        with pytest.raises(CoverError):
-            omega_index(cover({0}), cover({0}))
-
-
-def restricted(sets, ids):
-    """The non-empty parts of `sets` inside `ids`, as `common_universe` keeps them."""
-    return [s & ids for s in sets if s & ids]
-
-
-class TestReferencePairs:
-    """`omega_index` builds the reference's co-member pairs once and keeps
-    them on it; a restricted reference is a new cover with its own."""
-
-    def test_truth_pairs_built_once_per_run(self, tmp_path, monkeypatch):
+    def test_run_scores_candidates_against_restricted_truths(self, tmp_path):
+        # three candidates over the truth's ids, one over fewer
         rng = random.Random(41)
         n = 40
         truth = random_cover_sets(rng, n, 6) + [set(range(n))]
@@ -130,31 +143,19 @@ class TestReferencePairs:
                         candidates=tuple((name, str(tmp_path / f"{name}.txt"))
                                          for name in candidates),
                         property_groups=("clustering",))
-
-        pair_lists = []  # the indptr of each cover whose pairs are listed
-        real_row_pairs = cover_module.row_pairs
-        monkeypatch.setattr(cover_module, "row_pairs", lambda indptr, indices: (
-            pair_lists.append(indptr), real_row_pairs(indptr, indices))[1])
-        loaded = []
-        real_load_cover = pipeline.load_cover
-        monkeypatch.setattr(pipeline, "load_cover", lambda *args: (
-            loaded.append(real_load_cover(*args)), loaded[-1])[1])
         oi = {name: scores["OI"] for name, scores in run(cfg).data["clustering"].items()}
-
-        # three candidates over the truth's ids, one over fewer
-        assert sum(p is loaded[0].indptr for p in pair_lists) == 1
         for name, sets in candidates.items():
             ids = set().union(*sets) & set(range(n))
             assert oi[name] == brute_omega(sets, restricted(truth, ids))
 
-    def test_restricted_reference_has_its_own_pairs(self):
+    def test_restricted_reference_matches_brute_force(self):
+        # the same truth scored whole, then restricted to a candidate's ids
         rng = random.Random(43)
         n = 30
         sets = random_cover_sets(rng, n, 5) + [set(range(n))]
         truth = Cover.from_sets(sets)
         full = random_cover_sets(rng, n, 4) + [set(range(n))]
         assert omega_index(Cover.from_sets(full), truth) == brute_omega(full, sets)
-        kept = truth.reference_pairs()
         ids = set(range(4, n))
         fewer = restricted(random_cover_sets(rng, n, 4), ids) + [ids]
         with warnings.catch_warnings():
@@ -162,7 +163,28 @@ class TestReferencePairs:
             got = omega_index(Cover.from_sets(fewer), truth)
             scores = clustering_scores(Cover.from_sets(fewer), truth)
         assert got == scores["OI"] == brute_omega(fewer, restricted(sets, ids))
-        assert truth.reference_pairs() is kept
+
+    def test_partitions_list_no_pair(self):
+        # no pair of a partition is held twice, so no node pair is listed;
+        # a list of every co-member pair of both, as int64 codes, would take
+        # tens of MB here
+        n = 2000
+        halves = Cover([n // 2] * 2, np.arange(n))
+        residues = Cover([n // 4] * 4, np.arange(n).reshape(-1, 4).T.ravel())
+        tracemalloc.start()
+        try:
+            got = omega_index(halves, residues)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        labels = np.arange(n)
+        assert got == pytest.approx(adjusted_rand_index((labels >= n // 2).tolist(),
+                                                        (labels % 4).tolist()), abs=1e-12)
+        assert peak < 2 * 2**20
+
+    def test_tiny_universe_rejected(self):
+        with pytest.raises(CoverError):
+            omega_index(cover({0}), cover({0}))
 
 
 class TestOnmiMax:

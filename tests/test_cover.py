@@ -174,21 +174,12 @@ class TestCoverMatrix:
 
     def test_only_state_is_the_matrix(self):
         """Besides the incidence, a cover holds only what is derived from
-        it, each part only once it is first asked for: the co-member pairs
-        once it served as an omega reference, the transpose and the
-        overlaps."""
+        it, each part only once it is first asked for: the transpose and
+        the overlaps."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}])
-        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_reference_pairs",
-                                   "_transposed", "_overlaps")
+        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_transposed", "_overlaps")
         assert not hasattr(c, "__dict__")
-        assert c._reference_pairs is None and c._transposed is None and c._overlaps is None
-        c.co_memberships()
-        assert c._reference_pairs is None
-        codes, counts = c.reference_pairs()
-        assert c._reference_pairs is not None and c.reference_pairs()[0] is codes
-        assert (codes.tolist(), counts.tolist()) == ([1, 2, 5], [1, 1, 2])
-        with pytest.raises(ValueError):
-            codes[0] = 0  # read-only: every candidate reads the same arrays
+        assert c._transposed is None and c._overlaps is None
 
     def test_transpose_and_overlaps_built_once(self):
         """The community graph, the overlap sizes and every clustering

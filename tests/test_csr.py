@@ -14,7 +14,9 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from covereval import graph as graph_module
-from covereval.clustering import _contingency, common_universe
+from covereval.clustering import (
+    _contingency, _multi_member_pairs, _multiplicities, common_universe,
+)
 from covereval.cover import Cover, CoverError
 from covereval.graph import (
     Graph, connected_components, giant_component, hop_counts, hop_distribution,
@@ -127,15 +129,20 @@ def test_overlaps_equal_scipy():
         assert counts.tolist() == want.data.tolist()
 
 
-def test_co_memberships_equal_scipy():
+def test_multi_member_pairs_equal_scipy():
+    # and the multiplicity of every node pair, listed or not
     for c, b in covers(5):
-        want = sparse.triu(b.T @ b, k=1, format="csr")
-        want.sort_indices()
         n = len(c.nodes)
-        rows = np.repeat(np.arange(n), np.diff(want.indptr))
-        for codes, counts in (c.co_memberships(), c.reference_pairs()):
-            assert codes.tolist() == (rows * n + want.indices).tolist()
-            assert counts.tolist() == want.data.tolist()
+        co = (b.T @ b).toarray()  # pair multiplicities; memberships on the diagonal
+        multi = np.flatnonzero(co.diagonal() >= 2)
+        want = sparse.triu(sparse.csr_array(co[np.ix_(multi, multi)]), k=1, format="csr")
+        want.sort_indices()
+        rows = np.repeat(multi, np.diff(want.indptr))
+        listed = _multi_member_pairs(c)
+        assert listed[0].tolist() == (rows * n + multi[want.indices]).tolist()
+        assert listed[1].tolist() == want.data.tolist()
+        i, j = np.triu_indices(n, k=1)
+        assert _multiplicities(c, listed, i, j).tolist() == co[i, j].tolist()
 
 
 def test_contingency_equals_scipy():
