@@ -10,7 +10,7 @@ from .graph import (
     degree_distribution, giant_component, hop_distribution, load_edge_list,
 )
 from .pipeline import EvaluationReport, RunConfig, emit_reports, run
-from .quality import overlapping_modularity, quality_report
+from .quality import quality_report
 from .ranking import (
     RankingTable, kemeny_consensus, rank_distribution, rank_scalar, spearman_matrix, topsis,
 )
@@ -22,7 +22,6 @@ __all__ = [
     "clustering_by_degree", "degree_distribution", "emit_reports",
     "f1_best_match", "fit_mle", "giant_component", "hop_distribution",
     "kemeny_consensus", "ks_statistic", "load_cover", "load_edge_list",
-    "mesoscopic_profile", "omega_index", "onmi_max", "overlapping_modularity",
-    "quality_report", "rank_distribution", "rank_scalar", "run",
-    "spearman_matrix", "topsis",
+    "mesoscopic_profile", "omega_index", "onmi_max", "quality_report",
+    "rank_distribution", "rank_scalar", "run", "spearman_matrix", "topsis",
 ]

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import expand, find_sorted, row_of, row_pairs
+from .graph import csr, expand, find_sorted, row_of, row_pairs
 
 # _conditional_entropy takes its K1 x K2 table this many entries at a time
 ONMI_BLOCK_ENTRIES = 1 << 16
@@ -50,36 +50,36 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return codes // width, codes % width, counts
 
 
-def _multi_member_pairs(c: Cover) -> tuple[np.ndarray, np.ndarray]:
-    """Every node pair i < j (positions in ``nodes``) of two nodes that each
-    belong to two or more communities and share one, as the increasing
-    codes i * n + j, and the number of communities holding it: the pairs of
-    each community's multi-member nodes, counted. Every pair that two or
-    more communities hold is among them."""
-    ptr, _ = c.transposed()
-    keep = (np.diff(ptr) >= 2)[c.indices]
-    _, i, j = row_pairs(np.concatenate(([0], np.cumsum(keep)))[c.indptr], c.indices[keep])
-    return np.unique(i * len(c.nodes) + j, return_counts=True)
+def _heavy_pairs(c: Cover) -> np.ndarray:
+    """Every node pair i < j (positions in ``nodes``) that two or more
+    communities hold, as the increasing codes i * n + j. It lies in the
+    overlap set of any two of them, so the pairs of each community's nodes
+    in one of its overlap sets of two or more nodes list it once per
+    community holding it, any other pair at most once, and no more pairs
+    than the nodes of two or more communities would."""
+    codes, ptr, members = c.overlaps()
+    k, n = len(c.sizes), len(c.nodes)
+    sizes = np.diff(ptr)
+    kept = np.repeat(sizes >= 2, sizes)
+    pair, nodes = np.repeat(codes, sizes)[kept], members[kept]
+    _, i, j = row_pairs(*csr(np.concatenate((pair // k, pair % k)),
+                             np.concatenate((nodes, nodes)), k, n))
+    listed = np.sort(i * n + j)
+    repeats = listed[1:][listed[1:] == listed[:-1]]
+    return repeats[np.diff(repeats, prepend=-1) != 0]
 
 
-def _multiplicities(c: Cover, listed: tuple[np.ndarray, np.ndarray], i: np.ndarray,
-                    j: np.ndarray) -> np.ndarray:
-    """How many communities of `c` hold each node pair (i, j), i < j: its
-    count in `listed`, the cover's `_multi_member_pairs`, where both nodes
-    belong to two or more communities, else whether the one community of
-    one node holds the other."""
-    codes, counts = listed
+def _multiplicities(c: Cover, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """How many communities of `c` hold each node pair (i, j): how many of
+    the communities of its node of fewer communities hold the other."""
     ptr, comm = c.transposed()
     n = len(c.nodes)
-    at, found = find_sorted(codes, i * n + j)
-    m = np.append(counts, 0)[at] * found
     degree = np.diff(ptr)
-    lone = degree[i] == 1
-    single = np.flatnonzero(lone | (degree[j] == 1))
-    u = np.where(lone[single], i[single], j[single])  # the node of one community
-    v = np.where(lone[single], j[single], i[single])
-    _, m[single] = find_sorted(row_of(c.indptr) * n + c.indices, comm[ptr[u]] * n + v)
-    return m
+    u = np.where(degree[j] < degree[i], j, i)
+    v = i + j - u  # the other endpoint
+    pair, at = expand(ptr[u], degree[u])
+    _, held = find_sorted(row_of(c.indptr) * n + c.indices, comm[at] * n + v[pair])
+    return np.bincount(pair[held], minlength=len(i))
 
 
 def _pair_classes(c: Cover, m: np.ndarray, m_pairs: int) -> list[int]:
@@ -102,20 +102,19 @@ def omega_index(c1: Cover, c2: Cover) -> float:
     denominator is 0. The counts are sums over the communities and the
     contingency, corrected on the heavy pairs, those that two or more
     communities of either cover hold; every other pair is held by at most
-    one community of each. Only the heavy pairs are listed, found among
-    the nodes of two or more communities, never all P pairs nor every
-    co-member pair. Every sum is of int64 terms, exact below 2^63."""
+    one community of each. Only the heavy pairs are listed, found inside
+    the overlap sets, never all P pairs nor every co-member pair. Every sum
+    is of int64 terms, exact below 2^63."""
     c1, c2 = common_universe(c1, c2)
     n = len(c1.nodes)
     if n < 2:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    listed1, listed2 = _multi_member_pairs(c1), _multi_member_pairs(c2)
-    heavy = np.sort(np.concatenate([codes[counts >= 2] for codes, counts in (listed1, listed2)]))
+    heavy = np.sort(np.concatenate((_heavy_pairs(c1), _heavy_pairs(c2))))
     heavy = heavy[np.diff(heavy, prepend=-1) != 0]
     i, j = np.divmod(heavy, n)
-    m1, m2 = _multiplicities(c1, listed1, i, j), _multiplicities(c2, listed2, i, j)
+    m1, m2 = _multiplicities(c1, i, j), _multiplicities(c2, i, j)
     size1, size2 = _pair_classes(c1, m1, m_pairs), _pair_classes(c2, m2, m_pairs)
 
     # Sum_p m1(p) m2(p) = Sum_kl C(|C1_k & C2_l|, 2); off the heavy pairs

@@ -74,14 +74,18 @@ class Cover:
                 *csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes)))
         return self._transposed
 
-    def overlaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every overlapping pair i < j of the communities, as the increasing
-        codes i * K + j, and |C_i & C_j| for each: the pairs of each node's
-        communities, counted. Built on the first call and kept, read-only:
-        the community graph and the overlap sizes both read it."""
+    def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every overlapping pair k < l of the communities, as the increasing
+        codes k * K + l, and the overlap sets C_k & C_l in CSR form: ``codes,
+        ptr, m`` with pair p's members, increasing positions in ``nodes``, at
+        ``m[ptr[p]:ptr[p + 1]]``; exact while K^2 n < 2^63. Built on the first
+        call and kept, read-only, for the community graph, OS and omega."""
         if self._overlaps is None:
-            _, i, j = row_pairs(*self.transposed())
-            self._overlaps = read_only(*np.unique(i * len(self.sizes) + j, return_counts=True))
+            node, k, l = row_pairs(*self.transposed())
+            n = len(self.nodes)
+            pair, members = np.divmod(np.sort((k * len(self.sizes) + l) * n + node), n)
+            first = np.flatnonzero(np.diff(pair, prepend=-1))
+            self._overlaps = read_only(pair[first], np.append(first, len(pair)), members)
         return self._overlaps
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
@@ -125,7 +129,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     distributions, keyed by `MESO_PROPS`, computed on the full cover (before
     any pruning); the overlap sizes are None when no two communities
     overlap."""
-    _, overlaps = c.overlaps()
+    overlaps = np.diff(c.overlaps()[1])
     return dict(zip(MESO_PROPS, (
         EmpiricalDistribution(c.sizes),
         EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),

@@ -50,9 +50,11 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     """Unweighted cover-level means of five per-community scores (average
     degree, average and maximum out-degree fraction, Flake ODF, internal
     density) plus overlapping modularity, keyed by `QUALITY_PROPS`, from
-    every member's degree and intra-degree. No value depends on the order
-    of the members or communities: `math.fsum` is correctly rounded,
-    `group_sums` adds in increasing order, and OM divides exact integers."""
+    every member's degree and intra-degree; OM is Sum_k e_in/|E| - ((2 e_in
+    + e_out) / (2|E|))^2, e_out the edge ends leaving community k. No value
+    depends on the order of the members or communities: `math.fsum` is
+    correctly rounded, `group_sums` adds in increasing order, and OM divides
+    exact integers."""
     if c.nodes[0] < 0 or c.nodes[-1] >= g.n:
         raise GraphError("community references a node outside the graph")
     m = g.edge_count
@@ -75,9 +77,3 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
         (2 * m * int(intra.sum()) - sum(v * v for v in volume)) / (4 * m * m),
     )))
 
-
-def overlapping_modularity(g: Graph, c: Cover) -> float:
-    """Sum over communities of e_in/|E| - ((2 e_in + e_out) / (2|E|))^2,
-    where e_out counts the edge endpoints leaving the community, as one
-    division of exact integers; a node counts in every community it is in."""
-    return quality_report(g, c)["OM"]

@@ -14,7 +14,7 @@ from covereval.clustering import omega_index, onmi_max
 from covereval.distfit import Family, FittedDistribution, best_fit, fit_mle
 from covereval.graph import EmpiricalDistribution, basic_properties
 from covereval.pipeline import RunConfig, emit_reports, run
-from covereval.quality import overlapping_modularity
+from covereval.quality import quality_report
 from covereval.ranking import (
     RankingTable, kemeny_consensus, rank_scalar, spearman_matrix,
 )
@@ -77,10 +77,10 @@ def test_criterion_03_overlapping_modularity_anchors(capsys):
     from covereval.graph import Graph
     # whole-graph cover
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert overlapping_modularity(g, Cover.from_sets([{0, 1, 2, 3}])) == 0.0
+    assert quality_report(g, Cover.from_sets([{0, 1, 2, 3}]))["OM"] == 0.0
     # two disjoint triangles
     g2 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    q = overlapping_modularity(g2, Cover.from_sets([{0, 1, 2}, {3, 4, 5}]))
+    q = quality_report(g2, Cover.from_sets([{0, 1, 2}, {3, 4, 5}]))["OM"]
     assert abs(q - 0.5) <= 1e-12
     # random disjoint partitions vs an independent Newman implementation
     rng = random.Random(227)
@@ -92,7 +92,7 @@ def test_criterion_03_overlapping_modularity_anchors(capsys):
             continue
         blocks = random_partition(rng, n, rng.randint(2, 4))
         labels = {u: bi for bi, b in enumerate(blocks) for u in b}
-        got = overlapping_modularity(g3, Cover.from_sets(blocks))
+        got = quality_report(g3, Cover.from_sets(blocks))["OM"]
         assert abs(got - newman_modularity(n, edges, labels)) <= 1e-12
         done += 1
     announce(capsys, "PASS criterion 3: overlapping modularity anchors "

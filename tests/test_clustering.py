@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from covereval import clustering
 from covereval.clustering import (
-    _best_f1, _entropies, _entropy_table, clustering_scores, common_universe, f1_best_match,
-    omega_index, onmi_max,
+    _best_f1, _entropies, _entropy_table, _heavy_pairs, clustering_scores, common_universe,
+    f1_best_match, omega_index, onmi_max,
 )
 from covereval.cover import Cover, CoverError
+from covereval.graph import row_pairs
 from covereval.pipeline import RunConfig, run
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
@@ -63,14 +67,15 @@ class TestOmegaIndex:
     def test_random_matches_brute_force(self):
         # covers over one universe; pairs that three or more communities of
         # both covers hold; a community repeated verbatim; one node in every
-        # community; partitions, which no pair is held twice in; and covers
-        # over different ids, restricted to the ones they share
+        # community; partitions, which no pair is held twice in; covers over
+        # different ids, restricted to the ones they share; and pairs of
+        # nodes in many communities each that share exactly two, or one
         rng = random.Random(61)
-        for i in range(90):
+        for i in range(105):
             n = rng.randint(4, 25)
             s1 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
             s2 = random_cover_sets(rng, n, rng.randint(1, 8)) + [set(range(n))]
-            kind = i % 6
+            kind = i % 7
             if kind == 1:
                 block = set(rng.sample(range(n), rng.randint(2, 4)))
                 for s in (s1, s2):
@@ -86,6 +91,16 @@ class TestOmegaIndex:
                 s1, s2 = (random_partition(rng, n, rng.randint(1, 5)) for _ in range(2))
             elif kind == 5:
                 s2 = [{u + 2 for u in c} for c in s2]
+            elif kind == 6:
+                ends = rng.sample(range(n), 4)
+                others = [u for u in range(n) if u not in ends]
+                s1, s2 = ([c - set(ends) for c in s if c - set(ends)] for s in (s1, s2))
+                for s in (s1, s2):
+                    for a, b in (ends[:2], ends[2:]):
+                        s += [{a, b} | set(rng.sample(others, min(len(others), 3)))
+                              for _ in range(rng.randint(1, 2))]
+                        s += [{u} | set(rng.sample(others, min(len(others), 3)))
+                              for u in (a, b) for _ in range(rng.randint(2, 5))]
             ids = set().union(*s1) & set().union(*s2)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the restriction to shared ids
@@ -181,6 +196,33 @@ class TestOmegaIndex:
         assert got == pytest.approx(adjusted_rand_index((labels >= n // 2).tolist(),
                                                         (labels % 4).tolist()), abs=1e-12)
         assert peak < 2 * 2**20
+
+    def test_heavy_pairs_list_no_more_than_multi_member_pairs(self, monkeypatch):
+        # no more pair entries than among each community's nodes of two or
+        # more communities: 100 identical 100-node communities, whose
+        # overlap sets hold each pair C(100, 2) times, and a hub in every
+        # community, over disjoint blocks that ten more communities cross
+        listed = []
+
+        def counting_row_pairs(indptr, indices):
+            pairs = row_pairs(indptr, indices)
+            listed.append(len(pairs[0]))
+            return pairs
+
+        monkeypatch.setattr(clustering, "row_pairs", counting_row_pairs)
+        rng = random.Random(79)
+        identical = [set(range(100))] * 100
+        hub = [{0} | set(range(1 + 20 * k, 21 + 20 * k)) for k in range(40)]
+        hub += [{0} | set(rng.sample(range(1, 801), 20)) for _ in range(10)]
+        for sets in (identical, hub):
+            listed.clear()
+            heavy = _heavy_pairs(Cover.from_sets(sets))
+            multi = {u for u in set().union(*sets) if sum(u in c for c in sets) >= 2}
+            assert 0 < len(listed) and sum(listed) <= sum(math.comb(len(c & multi), 2)
+                                                          for c in sets)
+            held = Counter(p for c in sets for p in itertools.combinations(sorted(c), 2))
+            n = len(set().union(*sets))  # ids 0..n-1, their own positions
+            assert heavy.tolist() == sorted(u * n + v for (u, v), m in held.items() if m >= 2)
 
     def test_tiny_universe_rejected(self):
         with pytest.raises(CoverError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covereval.clustering import omega_index
 from covereval.cover import (
     Cover, CoverError, build_community_graph, community_graph_edges,
     load_cover, mesoscopic_profile,
@@ -182,19 +183,24 @@ class TestCoverMatrix:
         assert c._transposed is None and c._overlaps is None
 
     def test_transpose_and_overlaps_built_once(self):
-        """The community graph, the overlap sizes and every clustering
-        metric read the same read-only arrays."""
+        """The community graph, the overlap sizes, omega and every other
+        clustering metric read the same read-only arrays: the overlaps are
+        the pair codes and the members of each overlap set, in CSR form."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}, {2, 3}])
         ptr, comm = c.transposed()
         assert c.transposed()[1] is comm and c._transposed[0] is ptr
         assert (ptr.tolist(), comm.tolist()) == ([0, 1, 3, 6, 7], [0, 0, 1, 0, 1, 2, 2])
         assert c._overlaps is None
         community_graph_edges(c)
-        codes, sizes = c._overlaps
+        codes, starts, members = c._overlaps
         mesoscopic_profile(c)
-        assert c.overlaps()[0] is codes and c.overlaps()[1] is sizes
-        assert (codes.tolist(), sizes.tolist()) == ([1, 2, 5], [2, 1, 1])
-        for a in (ptr, comm, codes, sizes):
+        omega_index(c, c)
+        assert all(a is b for a, b in zip(c.overlaps(), (codes, starts, members)))
+        assert len(c.overlaps()) == 3
+        # C_0 & C_1 = {1, 2}, C_0 & C_2 = {2}, C_1 & C_2 = {2}
+        assert (codes.tolist(), starts.tolist(), members.tolist()) == (
+            [1, 2, 5], [0, 2, 3, 4], [1, 2, 2, 2])
+        for a in (ptr, comm, codes, starts, members):
             with pytest.raises(ValueError):
                 a[0] = 0
 

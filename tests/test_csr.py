@@ -15,7 +15,7 @@ from scipy.sparse import csgraph
 
 from covereval import graph as graph_module
 from covereval.clustering import (
-    _contingency, _multi_member_pairs, _multiplicities, common_universe,
+    _contingency, _heavy_pairs, _multiplicities, common_universe,
 )
 from covereval.cover import Cover, CoverError
 from covereval.graph import (
@@ -119,30 +119,32 @@ def test_transposed_equals_scipy():
 
 
 def test_overlaps_equal_scipy():
+    # and each overlap set's members: the nodes in both communities
     for c, b in covers(4):
         want = sparse.triu(b @ b.T, k=1, format="csr")
         want.sort_indices()
         k = len(c.communities)
         rows = np.repeat(np.arange(k), np.diff(want.indptr))
-        codes, counts = c.overlaps()
+        codes, starts, members = c.overlaps()
         assert codes.tolist() == (rows * k + want.indices).tolist()
-        assert counts.tolist() == want.data.tolist()
+        assert np.diff(starts).tolist() == want.data.tolist()
+        dense = b.toarray().astype(bool)
+        for p, (r, l) in enumerate(zip(rows, want.indices)):
+            both = np.flatnonzero(dense[r] & dense[l])
+            assert members[starts[p]:starts[p + 1]].tolist() == both.tolist()
 
 
-def test_multi_member_pairs_equal_scipy():
-    # and the multiplicity of every node pair, listed or not
+def test_heavy_pairs_equal_scipy():
+    # and the multiplicity of every node pair, heavy or not
     for c, b in covers(5):
         n = len(c.nodes)
         co = (b.T @ b).toarray()  # pair multiplicities; memberships on the diagonal
-        multi = np.flatnonzero(co.diagonal() >= 2)
-        want = sparse.triu(sparse.csr_array(co[np.ix_(multi, multi)]), k=1, format="csr")
-        want.sort_indices()
-        rows = np.repeat(multi, np.diff(want.indptr))
-        listed = _multi_member_pairs(c)
-        assert listed[0].tolist() == (rows * n + multi[want.indices]).tolist()
-        assert listed[1].tolist() == want.data.tolist()
         i, j = np.triu_indices(n, k=1)
-        assert _multiplicities(c, listed, i, j).tolist() == co[i, j].tolist()
+        heavy = co[i, j] >= 2
+        assert _heavy_pairs(c).tolist() == (i[heavy] * n + j[heavy]).tolist()
+        assert _multiplicities(c, i, j).tolist() == co[i, j].tolist()
+        # either endpoint first: the lookup goes from the one of fewer communities
+        assert _multiplicities(c, j, i).tolist() == co[i, j].tolist()
 
 
 def test_contingency_equals_scipy():

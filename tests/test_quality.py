@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from covereval.cover import Cover, CoverError
 from covereval.graph import Graph, GraphError
-from covereval.quality import _mean, group_sums, overlapping_modularity, quality_report
+from covereval.quality import _mean, group_sums, quality_report
 
 from gen import graphs, random_graph, random_partition
 from oracles import exact_sum, newman_modularity, scan_quality, sorted_sum
@@ -102,12 +102,12 @@ class TestOverlappingModularity:
             if g.edge_count == 0:
                 continue
             c = Cover.from_sets([set(range(g.n))])
-            assert overlapping_modularity(g, c) == 0.0
+            assert quality_report(g, c)["OM"] == 0.0
 
     def test_two_disjoint_triangles(self):
         g = two_triangles()
         c = Cover.from_sets([{0, 1, 2}, {3, 4, 5}])
-        assert overlapping_modularity(g, c) == pytest.approx(0.5, abs=1e-12)
+        assert quality_report(g, c)["OM"] == pytest.approx(0.5, abs=1e-12)
 
     def test_partition_equals_newman(self):
         rng = random.Random(47)
@@ -121,23 +121,20 @@ class TestOverlappingModularity:
             cover = Cover.from_sets(blocks)
             labels = {u: bi for bi, b in enumerate(blocks) for u in b}
             want = newman_modularity(n, edges, labels)
-            assert overlapping_modularity(g, cover) == pytest.approx(want, abs=1e-12)
+            assert quality_report(g, cover)["OM"] == pytest.approx(want, abs=1e-12)
             done += 1
 
-    def test_edgeless_rejected(self):
-        with pytest.raises(GraphError):
-            overlapping_modularity(Graph(3, []), Cover.from_sets([{0}]))
-
-    def test_quality_report_reuses_it_exactly(self):
+    def test_overlapping_covers_match_scan(self):
         rng = random.Random(61)
         for _ in range(10):
             n = rng.randint(5, 25)
-            g, _ = random_graph(rng, n, 0.3)
+            g, edges = random_graph(rng, n, 0.3)
             if g.edge_count == 0:
                 continue
-            cover = Cover.from_sets([set(rng.sample(range(n), rng.randint(1, n)))
-                                     for _ in range(rng.randint(1, 6))])
-            assert quality_report(g, cover)["OM"] == overlapping_modularity(g, cover)
+            sets = [set(rng.sample(range(n), rng.randint(1, n)))
+                    for _ in range(rng.randint(1, 6))]
+            want = scan_quality(n, edges, sets)["OM"]
+            assert quality_report(g, Cover.from_sets(sets))["OM"] == want
 
     @given(graphs(min_nodes=2), st.data())
     @settings(max_examples=150, deadline=None)
