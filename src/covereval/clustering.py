@@ -12,8 +12,6 @@ import numpy as np
 from .cover import Cover, CoverError
 from .graph import csr, expand, find_sorted, row_of, row_pairs
 
-# _conditional_entropy takes its K1 x K2 table this many entries at a time
-ONMI_BLOCK_ENTRIES = 1 << 16
 # overlapping NMI, omega index and best-match F1, by their report names
 CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
 
@@ -144,26 +142,31 @@ def _entropies(h: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return h[sizes] + h[len(h) - 1 - sizes]
 
 
+def _terms(h: np.ndarray, size_x: np.ndarray, size_y: np.ndarray, d) -> np.ndarray:
+    """H*(X|Y) of communities of sizes `size_x` and `size_y` sharing `d` nodes:
+    their joint entropy minus H(Y) where h(a)+h(d) >= h(b)+h(c), else inf."""
+    ha = h[len(h) - 1 - size_x - size_y + d]    # in neither
+    hb = h[size_y - d]                          # only in y
+    hc = h[size_x - d]                          # only in x
+    hd = h[d]                                   # in both
+    return np.where(ha + hd >= hb + hc, ha + hb + hc + hd - _entropies(h, size_y), np.inf)
+
+
 def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray,
-                         overlap: np.ndarray) -> float:
-    """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to
-    H(X_k). `overlap[k, l]` is |X_k & Y_l|. H*(X|Y) is the joint entropy of
-    the two binary indicators minus H(Y), admitted only when the
-    information-theoretic constraint h(a)+h(d) >= h(b)+h(c) holds. Rows go in
-    blocks of `ONMI_BLOCK_ENTRIES` entries, or one row; `math.fsum` adds the row minima."""
-    n = len(h) - 1
-    hy = _entropies(h, sizes_y)
+                         rows: np.ndarray, cols: np.ndarray, overlap: np.ndarray) -> float:
+    """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to H(X_k),
+    by `math.fsum`. `overlap[i]` = |X_rows[i] & Y_cols[i]| > 0; any other pair
+    is disjoint, its term set by the two sizes alone: one term per size pair,
+    taken for each Y size with a community that X_k misses."""
     best = _entropies(h, sizes_x)
-    block = max(1, ONMI_BLOCK_ENTRIES // len(sizes_y))
-    for start in range(0, len(sizes_x), block):
-        size_x = sizes_x[start:start + block, None]
-        d = np.ascontiguousarray(overlap[start:start + block])  # table.T has strided rows
-        ha = h[n - size_x - sizes_y + d]    # in neither
-        hb = h[sizes_y - d]                 # only in y
-        hc = h[size_x - d]                  # only in x
-        hd = h[d]                           # in both
-        terms = np.where(ha + hd >= hb + hc, ha + hb + hc + hd - hy, np.inf)
-        np.minimum(best[start:start + block], terms.min(axis=1), out=best[start:start + block])
+    np.minimum.at(best, rows, _terms(h, sizes_x[rows], sizes_y[cols], overlap))
+    xs, x_of = np.unique(sizes_x, return_inverse=True)
+    ys, y_of, y_count = np.unique(sizes_y, return_inverse=True, return_counts=True)
+    # |X| + |Y| > n wraps the index of h, but every Y of that size meets X
+    disjoint = _terms(h, xs[:, None], ys, 0)[x_of]
+    met = np.bincount(rows * len(ys) + y_of[cols], minlength=len(sizes_x) * len(ys))
+    missed = met.reshape(len(sizes_x), len(ys)) < y_count
+    np.minimum(best, np.where(missed, disjoint, np.inf).min(axis=1), out=best)
     return math.fsum(best.tolist())
 
 
@@ -179,10 +182,8 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
         return 1.0  # every community of both covers is the whole universe
 
     rows, cols, counts = _contingency(c1, c2)
-    table = np.zeros((len(sizes1), len(sizes2)), dtype=np.int64)
-    table[rows, cols] = counts
-    mutual = 0.5 * ((h1 - _conditional_entropy(h, sizes1, sizes2, table))
-                    + (h2 - _conditional_entropy(h, sizes2, sizes1, table.T)))
+    mutual = 0.5 * ((h1 - _conditional_entropy(h, sizes1, sizes2, rows, cols, counts))
+                    + (h2 - _conditional_entropy(h, sizes2, sizes1, cols, rows, counts)))
     return mutual / max(h1, h2)
 
 

@@ -315,11 +315,9 @@ class TestOnmiMax:
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
-    @pytest.mark.parametrize("entries", [1, 7])
-    def test_blocks_equal_scalar_formulas_exactly(self, monkeypatch, entries):
-        # one row per block, and 7 // 3 = 2 rows of a 5 x 3 table per block:
-        # blocks of 2, 2 and 1 rows (the transposed table: 7 // 5 = 1 row)
-        from covereval import clustering
+    def test_covers_with_the_universe_equal_scalar_formulas_exactly(self):
+        # covers of unequal community counts, each with the whole universe,
+        # in both orders
         rng = random.Random(137)
         cases = []
         for i in range(40):
@@ -331,9 +329,69 @@ class TestOnmiMax:
             n = rng.randint(4, 30)
             cases.append((random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))],
                           random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))]))
-        monkeypatch.setattr(clustering, "ONMI_BLOCK_ENTRIES", entries)
         for s1, s2 in cases:
             assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
+
+    def test_disjoint_pairs_equal_scalar_formulas_exactly(self):
+        # a disjoint pair's term is computed once per pair of sizes and
+        # taken only where the row misses a community of that size: a few
+        # small sizes with several communities each, so rows meet some but
+        # not all communities of one size, and some rows' minima come from
+        # a disjoint pair; sometimes a size up to n, a repeat and the
+        # universe, and the nodes left over as singletons
+        def sized_cover(rng, n):
+            sizes = rng.sample(range(1, n // 4), min(n // 4 - 1, rng.randint(1, 4)))
+            sizes += [rng.randint(1, n)] * (rng.random() < 0.5)
+            sets = [set(rng.sample(range(n), size))
+                    for size in sizes for _ in range(rng.randint(1, 4))]
+            sets += [set(rng.choice(sets))] + [set(range(n))] * (rng.random() < 0.3)
+            return sets + [{u} for u in set(range(n)).difference(*sets)]
+
+        def disjoint_minima(xs, ys):
+            # rows whose minimum comes from a disjoint pair alone
+            n = len(set().union(*xs))
+            h = _entropy_table(n)
+            count = 0
+            for x in xs:
+                terms = {True: [], False: [h[len(x)] + h[n - len(x)]]}
+                for y in ys:
+                    a, b, c, d = n - len(x | y), len(y - x), len(x - y), len(x & y)
+                    if h[a] + h[d] >= h[b] + h[c]:
+                        terms[d == 0].append(h[a] + h[b] + h[c] + h[d] - h[b + d] - h[a + c])
+                count += min(terms[True], default=np.inf) < min(terms[False])
+            return count
+
+        rng = random.Random(149)
+        decided = 0
+        for _ in range(300):
+            n = rng.randint(8, 40)
+            s1, s2 = sized_cover(rng, n), sized_cover(rng, n)
+            got = onmi_max(Cover.from_sets(s1), Cover.from_sets(s2))
+            assert got == scalar_onmi(s1, s2)
+            assert got == pytest.approx(brute_onmi(s1, s2), abs=1e-12)
+            decided += disjoint_minima(s1, s2) + disjoint_minima(s2, s1)
+        assert decided >= 50
+
+    def test_many_communities_build_no_dense_table(self):
+        # 3 000 communities a side over 6 000 nodes, each node in one pair
+        # and one random community: a dense int64 K1 x K2 contingency would
+        # take 72 MB
+        n, k = 6000, 3000
+        rng = np.random.default_rng(151)
+        covers = []
+        for _ in range(2):
+            comm = np.concatenate((np.arange(n) // 2, rng.integers(k, size=n)))
+            order = np.argsort(comm, kind="stable")
+            covers.append(Cover(np.bincount(comm, minlength=k), np.tile(np.arange(n), 2)[order]))
+        tracemalloc.start()
+        try:
+            got = onmi_max(*covers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(onmi_max(*covers[::-1]), abs=1e-12)
+        assert peak < 8 * 2**20
 
 
 class TestF1BestMatch:

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no import is left unused, and every
-name the package exports resolves."""
+"""Static checks on the package source: no import is left unused, every
+module-level name is read somewhere, and every name the package exports
+resolves."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,10 @@ import pytest
 import covereval
 
 SOURCES = sorted(Path(covereval.__file__).parent.glob("*.py"))
+# every file that may read a name of the package: itself, its tests, its
+# scripts and its benchmark
+READERS = SOURCES + sorted(p for d in ("tests", "scripts", "perfbench")
+                           for p in (Path(covereval.__file__).parents[2] / d).glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,6 +53,37 @@ def exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Each function, class or constant the module defines at its top
+    level, with its line; dunder names aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {name: line for name, line in names.items() if not name.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: names loaded, attributes, names imported
+    from a module, and strings (`getattr`, `monkeypatch.setattr`,
+    `__all__`, string annotations)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
@@ -55,6 +91,14 @@ def test_every_import_is_used(path):
               for name, line in imported_names(tree).items()
               if name not in used_names(tree) | exported_names(tree)]
     assert not unused
+
+
+def test_every_module_name_is_read():
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in READERS))
+    unread = [f"{path.name}:{line} {name}" for path in SOURCES
+              for name, line in defined_names(ast.parse(path.read_text())).items()
+              if name not in read]
+    assert not unread
 
 
 def test_all_names_resolve():
@@ -67,3 +111,9 @@ def test_checks_catch_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nx: 'path' = 'math' + sep\n")
     names = imported_names(tree)
     assert sorted(set(names) - used_names(tree)) == ["math"]
+
+
+def test_checks_catch_an_unread_name():
+    tree = ast.parse("BLOCK = 1 << 16\nLIMIT: int = 3\nclass A: pass\n"
+                     "def f(x=LIMIT):\n    A.size = x\n    return getattr(A, 'g')\n")
+    assert sorted(set(defined_names(tree)) - read_names(tree)) == ["BLOCK", "f"]
