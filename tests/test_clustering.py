@@ -315,9 +315,12 @@ class TestOnmiMax:
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
-    def test_covers_with_the_universe_equal_scalar_formulas_exactly(self):
+    @pytest.mark.parametrize("entries", [1, 7])
+    def test_blocks_equal_scalar_formulas_exactly(self, entries):
         # covers of unequal community counts, each with the whole universe,
-        # in both orders
+        # in both orders; each pair is checked as is and again with a block
+        # of `entries` communities of one size added to the second cover, so
+        # that with 7 a row meets some but not all communities of that size
         rng = random.Random(137)
         cases = []
         for i in range(40):
@@ -330,6 +333,10 @@ class TestOnmiMax:
             cases.append((random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))],
                           random_cover_sets(rng, n, rng.randint(1, 9)) + [set(range(n))]))
         for s1, s2 in cases:
+            assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
+            n = len(s1[-1])
+            size = rng.randint(1, n)
+            s2 = s2 + [set(rng.sample(range(n), size)) for _ in range(entries)]
             assert onmi_max(Cover.from_sets(s1), Cover.from_sets(s2)) == scalar_onmi(s1, s2)
 
     def test_disjoint_pairs_equal_scalar_formulas_exactly(self):
