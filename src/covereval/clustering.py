@@ -3,6 +3,7 @@ NMI (max-normalized), and best-match F1."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Sequence
@@ -10,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .cover import Cover, CoverError
-from .graph import csr, expand, find_sorted, row_of, row_pairs
+from .graph import expand, find_sorted, read_only
 
 # overlapping NMI, omega index and best-match F1, by their report names
 CLUSTERING_PROPS = ("NMI", "OI", "F1-score")
@@ -36,35 +37,14 @@ def common_universe(c1: Cover, c2: Cover, labels: Sequence[str] | None = None
 
 def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair (k, l) of a community of `c1` and one of `c2` that share
-    a node, by k, then l, and |C1_k & C2_l|: the pairs of each node's
-    communities in the two covers, counted. The covers' node ids must be
-    equal."""
-    ptr1, comm1 = c1.transposed()
+    a node, by k, then l, and |C1_k & C2_l|: each incidence of `c1` paired
+    with its node's communities in `c2`, counted. The covers' node ids must
+    be equal."""
     ptr2, comm2 = c2.transposed()
-    node = row_of(ptr1)
-    first, second = expand(ptr2[node], np.diff(ptr2)[node])
+    first, second = expand(ptr2[c1.indices], np.diff(ptr2)[c1.indices])
     width = len(c2.sizes)
-    codes, counts = np.unique(comm1[first] * width + comm2[second], return_counts=True)
+    codes, counts = np.unique(c1.rows[first] * width + comm2[second], return_counts=True)
     return codes // width, codes % width, counts
-
-
-def _heavy_pairs(c: Cover) -> np.ndarray:
-    """Every node pair i < j (positions in ``nodes``) that two or more
-    communities hold, as the increasing codes i * n + j. It lies in the
-    overlap set of any two of them, so the pairs of each community's nodes
-    in one of its overlap sets of two or more nodes list it once per
-    community holding it, any other pair at most once, and no more pairs
-    than the nodes of two or more communities would."""
-    codes, ptr, members = c.overlaps()
-    k, n = len(c.sizes), len(c.nodes)
-    sizes = np.diff(ptr)
-    kept = np.repeat(sizes >= 2, sizes)
-    pair, nodes = np.repeat(codes, sizes)[kept], members[kept]
-    _, i, j = row_pairs(*csr(np.concatenate((pair // k, pair % k)),
-                             np.concatenate((nodes, nodes)), k, n))
-    listed = np.sort(i * n + j)
-    repeats = listed[1:][listed[1:] == listed[:-1]]
-    return repeats[np.diff(repeats, prepend=-1) != 0]
 
 
 def _multiplicities(c: Cover, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -76,7 +56,7 @@ def _multiplicities(c: Cover, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     u = np.where(degree[j] < degree[i], j, i)
     v = i + j - u  # the other endpoint
     pair, at = expand(ptr[u], degree[u])
-    _, held = find_sorted(row_of(c.indptr) * n + c.indices, comm[at] * n + v[pair])
+    _, held = find_sorted(c.codes(), comm[at] * n + v[pair])
     return np.bincount(pair[held], minlength=len(i))
 
 
@@ -109,7 +89,7 @@ def omega_index(c1: Cover, c2: Cover) -> float:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    heavy = np.sort(np.concatenate((_heavy_pairs(c1), _heavy_pairs(c2))))
+    heavy = np.sort(np.concatenate((c1.heavy_pairs(), c2.heavy_pairs())))
     heavy = heavy[np.diff(heavy, prepend=-1) != 0]
     i, j = np.divmod(heavy, n)
     m1, m2 = _multiplicities(c1, i, j), _multiplicities(c2, i, j)
@@ -130,11 +110,15 @@ def omega_index(c1: Cover, c2: Cover) -> float:
     return (m_pairs * agree - expected) / spread if spread else 1.0
 
 
+@functools.lru_cache(maxsize=1)
 def _entropy_table(n: int) -> np.ndarray:
     """-w/n log2(w/n) for each count w = 0..n of n nodes, 0 at w = 0; by
-    math.log2, which np.log2 need not match in the last bit."""
+    math.log2, which np.log2 need not match in the last bit. The last
+    universe size's table is kept, read-only: every candidate of a run
+    reads the same one."""
     p = np.arange(1, n + 1) / n
-    return np.concatenate(([0.0], -p * np.fromiter(map(math.log2, p.tolist()), float, n)))
+    return read_only(np.concatenate(
+        ([0.0], -p * np.fromiter(map(math.log2, p.tolist()), float, n))))[0]
 
 
 def _entropies(h: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -152,16 +136,18 @@ def _terms(h: np.ndarray, size_x: np.ndarray, size_y: np.ndarray, d) -> np.ndarr
     return np.where(ha + hd >= hb + hc, ha + hb + hc + hd - _entropies(h, size_y), np.inf)
 
 
-def _conditional_entropy(h: np.ndarray, sizes_x: np.ndarray, sizes_y: np.ndarray,
-                         rows: np.ndarray, cols: np.ndarray, overlap: np.ndarray) -> float:
-    """Sum over communities X_k of min_l H*(X_k|Y_l), falling back to H(X_k),
-    by `math.fsum`. `overlap[i]` = |X_rows[i] & Y_cols[i]| > 0; any other pair
-    is disjoint, its term set by the two sizes alone: one term per size pair,
-    taken for each Y size with a community that X_k misses."""
+def _conditional_entropy(h: np.ndarray, x: Cover, y: Cover, rows: np.ndarray,
+                         cols: np.ndarray, overlap: np.ndarray) -> float:
+    """Sum over communities X_k of `x` of min_l H*(X_k|Y_l) over those of
+    `y`, falling back to H(X_k), by `math.fsum`. `overlap[i]` = |X_rows[i] &
+    Y_cols[i]| > 0; any other pair is disjoint, its term set by the two
+    sizes alone: one term per size pair, taken for each Y size with a
+    community that X_k misses."""
+    sizes_x, sizes_y = x.sizes, y.sizes
     best = _entropies(h, sizes_x)
     np.minimum.at(best, rows, _terms(h, sizes_x[rows], sizes_y[cols], overlap))
-    xs, x_of = np.unique(sizes_x, return_inverse=True)
-    ys, y_of, y_count = np.unique(sizes_y, return_inverse=True, return_counts=True)
+    xs, x_of, _ = x.size_classes()
+    ys, y_of, y_count = y.size_classes()
     # |X| + |Y| > n wraps the index of h, but every Y of that size meets X
     disjoint = _terms(h, xs[:, None], ys, 0)[x_of]
     met = np.bincount(rows * len(ys) + y_of[cols], minlength=len(sizes_x) * len(ys))
@@ -175,15 +161,14 @@ def onmi_max(c1: Cover, c2: Cover) -> float:
     al.'s max-normalization over binary community indicators)."""
     c1, c2 = common_universe(c1, c2)
     h = _entropy_table(len(c1.nodes))
-    sizes1, sizes2 = c1.sizes, c2.sizes
-    h1 = math.fsum(_entropies(h, sizes1).tolist())
-    h2 = math.fsum(_entropies(h, sizes2).tolist())
+    h1 = math.fsum(_entropies(h, c1.sizes).tolist())
+    h2 = math.fsum(_entropies(h, c2.sizes).tolist())
     if h1 == 0.0 and h2 == 0.0:
         return 1.0  # every community of both covers is the whole universe
 
     rows, cols, counts = _contingency(c1, c2)
-    mutual = 0.5 * ((h1 - _conditional_entropy(h, sizes1, sizes2, rows, cols, counts))
-                    + (h2 - _conditional_entropy(h, sizes2, sizes1, cols, rows, counts)))
+    mutual = 0.5 * ((h1 - _conditional_entropy(h, c1, c2, rows, cols, counts))
+                    + (h2 - _conditional_entropy(h, c2, c1, cols, rows, counts)))
     return mutual / max(h1, h2)
 
 

@@ -27,11 +27,15 @@ class Cover:
     ``nodes`` holds the sorted distinct member ids (int64; any values), and
     community i's members are ``nodes[indices[indptr[i]:indptr[i + 1]]]``
     in increasing order: ``indptr`` and ``indices`` are the communities x
-    nodes 0/1 incidence in CSR form. A cover also keeps what is derived
-    from the incidence once it is asked for: its transpose (`transposed`)
-    and its communities' overlaps (`overlaps`)."""
+    nodes 0/1 incidence in CSR form, ``sizes`` each community's member
+    count and ``rows`` each incidence's community, all built once and
+    read-only. A cover also keeps what is derived from the incidence once
+    it is asked for: its transpose (`transposed`), its communities'
+    overlaps (`overlaps`), its size classes (`size_classes`), its heavy
+    pairs (`heavy_pairs`) and its incidence codes (`codes`)."""
 
-    __slots__ = ("nodes", "indptr", "indices", "_transposed", "_overlaps")
+    __slots__ = ("nodes", "indptr", "indices", "sizes", "rows", "_transposed", "_overlaps",
+                 "_size_classes", "_heavy_pairs", "_codes")
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -45,7 +49,11 @@ class Cover:
         self.nodes, cols = np.unique(members, return_inverse=True)
         rows = np.repeat(np.arange(len(sizes)), sizes)
         self.indptr, self.indices = csr(rows, cols, len(sizes), len(self.nodes))
+        self.sizes = np.diff(self.indptr)
+        self.rows = row_of(self.indptr)
+        read_only(self.nodes, self.indptr, self.indices, self.sizes, self.rows)
         self._transposed = self._overlaps = None
+        self._size_classes = self._heavy_pairs = self._codes = None
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -59,11 +67,6 @@ class Cover:
         bounds = self.indptr.tolist()
         return tuple(frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Each community's member count."""
-        return np.diff(self.indptr)
-
     def transposed(self) -> tuple[np.ndarray, np.ndarray]:
         """The incidence transposed, nodes x communities, in CSR form: node
         j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
@@ -71,7 +74,7 @@ class Cover:
         overlaps and every clustering metric read it."""
         if self._transposed is None:
             self._transposed = read_only(
-                *csr(self.indices, row_of(self.indptr), len(self.nodes), len(self.sizes)))
+                *csr(self.indices, self.rows, len(self.nodes), len(self.sizes)))
         return self._transposed
 
     def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,6 +91,32 @@ class Cover:
             self._overlaps = read_only(pair[first], np.append(first, len(pair)), members)
         return self._overlaps
 
+    def size_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct community sizes, increasing, each community's index
+        among them and each size's community count: ``np.unique`` of
+        `sizes` with its inverse and counts. Built on the first call and
+        kept, read-only, for ONMI's disjoint-pair terms."""
+        if self._size_classes is None:
+            self._size_classes = read_only(
+                *np.unique(self.sizes, return_inverse=True, return_counts=True))
+        return self._size_classes
+
+    def heavy_pairs(self) -> np.ndarray:
+        """`_heavy_pairs` of the cover, built on the first call and kept,
+        read-only: omega reads them on every pair the cover is in."""
+        if self._heavy_pairs is None:
+            self._heavy_pairs = read_only(_heavy_pairs(self))[0]
+        return self._heavy_pairs
+
+    def codes(self) -> np.ndarray:
+        """Each incidence as the code k * n + j of its community k and its
+        position j in ``nodes``, increasing, with n nodes; exact while K n <
+        2^63. Built on the first call and kept, read-only: omega looks the
+        heavy pairs' multiplicities up in it."""
+        if self._codes is None:
+            self._codes = read_only(self.rows * len(self.nodes) + self.indices)[0]
+        return self._codes
+
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied
         entirely are dropped."""
@@ -96,6 +125,25 @@ class Cover:
         if not sizes.any():
             raise CoverError("restriction removed every community")
         return Cover(sizes[sizes > 0], self.nodes[self.indices[keep]])
+
+
+def _heavy_pairs(c: Cover) -> np.ndarray:
+    """Every node pair i < j (positions in ``nodes``) that two or more
+    communities hold, as the increasing codes i * n + j. It lies in the
+    overlap set of any two of them, so the pairs of each community's nodes
+    in one of its overlap sets of two or more nodes list it once per
+    community holding it, any other pair at most once, and no more pairs
+    than the nodes of two or more communities would."""
+    codes, ptr, members = c.overlaps()
+    k, n = len(c.sizes), len(c.nodes)
+    sizes = np.diff(ptr)
+    kept = np.repeat(sizes >= 2, sizes)
+    pair, nodes = np.repeat(codes, sizes)[kept], members[kept]
+    _, i, j = row_pairs(*csr(np.concatenate((pair // k, pair % k)),
+                             np.concatenate((nodes, nodes)), k, n))
+    listed = np.sort(i * n + j)
+    repeats = listed[1:][listed[1:] == listed[:-1]]
+    return repeats[np.diff(repeats, prepend=-1) != 0]
 
 
 @dataclass(frozen=True)

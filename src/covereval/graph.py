@@ -69,10 +69,12 @@ def read_only(*arrays: np.ndarray | None) -> tuple[np.ndarray | None, ...]:
 
 
 def find_sorted(values: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each query is, or would go, among the increasing non-negative
-    `values`, and whether it is there."""
+    """Where each query is, or would go, among the increasing `values`, and
+    whether it is there; `values` may be empty only with no query. A query
+    past the last value is compared with the last one, which is below it:
+    no copy of `values` and no second array of positions is made."""
     at = np.searchsorted(values, queries)
-    return at, np.append(values, -1)[at] == queries  # -1 is no value
+    return at, values.take(at, mode="clip") == queries
 
 
 def int_sums(groups: np.ndarray, terms: np.ndarray, k: int) -> list[int]:
@@ -150,9 +152,13 @@ class Graph:
     ``original_labels[i]`` maps back to the source label. A graph loaded
     from an edge list, or that a cover was loaded against, also keeps its
     labels' keys (`label_index`), and a graph that `giant_component` returned
-    that it is connected."""
+    that it is connected. The CSR arrays are read-only, and so is what is
+    derived from them on first use and kept: each node's degree (`degrees`)
+    and its count of higher-numbered neighbours (`upper_degrees`). No
+    per-edge array is kept beside them."""
 
-    __slots__ = ("indptr", "indices", "original_labels", "_label_index", "_connected")
+    __slots__ = ("indptr", "indices", "original_labels", "_label_index", "_connected",
+                 "_degrees", "_upper_degrees")
 
     def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
@@ -169,10 +175,7 @@ class Graph:
         if len(original_labels) != n:
             raise GraphError("original_labels length must equal node count")
         ends = np.concatenate([e, e[:, ::-1]])
-        self.indptr, self.indices = csr(ends[:, 0], ends[:, 1], n, n)
-        self.original_labels = tuple(original_labels)
-        self._label_index = None
-        self._connected = False
+        self._adopt(*csr(ends[:, 0], ends[:, 1], n, n), original_labels)
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
@@ -180,10 +183,15 @@ class Graph:
         """The graph with these CSR arrays, which must already be symmetric,
         loop-free and sorted within each row, and one label per row."""
         g = cls.__new__(cls)
-        g.indptr, g.indices, g.original_labels = indptr, indices, tuple(original_labels)
-        g._label_index = None
-        g._connected = False
+        g._adopt(indptr, indices, original_labels)
         return g
+
+    def _adopt(self, indptr: np.ndarray, indices: np.ndarray,
+               original_labels: Sequence[str]) -> None:
+        self.indptr, self.indices = read_only(indptr, indices)
+        self.original_labels = tuple(original_labels)
+        self._label_index = self._degrees = self._upper_degrees = None
+        self._connected = False
 
     @property
     def n(self) -> int:
@@ -194,8 +202,21 @@ class Graph:
         return len(self.indices) // 2
 
     def degrees(self) -> np.ndarray:
-        """Each node's degree, int64."""
-        return np.diff(self.indptr)
+        """Each node's degree, int64, built on the first call and kept,
+        read-only."""
+        if self._degrees is None:
+            self._degrees = read_only(np.diff(self.indptr))[0]
+        return self._degrees
+
+    def upper_degrees(self) -> np.ndarray:
+        """Each node's count of neighbours numbered above it, int64, built
+        on the first call and kept, read-only: the quality of every cover
+        reads it."""
+        if self._upper_degrees is None:
+            rows = row_of(self.indptr)
+            self._upper_degrees = read_only(
+                np.bincount(rows[rows < self.indices], minlength=self.n))[0]
+        return self._upper_degrees
 
     def edges(self) -> np.ndarray:
         """Every edge once as a row (u, v) with u < v, in row-major order: an

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .cover import Cover
-from .graph import Graph, GraphError, expand, find_sorted, int_sums, row_of
+from .graph import Graph, GraphError, expand, find_sorted, int_sums
 
 
 # average degree, average ODF, Flake ODF, internal density, maximum ODF and
@@ -35,14 +35,15 @@ def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     the cover's CSR arrays list them. Each edge (u, v), u < v, is looked up
     once, from u's side: every (community, neighbour above u) pair is
     searched among the members' sorted codes community * V + node, and a
-    hit counts for u and for the member it lands on."""
-    rows = row_of(c.indptr)
+    hit counts for u and for the member it lands on. The queries are
+    built in place of their neighbours' positions, so that at most four
+    query-long arrays are alive at once."""
     members = c.nodes[c.indices]
-    codes = rows * g.n + members
-    above = np.bincount(g.edges()[:, 0], minlength=g.n)[members]  # neighbours above u
-    owner, entry = expand(g.indptr[members + 1] - above, above)
-    queries = rows[owner] * g.n + g.indices[entry]
-    at, inside = find_sorted(codes, queries)
+    above = g.upper_degrees()[members]
+    owner, queries = expand(g.indptr[members + 1] - above, above)
+    queries = g.indices[queries]
+    queries += c.rows[owner] * g.n
+    at, inside = find_sorted(c.rows * g.n + members, queries)
     return np.bincount(np.concatenate((owner[inside], at[inside])), minlength=len(members))
 
 
@@ -62,7 +63,7 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
         raise GraphError("modularity undefined on an edgeless graph")
     k = len(c.sizes)
     size = c.sizes
-    rows = row_of(c.indptr)
+    rows = c.rows
     total = g.degrees()[c.nodes[c.indices]]
     intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)

@@ -273,36 +273,48 @@ class TestEncoding:
 
 class TestImports:
     def test_run_imports_nothing_after_setup(self, tmp_path):
-        """Every module a run of all five groups uses is imported by
-        `import covereval.cli` and the config's parse, as `covereval run`
-        does them, so no import is paid inside the run: numpy imports some
-        of its own modules on first use (`numpy.ma` on a bare `np.unique`).
-        A fresh interpreter, so that no test's import counts."""
+        """Every module a run uses is imported by `import covereval.cli` and
+        the config's parse, as `covereval run` does them, so no import is
+        paid inside the run: numpy imports some of its own modules on first
+        use (`numpy.ma` on a bare `np.unique`). Once for all five groups,
+        and once for the quality and clustering groups over several
+        candidates, which read the parts each cover, the network and the
+        universe keep. A fresh interpreter each, so that no test's or
+        earlier run's import counts."""
         from covereval.synthetic import (perturb_cover, planted_cover_network, write_cover,
                                          write_edge_list)
         graph, truth = planted_cover_network(n_nodes=120, n_communities=12, seed=3)
         write_edge_list(graph, tmp_path / "net.txt")
         write_cover(truth, tmp_path / "gt.txt")
-        write_cover(perturb_cover(truth, 0.3, seed=4), tmp_path / "far.txt")
-        (tmp_path / "config.json").write_text(json.dumps({
+        fractions = {"far": 0.3, "near": 0.1, "farthest": 0.5}
+        for name, fraction in fractions.items():
+            write_cover(perturb_cover(truth, fraction, seed=4), tmp_path / f"{name}.txt")
+        all_groups = {
             "network_path": "net.txt", "ground_truth_path": "gt.txt",
             "candidates": [{"name": "exact", "cover_path": "gt.txt"},
                            {"name": "far", "cover_path": "far.txt"}],
-            "output_dir": "out"}))
-        code = (
-            "import sys\n"
-            "from covereval import cli, pipeline\n"
-            "cfg = cli.RunConfig.from_json('config.json')\n"
-            "before = set(sys.modules)\n"
-            "written = pipeline.emit_reports(pipeline.run(cfg), cfg.output_dir)\n"
-            "assert len(cfg.property_groups) == 5 and written\n"
-            "print(*sorted(set(sys.modules) - before))\n")
+            "output_dir": "out"}
+        several = {
+            **all_groups, "property_groups": ["quality", "clustering"],
+            "candidates": [{"name": "exact", "cover_path": "gt.txt"},
+                           *({"name": n, "cover_path": f"{n}.txt"} for n in fractions)],
+            "output_dir": "out-several"}
         src = str(Path(covereval.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout == "\n"
+        for config, groups in ((all_groups, 5), (several, 2)):
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            code = (
+                "import sys\n"
+                "from covereval import cli, pipeline\n"
+                "cfg = cli.RunConfig.from_json('config.json')\n"
+                "before = set(sys.modules)\n"
+                "written = pipeline.emit_reports(pipeline.run(cfg), cfg.output_dir)\n"
+                f"assert len(cfg.property_groups) == {groups} and written\n"
+                "print(*sorted(set(sys.modules) - before))\n")
+            out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout == "\n"
 
     def test_runtime_loads_no_scipy(self, tmp_path):
         """The CLI loads numpy and the standard library only: no scipy module

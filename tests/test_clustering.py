@@ -11,20 +11,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covereval import clustering
+from covereval import clustering, cover as cover_module
 from covereval.clustering import (
-    _best_f1, _entropies, _entropy_table, _heavy_pairs, clustering_scores, common_universe,
+    _best_f1, _entropies, _entropy_table, clustering_scores, common_universe,
     f1_best_match, omega_index, onmi_max,
 )
-from covereval.cover import Cover, CoverError
+from covereval.cover import Cover, CoverError, _heavy_pairs
 from covereval.graph import row_pairs
 from covereval.pipeline import RunConfig, run
+from covereval.synthetic import planted_cover_network
 
 from gen import arbitrary_ids, random_cover_sets, random_partition
 from oracles import (
     adjusted_rand_index, brute_f1, brute_omega, brute_onmi, exact_sum, scalar_best_f1,
     scalar_onmi,
 )
+from test_golden import emitted_digests, perturbed, split_and_partial
 
 
 def cover(*sets):
@@ -209,14 +211,16 @@ class TestOmegaIndex:
             listed.append(len(pairs[0]))
             return pairs
 
-        monkeypatch.setattr(clustering, "row_pairs", counting_row_pairs)
+        monkeypatch.setattr(cover_module, "row_pairs", counting_row_pairs)
         rng = random.Random(79)
         identical = [set(range(100))] * 100
         hub = [{0} | set(range(1 + 20 * k, 21 + 20 * k)) for k in range(40)]
         hub += [{0} | set(rng.sample(range(1, 801), 20)) for _ in range(10)]
         for sets in (identical, hub):
+            c = Cover.from_sets(sets)
+            c.overlaps()  # its pairs of communities are not the ones counted
             listed.clear()
-            heavy = _heavy_pairs(Cover.from_sets(sets))
+            heavy = _heavy_pairs(c)
             multi = {u for u in set().union(*sets) if sum(u in c for c in sets) >= 2}
             assert 0 < len(listed) and sum(listed) <= sum(math.comb(len(c & multi), 2)
                                                           for c in sets)
@@ -596,3 +600,50 @@ class TestOrderFreeSums:
             moved[perm] = sizes_s
             assert _best_f1(moved, sizes_t, perm[rows], cols, tp) == exact_sum(terms) / k
         assert differ >= 10
+
+
+class TestBuiltOnce:
+    """What every candidate reads of the truth, the network or the universe
+    is built once per run, and what a cover or graph keeps is built once,
+    read-only, and equal to a fresh recomputation."""
+
+    def test_run_builds_the_truths_parts_once(self, tmp_path, monkeypatch):
+        # the golden instance: the truth, its copy and two perturbed covers,
+        # all over the same ids; the entropy table is counted by its cache
+        built = []
+
+        def counting_heavy_pairs(c):
+            built.append(c)
+            return _heavy_pairs(c)
+
+        monkeypatch.setattr(cover_module, "_heavy_pairs", counting_heavy_pairs)
+        clustering._entropy_table.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        emitted_digests(tmp_path, perturbed)
+        assert len(built) == 4 and len({id(c) for c in built}) == 4
+        assert clustering._entropy_table.cache_info()[:2] == (2, 1)  # hits, misses
+
+    def test_kept_parts_equal_fresh_ones(self):
+        def kept(read, *want):
+            # two reads give the same read-only arrays, equal to `want`
+            first, again = (x if isinstance(x, tuple) else (x,) for x in (read(), read()))
+            assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+            assert [a.tolist() for a in first] == [w.tolist() for w in want]
+
+        graph, truth = planted_cover_network(n_nodes=400, n_communities=60, seed=7)
+        kept(graph.degrees, np.diff(graph.indptr))
+        kept(graph.upper_degrees, np.bincount(graph.edges()[:, 0], minlength=graph.n))
+        for c in (truth, *perturbed(truth).values(), *split_and_partial(truth).values()):
+            n = len(c.nodes)
+            sizes = np.diff(c.indptr)
+            rows = np.repeat(np.arange(len(sizes)), sizes)
+            kept(lambda: c.sizes, sizes)
+            kept(lambda: c.rows, rows)
+            kept(c.size_classes, *np.unique(sizes, return_inverse=True, return_counts=True))
+            kept(c.codes, np.sort(rows * n + c.indices))
+            b = np.zeros((len(sizes), n), dtype=np.int64)
+            b[rows, c.indices] = 1
+            co = b.T @ b  # each node pair's multiplicity
+            u, v = np.triu_indices(n, k=1)
+            heavy = co[u, v] >= 2
+            kept(c.heavy_pairs, u[heavy] * n + v[heavy])

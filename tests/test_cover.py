@@ -175,12 +175,23 @@ class TestCoverMatrix:
 
     def test_only_state_is_the_matrix(self):
         """Besides the incidence, a cover holds only what is derived from
-        it, each part only once it is first asked for: the transpose and
-        the overlaps."""
+        it: its sizes and each incidence's community from construction,
+        and each other part only once it is first asked for: the transpose,
+        the overlaps, the size classes, the heavy pairs and the codes."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}])
-        assert Cover.__slots__ == ("nodes", "indptr", "indices", "_transposed", "_overlaps")
+        assert Cover.__slots__ == ("nodes", "indptr", "indices", "sizes", "rows",
+                                   "_transposed", "_overlaps", "_size_classes",
+                                   "_heavy_pairs", "_codes")
         assert not hasattr(c, "__dict__")
-        assert c._transposed is None and c._overlaps is None
+        assert (c.sizes.tolist(), c.rows.tolist()) == ([3, 2], [0, 0, 0, 1, 1])
+        assert all(getattr(c, lazy) is None for lazy in Cover.__slots__[5:])
+
+    def test_incidence_is_read_only(self):
+        """What every cached part derives from cannot change under it."""
+        c = Cover.from_sets([{0, 1, 2}, {1, 2}])
+        for a in (c.nodes, c.indptr, c.indices, c.sizes, c.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     def test_transpose_and_overlaps_built_once(self):
         """The community graph, the overlap sizes, omega and every other

@@ -14,10 +14,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from covereval import graph as graph_module
-from covereval.clustering import (
-    _contingency, _heavy_pairs, _multiplicities, common_universe,
-)
-from covereval.cover import Cover, CoverError
+from covereval.clustering import _contingency, _multiplicities, common_universe
+from covereval.cover import Cover, CoverError, _heavy_pairs
 from covereval.graph import (
     Graph, connected_components, giant_component, hop_counts, hop_distribution,
     triangles_per_node,

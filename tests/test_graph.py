@@ -165,6 +165,15 @@ class TestGraphConstructor:
         assert (g.n, g.edge_count, g.edges().shape, g.degrees().tolist()) == (0, 0, (0, 2), [])
         assert g.original_labels == ()
 
+    def test_csr_arrays_are_read_only(self):
+        """What the kept degrees derive from cannot change under them, in
+        a graph built from edges and in a giant component cut out of one."""
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        for h in (g, giant_component(g)):
+            for a in (h.indptr, h.indices, h.degrees(), h.upper_degrees()):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
     def test_labels_length_checked(self):
         with pytest.raises(GraphError, match="original_labels length"):
             Graph(2, [(0, 1)], ["a"])
