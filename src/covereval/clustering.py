@@ -40,7 +40,7 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a node, by k, then l, and |C1_k & C2_l|: each incidence of `c1` paired
     with its node's communities in `c2`, counted. The covers' node ids must
     be equal."""
-    ptr2, comm2 = c2.transposed()
+    ptr2, comm2 = c2.transposed
     first, second = expand(ptr2[c1.indices], np.diff(ptr2)[c1.indices])
     width = len(c2.sizes)
     codes, counts = np.unique(c1.rows[first] * width + comm2[second], return_counts=True)
@@ -50,13 +50,13 @@ def _contingency(c1: Cover, c2: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _multiplicities(c: Cover, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """How many communities of `c` hold each node pair (i, j): how many of
     the communities of its node of fewer communities hold the other."""
-    ptr, comm = c.transposed()
+    ptr, comm = c.transposed
     n = len(c.nodes)
     degree = np.diff(ptr)
     u = np.where(degree[j] < degree[i], j, i)
     v = i + j - u  # the other endpoint
     pair, at = expand(ptr[u], degree[u])
-    _, held = find_sorted(c.codes(), comm[at] * n + v[pair])
+    _, held = find_sorted(c.codes, comm[at] * n + v[pair])
     return np.bincount(pair[held], minlength=len(i))
 
 
@@ -89,7 +89,7 @@ def omega_index(c1: Cover, c2: Cover) -> float:
         raise CoverError("need at least 2 nodes")
     m_pairs = n * (n - 1) // 2
 
-    heavy = np.sort(np.concatenate((c1.heavy_pairs(), c2.heavy_pairs())))
+    heavy = np.sort(np.concatenate((c1.heavy_pairs, c2.heavy_pairs)))
     heavy = heavy[np.diff(heavy, prepend=-1) != 0]
     i, j = np.divmod(heavy, n)
     m1, m2 = _multiplicities(c1, i, j), _multiplicities(c2, i, j)
@@ -146,8 +146,8 @@ def _conditional_entropy(h: np.ndarray, x: Cover, y: Cover, rows: np.ndarray,
     sizes_x, sizes_y = x.sizes, y.sizes
     best = _entropies(h, sizes_x)
     np.minimum.at(best, rows, _terms(h, sizes_x[rows], sizes_y[cols], overlap))
-    xs, x_of, _ = x.size_classes()
-    ys, y_of, y_count = y.size_classes()
+    xs, x_of, _ = x.size_classes
+    ys, y_of, y_count = y.size_classes
     # |X| + |Y| > n wraps the index of h, but every Y of that size meets X
     disjoint = _terms(h, xs[:, None], ys, 0)[x_of]
     met = np.bincount(rows * len(ys) + y_of[cols], minlength=len(sizes_x) * len(ys))

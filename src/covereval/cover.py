@@ -4,6 +4,7 @@ property distributions, and community-graph construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -29,13 +30,11 @@ class Cover:
     in increasing order: ``indptr`` and ``indices`` are the communities x
     nodes 0/1 incidence in CSR form, ``sizes`` each community's member
     count and ``rows`` each incidence's community, all built once and
-    read-only. A cover also keeps what is derived from the incidence once
-    it is asked for: its transpose (`transposed`), its communities'
-    overlaps (`overlaps`), its size classes (`size_classes`), its heavy
-    pairs (`heavy_pairs`) and its incidence codes (`codes`)."""
-
-    __slots__ = ("nodes", "indptr", "indices", "sizes", "rows", "_transposed", "_overlaps",
-                 "_size_classes", "_heavy_pairs", "_codes")
+    read-only. A cover also keeps, as cached properties built on their
+    first read, what is derived from the incidence: its transpose
+    (`transposed`), its communities' overlaps (`overlaps`), its size classes
+    (`size_classes`), its heavy pairs (`heavy_pairs`) and its incidence
+    codes (`codes`)."""
 
     def __init__(self, sizes: Sequence[int], members: Sequence[int]):
         """Community i holds the next ``sizes[i]`` entries of ``members``;
@@ -52,8 +51,6 @@ class Cover:
         self.sizes = np.diff(self.indptr)
         self.rows = row_of(self.indptr)
         read_only(self.nodes, self.indptr, self.indices, self.sizes, self.rows)
-        self._transposed = self._overlaps = None
-        self._size_classes = self._heavy_pairs = self._codes = None
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Cover":
@@ -67,55 +64,48 @@ class Cover:
         bounds = self.indptr.tolist()
         return tuple(frozenset(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
+    @cached_property
     def transposed(self) -> tuple[np.ndarray, np.ndarray]:
         """The incidence transposed, nodes x communities, in CSR form: node
-        j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c`` returned, in
-        increasing order. Built on the first call and kept, read-only: the
+        j's communities are ``c[p[j]:p[j + 1]]`` for ``p, c = transposed``, in
+        increasing order. Built on the first read and kept, read-only: the
         overlaps and every clustering metric read it."""
-        if self._transposed is None:
-            self._transposed = read_only(
-                *csr(self.indices, self.rows, len(self.nodes), len(self.sizes)))
-        return self._transposed
+        return read_only(*csr(self.indices, self.rows, len(self.nodes), len(self.sizes)))
 
+    @cached_property
     def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every overlapping pair k < l of the communities, as the increasing
         codes k * K + l, and the overlap sets C_k & C_l in CSR form: ``codes,
         ptr, m`` with pair p's members, increasing positions in ``nodes``, at
         ``m[ptr[p]:ptr[p + 1]]``; exact while K^2 n < 2^63. Built on the first
-        call and kept, read-only, for the community graph, OS and omega."""
-        if self._overlaps is None:
-            node, k, l = row_pairs(*self.transposed())
-            n = len(self.nodes)
-            pair, members = np.divmod(np.sort((k * len(self.sizes) + l) * n + node), n)
-            first = np.flatnonzero(np.diff(pair, prepend=-1))
-            self._overlaps = read_only(pair[first], np.append(first, len(pair)), members)
-        return self._overlaps
+        read and kept, read-only, for the community graph, OS and omega."""
+        node, k, l = row_pairs(*self.transposed)
+        n = len(self.nodes)
+        pair, members = np.divmod(np.sort((k * len(self.sizes) + l) * n + node), n)
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        return read_only(pair[first], np.append(first, len(pair)), members)
 
+    @cached_property
     def size_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct community sizes, increasing, each community's index
         among them and each size's community count: ``np.unique`` of
-        `sizes` with its inverse and counts. Built on the first call and
+        `sizes` with its inverse and counts. Built on the first read and
         kept, read-only, for ONMI's disjoint-pair terms."""
-        if self._size_classes is None:
-            self._size_classes = read_only(
-                *np.unique(self.sizes, return_inverse=True, return_counts=True))
-        return self._size_classes
+        return read_only(*np.unique(self.sizes, return_inverse=True, return_counts=True))
 
+    @cached_property
     def heavy_pairs(self) -> np.ndarray:
-        """`_heavy_pairs` of the cover, built on the first call and kept,
+        """`_heavy_pairs` of the cover, built on the first read and kept,
         read-only: omega reads them on every pair the cover is in."""
-        if self._heavy_pairs is None:
-            self._heavy_pairs = read_only(_heavy_pairs(self))[0]
-        return self._heavy_pairs
+        return read_only(_heavy_pairs(self))[0]
 
+    @cached_property
     def codes(self) -> np.ndarray:
         """Each incidence as the code k * n + j of its community k and its
         position j in ``nodes``, increasing, with n nodes; exact while K n <
-        2^63. Built on the first call and kept, read-only: omega looks the
+        2^63. Built on the first read and kept, read-only: omega looks the
         heavy pairs' multiplicities up in it."""
-        if self._codes is None:
-            self._codes = read_only(self.rows * len(self.nodes) + self.indices)[0]
-        return self._codes
+        return read_only(self.rows * len(self.nodes) + self.indices)[0]
 
     def restricted_to(self, nodes: np.ndarray) -> "Cover":
         """Drop members outside the ids `nodes`; communities emptied
@@ -134,7 +124,7 @@ def _heavy_pairs(c: Cover) -> np.ndarray:
     in one of its overlap sets of two or more nodes list it once per
     community holding it, any other pair at most once, and no more pairs
     than the nodes of two or more communities would."""
-    codes, ptr, members = c.overlaps()
+    codes, ptr, members = c.overlaps
     k, n = len(c.sizes), len(c.nodes)
     sizes = np.diff(ptr)
     kept = np.repeat(sizes >= 2, sizes)
@@ -162,7 +152,7 @@ def load_cover(text: str | bytes | IO, network: Graph) -> Cover:
     `load_edge_list` reads them. Labels resolve to the nodes of `network`
     that have them; unknown labels are an error."""
     tokens = Tokens(text)
-    table, node = network.label_index()
+    table, node = network.label_index
     members = node[tokens.ids(table)[1]]  # an unknown label's id -1 gives -1
     unknown = np.flatnonzero(members < 0)
     if len(unknown):
@@ -177,7 +167,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     distributions, keyed by `MESO_PROPS`, computed on the full cover (before
     any pruning); the overlap sizes are None when no two communities
     overlap."""
-    overlaps = np.diff(c.overlaps()[1])
+    overlaps = np.diff(c.overlaps[1])
     return dict(zip(MESO_PROPS, (
         EmpiricalDistribution(c.sizes),
         EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
@@ -188,7 +178,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
 def community_graph_edges(c: Cover) -> np.ndarray:
     """Edges (i, j), i < j, between communities sharing at least one node,
     as the rows of an (E, 2) int64 array in row-major order."""
-    return np.stack(np.divmod(c.overlaps()[0], len(c.sizes)), axis=1)
+    return np.stack(np.divmod(c.overlaps[0], len(c.sizes)), axis=1)
 
 
 def build_community_graph(c: Cover) -> CommunityGraph:

@@ -7,6 +7,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -98,10 +99,10 @@ BASIC_PROPS = ("V", "E", "rho", "d", "l_G", "avg_deg", "max_deg", "tau", "C")
 
 class EmpiricalDistribution:
     """Multiset of finite real samples as its distinct ``values`` (increasing
-    float64), their ``counts`` and the right-continuous ECDF ``cdf`` at each
-    value, built once and read-only."""
+    float64), their ``counts``, the right-continuous ECDF ``cdf`` at each
+    value and the sample count ``n``, built once and read-only."""
 
-    __slots__ = ("values", "counts", "cdf")
+    __slots__ = ("values", "counts", "cdf", "n")
 
     def __init__(self, samples: np.ndarray | Sequence[float]):
         x = np.asarray(samples, dtype=np.float64)
@@ -121,7 +122,9 @@ class EmpiricalDistribution:
 
     def _adopt(self, values: np.ndarray, counts: np.ndarray) -> None:
         self.values, self.counts = values, counts
-        self.cdf = np.cumsum(counts) / counts.sum()
+        cum = np.cumsum(counts)
+        self.n = int(cum[-1])
+        self.cdf = cum / cum[-1]
         read_only(self.values, self.counts, self.cdf)
 
     def __eq__(self, other) -> bool:
@@ -129,10 +132,6 @@ class EmpiricalDistribution:
             return NotImplemented
         return (np.array_equal(self.values, other.values)
                 and np.array_equal(self.counts, other.counts))
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
     @property
     def samples(self) -> np.ndarray:
@@ -149,16 +148,13 @@ class Graph:
     """Immutable undirected simple graph. Node ids are dense 0..V-1; the
     neighbours of node u are ``indices[indptr[u]:indptr[u + 1]]``, in
     increasing order (the symmetric 0/1 adjacency in CSR form), and
-    ``original_labels[i]`` maps back to the source label. A graph loaded
-    from an edge list, or that a cover was loaded against, also keeps its
-    labels' keys (`label_index`), and a graph that `giant_component` returned
-    that it is connected. The CSR arrays are read-only, and so is what is
-    derived from them on first use and kept: each node's degree (`degrees`)
-    and its count of higher-numbered neighbours (`upper_degrees`). No
-    per-edge array is kept beside them."""
-
-    __slots__ = ("indptr", "indices", "original_labels", "_label_index", "_connected",
-                 "_degrees", "_upper_degrees")
+    ``original_labels[i]`` maps back to the source label. A graph that
+    `giant_component` returned records that it is connected. The CSR arrays
+    are read-only, and so is what a graph keeps as cached properties, built
+    on their first read: each node's degree (`degrees`), its count of
+    higher-numbered neighbours (`upper_degrees`) and its labels' keys
+    (`label_index`, preset by `load_edge_list`). No per-edge array is kept
+    beside them."""
 
     def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
@@ -190,7 +186,6 @@ class Graph:
                original_labels: Sequence[str]) -> None:
         self.indptr, self.indices = read_only(indptr, indices)
         self.original_labels = tuple(original_labels)
-        self._label_index = self._degrees = self._upper_degrees = None
         self._connected = False
 
     @property
@@ -201,22 +196,19 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Each node's degree, int64, built on the first call and kept,
+        """Each node's degree, int64, built on the first read and kept,
         read-only."""
-        if self._degrees is None:
-            self._degrees = read_only(np.diff(self.indptr))[0]
-        return self._degrees
+        return read_only(np.diff(self.indptr))[0]
 
+    @cached_property
     def upper_degrees(self) -> np.ndarray:
         """Each node's count of neighbours numbered above it, int64, built
-        on the first call and kept, read-only: the quality of every cover
+        on the first read and kept, read-only: the quality of every cover
         reads it."""
-        if self._upper_degrees is None:
-            rows = row_of(self.indptr)
-            self._upper_degrees = read_only(
-                np.bincount(rows[rows < self.indices], minlength=self.n))[0]
-        return self._upper_degrees
+        rows = row_of(self.indptr)
+        return read_only(np.bincount(rows[rows < self.indices], minlength=self.n))[0]
 
     def edges(self) -> np.ndarray:
         """Every edge once as a row (u, v) with u < v, in row-major order: an
@@ -225,19 +217,18 @@ class Graph:
         upper = rows < self.indices
         return np.stack((rows[upper], self.indices[upper]), axis=1)
 
+    @cached_property
     def label_index(self) -> tuple[tuple, np.ndarray]:
         """The `_label_ids` table of the labels, and the node at each of its
         ids (-1 where no label ends, and at index -1), built on the first
-        call and kept, read-only: every cover of a run is looked up in it.
+        read and kept, read-only: every cover of a run is looked up in it.
         A repeated label is the last node that has it."""
-        if self._label_index is None:
-            raw = [label.encode("utf-8", "surrogatepass") for label in self.original_labels]
-            lens = np.fromiter(map(len, raw), np.int64, len(raw))
-            table, ids = _label_ids(b"".join(raw) + b" " * 8, np.cumsum(lens) - lens, lens)
-            node = np.full(ids.max(initial=-1) + 2, -1)
-            np.maximum.at(node, ids, np.arange(len(ids)))
-            self._label_index = table, read_only(node)[0]
-        return self._label_index
+        raw = [label.encode("utf-8", "surrogatepass") for label in self.original_labels]
+        lens = np.fromiter(map(len, raw), np.int64, len(raw))
+        table, ids = _label_ids(b"".join(raw) + b" " * 8, np.cumsum(lens) - lens, lens)
+        node = np.full(ids.max(initial=-1) + 2, -1)
+        np.maximum.at(node, ids, np.arange(len(ids)))
+        return table, read_only(node)[0]
 
     def __repr__(self) -> str:
         return f"Graph(V={self.n}, E={self.edge_count})"
@@ -380,7 +371,7 @@ def load_edge_list(text: str | bytes | IO) -> Graph:
     table, ids = tokens.ids()
     rank, seen = _first_appearance(ids)
     g = Graph(len(seen), rank[ids].reshape(-1, 2), tokens.strings(seen))
-    g._label_index = table, read_only(rank)[0]  # the table of its distinct labels
+    g.label_index = table, read_only(rank)[0]  # the table of its distinct labels
     return g
 
 
@@ -426,8 +417,8 @@ def giant_component(g: Graph) -> Graph:
     best = np.flatnonzero(inside)
     new_id = np.cumsum(inside) - 1
     # a component's edges stay inside it, so its rows are all it needs
-    kept = np.repeat(inside, g.degrees())
-    degrees = g.degrees()[best]
+    kept = np.repeat(inside, g.degrees)
+    degrees = g.degrees[best]
     gc = Graph._from_csr(np.concatenate(([0], np.cumsum(degrees))), new_id[g.indices[kept]],
                          [g.original_labels[u] for u in best.tolist()])
     gc._connected = True
@@ -437,7 +428,7 @@ def giant_component(g: Graph) -> Graph:
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
     if g.n < 1:
         raise GraphError("empty graph")
-    return EmpiricalDistribution(g.degrees())
+    return EmpiricalDistribution(g.degrees)
 
 
 def triangles_per_node(g: Graph) -> np.ndarray:
@@ -449,7 +440,7 @@ def triangles_per_node(g: Graph) -> np.ndarray:
     that is adjacent, found once among the sorted edge codes v * n + w, and
     credited to all three corners."""
     rank = np.empty(g.n, dtype=np.int64)
-    rank[np.lexsort((np.arange(g.n), g.degrees()))] = np.arange(g.n)
+    rank[np.lexsort((np.arange(g.n), g.degrees))] = np.arange(g.n)
     rows = row_of(g.indptr)
     kept = rank[rows] < rank[g.indices]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=g.n))))
@@ -461,7 +452,7 @@ def triangles_per_node(g: Graph) -> np.ndarray:
 def transitivity(g: Graph) -> float:
     """Global clustering coefficient: 3 * triangles / connected triples."""
     closed = int(triangles_per_node(g).sum())  # = 3 * (#triangles)
-    d = g.degrees()
+    d = g.degrees
     triples = int((d * (d - 1) // 2).sum())
     return closed / triples if triples > 0 else 0.0
 
@@ -472,7 +463,7 @@ def clustering_by_degree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     2 sum tri / (k(k - 1) size), one division of exact integers."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
-    k, cls, size = np.unique(g.degrees(), return_inverse=True, return_counts=True)
+    k, cls, size = np.unique(g.degrees, return_inverse=True, return_counts=True)
     tri = int_sums(cls, triangles_per_node(g), len(k))
     return k, np.array([2 * t / (d * (d - 1) * s) if d >= 2 else 0.0
                         for d, t, s in zip(k.tolist(), tri, size.tolist())])
@@ -486,7 +477,7 @@ def degree_assortativity(g: Graph) -> float:
     over the nodes; one division of exact integers, NaN where the
     denominator is 0. Each sum is taken per degree class in int64, and times
     the class's degree in Python ints, which cannot overflow."""
-    d = g.degrees()
+    d = g.degrees
     k, cls, size = np.unique(d, return_inverse=True, return_counts=True)
     far = int_sums(cls[row_of(g.indptr)], d[g.indices], len(k))  # neighbours' degrees
     m, k = 2 * g.edge_count, k.tolist()
@@ -505,7 +496,7 @@ def hop_counts(g: Graph, roots: np.ndarray) -> np.ndarray:
     yet form the next frontier. A new bit at a non-root node is one pair; a
     pair of roots is found from both ends, so it sets two bits at roots."""
     in_roots = np.isin(np.arange(g.n), roots)
-    linked = g.degrees() > 0
+    linked = g.degrees > 0
     starts = g.indptr[:-1][linked]
     bits = np.zeros((g.n, 2), dtype=np.int64)  # the new bits per level, at roots and others
     block = max(1, BFS_BLOCK_ENTRIES // g.n)
@@ -577,7 +568,7 @@ def basic_properties(g: Graph, exact_paths: bool = True,
         int(levels[-1]),
         int(levels.astype(np.int64) @ counts) / hops.distribution.n,  # an exact integer sum
         2 * g.edge_count / g.n,  # the degree sum is 2E
-        int(g.degrees().max()),
+        int(g.degrees.max()),
         degree_assortativity(g),
         transitivity(g),
     )))

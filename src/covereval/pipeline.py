@@ -86,6 +86,8 @@ class RunConfig:
             raise PipelineError("hop_mode must be 'exact' or 'sampled'")
         if self.hop_mode == "sampled" and self.seed is None:
             raise PipelineError("sampled hop mode requires a seed")
+        if self.sources < 1:  # read in exact mode too, where a seed turns sampling on
+            raise PipelineError(f"sources must be at least 1, got {self.sources}")
         unknown = set(self.property_groups) - set(GROUP_PROPS)
         if unknown:
             raise PipelineError(f"unknown property groups: {sorted(unknown)}")

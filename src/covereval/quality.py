@@ -39,7 +39,7 @@ def intra_degrees(g: Graph, c: Cover) -> np.ndarray:
     built in place of their neighbours' positions, so that at most four
     query-long arrays are alive at once."""
     members = c.nodes[c.indices]
-    above = g.upper_degrees()[members]
+    above = g.upper_degrees[members]
     owner, queries = expand(g.indptr[members + 1] - above, above)
     queries = g.indices[queries]
     queries += c.rows[owner] * g.n
@@ -64,7 +64,7 @@ def quality_report(g: Graph, c: Cover) -> dict[str, float]:
     k = len(c.sizes)
     size = c.sizes
     rows = c.rows
-    total = g.degrees()[c.nodes[c.indices]]
+    total = g.degrees[c.nodes[c.indices]]
     intra = intra_degrees(g, c)
     fracs = np.divide(total - intra, total, out=np.zeros(len(total)), where=total > 0)
     inside = np.bincount(rows, intra, k)  # twice the edges inside, exact

@@ -218,7 +218,7 @@ class TestOmegaIndex:
         hub += [{0} | set(rng.sample(range(1, 801), 20)) for _ in range(10)]
         for sets in (identical, hub):
             c = Cover.from_sets(sets)
-            c.overlaps()  # its pairs of communities are not the ones counted
+            c.overlaps  # built first: its pairs of communities are not the ones counted
             listed.clear()
             heavy = _heavy_pairs(c)
             multi = {u for u in set().union(*sets) if sum(u in c for c in sets) >= 2}
@@ -631,19 +631,19 @@ class TestBuiltOnce:
             assert [a.tolist() for a in first] == [w.tolist() for w in want]
 
         graph, truth = planted_cover_network(n_nodes=400, n_communities=60, seed=7)
-        kept(graph.degrees, np.diff(graph.indptr))
-        kept(graph.upper_degrees, np.bincount(graph.edges()[:, 0], minlength=graph.n))
+        kept(lambda: graph.degrees, np.diff(graph.indptr))
+        kept(lambda: graph.upper_degrees, np.bincount(graph.edges()[:, 0], minlength=graph.n))
         for c in (truth, *perturbed(truth).values(), *split_and_partial(truth).values()):
             n = len(c.nodes)
             sizes = np.diff(c.indptr)
             rows = np.repeat(np.arange(len(sizes)), sizes)
             kept(lambda: c.sizes, sizes)
             kept(lambda: c.rows, rows)
-            kept(c.size_classes, *np.unique(sizes, return_inverse=True, return_counts=True))
-            kept(c.codes, np.sort(rows * n + c.indices))
+            kept(lambda: c.size_classes, *np.unique(sizes, return_inverse=True, return_counts=True))
+            kept(lambda: c.codes, np.sort(rows * n + c.indices))
             b = np.zeros((len(sizes), n), dtype=np.int64)
             b[rows, c.indices] = 1
             co = b.T @ b  # each node pair's multiplicity
             u, v = np.triu_indices(n, k=1)
             heavy = co[u, v] >= 2
-            kept(c.heavy_pairs, u[heavy] * n + v[heavy])
+            kept(lambda: c.heavy_pairs, u[heavy] * n + v[heavy])

@@ -176,15 +176,20 @@ class TestCoverMatrix:
     def test_only_state_is_the_matrix(self):
         """Besides the incidence, a cover holds only what is derived from
         it: its sizes and each incidence's community from construction,
-        and each other part only once it is first asked for: the transpose,
-        the overlaps, the size classes, the heavy pairs and the codes."""
+        and each cached part only from its first read on: the transpose,
+        the overlaps, the size classes, the heavy pairs and the codes, each
+        the same read-only object on every later read."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}])
-        assert Cover.__slots__ == ("nodes", "indptr", "indices", "sizes", "rows",
-                                   "_transposed", "_overlaps", "_size_classes",
-                                   "_heavy_pairs", "_codes")
-        assert not hasattr(c, "__dict__")
+        held = ["nodes", "indptr", "indices", "sizes", "rows"]
+        assert list(vars(c)) == held
         assert (c.sizes.tolist(), c.rows.tolist()) == ([3, 2], [0, 0, 0, 1, 1])
-        assert all(getattr(c, lazy) is None for lazy in Cover.__slots__[5:])
+        for part in ("transposed", "overlaps", "size_classes", "heavy_pairs", "codes"):
+            assert part not in vars(c)
+            first = getattr(c, part)
+            held.append(part)
+            assert list(vars(c)) == held and getattr(c, part) is first
+            for a in first if isinstance(first, tuple) else (first,):
+                assert not a.flags.writeable
 
     def test_incidence_is_read_only(self):
         """What every cached part derives from cannot change under it."""
@@ -198,16 +203,15 @@ class TestCoverMatrix:
         clustering metric read the same read-only arrays: the overlaps are
         the pair codes and the members of each overlap set, in CSR form."""
         c = Cover.from_sets([{0, 1, 2}, {1, 2}, {2, 3}])
-        ptr, comm = c.transposed()
-        assert c.transposed()[1] is comm and c._transposed[0] is ptr
+        ptr, comm = c.transposed
+        assert c.transposed[1] is comm and vars(c)["transposed"][0] is ptr
         assert (ptr.tolist(), comm.tolist()) == ([0, 1, 3, 6, 7], [0, 0, 1, 0, 1, 2, 2])
-        assert c._overlaps is None
+        assert "overlaps" not in vars(c)
         community_graph_edges(c)
-        codes, starts, members = c._overlaps
+        codes, starts, members = overlaps = vars(c)["overlaps"]
         mesoscopic_profile(c)
         omega_index(c, c)
-        assert all(a is b for a, b in zip(c.overlaps(), (codes, starts, members)))
-        assert len(c.overlaps()) == 3
+        assert c.overlaps is overlaps and len(overlaps) == 3
         # C_0 & C_1 = {1, 2}, C_0 & C_2 = {2}, C_1 & C_2 = {2}
         assert (codes.tolist(), starts.tolist(), members.tolist()) == (
             [1, 2, 5], [0, 2, 3, 4], [1, 2, 2, 2])

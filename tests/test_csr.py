@@ -112,7 +112,7 @@ def test_transposed_equals_scipy():
     for c, b in covers(3):
         t = b.T.tocsr()
         t.sort_indices()
-        ptr, comm = c.transposed()
+        ptr, comm = c.transposed
         assert ptr.tolist() == t.indptr.tolist() and comm.tolist() == t.indices.tolist()
 
 
@@ -123,7 +123,7 @@ def test_overlaps_equal_scipy():
         want.sort_indices()
         k = len(c.communities)
         rows = np.repeat(np.arange(k), np.diff(want.indptr))
-        codes, starts, members = c.overlaps()
+        codes, starts, members = c.overlaps
         assert codes.tolist() == (rows * k + want.indices).tolist()
         assert np.diff(starts).tolist() == want.data.tolist()
         dense = b.toarray().astype(bool)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covereval import graph
-from covereval.cover import build_community_graph
+from covereval.cover import build_community_graph, load_cover
 from covereval.graph import (
     EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
     basic_properties, clustering_by_degree, degree_assortativity, degree_distribution,
@@ -114,12 +114,12 @@ class TestLoadEdgeList:
         for text in ("1 2\n2 3\n", "abcdefghijklmnop abcdefghijklmnopq\nabcdefgh x\n",
                      "\u00e9 \u00fc\na a\x00\n" + "y" * 40 + " z\n"):
             g = load_edge_list(text)
-            table, node = g.label_index()
-            want_table, want_node = Graph(g.n, g.edges(), g.original_labels).label_index()
+            table, node = g.label_index
+            want_table, want_node = Graph(g.n, g.edges(), g.original_labels).label_index
             assert np.array_equal(node, want_node) and len(table) == len(want_table)
             for got, want in zip(table, want_table):
                 assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, want))
-            assert g.label_index()[1] is node and not node.flags.writeable
+            assert g.label_index[1] is node and not node.flags.writeable
 
     def test_label_round_trip(self):
         g = load_edge_list("x y\ny z\n")
@@ -142,7 +142,7 @@ class TestGraphConstructor:
     def test_duplicates_merged(self):
         g = Graph(4, [(0, 1), (1, 0), (0, 1), (1, 2), (2, 1)])
         assert g.edge_count == 2
-        assert g.degrees().tolist() == [1, 2, 1, 0]
+        assert g.degrees.tolist() == [1, 2, 1, 0]
         assert g.edges().tolist() == [[0, 1], [1, 2]]
         # a repeated edge counts once in the adjacency products too
         triangle = Graph(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2), (0, 2)])
@@ -158,11 +158,11 @@ class TestGraphConstructor:
             g = Graph(n, flipped)
             assert g.edges().tolist() == [list(e) for e in sorted(edges)]
             assert g.edge_count == len(edges)
-            assert g.degrees().tolist() == [sum(u in e for e in edges) for u in range(n)]
+            assert g.degrees.tolist() == [sum(u in e for e in edges) for u in range(n)]
 
     def test_empty_graph(self):
         g = Graph(0, [])
-        assert (g.n, g.edge_count, g.edges().shape, g.degrees().tolist()) == (0, 0, (0, 2), [])
+        assert (g.n, g.edge_count, g.edges().shape, g.degrees.tolist()) == (0, 0, (0, 2), [])
         assert g.original_labels == ()
 
     def test_csr_arrays_are_read_only(self):
@@ -170,9 +170,35 @@ class TestGraphConstructor:
         a graph built from edges and in a giant component cut out of one."""
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         for h in (g, giant_component(g)):
-            for a in (h.indptr, h.indices, h.degrees(), h.upper_degrees()):
+            for a in (h.indptr, h.indices, h.degrees, h.upper_degrees):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0
+
+    def test_only_state_is_the_adjacency(self, monkeypatch):
+        """A graph holds its CSR arrays, its labels and whether it is known
+        to be connected, and each cached part only from its first read on,
+        the same object on every later read. A loaded graph also holds its
+        labels' keys, which a cover loaded against it reads as they are."""
+        g = Graph(4, [(0, 1), (1, 2)])
+        held = ["indptr", "indices", "original_labels", "_connected"]
+        assert list(vars(g)) == held
+        for part in ("degrees", "upper_degrees", "label_index"):
+            assert part not in vars(g)
+            first = getattr(g, part)
+            held.append(part)
+            assert list(vars(g)) == held and getattr(g, part) is first
+        loaded = load_edge_list("a b\nb c\n")
+        assert list(vars(loaded)) == held[:4] + ["label_index"]
+        preset = loaded.label_index
+        label_ids, tables = graph._label_ids, []
+
+        def counting_label_ids(data, starts, lens, table=None):
+            tables.append(table)
+            return label_ids(data, starts, lens, table)
+
+        monkeypatch.setattr(graph, "_label_ids", counting_label_ids)
+        assert load_cover("c b\na\n", loaded).communities == (frozenset({1, 2}), frozenset({0}))
+        assert len(tables) == 1 and tables[0] is preset[0] and loaded.label_index is preset
 
     def test_labels_length_checked(self):
         with pytest.raises(GraphError, match="original_labels length"):

@@ -570,6 +570,20 @@ class TestStrictConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("sources", [0, -7])
+    def test_sources_below_one_rejected(self, workspace, tmp_path, capsys, sources):
+        # no group here takes a hop sample, so nothing later would catch it,
+        # whether the config or the command line sets it
+        path = _relative_config(workspace, tmp_path, hop_mode="sampled", sources=sources)
+        with pytest.raises(PipelineError, match=f"sources must be at least 1, got {sources}"):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: sources must be at least 1, got {sources}\n"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "sources": 5}))
+        assert main(["run", "--config", str(path), "--sources", str(sources)]) == 1
+        assert capsys.readouterr().err.startswith("error: sources must be at least 1")
+        assert not (path.parent / "res").exists()
+
     def test_non_object_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('[{"network_path": "net.txt"}]')
