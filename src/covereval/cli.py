@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 computation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -75,6 +74,7 @@ def cmd_fit(args) -> int:
         print(f"error: {args.samples}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     report = best_fit(data)
+    import csv  # only this command writes CSV to stdout; `covereval run` never loads it
     out = csv.writer(sys.stdout, lineterminator="\n")  # quotes a reason with a comma
     out.writerow(["family", "params", "ks"])
     for fit in report.fits:

@@ -3,9 +3,8 @@ property distributions, and community-graph construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,8 +135,7 @@ def _heavy_pairs(c: Cover) -> np.ndarray:
     return repeats[np.diff(repeats, prepend=-1) != 0]
 
 
-@dataclass(frozen=True)
-class CommunityGraph:
+class CommunityGraph(NamedTuple):
     """Community-graph build result: its giant component and the number of
     communities it was built from."""
 

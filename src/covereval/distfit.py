@@ -24,7 +24,6 @@ scale that is not positive, is inapplicable too."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,8 +74,7 @@ def _work(res: optimize.Minimum) -> SolverWork:
     return SolverWork(res.nit, res.nfev, not res.success)
 
 
-@dataclass(frozen=True)
-class FittedDistribution:
+class FittedDistribution(NamedTuple):
     family: Family
     params: tuple[float, ...]
     ks: float
@@ -84,8 +82,25 @@ class FittedDistribution:
     # Beta fits are performed on data rescaled to (0, 1); the transform is
     # carried so the CDF applies to raw values.
     rescale: tuple[float, float] | None = None  # (min, max) of the raw data
-    # how hard the fit's solver worked: not part of the fit, never emitted
-    work: SolverWork = field(default=SolverWork(), compare=False, repr=False)
+    # how hard the fit's solver worked: not part of the fit, never emitted,
+    # so equality, hash and repr read every field but this last one
+    work: SolverWork = SolverWork()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare `work` too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:-1]))
+        return f"{type(self).__name__}({fields})"
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -119,14 +134,12 @@ class FittedDistribution:
         raise FitError(f"unknown family {f}")
 
 
-@dataclass(frozen=True)
-class InapplicableFit:
+class InapplicableFit(NamedTuple):
     family: Family
     reason: str
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     fits: tuple[FittedDistribution | InapplicableFit, ...]
     best: FittedDistribution
 
@@ -409,7 +422,7 @@ def fit_mle(family: Family, data: EmpiricalDistribution) -> FittedDistribution:
             and math.isfinite(ks := ks_statistic(fit, data))):
         raise FitError(f"{family.value}: a parameter or the KS statistic is not finite, "
                        "or the scale is not positive")
-    return replace(fit, ks=ks)
+    return fit._replace(ks=ks)
 
 
 def ks_statistic(fit: FittedDistribution, data: EmpiricalDistribution) -> float:

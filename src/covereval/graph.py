@@ -6,9 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,8 +138,7 @@ class EmpiricalDistribution:
         return np.repeat(self.values, self.counts)
 
 
-@dataclass(frozen=True)
-class HopSummary:
+class HopSummary(NamedTuple):
     distribution: EmpiricalDistribution
 
 

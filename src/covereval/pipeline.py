@@ -8,8 +8,9 @@ import json
 import math
 import os
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .clustering import CLUSTERING_PROPS, clustering_scores
 from .cover import (
@@ -59,8 +60,7 @@ _VALUE_TYPES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     network_path: str
     ground_truth_path: str
     candidates: tuple[tuple[str, str], ...]  # (name, cover path)
@@ -71,29 +71,42 @@ class RunConfig:
     mcdm: tuple[str, ...] = MCDM_METHODS
     output_dir: str = "out"
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """A run's configuration, checked when it is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.candidates:
             raise PipelineError("need at least one candidate cover")
         names = [n for n, _ in self.candidates]
         if len(set(names)) != len(names):
             raise PipelineError("candidate names must be unique")
-        # the report keys the truth's entries by this name; names go into file names
-        bad = [n for n in names if n == "ground_truth" or "/" in n or "\0" in n]
+        # the report keys the truth's entries by this name; names go into
+        # file names and are the first cell of their CSV rows, where an
+        # empty cell reads as a missing value
+        bad = [n for n in names if not n or n == "ground_truth" or "/" in n or "\0" in n]
         if bad:
-            raise PipelineError("a candidate name must not be 'ground_truth' or contain "
-                                f"'/' or NUL, got {bad[0]!r}")
+            raise PipelineError("a candidate name must be non-empty, not 'ground_truth' "
+                                f"and without '/' or NUL, got {bad[0]!r}")
         if self.hop_mode not in ("exact", "sampled"):
             raise PipelineError("hop_mode must be 'exact' or 'sampled'")
         if self.hop_mode == "sampled" and self.seed is None:
             raise PipelineError("sampled hop mode requires a seed")
         if self.sources < 1:  # read in exact mode too, where a seed turns sampling on
             raise PipelineError(f"sources must be at least 1, got {self.sources}")
-        unknown = set(self.property_groups) - set(GROUP_PROPS)
-        if unknown:
-            raise PipelineError(f"unknown property groups: {sorted(unknown)}")
-        unknown = set(self.mcdm) - set(MCDM_METHODS)
-        if unknown:
-            raise PipelineError(f"unknown mcdm methods: {sorted(unknown)}")
+        for what, given, known in (("property groups", self.property_groups, GROUP_PROPS),
+                                   ("mcdm methods", self.mcdm, MCDM_METHODS)):
+            unknown = set(given) - set(known)
+            if unknown:
+                raise PipelineError(f"unknown {what}: {sorted(unknown)}")
+            # the report's config block echoes them as given
+            repeated = sorted({x for x in given if given.count(x) > 1})
+            if repeated:
+                raise PipelineError(f"repeated {what}: {repeated}")
+        return self
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "RunConfig":
@@ -104,10 +117,10 @@ class RunConfig:
         doc = json.loads(Path(path).read_bytes())
         if not isinstance(doc, dict):
             raise PipelineError(f"{path}: a config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        unknown = set(doc) - set(cls._fields)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        missing = [k for k in cls._fields if k not in cls._field_defaults and k not in doc]
         if missing:
             raise PipelineError(f"missing config keys: {missing}")
         if not isinstance(doc["candidates"], list):
@@ -131,16 +144,27 @@ class RunConfig:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """JSON-serializable result bundle; bit-for-bit reproducible for a
     fixed config + seed. `samples` holds the sample dumps per cover for
     the microscopic and mesoscopic properties of the selected groups only,
-    which emit_reports writes and the JSON leaves out."""
+    which emit_reports writes and the JSON and equality leave out."""
 
     data: dict
-    samples: dict[str, dict[str, EmpiricalDistribution]] = field(
-        default_factory=dict, compare=False)
+    # a default is one object shared by every report, so it is immutable
+    samples: Mapping[str, Mapping[str, EmpiricalDistribution]] = MappingProxyType({})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare `samples` too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash((self.data,))
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -158,8 +182,7 @@ def jsonable(x):
     return x
 
 
-@dataclass
-class _CoverEval:
+class _CoverEval(NamedTuple):
     """Everything computed for one cover (ground truth or candidate)."""
     cgraph: CommunityGraph
     basic: dict[str, int | float | None]
@@ -293,7 +316,7 @@ def run(cfg: RunConfig) -> EvaluationReport:
         tables[table_name] = entry
 
     data = jsonable({
-        "config": {k: v for k, v in asdict(cfg).items() if k != "output_dir"},
+        "config": {k: v for k, v in cfg._asdict().items() if k != "output_dir"},
         "community_graphs": {
             n: {
                 "n_communities": ev.cgraph.n_communities,

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,13 +27,19 @@ def competition_ranks(scores: Sequence[float], ascending: bool = True) -> list[i
     return [bisect_left(order, k) + 1 for k in keys]
 
 
-@dataclass(frozen=True)
-class RankingTable:
+class _RankingTableFields(NamedTuple):
     alternatives: tuple[str, ...]
     criteria: tuple[str, ...]
     ranks: tuple[tuple[int, ...], ...]  # ranks[alt][criterion]
 
-    def __post_init__(self):
+
+class RankingTable(_RankingTableFields):
+    """A table of ranks, checked when it is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, alternatives, criteria, ranks):
+        self = super().__new__(cls, alternatives, criteria, ranks)
         m = len(self.alternatives)
         for kind, names in (("alternative", self.alternatives), ("criterion", self.criteria)):
             repeated = sorted({x for x in names if names.count(x) > 1})
@@ -47,6 +52,7 @@ class RankingTable:
                 raise RankingError("rank column count must match criteria")
             if any(not 1 <= r <= m for r in row):
                 raise RankingError(f"ranks must lie in [1, {m}]")
+        return self
 
     def matrix(self) -> np.ndarray:
         return np.array(self.ranks, dtype=float)
@@ -86,8 +92,7 @@ def rank_scalar(reference: Mapping[str, float],
     return columns
 
 
-@dataclass(frozen=True)
-class DistributionRanking:
+class DistributionRanking(NamedTuple):
     ranks: dict[str, int]
     family: str
     reference_fit: FittedDistribution
@@ -119,8 +124,7 @@ def rank_distribution(reference: EmpiricalDistribution,
     )
 
 
-@dataclass(frozen=True)
-class KemenyResult:
+class KemenyResult(NamedTuple):
     order: tuple[str, ...]   # best to worst
     ranks: dict[str, int]
     score: int
@@ -195,8 +199,7 @@ def kemeny_consensus(rt: RankingTable) -> KemenyResult:
                         score=_order_score(order, p), exact=m <= KEMENY_EXACT_LIMIT)
 
 
-@dataclass(frozen=True)
-class TopsisResult:
+class TopsisResult(NamedTuple):
     closeness: dict[str, float]
     ranks: dict[str, int]
 

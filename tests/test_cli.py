@@ -316,6 +316,31 @@ class TestImports:
                                  capture_output=True, text=True, check=True)
             assert out.stdout == "\n"
 
+    def test_setup_loads_no_record_generator_or_csv(self, tmp_path):
+        """`import covereval.cli` and the config's parse load neither
+        `dataclasses` (with `copy`) nor `csv`: every record is a NamedTuple,
+        not a dataclass, whose methods are generated and compiled at import,
+        and only `covereval fit` writes through `csv`. Counted against numpy, json and argparse imported
+        first, so that a module that the interpreter or numpy loads by itself
+        on some version is not counted. A fresh interpreter, so that no
+        test's import counts."""
+        (tmp_path / "config.json").write_text(json.dumps({
+            "network_path": "net.txt", "ground_truth_path": "gt.txt",
+            "candidates": [{"name": "a", "cover_path": "a.txt"}]}))
+        code = (
+            "import sys\n"
+            "import argparse, json, numpy\n"
+            "before = set(sys.modules)\n"
+            "from covereval import cli\n"
+            "cli.RunConfig.from_json('config.json')\n"
+            "print(*sorted({'dataclasses', 'copy', 'csv'} & (set(sys.modules) - before)))\n")
+        src = str(Path(covereval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "\n"
+
     def test_runtime_loads_no_scipy(self, tmp_path):
         """The CLI loads numpy and the standard library only: no scipy module
         after `import covereval.cli`, after `covereval fit` has fitted all

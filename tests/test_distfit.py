@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -736,8 +735,11 @@ class TestSolverWork:
 
     def test_work_is_not_part_of_the_fit(self):
         fit = fit_mle(Family.LOGISTIC, dist(REAL))
-        other = dataclasses.replace(fit, work=SolverWork(1, 2, True))
+        other = fit._replace(work=SolverWork(1, 2, True))
         assert other == fit and hash(other) == hash(fit) and repr(other) == repr(fit)
+        assert not (other != fit) and not (fit != other)
+        assert "work" not in repr(fit)
+        assert fit != fit._replace(ks=fit.ks + 1)
 
 
 class TestKsStatistic:

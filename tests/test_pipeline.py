@@ -395,6 +395,15 @@ class TestSinglePass:
         # left out of the JSON and of equality
         again = EvaluationReport(json.loads(report.to_json()))
         assert again == report and again.samples == {}
+        with pytest.raises(TypeError):  # the default, shared by every report, is read-only
+            again.samples["x"] = {}
+        # `!=` and the hash agree with `==`: neither reads `samples`
+        assert not (again != report) and not (report != again)
+        assert report != EvaluationReport({**report.data, "notes": ["other"]}, report.samples)
+        with pytest.raises(TypeError):  # its data is a dict
+            hash(report)
+        frozen = EvaluationReport(("data",), report.samples)
+        assert hash(frozen) == hash(EvaluationReport(("data",)))
 
 
 def _hand_built_report():
@@ -590,11 +599,13 @@ class TestStrictConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("name", ["ground_truth", "a/b", "../near", "nul\0"],
-                             ids=["ground_truth", "slash", "parent-dir", "nul"])
+    @pytest.mark.parametrize("name", ["ground_truth", "a/b", "../near", "nul\0", ""],
+                             ids=["ground_truth", "slash", "parent-dir", "nul", "empty"])
     def test_unusable_candidate_name_rejected(self, workspace, tmp_path, capsys, name):
-        # `ground_truth` would overwrite the truth's entries in the report, and
-        # a name is part of the file names; both stop before anything is written
+        # `ground_truth` would overwrite the truth's entries in the report, a
+        # name is part of the file names, and an empty one would be the first
+        # cell of its CSV rows, which reads as a missing value; each stops
+        # before anything is written, and on direct construction too
         path = _relative_config(workspace, tmp_path, candidates=[
             {"name": "exact", "cover_path": "gt.txt"}, {"name": name, "cover_path": "c1.txt"}])
         with pytest.raises(PipelineError, match="candidate name"):
@@ -602,6 +613,28 @@ class TestStrictConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (path.parent / "res").exists()
+        with pytest.raises(PipelineError, match="candidate name"):
+            RunConfig(network_path="x", ground_truth_path="y",
+                      candidates=(("exact", "p"), (name, "q")))
+
+    @pytest.mark.parametrize("key, values", [
+        ("property_groups", ["quality", "quality", "clustering"]),
+        ("mcdm", ["kemeny", "kemeny"]),
+    ])
+    def test_repeated_group_or_method_rejected(self, workspace, tmp_path, capsys,
+                                               key, values):
+        # report.json's config block would echo the repeat, while the
+        # tables and consensus rankings are not repeated
+        message = f"repeated {key.replace('_', ' ')}"
+        path = _relative_config(workspace, tmp_path, **{key: values})
+        with pytest.raises(PipelineError, match=message):
+            RunConfig.from_json(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (path.parent / "res").exists()
+        with pytest.raises(PipelineError, match=message):
+            RunConfig(network_path="x", ground_truth_path="y", candidates=(("a", "p"),),
+                      **{key: tuple(values)})
 
     def test_unknown_mcdm_rejected(self, workspace, tmp_path, capsys):
         with pytest.raises(PipelineError, match="kemeney"):
