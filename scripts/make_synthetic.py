@@ -30,8 +30,16 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=9)
     ap.add_argument("--fractions", type=float, nargs="+",
                     default=[0.05, 0.20, 0.50],
-                    help="perturbation levels for the candidate covers")
+                    help="perturbation levels for the candidate covers, in [0, 1]; "
+                         "each names its cover pNN, NN its rounded percentage")
     args = ap.parse_args()
+    outside = [frac for frac in args.fractions if not 0 <= frac <= 1]
+    if outside:
+        ap.error(f"--fractions must lie in [0, 1], got {outside[0]}")
+    names = [f"p{int(round(100 * frac)):02d}" for frac in args.fractions]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:  # a second cover would overwrite the first's file
+        ap.error(f"--fractions give the candidate name {repeated[0]} more than once")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -42,8 +50,7 @@ def main() -> None:
     write_cover(cover, out / "cand_exact.txt")
 
     candidates = [{"name": "exact", "cover_path": "cand_exact.txt"}]
-    for frac in args.fractions:
-        name = f"p{int(round(100 * frac)):02d}"
+    for frac, name in zip(args.fractions, names):
         write_cover(perturb_cover(cover, frac, seed=args.seed + 1), out / f"cand_{name}.txt")
         candidates.append({"name": name, "cover_path": f"cand_{name}.txt"})
 

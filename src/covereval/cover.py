@@ -89,7 +89,7 @@ class Cover:
         """The distinct community sizes, increasing, each community's index
         among them and each size's community count: ``np.unique`` of
         `sizes` with its inverse and counts. Built on the first read and
-        kept, read-only, for ONMI's disjoint-pair terms."""
+        kept, read-only, for the CS sample and ONMI's disjoint-pair terms."""
         return read_only(*np.unique(self.sizes, return_inverse=True, return_counts=True))
 
     @cached_property
@@ -167,7 +167,7 @@ def mesoscopic_profile(c: Cover) -> dict[str, EmpiricalDistribution | None]:
     overlap."""
     overlaps = np.diff(c.overlaps[1])
     return dict(zip(MESO_PROPS, (
-        EmpiricalDistribution(c.sizes),
+        EmpiricalDistribution.from_counts(*c.size_classes[::2]),
         EmpiricalDistribution(np.bincount(c.indices, minlength=len(c.nodes))),
         EmpiricalDistribution(overlaps) if len(overlaps) else None,
     )))

@@ -150,9 +150,10 @@ class Graph:
     `giant_component` returned records that it is connected. The CSR arrays
     are read-only, and so is what a graph keeps as cached properties, built
     on their first read: each node's degree (`degrees`), its count of
-    higher-numbered neighbours (`upper_degrees`) and its labels' keys
-    (`label_index`, preset by `load_edge_list`). No per-edge array is kept
-    beside them."""
+    higher-numbered neighbours (`upper_degrees`), its triangles
+    (`triangles`), its degree classes (`degree_classes`) and its labels'
+    keys (`label_index`, preset by `load_edge_list`). No per-edge array is
+    kept beside them."""
 
     def __init__(self, n: int, edges: np.ndarray | Sequence[Sequence[int]],
                  original_labels: Sequence[str] | None = None):
@@ -207,6 +208,20 @@ class Graph:
         reads it."""
         rows = row_of(self.indptr)
         return read_only(np.bincount(rows[rows < self.indices], minlength=self.n))[0]
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """`_triangles` of the graph, built on the first read and kept,
+        read-only: the transitivity and the clustering by degree read it."""
+        return read_only(_triangles(self))[0]
+
+    @cached_property
+    def degree_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``np.unique`` of `degrees` with its inverse and counts: the distinct
+        degrees, each node's class and each class's node count. Built on the
+        first read and kept, read-only, for the assortativity, the clustering
+        by degree and the degree distribution."""
+        return read_only(*np.unique(self.degrees, return_inverse=True, return_counts=True))
 
     def edges(self) -> np.ndarray:
         """Every edge once as a row (u, v) with u < v, in row-major order: an
@@ -426,10 +441,10 @@ def giant_component(g: Graph) -> Graph:
 def degree_distribution(g: Graph) -> EmpiricalDistribution:
     if g.n < 1:
         raise GraphError("empty graph")
-    return EmpiricalDistribution(g.degrees)
+    return EmpiricalDistribution.from_counts(*g.degree_classes[::2])
 
 
-def triangles_per_node(g: Graph) -> np.ndarray:
+def _triangles(g: Graph) -> np.ndarray:
     """tri(u) = number of edges among u's neighbours. Each edge is kept at
     its end that comes first in (degree, id) order, so a node keeps at most
     sqrt(2E) neighbours (Latapy 2008, "Main-memory triangle computations for
@@ -449,7 +464,7 @@ def triangles_per_node(g: Graph) -> np.ndarray:
 
 def transitivity(g: Graph) -> float:
     """Global clustering coefficient: 3 * triangles / connected triples."""
-    closed = int(triangles_per_node(g).sum())  # = 3 * (#triangles)
+    closed = int(g.triangles.sum())  # = 3 * (#triangles)
     d = g.degrees
     triples = int((d * (d - 1) // 2).sum())
     return closed / triples if triples > 0 else 0.0
@@ -461,8 +476,8 @@ def clustering_by_degree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     2 sum tri / (k(k - 1) size), one division of exact integers."""
     if g.n < 3:
         raise GraphError("need at least 3 nodes")
-    k, cls, size = np.unique(g.degrees, return_inverse=True, return_counts=True)
-    tri = int_sums(cls, triangles_per_node(g), len(k))
+    k, cls, size = g.degree_classes
+    tri = int_sums(cls, g.triangles, len(k))
     return k, np.array([2 * t / (d * (d - 1) * s) if d >= 2 else 0.0
                         for d, t, s in zip(k.tolist(), tri, size.tolist())])
 
@@ -475,9 +490,8 @@ def degree_assortativity(g: Graph) -> float:
     over the nodes; one division of exact integers, NaN where the
     denominator is 0. Each sum is taken per degree class in int64, and times
     the class's degree in Python ints, which cannot overflow."""
-    d = g.degrees
-    k, cls, size = np.unique(d, return_inverse=True, return_counts=True)
-    far = int_sums(cls[row_of(g.indptr)], d[g.indices], len(k))  # neighbours' degrees
+    k, cls, size = g.degree_classes
+    far = int_sums(cls[row_of(g.indptr)], g.degrees[g.indices], len(k))  # neighbours' degrees
     m, k = 2 * g.edge_count, k.tolist()
     s1, s2 = (sum(a ** j * c for a, c in zip(k, size.tolist())) for j in (2, 3))
     p = sum(a * f for a, f in zip(k, far))

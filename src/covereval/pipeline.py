@@ -85,12 +85,15 @@ class RunConfig(_RunConfigFields):
         if len(set(names)) != len(names):
             raise PipelineError("candidate names must be unique")
         # the report keys the truth's entries by this name; names go into
-        # file names and are the first cell of their CSV rows, where an
-        # empty cell reads as a missing value
-        bad = [n for n in names if not n or n == "ground_truth" or "/" in n or "\0" in n]
+        # file names and are the first cell of their CSV rows, which are
+        # written unquoted: an empty cell reads as a missing value, and a
+        # comma, quote or line break would shift or split the row
+        bad = [n for n in names if n == "ground_truth" or n.splitlines() != [n]
+               or any(ch in n for ch in '/\0,"')]
         if bad:
-            raise PipelineError("a candidate name must be non-empty, not 'ground_truth' "
-                                f"and without '/' or NUL, got {bad[0]!r}")
+            raise PipelineError("a candidate name must be one non-empty line, not "
+                                "'ground_truth', and without '/', ',', '\"' or NUL, "
+                                f"got {bad[0]!r}")
         if self.hop_mode not in ("exact", "sampled"):
             raise PipelineError("hop_mode must be 'exact' or 'sampled'")
         if self.hop_mode == "sampled" and self.seed is None:
@@ -107,6 +110,11 @@ class RunConfig(_RunConfigFields):
             if repeated:
                 raise PipelineError(f"repeated {what}: {repeated}")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RunConfig":
+        """The config of these values, checked; `_replace` builds through it."""
+        return cls(*iterable)
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "RunConfig":

@@ -54,6 +54,11 @@ class RankingTable(_RankingTableFields):
                 raise RankingError(f"ranks must lie in [1, {m}]")
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> "RankingTable":
+        """The table of these values, checked; `_replace` builds through it."""
+        return cls(*iterable)
+
     def matrix(self) -> np.ndarray:
         return np.array(self.ranks, dtype=float)
 

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covereval import clustering, cover as cover_module
+from covereval import clustering, cover as cover_module, graph as graph_module
 from covereval.clustering import (
     _best_f1, _entropies, _entropy_table, clustering_scores, common_universe,
     f1_best_match, omega_index, onmi_max,
 )
 from covereval.cover import Cover, CoverError, _heavy_pairs
-from covereval.graph import row_pairs
+from covereval.graph import _triangles, row_pairs
 from covereval.pipeline import RunConfig, run
 from covereval.synthetic import planted_cover_network
 
@@ -623,6 +623,20 @@ class TestBuiltOnce:
         assert len(built) == 4 and len({id(c) for c in built}) == 4
         assert clustering._entropy_table.cache_info()[:2] == (2, 1)  # hits, misses
 
+    def test_run_counts_each_community_graphs_triangles_once(self, tmp_path, monkeypatch):
+        # the transitivity (basic) and the clustering by degree (microscopic)
+        # of each of the four community graphs read one triangle count
+        counted = []
+
+        def counting_triangles(g):
+            counted.append(g)
+            return _triangles(g)
+
+        monkeypatch.setattr(graph_module, "_triangles", counting_triangles)
+        monkeypatch.chdir(tmp_path)
+        emitted_digests(tmp_path, perturbed, property_groups=("basic", "microscopic"))
+        assert len(counted) == 4 and len({id(g) for g in counted}) == 4
+
     def test_kept_parts_equal_fresh_ones(self):
         def kept(read, *want):
             # two reads give the same read-only arrays, equal to `want`
@@ -633,6 +647,13 @@ class TestBuiltOnce:
         graph, truth = planted_cover_network(n_nodes=400, n_communities=60, seed=7)
         kept(lambda: graph.degrees, np.diff(graph.indptr))
         kept(lambda: graph.upper_degrees, np.bincount(graph.edges()[:, 0], minlength=graph.n))
+        adjacent = {tuple(e) for e in graph.edges().tolist()}
+        neighbours = [graph.indices[lo:hi].tolist()
+                      for lo, hi in zip(graph.indptr[:-1], graph.indptr[1:])]
+        kept(lambda: graph.triangles, np.array([
+            sum(pair in adjacent for pair in itertools.combinations(nb, 2)) for nb in neighbours]))
+        kept(lambda: graph.degree_classes,
+             *np.unique(np.diff(graph.indptr), return_inverse=True, return_counts=True))
         for c in (truth, *perturbed(truth).values(), *split_and_partial(truth).values()):
             n = len(c.nodes)
             sizes = np.diff(c.indptr)

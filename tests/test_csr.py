@@ -18,7 +18,6 @@ from covereval.clustering import _contingency, _multiplicities, common_universe
 from covereval.cover import Cover, CoverError, _heavy_pairs
 from covereval.graph import (
     Graph, connected_components, giant_component, hop_counts, hop_distribution,
-    triangles_per_node,
 )
 from covereval.quality import intra_degrees
 
@@ -178,7 +177,7 @@ def test_intra_degrees_equal_scipy():
 def test_triangles_equal_scipy():
     for g, a in graphs(8):
         want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
-        assert triangles_per_node(g).tolist() == want
+        assert g.triangles.tolist() == want
 
 
 def test_triangles_with_hubs_equal_scipy():
@@ -193,7 +192,7 @@ def test_triangles_with_hubs_equal_scipy():
             edges += [(hub, v) for v in range(n) if v != hub and rng.random() < 0.8]
         a = scipy_adjacency(n, edges)
         want = ((a @ a).multiply(a).sum(axis=1) // 2).tolist()
-        assert triangles_per_node(Graph(n, edges)).tolist() == want
+        assert Graph(n, edges).triangles.tolist() == want
 
 
 def test_triangles_of_a_star_take_little_memory():
@@ -202,7 +201,7 @@ def test_triangles_of_a_star_take_little_memory():
     g = Graph(3001, [(0, leaf) for leaf in range(1, 3001)])
     tracemalloc.start()
     try:
-        tri = triangles_per_node(g)
+        tri = g.triangles
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

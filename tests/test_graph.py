@@ -12,7 +12,7 @@ from covereval.cover import build_community_graph, load_cover
 from covereval.graph import (
     EXACT_HOP_LIMIT, EdgeListParseError, EmpiricalDistribution, Graph, GraphError,
     basic_properties, clustering_by_degree, degree_assortativity, degree_distribution,
-    giant_component, hop_distribution, load_edge_list, transitivity, triangles_per_node,
+    giant_component, hop_distribution, load_edge_list, transitivity,
 )
 from covereval.synthetic import perturb_cover, planted_cover_network
 
@@ -146,7 +146,7 @@ class TestGraphConstructor:
         assert g.edges().tolist() == [[0, 1], [1, 2]]
         # a repeated edge counts once in the adjacency products too
         triangle = Graph(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2), (0, 2)])
-        assert triangles_per_node(triangle).tolist() == [1, 1, 1]
+        assert triangle.triangles.tolist() == [1, 1, 1]
 
     def test_edges_row_major(self):
         rng = random.Random(19)
@@ -182,7 +182,7 @@ class TestGraphConstructor:
         g = Graph(4, [(0, 1), (1, 2)])
         held = ["indptr", "indices", "original_labels", "_connected"]
         assert list(vars(g)) == held
-        for part in ("degrees", "upper_degrees", "label_index"):
+        for part in ("degrees", "upper_degrees", "triangles", "degree_classes", "label_index"):
             assert part not in vars(g)
             first = getattr(g, part)
             held.append(part)

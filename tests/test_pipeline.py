@@ -58,6 +58,26 @@ class TestRunConfig:
             RunConfig(network_path="x", ground_truth_path="y",
                       candidates=(("a", "p"),), property_groups=("bogus",))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"sources": 0}, "sources must be at least 1, got 0"),
+        ({"candidates": ()}, "need at least one candidate cover"),
+        ({"hop_mode": "sampled"}, "sampled hop mode requires a seed"),
+        ({"candidates": (("p05,x", "p"),)}, "candidate name"),
+        ({"mcdm": ("topsis", "topsis")}, "repeated mcdm methods"),
+    ], ids=["sources", "no-candidates", "no-seed", "name", "repeated-mcdm"])
+    def test_make_and_replace_check_as_construction_does(self, change, message):
+        # NamedTuple's `_replace` builds through `_make`, so neither gets
+        # round the checks of `__new__`
+        cfg = RunConfig(network_path="x", ground_truth_path="y", candidates=(("a", "p"),))
+        values = {**cfg._asdict(), **change}
+        for build in (lambda: RunConfig(**values), lambda: RunConfig._make(values.values()),
+                      lambda: cfg._replace(**change)):
+            with pytest.raises(PipelineError, match=re.escape(message)):
+                build()
+        kept = cfg._replace(seed=3)
+        assert type(kept) is RunConfig and kept.seed == 3
+        assert RunConfig._make(kept) == kept
+
     def test_overrides(self, workspace):
         cfg = RunConfig.from_json(workspace / "cfg.json", seed=99,
                                   output_dir="elsewhere")
@@ -599,13 +619,19 @@ class TestStrictConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("name", ["ground_truth", "a/b", "../near", "nul\0", ""],
-                             ids=["ground_truth", "slash", "parent-dir", "nul", "empty"])
+    @pytest.mark.parametrize("name", ["ground_truth", "a/b", "../near", "nul\0", "",
+                                      "p05,x", 'say "p05"', "p20\nq", "p20\n", "p20\rq",
+                                      "p20\u2028q"],
+                             ids=["ground_truth", "slash", "parent-dir", "nul", "empty",
+                                  "comma", "quote", "newline", "trailing-newline",
+                                  "carriage-return", "line-separator"])
     def test_unusable_candidate_name_rejected(self, workspace, tmp_path, capsys, name):
         # `ground_truth` would overwrite the truth's entries in the report, a
         # name is part of the file names, and an empty one would be the first
-        # cell of its CSV rows, which reads as a missing value; each stops
-        # before anything is written, and on direct construction too
+        # cell of its CSV rows, which reads as a missing value; the rows are
+        # written unquoted, so a comma or quote would shift the row's cells
+        # and a line break split it; each stops before anything is written,
+        # and on direct construction too
         path = _relative_config(workspace, tmp_path, candidates=[
             {"name": "exact", "cover_path": "gt.txt"}, {"name": name, "cover_path": "c1.txt"}])
         with pytest.raises(PipelineError, match="candidate name"):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,25 @@ class TestRankingTable:
     def test_shape_enforced(self):
         with pytest.raises(RankingError):
             RankingTable(("A", "B"), ("c",), ((1,),))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"ranks": ((9,), (9,))}, "ranks must lie in [1, 2]"),
+        ({"ranks": ((1,),)}, "rank row count must match alternatives"),
+        ({"criteria": ("c", "d")}, "rank column count must match criteria"),
+        ({"alternatives": ("A", "A")}, "repeated alternative names: ['A']"),
+    ], ids=["domain", "rows", "columns", "repeated"])
+    def test_make_and_replace_check_as_construction_does(self, change, message):
+        # NamedTuple's `_replace` builds through `_make`, so neither gets
+        # round the checks of `__new__`
+        table = RankingTable(("A", "B"), ("c",), ((1,), (2,)))
+        values = {**table._asdict(), **change}
+        for build in (lambda: RankingTable(**values), lambda: RankingTable._make(values.values()),
+                      lambda: table._replace(**change)):
+            with pytest.raises(RankingError, match=re.escape(message)):
+                build()
+        swapped = table._replace(ranks=((2,), (1,)))
+        assert type(swapped) is RankingTable and swapped.ranks == ((2,), (1,))
+        assert RankingTable._make(swapped) == swapped
 
     def test_repeated_names_rejected(self):
         with pytest.raises(RankingError, match=r"repeated alternative names: \['A'\]"):

@@ -65,3 +65,19 @@ def test_bad_config_is_an_error_line(demo_data, config):
     out = script("run_experiment.py", "--config", config, cwd=demo_data)
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("fractions, message", [
+    (["0.05", "0.049"], "candidate name p05 more than once"),
+    (["0.2", "1.5"], "must lie in [0, 1], got 1.5"),
+    (["-0.1"], "must lie in [0, 1], got -0.1"),
+    (["nan"], "must lie in [0, 1], got nan"),
+], ids=["same-name", "above-one", "negative", "nan"])
+def test_unusable_fractions_are_a_usage_error(tmp_path, fractions, message):
+    # two fractions of one name would write one cover file over the other,
+    # and one outside [0, 1] cannot be sampled; nothing is written
+    out = script("make_synthetic.py", "--out", "data", "--nodes", "60", "--communities", "6",
+                 "--fractions", *fractions, cwd=tmp_path)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr.rstrip().endswith(message)
+    assert not (tmp_path / "data").exists()
