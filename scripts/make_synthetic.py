@@ -25,14 +25,18 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default="demo_data", help="output directory")
-    ap.add_argument("--nodes", type=int, default=500)
-    ap.add_argument("--communities", type=int, default=40)
+    ap.add_argument("--nodes", type=int, default=500, help="network size, at least 2")
+    ap.add_argument("--communities", type=int, default=40,
+                    help="planted communities, at least 2")
     ap.add_argument("--seed", type=int, default=9)
     ap.add_argument("--fractions", type=float, nargs="+",
                     default=[0.05, 0.20, 0.50],
                     help="perturbation levels for the candidate covers, in [0, 1]; "
                          "each names its cover pNN, NN its rounded percentage")
     args = ap.parse_args()
+    for flag, value in (("--nodes", args.nodes), ("--communities", args.communities)):
+        if value < 2:  # fewer cannot be planted or perturbed
+            ap.error(f"{flag} must be at least 2, got {value}")
     outside = [frac for frac in args.fractions if not 0 <= frac <= 1]
     if outside:
         ap.error(f"--fractions must lie in [0, 1], got {outside[0]}")

@@ -3,8 +3,9 @@
 
 For each property group this prints the per-candidate rank vector and, when
 the config's `mcdm` lists them, the Kemeny consensus order and the TOPSIS
-closeness ranking. Full reports (JSON, rank tables, Spearman matrices, fitted
-distributions) are written to the config's output directory.
+closeness ranking. Full reports (JSON, rank tables, Spearman matrices, sample
+distributions (`distributions.csv`)) are written to the config's output
+directory.
 """
 
 from __future__ import annotations

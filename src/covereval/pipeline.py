@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 from types import MappingProxyType
@@ -84,10 +83,10 @@ class RunConfig(_RunConfigFields):
         names = [n for n, _ in self.candidates]
         if len(set(names)) != len(names):
             raise PipelineError("candidate names must be unique")
-        # the report keys the truth's entries by this name; names go into
-        # file names and are the first cell of their CSV rows, which are
-        # written unquoted: an empty cell reads as a missing value, and a
-        # comma, quote or line break would shift or split the row
+        # the report keys the truth's entries by this name; names are the
+        # first cell of their CSV rows, which are written unquoted: an empty
+        # cell reads as a missing value, and a comma, quote or line break
+        # would shift or split the row
         bad = [n for n in names if n == "ground_truth" or n.splitlines() != [n]
                or any(ch in n for ch in '/\0,"')]
         if bad:
@@ -354,7 +353,7 @@ def _fmt(x) -> str:
 
 def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     """Write the JSON bundle, one CSV per ranking table, quality and
-    clustering CSVs, and per-distribution (value, ECDF) dumps."""
+    clustering CSVs, and every sample's (value, ECDF) rows in one CSV."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -363,10 +362,7 @@ def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        # a file name is its UTF-8 bytes whatever the filesystem encoding:
-        # under an ASCII one, fsdecode escapes them, and open() and print()
-        # give them back
-        path = out / os.fsdecode(name.encode("utf-8"))
+        path = out / name
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
@@ -395,9 +391,11 @@ def emit_reports(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
                   + [[n, *(vals[p] for p in CLUSTERING_PROPS)]
                      for n, vals in data["clustering"].items()])
 
-    for name, dists in sorted(report.samples.items()):
-        for prop, dist in sorted(dists.items()):
-            # one row per distinct value with the right-continuous ECDF
-            write_csv(f"dist_{name}_{prop}.csv",
-                      [["value", "ecdf"], *zip(dist.values.tolist(), dist.cdf.tolist())])
+    # one row per cover, property and distinct value, with the
+    # right-continuous ECDF
+    dist_rows = [(name, prop, *row) for name, dists in sorted(report.samples.items())
+                 for prop, dist in sorted(dists.items())
+                 for row in zip(dist.values.tolist(), dist.cdf.tolist())]
+    if dist_rows:
+        write_csv("distributions.csv", [("cover", "property", "value", "ecdf"), *dist_rows])
     return written

@@ -268,7 +268,10 @@ class TestEncoding:
         printed, written = outputs(c_locale, "out_c")
         assert [code for code, _, _ in printed] == [EXIT_OK, EXIT_OK]
         assert (printed, written) == outputs({**env, "PYTHONUTF8": "1"}, "out_utf8")
-        assert "dist_lointé_CS.csv" in written and "lointé".encode() in written["quality.csv"]
+        # no file is named after a candidate, and the name's rows are UTF-8
+        assert all(name.isascii() for name in written)
+        assert "lointé".encode() in written["quality.csv"]
+        assert "\nlointé,CS,".encode() in written["distributions.csv"]
 
 
 class TestImports:

@@ -7,12 +7,14 @@ nodes out) in exact mode.
 A refactor of the metric code must leave these bytes unchanged. The first
 three instances run the basic, quality and clustering groups, so no
 distribution is fitted and their digests do not depend on the optimizer;
-the `dist_*` sample dumps are written only for the microscopic and
-mesoscopic properties of the selected groups, so these instances write
-none. The `fitted` instance runs the microscopic and mesoscopic groups, so
-it pins the fitting path and every dump too: every family's MLE and KS
+`distributions.csv` holds the samples of the microscopic and mesoscopic
+properties of the selected groups only, so these instances do not write
+it. The `fitted` instance runs the microscopic and mesoscopic groups, so
+it pins the fitting path and every sample too: every family's MLE and KS
 statistic on the sample distributions, and the family each property
-selects.
+selects. Its samples were once written as one `dist_<cover>_<prop>.csv`
+dump each; those dumps' digests are kept, and distributions.csv split by
+(cover, property) must give them back.
 
 A change that moves a value on purpose re-records the digests and says in
 CHANGES.md which files and values moved, and by how much: that file keeps
@@ -54,8 +56,8 @@ def emitted_digests(workdir, candidates,
                     **settings) -> dict[str, str]:
     """Write the instance into `workdir` (paths relative to it, so the
     report does not name the directory), the ground truth as candidate
-    `exact` plus `candidates(truth)`, run it and hash every file in the
-    order it was written."""
+    `exact` plus `candidates(truth)`, run it into `workdir/out` and hash
+    every file in the order it was written."""
     graph, truth = planted_cover_network(n_nodes=400, n_communities=60, seed=7)
     write_edge_list(graph, workdir / "net.txt")
     write_cover(truth, workdir / "gt.txt")
@@ -67,7 +69,11 @@ def emitted_digests(workdir, candidates,
         network_path="net.txt", ground_truth_path="gt.txt", candidates=tuple(names),
         property_groups=property_groups, output_dir="out", **settings)
     written = emit_reports(run(cfg), cfg.output_dir)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    return {p.name: digest(p.read_bytes()) for p in written}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 EXACT = {
@@ -148,6 +154,14 @@ FITTED = {
         "b30b8699af46215cc71e1f45c4a3e74334ef318ab9767cefeb35ae25be2fa801",
     "quality.csv":
         "e4e17f0f74bf8749c8257bbb0e7ae10612e5a3979782b5f824829fa7fb0e35ed",
+    "distributions.csv":
+        "3cdaa8d7683479b924da75310f3b2acf1a65ad2f28e461d9b0353c3ce85ffe54",
+}
+
+# The `fitted` instance's per-cover sample dumps `dist_<cover>_<prop>.csv`,
+# each a `value,ecdf` header and its rows, as emit_reports wrote them before
+# it wrote their rows to one distributions.csv, in the order it wrote them.
+FITTED_DUMPS = {
     "dist_exact_Av.csv":
         "656630e9a9785ca5e63081414826c05f547cbc08997b15552e771056715440bd",
     "dist_exact_CS.csv":
@@ -212,3 +226,21 @@ def test_emitted_files_match_recorded_digests(tmp_path, monkeypatch, candidates,
     got = emitted_digests(tmp_path, candidates, **settings)
     assert list(got) == list(want)
     assert got == want
+
+
+def test_distributions_hold_the_recorded_dumps(tmp_path, monkeypatch):
+    """Split by (cover, property), the `fitted` instance's distributions.csv
+    gives back every sample dump byte for byte, in the recorded order."""
+    monkeypatch.chdir(tmp_path)
+    emitted_digests(tmp_path, perturbed, hop_mode="exact",
+                    property_groups=("microscopic", "mesoscopic"))
+    header, *rows = (tmp_path / "out" / "distributions.csv").read_text().splitlines()
+    assert header == "cover,property,value,ecdf"
+    parts: dict[str, list[str]] = {}
+    for row in rows:
+        cover, prop, value_ecdf = row.split(",", 2)
+        parts.setdefault(f"dist_{cover}_{prop}.csv", ["value,ecdf"]).append(value_ecdf)
+    got = {name: digest("".join(line + "\n" for line in lines).encode())
+           for name, lines in parts.items()}
+    assert list(got) == list(FITTED_DUMPS)
+    assert got == FITTED_DUMPS

@@ -44,6 +44,17 @@ def report(workspace):
     return run(RunConfig.from_json(workspace / "cfg.json"))
 
 
+def dumped_pairs(out_dir: Path) -> set[tuple[str, str]]:
+    """The (cover, property) pairs with rows in out_dir's distributions.csv;
+    none if it was not written."""
+    path = out_dir / "distributions.csv"
+    if not path.exists():
+        return set()
+    rows = path.read_text().splitlines()
+    assert rows[0] == "cover,property,value,ecdf"
+    return {tuple(row.split(",")[:2]) for row in rows[1:]}
+
+
 class TestRunConfig:
     def test_validation(self, workspace):
         with pytest.raises(PipelineError):
@@ -157,7 +168,7 @@ class TestDeterminismAndSerialization:
         assert "ranking_all_properties.csv" in names
         assert "spearman_basic.csv" in names
         assert "quality.csv" in names and "clustering.csv" in names
-        assert any(n.startswith("dist_ground_truth_") for n in names)
+        assert ("ground_truth", "DD") in dumped_pairs(tmp_path / "out")
         ranking = (tmp_path / "out" / "ranking_basic.csv").read_text()
         header = ranking.splitlines()[0].split(",")
         assert header[-2:] == ["Kconsensus", "TOPSIS"]
@@ -177,22 +188,22 @@ class TestDeterminismAndSerialization:
         names = {p.name for p in written}
         assert "quality.csv" in names and "clustering.csv" in names
         assert not any(n.startswith("ranking_all") for n in names)
-        # no samples are taken for the groups left out, so no dump is written
+        # no samples are taken for the groups left out, so none is written
         assert not any(rep.samples.values())
-        assert not any(n.startswith("dist_") for n in names)
+        assert "distributions.csv" not in names
 
     @pytest.mark.parametrize("groups", [
         ("quality", "clustering"), ("basic",), ("microscopic",), ("mesoscopic",)])
     def test_groups_select_the_dumps_not_the_values(self, workspace, report, tmp_path, groups):
-        """The groups decide which `dist_*` dumps are written, those of their
-        microscopic and mesoscopic properties, and no value that the report
-        holds for every config."""
+        """The groups decide which samples `distributions.csv` holds, those
+        of their microscopic and mesoscopic properties, and no value that the
+        report holds for every config."""
         rep = run(RunConfig.from_json(workspace / "cfg.json", property_groups=groups))
-        written = {p.name for p in emit_reports(rep, tmp_path / "out")}
+        emit_reports(rep, tmp_path / "out")
         sampled = [p for g in groups if g in ("microscopic", "mesoscopic")
                    for p in GROUP_PROPS[g]]
-        assert {n for n in written if n.startswith("dist_")} == {
-            f"dist_{cover}_{p}.csv" for cover in report.samples for p in sampled}
+        assert dumped_pairs(tmp_path / "out") == {
+            (cover, p) for cover in report.samples for p in sampled}
         got = json.loads((tmp_path / "out" / "report.json").read_bytes())
         every = json.loads(report.to_json())
         for block in ("community_graphs", "quality"):
@@ -475,11 +486,15 @@ EMITTED = {
                     "ground_truth,4.0,0.1,0.0,0.3333333333333333,0.5,0.25\n"
                     "A,2.5,,1e-17,0.6666666666666666,1.0,-0.125\n"),
     "clustering.csv": "name,NMI,OI,F1-score\nA,1.0,0.30000000000000004,\n",
-    "dist_A_CS.csv": "value,ecdf\n7.0,1.0\n",
-    "dist_ground_truth_DD.csv": ("value,ecdf\n1.0,0.16666666666666666\n"
-                                 "2.0,0.5\n3.0,1.0\n"),
-    "dist_ground_truth_HD.csv": ("value,ecdf\n0.3333333333333333,0.3333333333333333\n"
-                                 "0.5,1.0\n"),
+    # the rows of the dumps dist_A_CS.csv, dist_ground_truth_DD.csv and
+    # dist_ground_truth_HD.csv that this file replaced, in that order
+    "distributions.csv": ("cover,property,value,ecdf\n"
+                          "A,CS,7.0,1.0\n"
+                          "ground_truth,DD,1.0,0.16666666666666666\n"
+                          "ground_truth,DD,2.0,0.5\n"
+                          "ground_truth,DD,3.0,1.0\n"
+                          "ground_truth,HD,0.3333333333333333,0.3333333333333333\n"
+                          "ground_truth,HD,0.5,1.0\n"),
 }
 
 
@@ -489,8 +504,7 @@ class TestEmitReports:
         written = emit_reports(rep, tmp_path)
         assert [p.name for p in written] == [
             "report.json", "ranking_basic.csv", "ranking_quality.csv",
-            "spearman_quality.csv", "quality.csv", "clustering.csv",
-            "dist_A_CS.csv", "dist_ground_truth_DD.csv", "dist_ground_truth_HD.csv"]
+            "spearman_quality.csv", "quality.csv", "clustering.csv", "distributions.csv"]
         assert (tmp_path / "report.json").read_text() == json.dumps(
             rep.data, sort_keys=True, indent=2) + "\n"
         for name, text in EMITTED.items():
@@ -626,8 +640,8 @@ class TestStrictConfig:
                                   "comma", "quote", "newline", "trailing-newline",
                                   "carriage-return", "line-separator"])
     def test_unusable_candidate_name_rejected(self, workspace, tmp_path, capsys, name):
-        # `ground_truth` would overwrite the truth's entries in the report, a
-        # name is part of the file names, and an empty one would be the first
+        # `ground_truth` would overwrite the truth's entries in the report,
+        # '/' and NUL are kept out too, and an empty name would be the first
         # cell of its CSV rows, which reads as a missing value; the rows are
         # written unquoted, so a comma or quote would shift the row's cells
         # and a line break split it; each stops before anything is written,

@@ -81,3 +81,18 @@ def test_unusable_fractions_are_a_usage_error(tmp_path, fractions, message):
     assert out.returncode == 2 and "Traceback" not in out.stderr
     assert out.stderr.rstrip().endswith(message)
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--nodes", "1"), ("--nodes", "0"), ("--nodes", "-5"),
+    ("--communities", "1"), ("--communities", "0"), ("--communities", "-3"),
+])
+def test_too_small_sizes_are_a_usage_error(tmp_path, flag, value):
+    # fewer than two nodes or communities cannot be planted or perturbed;
+    # the error comes before anything is written
+    sizes = {"--nodes": "60", "--communities": "6", flag: value}
+    out = script("make_synthetic.py", "--out", "data", *(x for kv in sizes.items() for x in kv),
+                 cwd=tmp_path)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr.rstrip().endswith(f"{flag} must be at least 2, got {value}")
+    assert not (tmp_path / "data").exists()
